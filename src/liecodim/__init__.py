@@ -52,7 +52,6 @@ from .deriv import (
 from .ext import (
     ConditionDisagreement,
     ExtensionSpec,
-    IsoWitness,
     LieCSpec,
     build_double_extension,
     check_codim1_condition,
@@ -69,10 +68,6 @@ from .canon import (
     CanonicalForm,
     ExactScalar,
     FamilyTemplate,
-    NoLegalPlacement,
-    NoMatch,
-    PlacementConstraints,
-    family_match,
     proportional_normalize,
     proportional_similar,
 )
@@ -83,8 +78,6 @@ from .classify import (
     GoldenMismatch,
     GridSpec,
     catalog,
-    classify_ext1,
-    classify_ext2_ad,
     classify_extensions,
     distinctness_evidence,
     fingerprint,

@@ -19,26 +19,18 @@ u*sqrt(v); they are carried exactly by :class:`ExactScalar`, never floats.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from .exactla import (
     EigenStructure,
     Matrix,
+    _sqrt_fraction,
     eigen_structure,
     format_frac,
     real_jordan_form,
 )
-
-
-class NoLegalPlacement(Exception):
-    """No arrangement of the normal-form blocks fits the constrained shape."""
-
-
-class NoMatch(Exception):
-    """The matrix lies outside every classified family."""
 
 
 class AmbiguousMatch(Exception):
@@ -180,51 +172,29 @@ class CanonicalForm:
 
     blocks: tuple[CanonicalBlock, ...]
     scaling_applied: ExactScalar
-    placement_profile: str
 
     def describe(self) -> str:
         return " + ".join(b.describe() for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class PlacementConstraints:
-    """Which block arrangements are legal for a constrained coordinate shape.
-
-    ``restrict`` receives the eigen structure of the full matrix and
-    returns, for every legal arrangement, the sub-structure whose blocks
-    are eligible to designate the scaling pivot (determined slots such as a
-    trace slot are excluded); an empty list means no arrangement fits and
-    canonicalization raises :class:`NoLegalPlacement`.  Supplied per base
-    algebra by the classification catalog.
-    """
-
-    label: str
-    restrict: Callable[[EigenStructure], list[EigenStructure]]
-
-    def legal(self, st: EigenStructure) -> bool:
-        return bool(self.restrict(st))
-
-
-def _candidate_scalings(st: EigenStructure) -> list[tuple[ExactScalar, str]]:
-    """Designated scaling candidates per the normalization conventions.
-
-    Returns [(c, profile)] with both sign choices when signs are free.
-    """
+def _candidate_scalings(st: EigenStructure) -> list[ExactScalar]:
+    """Designated scaling candidates per the normalization conventions,
+    with both sign choices when signs are free."""
     pairs = st.complex_pairs()
     if pairs:
         q2_des, p_des = max((q2, p) for (p, q2) in pairs)
         base = ExactScalar.sqrt(Fraction(1) / q2_des)
-        return [(base, "complex"), (-base, "complex")]
+        return [base, -base]
     jordan_eigs = [ev.value for ev, sizes in st.entries
                    if ev.kind == "rational" and ev.value != 0 and sizes and sizes[0] >= 2]
     if jordan_eigs:
         lam = max(jordan_eigs, key=lambda v: (abs(v), v > 0))
-        return [(ExactScalar.of(Fraction(1) / lam), "jordan")]
+        return [ExactScalar.of(Fraction(1) / lam)]
     nonzero = [ev.value for ev, _ in st.entries if ev.kind == "rational" and ev.value != 0]
     if nonzero:
         lam = max(nonzero, key=lambda v: (abs(v), v > 0))
-        return [(ExactScalar.of(Fraction(1) / lam), "diagonal")]
-    return [(ExactScalar.of(1), "nilpotent")]
+        return [ExactScalar.of(Fraction(1) / lam)]
+    return [ExactScalar.of(1)]
 
 
 def _scaled_blocks(st: EigenStructure, c: ExactScalar) -> tuple[CanonicalBlock, ...]:
@@ -250,55 +220,20 @@ def _form_key(blocks: tuple[CanonicalBlock, ...]) -> tuple:
     return tuple(b.sort_key() for b in blocks)
 
 
-def proportional_normalize(m: Matrix,
-                           placement_constraints: Optional[PlacementConstraints] = None
-                           ) -> CanonicalForm:
+def proportional_normalize(m: Matrix) -> CanonicalForm:
     """Normal-form data of ``m`` with the scaling conventions applied.
 
-    Under placement constraints the scaling pivot is designated only from
-    the blocks the constraints leave free.  When several scalars remain
-    possible (sign choices, several legal arrangements), the
-    lexicographically smallest block tuple wins, so the output is
-    deterministic.
+    When the sign of the scalar is free, the lexicographically smallest
+    block tuple wins, so the output is deterministic.
     """
     st = eigen_structure(m)
-    if placement_constraints is None:
-        pivot_structures = [st]
-        label = "generic"
-    else:
-        pivot_structures = placement_constraints.restrict(st)
-        label = placement_constraints.label
-        if not pivot_structures:
-            raise NoLegalPlacement(
-                f"no legal arrangement under constraints {label!r}")
-    candidates: list[tuple[ExactScalar, str]] = []
-    seen = set()
-    for sub in pivot_structures:
-        for c, profile in _candidate_scalings(sub):
-            if (c, profile) not in seen:
-                seen.add((c, profile))
-                candidates.append((c, profile))
-    best = None
-    for c, profile in candidates:
-        blocks = _scaled_blocks(st, c)
-        key = _form_key(blocks)
-        if best is None or key < best[0]:
-            best = (key, blocks, c, profile)
-    _, blocks, c, profile = best
-    return CanonicalForm(blocks, c, f"{label}:{profile}")
+    scaled = [(_scaled_blocks(st, c), c) for c in _candidate_scalings(st)]
+    blocks, c = min(scaled, key=lambda bc: _form_key(bc[0]))
+    return CanonicalForm(blocks, c)
 
 
 def _nonzero_rationals(st: EigenStructure) -> list[Fraction]:
     return [ev.value for ev, _ in st.entries if ev.kind == "rational" and ev.value != 0]
-
-
-def _sqrt_rational(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def _scaled_structure_key(st: EigenStructure, c: Fraction) -> tuple:
@@ -336,7 +271,7 @@ def proportional_similar(a: Matrix, b: Matrix
             candidates.add(lb / la)
     for (pa, qa2) in st_a.complex_pairs():
         for (pb, qb2) in st_b.complex_pairs():
-            root = _sqrt_rational(qb2 / qa2)
+            root = _sqrt_fraction(qb2 / qa2)
             if root is not None:
                 candidates.add(root)
                 candidates.add(-root)
@@ -365,9 +300,9 @@ class FamilyTemplate:
 
     ``build`` instantiates the canonical matrix at a rational parameter
     point (in the coordinate shape of the base algebra's cohomology
-    transversal); ``match`` recognizes whether an arbitrary shaped matrix
-    belongs to this family and returns the canonical parameter values.
-    ``sample`` yields deterministic in-domain rational parameter points.
+    transversal); ``sample`` yields deterministic in-domain rational
+    parameter points.  Recognizing an arbitrary shaped matrix is the job of
+    the base algebra's classifier in the catalog.
     """
 
     name: str
@@ -377,47 +312,4 @@ class FamilyTemplate:
     domain_desc: str
     build: Callable[[tuple[Fraction, ...]], Matrix]
     in_domain: Callable[[tuple[ParamValue, ...]], bool]
-    match: Callable[[Matrix], Optional[tuple[ParamValue, ...]]]
     sample: Callable[[int], list[tuple[Fraction, ...]]]
-
-    def describe_params(self, params: Sequence[ParamValue]) -> str:
-        if not self.param_names:
-            return self.name
-        inner = ", ".join(f"{n}={param_str(p)}"
-                          for n, p in zip(self.param_names, params))
-        return f"{self.name}[{inner}]"
-
-
-def family_match(m: Matrix, templates: Sequence[FamilyTemplate],
-                 verify: bool = True) -> tuple[FamilyTemplate, tuple[ParamValue, ...]]:
-    """The unique template (with parameter values) covering ``m``.
-
-    Raises :class:`NoMatch` when no template claims the matrix and
-    :class:`AmbiguousMatch` when more than one does.  With ``verify`` and
-    fully rational parameters, the match is cross-validated by an exact
-    proportional-similarity witness between ``m`` and the instantiated
-    canonical matrix.
-    """
-    claims = []
-    for t in templates:
-        params = t.match(m)
-        if params is not None:
-            claims.append((t, params))
-    if not claims:
-        raise NoMatch("matrix lies outside the classified families")
-    if len(claims) > 1:
-        names = [t.name for t, _ in claims]
-        raise AmbiguousMatch(f"templates {names} all claim the matrix")
-    template, params = claims[0]
-    if not template.in_domain(params):
-        raise AmbiguousMatch(
-            f"template {template.name} produced out-of-domain parameters "
-            f"{[param_str(p) for p in params]}")
-    if verify and all(isinstance(p, Fraction) or p.is_rational() for p in params):
-        point = tuple(p if isinstance(p, Fraction) else p.to_fraction()
-                      for p in params)
-        inst = template.build(point)
-        if proportional_similar(m, inst) is None:
-            raise AmbiguousMatch(
-                f"match to {template.name} failed similarity cross-validation")
-    return template, params

@@ -16,7 +16,9 @@ canonical parameter values, rational or exact quadratic irrationals.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .canon import (
     ExactScalar,
     FamilyTemplate,
     ParamValue,
-    PlacementConstraints,
+    as_exact,
     param_str,
     proportional_normalize,
     proportional_similar,
@@ -46,6 +48,8 @@ from .exactla import (
     Subspace,
     UnsupportedSpectrumError,
     Vector,
+    _block_diag,
+    _sqrt_fraction,
     eigen_structure,
     nullspace,
 )
@@ -91,17 +95,6 @@ class GoldenMismatch(Exception):
                          f"{sorted(expected)}{'; ' + detail if detail else ''}")
 
 
-def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
-    import math
-
-    if x < 0:
-        return None
-    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _pivot_sorted(values: Sequence[Fraction]) -> list[Fraction]:
     """Largest absolute value first; ties prefer the positive value."""
     return sorted(values, key=lambda v: (-abs(v), v < 0))
@@ -128,12 +121,7 @@ def _sgn(p: ParamValue) -> int:
 def _params_equal(a: Sequence[ParamValue], b: Sequence[ParamValue]) -> bool:
     if len(a) != len(b):
         return False
-    for x, y in zip(a, b):
-        xs = x if isinstance(x, ExactScalar) else ExactScalar.of(x)
-        ys = y if isinstance(y, ExactScalar) else ExactScalar.of(y)
-        if xs != ys:
-            return False
-    return True
+    return all(as_exact(x) == as_exact(y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -620,31 +608,16 @@ def _shape_h3_ext2(a, b, c, e, h) -> Matrix:
 
 
 def _block_matrix(blocks: Sequence[Sequence[Sequence]]) -> Matrix:
-    mats = [Matrix.from_rows(b) for b in blocks]
-    total = sum(m.rows for m in mats)
-    grid = [[Fraction(0)] * total for _ in range(total)]
-    off = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                grid[off + i][off + j] = m.entries[i][j]
-        off += m.rows
-    return Matrix.from_rows(grid)
+    return _block_diag([Matrix.from_rows(b) for b in blocks])
 
 
-def _template(name, base, mode, param_names, domain_desc, build, in_domain,
-              classifier) -> FamilyTemplate:
-    def match(m: Matrix) -> Optional[tuple[ParamValue, ...]]:
-        result = classifier(m)
-        if result is None or result[0] != name:
-            return None
-        return result[1]
-
+def _template(name, base, mode, param_names, domain_desc, build,
+              in_domain) -> FamilyTemplate:
     def sample(count: int) -> list[tuple[Fraction, ...]]:
         return _domain_samples(len(param_names), in_domain, count)
 
     return FamilyTemplate(name, base, mode, tuple(param_names), domain_desc,
-                          build, in_domain, match, sample)
+                          build, in_domain, sample)
 
 
 def _wrap_flat(classifier_flat):
@@ -659,27 +632,24 @@ def _rational_point(p) -> bool:
 
 
 def _h3_ext1_templates() -> tuple[FamilyTemplate, ...]:
-    cl = _wrap_flat(_classify_h3_ext1)
     one = Fraction(1)
     return (
         _template(
             "A", "h3", "ext1", ("lam",), "0 < |lam| <= 1",
             lambda p: _shape_h3(one, p[0], 0, 0),
-            lambda p: _rational_point(p) and 0 < abs(_as_fraction(p[0])) <= 1,
-            cl),
+            lambda p: _rational_point(p) and 0 < abs(_as_fraction(p[0])) <= 1),
         _template(
             "B", "h3", "ext1", (), "no parameters",
             lambda p: _shape_h3(one, one, one, 0),
-            lambda p: True, cl),
+            lambda p: True),
         _template(
             "C", "h3", "ext1", ("lam",), "lam >= 0",
             lambda p: _shape_h3(p[0], p[0], one, -one),
-            lambda p: _sgn(p[0]) >= 0, cl),
+            lambda p: _sgn(p[0]) >= 0),
     )
 
 
 def _rp_ext1_templates() -> tuple[FamilyTemplate, ...]:
-    cl = _wrap_flat(_classify_rp_ext1)
     one = Fraction(1)
     z = Fraction(0)
 
@@ -701,54 +671,52 @@ def _rp_ext1_templates() -> tuple[FamilyTemplate, ...]:
             "A", "r_plus_h3", "ext1", ("alpha", "beta"),
             "0 < |alpha| <= 1, beta != 0",
             lambda p: _shape_rp(one, p[0], p[1], z, z, z, z, z),
-            a_domain, cl),
+            a_domain),
         _template(
             "B", "r_plus_h3", "ext1", ("alpha",),
             "alpha in (-1, 1], alpha != 0",
             lambda p: _shape_rp(one, p[0], one + p[0], z, z, z, z, one),
             lambda p: _rational_point(p) and
-            -1 < _as_fraction(p[0]) <= 1 and _as_fraction(p[0]) != 0,
-            cl),
+            -1 < _as_fraction(p[0]) <= 1 and _as_fraction(p[0]) != 0),
         _template(
             "C", "r_plus_h3", "ext1", ("alpha",), "alpha != 0",
             lambda p: _shape_rp(p[0], one, one, z, z, z, one, z),
-            lambda p: _sgn(p[0]) != 0, cl),
+            lambda p: _sgn(p[0]) != 0),
         _template(
             "D", "r_plus_h3", "ext1", ("beta",), "beta != 0",
             lambda p: _shape_rp(one, one, p[0], z, one, z, z, z),
-            lambda p: _sgn(p[0]) != 0, cl),
+            lambda p: _sgn(p[0]) != 0),
         _template(
             "E", "r_plus_h3", "ext1", (), "no parameters",
             lambda p: _shape_rp(one, one, 2 * one, z, one, z, z, one),
-            lambda p: True, cl),
+            lambda p: True),
         _template(
             "F", "r_plus_h3", "ext1", (), "no parameters",
             lambda p: _shape_rp(one, one, one, z, one, z, one, z),
-            lambda p: True, cl),
+            lambda p: True),
         _template(
             "G", "r_plus_h3", "ext1", ("lam", "c"), "lam >= 0, c > 0",
             lambda p: _shape_rp(p[0], p[0], p[1], one, -one, z, z, z),
-            g_domain, cl),
+            g_domain),
         _template(
             "H", "r_plus_h3", "ext1", ("lam",), "lam > 0",
             lambda p: _shape_rp(p[0], p[0], 2 * p[0], one, -one, z, z, one),
-            lambda p: _sgn(p[0]) > 0, cl),
+            lambda p: _sgn(p[0]) > 0),
     )
 
 
 def _g4_ext1_templates() -> tuple[FamilyTemplate, ...]:
-    cl = _wrap_flat(_classify_g4_ext1)
     one = Fraction(1)
     z = Fraction(0)
     return (
         _template(
             "I", "g4", "ext1", ("lam",), "lam != 0",
             lambda p: _shape_g4(p[0], one, z, z),
-            lambda p: _sgn(p[0]) != 0, cl),
+            lambda p: _sgn(p[0]) != 0),
         _template(
             "J", "g4", "ext1", (), "no parameters",
             lambda p: _shape_g4(one, one, one, z),
-            lambda p: True, cl),
+            lambda p: True),
     )
 
 
@@ -761,7 +729,6 @@ def _canonical_tail(params: Sequence[ParamValue]) -> bool:
 
 
 def _abelian_ext1_templates(n: int) -> tuple[FamilyTemplate, ...]:
-    cl = _abelian_ext1_classifier(n)
     one = Fraction(1)
 
     def nonzero(p) -> bool:
@@ -770,19 +737,19 @@ def _abelian_ext1_templates(n: int) -> tuple[FamilyTemplate, ...]:
     if n == 1:
         return (_template("one", "r1", "ext1", (), "no parameters",
                           lambda p: Matrix.from_rows([[1]]),
-                          lambda p: True, cl),)
+                          lambda p: True),)
     if n == 2:
         return (
             _template("diag", "r2", "ext1", ("alpha",), "0 < |alpha| <= 1",
                       lambda p: Matrix.diagonal([one, p[0]]),
                       lambda p: _rational_point(p) and
-                      0 < abs(_as_fraction(p[0])) <= 1, cl),
+                      0 < abs(_as_fraction(p[0])) <= 1),
             _template("j2", "r2", "ext1", (), "no parameters",
                       lambda p: Matrix.from_rows([[1, 1], [0, 1]]),
-                      lambda p: True, cl),
+                      lambda p: True),
             _template("cplx", "r2", "ext1", ("lam",), "lam >= 0",
                       lambda p: Matrix.from_rows([[p[0], 1], [-1, p[0]]]),
-                      lambda p: _sgn(p[0]) >= 0, cl),
+                      lambda p: _sgn(p[0]) >= 0),
         )
     if n == 3:
         return (
@@ -790,27 +757,27 @@ def _abelian_ext1_templates(n: int) -> tuple[FamilyTemplate, ...]:
                       "0 < |beta| <= |alpha| <= 1",
                       lambda p: Matrix.diagonal([one, p[0], p[1]]),
                       lambda p: nonzero(p) and
-                      _canonical_tail([one, p[0], p[1]]), cl),
+                      _canonical_tail([one, p[0], p[1]])),
             _template("j2", "r3", "ext1", ("beta",), "beta != 0",
                       lambda p: _block_matrix([[[1, 1], [0, 1]], [[p[0]]]]),
-                      lambda p: _rational_point(p) and nonzero(p), cl),
+                      lambda p: _rational_point(p) and nonzero(p)),
             _template("j3", "r3", "ext1", (), "no parameters",
                       lambda p: _block_matrix(
                           [[[1, 1, 0], [0, 1, 1], [0, 0, 1]]]),
-                      lambda p: True, cl),
+                      lambda p: True),
             _template("cplx", "r3", "ext1", ("lam", "m"),
                       "lam >= 0; m != 0, m > 0 when lam = 0",
                       lambda p: _block_matrix(
                           [[[p[0], 1], [-1, p[0]]], [[p[1]]]]),
                       lambda p: _sgn(p[0]) >= 0 and _sgn(p[1]) != 0 and
-                      not (_sgn(p[0]) == 0 and _sgn(p[1]) < 0), cl),
+                      not (_sgn(p[0]) == 0 and _sgn(p[1]) < 0)),
         )
     if n == 4:
-        return _gl4_templates(cl)
+        return _gl4_templates()
     raise ValueError(f"no templates for abelian dimension {n}")
 
 
-def _gl4_templates(cl) -> tuple[FamilyTemplate, ...]:
+def _gl4_templates() -> tuple[FamilyTemplate, ...]:
     one = Fraction(1)
 
     def nonzero(p) -> bool:
@@ -843,11 +810,7 @@ def _gl4_templates(cl) -> tuple[FamilyTemplate, ...]:
     def cc_dom(p) -> bool:
         if _sgn(p[2]) <= 0:
             return False
-        if not all(isinstance(x, Fraction) or True for x in p):
-            return False
-        a = p[0] if isinstance(p[0], ExactScalar) else ExactScalar.of(p[0])
-        b = p[1] if isinstance(p[1], ExactScalar) else ExactScalar.of(p[1])
-        q = p[2] if isinstance(p[2], ExactScalar) else ExactScalar.of(p[2])
+        a, b, q = (as_exact(x) for x in p)
         if not (a.is_rational() and b.is_rational() and q.is_rational()):
             return False
         pair_data = [(a.to_fraction(), Fraction(1)),
@@ -859,240 +822,119 @@ def _gl4_templates(cl) -> tuple[FamilyTemplate, ...]:
                   "0 < |gamma| <= |beta| <= |alpha| <= 1",
                   lambda p: Matrix.diagonal([one, p[0], p[1], p[2]]),
                   lambda p: nonzero(p) and _canonical_tail(
-                      [one, p[0], p[1], p[2]]), cl),
+                      [one, p[0], p[1], p[2]])),
         _template("j2", "r4", "ext1", ("alpha", "beta"),
                   "alpha, beta distinct, nonzero, != 1, pivot-ordered",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[p[0]]], [[p[1]]]]),
-                  j2_dom, cl),
+                  j2_dom),
         _template("j2_eq1", "r4", "ext1", ("alpha",), "alpha != 0, 1",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[1]], [[p[0]]]]),
-                  lambda p: _rational_point(p) and nonzero(p) and ne_one(p),
-                  cl),
+                  lambda p: _rational_point(p) and nonzero(p) and ne_one(p)),
         _template("j2_eq2", "r4", "ext1", (), "no parameters",
                   lambda p: _block_matrix([[[1, 1], [0, 1]], [[1]], [[1]]]),
-                  lambda p: True, cl),
+                  lambda p: True),
         _template("j2_pair", "r4", "ext1", ("alpha",), "alpha != 0, 1",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[p[0]]], [[p[0]]]]),
-                  lambda p: _rational_point(p) and nonzero(p) and ne_one(p),
-                  cl),
+                  lambda p: _rational_point(p) and nonzero(p) and ne_one(p)),
         _template("j2j2", "r4", "ext1", ("alpha",),
                   "0 < |alpha| <= 1, alpha != 1",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[p[0], 1], [0, p[0]]]]),
-                  j2j2_dom, cl),
+                  j2j2_dom),
         _template("j2j2_eq", "r4", "ext1", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[1, 1], [0, 1]]]),
-                  lambda p: True, cl),
+                  lambda p: True),
         _template("j3", "r4", "ext1", ("alpha",), "alpha != 0, 1",
                   lambda p: _block_matrix(
                       [[[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[p[0]]]]),
-                  lambda p: _rational_point(p) and nonzero(p) and ne_one(p),
-                  cl),
+                  lambda p: _rational_point(p) and nonzero(p) and ne_one(p)),
         _template("j3_eq", "r4", "ext1", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1]]]),
-                  lambda p: True, cl),
+                  lambda p: True),
         _template("j4", "r4", "ext1", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1],
                         [0, 0, 0, 1]]]),
-                  lambda p: True, cl),
+                  lambda p: True),
         _template("c_diag", "r4", "ext1", ("lam", "m1", "m2"),
                   "lam >= 0; m1, m2 != 0, pivot-ordered",
                   lambda p: _block_matrix(
                       [[[p[0], 1], [-1, p[0]]], [[p[1]]], [[p[2]]]]),
-                  c_diag_dom, cl),
+                  c_diag_dom),
         _template("c_j2", "r4", "ext1", ("lam", "m"), "lam >= 0, m != 0",
                   lambda p: _block_matrix(
                       [[[p[0], 1], [-1, p[0]]], [[p[1], 1], [0, p[1]]]]),
-                  c_j2_dom, cl),
+                  c_j2_dom),
         _template("cc", "r4", "ext1", ("a", "b", "q"),
                   "first pair normalized, q > 0, lexicographic minimum",
                   lambda p: _block_matrix(
                       [[[p[0], 1], [-1, p[0]]],
                        [[p[1], p[2]], [-p[2], p[1]]]]),
-                  cc_dom, cl),
+                  cc_dom),
         _template("cj", "r4", "ext1", ("lam",), "lam >= 0",
                   lambda p: Matrix.from_rows([
                       [p[0], 1, 1, 0], [-1, p[0], 0, 1],
                       [0, 0, p[0], 1], [0, 0, -1, p[0]]]),
-                  lambda p: _sgn(p[0]) >= 0, cl),
+                  lambda p: _sgn(p[0]) >= 0),
     ]
     return tuple(t)
 
 
 def _r2_ext2_templates() -> tuple[FamilyTemplate, ...]:
-    cl = _ext2_matrix_classifier("r2")
     return (
         _template("A", "r2", "ext2ad", (), "no parameters",
                   lambda p: Matrix.from_rows(
                       [[1, 0, 0], [0, 0, 1], [0, 0, 0]]),
-                  lambda p: True, cl),
+                  lambda p: True),
         _template("B", "r2", "ext2ad", (), "no parameters",
                   lambda p: Matrix.from_rows(
                       [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
-                  lambda p: True, cl),
+                  lambda p: True),
     )
 
 
 def _r3_ext2_templates() -> tuple[FamilyTemplate, ...]:
-    cl = _ext2_matrix_classifier("r3")
     return (
         _template("A", "r3", "ext2ad", ("lam",), "0 < |lam| <= 1",
                   lambda p: _block_matrix(
                       [[[1]], [[p[0]]], [[0, 1], [0, 0]]]),
                   lambda p: _rational_point(p) and
-                  0 < abs(_as_fraction(p[0])) <= 1, cl),
+                  0 < abs(_as_fraction(p[0])) <= 1),
         _template("B", "r3", "ext2ad", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[0, 1], [0, 0]]]),
-                  lambda p: True, cl),
+                  lambda p: True),
         _template("C", "r3", "ext2ad", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[1]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]]),
-                  lambda p: True, cl),
+                  lambda p: True),
         _template("D", "r3", "ext2ad", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
                         [0, 0, 0, 0]]]),
-                  lambda p: True, cl),
+                  lambda p: True),
         _template("E", "r3", "ext2ad", ("lam",), "lam >= 0",
                   lambda p: _block_matrix(
                       [[[p[0], 1], [-1, p[0]]], [[0, 1], [0, 0]]]),
-                  lambda p: _sgn(p[0]) >= 0, cl),
+                  lambda p: _sgn(p[0]) >= 0),
     )
 
 
 def _h3_ext2_templates() -> tuple[FamilyTemplate, ...]:
-    cl = _ext2_matrix_classifier("h3")
     one = Fraction(1)
     return (
         _template("F", "h3", "ext2ad", (), "no parameters",
                   lambda p: _shape_h3_ext2(one, -one, 0, 0, one),
-                  lambda p: True, cl),
+                  lambda p: True),
         _template("G", "h3", "ext2ad", (), "no parameters",
                   lambda p: _shape_h3_ext2(0, 0, one, -one, one),
-                  lambda p: True, cl),
+                  lambda p: True),
     )
-
-
-# ---------------------------------------------------------------------------
-# placement constraints (legality of block arrangements, and which blocks
-# may designate the scaling pivot)
-# ---------------------------------------------------------------------------
-
-def _structure_from_atoms(rationals: Sequence[Fraction],
-                          pairs: Sequence[tuple[Fraction, Fraction]]
-                          ) -> EigenStructure:
-    """EigenStructure with the given eigenvalues as plain 1-blocks; block
-    refinement is irrelevant for scaling-pivot designation."""
-    from .exactla import QuadraticEigenvalue
-
-    entries = []
-    for v in sorted(set(rationals)):
-        mult = sum(1 for x in rationals if x == v)
-        entries.append((QuadraticEigenvalue("rational", mult, value=v),
-                        tuple([1] * mult)))
-    for (p, q2) in sorted(set(pairs)):
-        mult = sum(1 for x in pairs if x == (p, q2))
-        entries.append((QuadraticEigenvalue("complex_pair", mult,
-                                            real_part=p, imag_sq=q2),
-                        tuple([1] * mult)))
-    dim = len(rationals) + 2 * len(pairs)
-    return EigenStructure(dim, tuple(entries))
-
-
-def _restrict_h3(st: EigenStructure) -> list[EigenStructure]:
-    """One separable rational 1-block equal to the trace of the remaining
-    two dimensions; the remainder designates the scaling pivot."""
-    rational, cplx = _expand_blocks(st)
-    out = []
-    for i, (nu, s) in enumerate(rational):
-        if s != 1:
-            continue
-        rest_r = [x for j, x in enumerate(rational) if j != i]
-        rest_dim = sum(sz for _, sz in rest_r) + 2 * sum(sz for *_, sz in cplx)
-        if rest_dim != 2:
-            continue
-        tr = sum((v * sz for v, sz in rest_r), Fraction(0)) + \
-            sum((2 * p * sz for p, _, sz in cplx), Fraction(0))
-        if tr != nu:
-            continue
-        atoms = [v for v, sz in rest_r for _ in range(sz)]
-        pairs = [(p, q2) for p, q2, sz in cplx for _ in range(sz)]
-        sub = _structure_from_atoms(atoms, pairs)
-        if sub not in out:
-            out.append(sub)
-    return out
-
-
-def _restrict_rp(st: EigenStructure) -> list[EigenStructure]:
-    """A rational trace slot, one extra rational direction, and a free
-    2x2 pair part whose trace equals the trace slot; the pair part
-    designates the scaling pivot."""
-    rational, cplx = _expand_blocks(st)
-    atoms: list[Fraction] = []
-    for v, s in rational:
-        atoms.extend([v] * s)
-    pairs = [(p, q2) for p, q2, s in cplx for _ in range(s)]
-    out: list[EigenStructure] = []
-    if len(atoms) + 2 * len(pairs) != 4:
-        return out
-    if pairs:
-        if len(pairs) != 1 or len(atoms) != 2:
-            return out
-        p, q2 = pairs[0]
-        for i, nu in enumerate(atoms):
-            if nu == 2 * p:
-                sub = _structure_from_atoms([], [(p, q2)])
-                if sub not in out:
-                    out.append(sub)
-        return out
-    for i, nu in enumerate(atoms):
-        for j in range(4):
-            if j == i:
-                continue
-            rest = [atoms[k] for k in range(4) if k not in (i, j)]
-            if sum(rest, Fraction(0)) == nu:
-                sub = _structure_from_atoms(rest, [])
-                if sub not in out:
-                    out.append(sub)
-    return out
-
-
-def _restrict_g4(st: EigenStructure) -> list[EigenStructure]:
-    """All rational, spectrum {a+2b, a+b, a, b}; the fixed tail slot b
-    designates the scaling pivot."""
-    rational, cplx = _expand_blocks(st)
-    if cplx:
-        return []
-    values = [v for v, s in rational for _ in range(s)]
-    if len(values) != 4:
-        return []
-    out: list[EigenStructure] = []
-    for a in set(values):
-        for b in set(values):
-            pool = list(values)
-            ok = True
-            for x in (a + 2 * b, a + b, a, b):
-                if x in pool:
-                    pool.remove(x)
-                else:
-                    ok = False
-                    break
-            if ok:
-                sub = _structure_from_atoms([b], [])
-                if sub not in out:
-                    out.append(sub)
-    return out
-
-
-def _restrict_full(st: EigenStructure) -> list[EigenStructure]:
-    return [st]
 
 
 # ---------------------------------------------------------------------------
@@ -1105,18 +947,11 @@ class CatalogEntry:
 
     key: str
     algebra: LieAlgebra
-    placement: PlacementConstraints
     ext1_templates: tuple[FamilyTemplate, ...]
     ext2_templates: tuple[FamilyTemplate, ...]
     ext1_classifier: Callable[[Matrix], MatchResult]
     ext2_classifier: Optional[Callable[[Matrix], MatchResult]]
     ext2_filter_key: Optional[str]
-
-    def ext1_known(self) -> set[str]:
-        return {t.name for t in self.ext1_templates}
-
-    def ext2_known(self) -> set[str]:
-        return {t.name for t in self.ext2_templates}
 
     def supports_ext2(self) -> bool:
         return bool(self.ext2_templates)
@@ -1126,31 +961,30 @@ class CatalogEntry:
 def catalog() -> dict[str, CatalogEntry]:
     entries: dict[str, CatalogEntry] = {}
 
-    def add(key, algebra, restrict, ext1_templates, ext1_classifier,
+    def add(key, algebra, ext1_templates, ext1_classifier,
             ext2_templates=(), ext2_classifier=None, ext2_filter_key=None):
         if not is_nilpotent(algebra):
             raise AssertionError(f"catalog base {key} must be nilpotent")
         entries[key] = CatalogEntry(
-            key, algebra, PlacementConstraints(key, restrict),
-            tuple(ext1_templates), tuple(ext2_templates),
+            key, algebra, tuple(ext1_templates), tuple(ext2_templates),
             ext1_classifier, ext2_classifier, ext2_filter_key)
 
-    add("r1", abelian(1, "r1"), _restrict_full, _abelian_ext1_templates(1),
+    add("r1", abelian(1, "r1"), _abelian_ext1_templates(1),
         _abelian_ext1_classifier(1))
-    add("r2", abelian(2, "r2"), _restrict_full, _abelian_ext1_templates(2),
+    add("r2", abelian(2, "r2"), _abelian_ext1_templates(2),
         _abelian_ext1_classifier(2),
         _r2_ext2_templates(), _ext2_matrix_classifier("r2"), "r2")
-    add("r3", abelian(3, "r3"), _restrict_full, _abelian_ext1_templates(3),
+    add("r3", abelian(3, "r3"), _abelian_ext1_templates(3),
         _abelian_ext1_classifier(3),
         _r3_ext2_templates(), _ext2_matrix_classifier("r3"), "r3")
-    add("r4", abelian(4, "r4"), _restrict_full, _abelian_ext1_templates(4),
+    add("r4", abelian(4, "r4"), _abelian_ext1_templates(4),
         _abelian_ext1_classifier(4))
-    add("h3", heisenberg3(), _restrict_h3, _h3_ext1_templates(),
+    add("h3", heisenberg3(), _h3_ext1_templates(),
         _wrap_flat(_classify_h3_ext1),
         _h3_ext2_templates(), _ext2_matrix_classifier("h3"), "h3")
-    add("r_plus_h3", r_plus_heisenberg(), _restrict_rp, _rp_ext1_templates(),
+    add("r_plus_h3", r_plus_heisenberg(), _rp_ext1_templates(),
         _wrap_flat(_classify_rp_ext1))
-    add("g4", filiform4(), _restrict_g4, _g4_ext1_templates(),
+    add("g4", filiform4(), _g4_ext1_templates(),
         _wrap_flat(_classify_g4_ext1))
     return entries
 
@@ -1166,6 +1000,35 @@ def _entry_spaces(key: str) -> tuple[DerivationSpace, SweepSpace,
         k = direct_sum(entry.algebra, abelian(1))
         sweep2 = _sweep_space_ext2(derivation_space(k))
     return ext1_space, sweep1, sweep2
+
+
+# The per-mode choices below read the entry's fields on every call, so a
+# classifier or template replaced on a cached entry (wrapped for tracing,
+# say) takes effect.
+
+def _sweep_space(key: str, mode: str) -> SweepSpace:
+    _, sweep1, sweep2 = _entry_spaces(key)
+    sweep = sweep1 if mode == "ext1" else sweep2
+    if sweep is None:
+        raise ValueError(f"{key} has no {mode} classification")
+    return sweep
+
+
+def _classifier(entry: CatalogEntry, mode: str) -> Callable[[Matrix], MatchResult]:
+    return entry.ext1_classifier if mode == "ext1" else entry.ext2_classifier
+
+
+def _templates(entry: CatalogEntry, mode: str) -> tuple[FamilyTemplate, ...]:
+    return entry.ext1_templates if mode == "ext1" else entry.ext2_templates
+
+
+def _double_spec(entry: CatalogEntry, m: Matrix) -> ExtensionSpec:
+    """The ad-pair extension an ext2ad sweep matrix stands for: zero
+    y-action, the leading block of ``m`` as the z-action on the base, and
+    its last column as [z, y]."""
+    n = entry.algebra.dim
+    return ExtensionSpec(entry.algebra, Matrix.zero(n, n),
+                         m.submatrix(range(n), range(n)), m.column(n)[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -1308,12 +1171,6 @@ class GridSpec:
                        for p in range(-self.num_max, self.num_max + 1)
                        for q in range(1, self.den_max + 1)})
 
-    def doubled(self) -> "GridSpec":
-        return GridSpec(self.num_max * 2, self.den_max * 2,
-                        self.cartesian_budget, self.n_random * 2,
-                        self.n_template_samples * 2, self.n_conjugates,
-                        self.seed)
-
     def describe(self) -> str:
         return (f"values p/q with |p|<={self.num_max}, 1<=q<={self.den_max}; "
                 f"cartesian budget {self.cartesian_budget}; "
@@ -1337,20 +1194,13 @@ class GridSpec:
             if field_name is None:
                 raise ValueError(f"unknown grid field {name!r}")
             kwargs[field_name] = int(value)
-        base = {f: getattr(spec, f) for f in (
-            "num_max", "den_max", "cartesian_budget", "n_random",
-            "n_template_samples", "n_conjugates", "seed")}
-        base.update(kwargs)
-        return GridSpec(**base)
+        return dataclasses.replace(spec, **kwargs)
 
 
 def sweep_points(key: str, mode: str, grid: GridSpec) -> list[tuple[Fraction, ...]]:
     """The deterministic list of coefficient tuples for one sweep."""
     entry = catalog()[key]
-    _, sweep1, sweep2 = _entry_spaces(key)
-    sweep = sweep1 if mode == "ext1" else sweep2
-    if sweep is None:
-        raise ValueError(f"{key} has no {mode} classification")
+    sweep = _sweep_space(key, mode)
     dim = sweep.dim
     vals = grid.values()
     if len(vals) ** dim <= grid.cartesian_budget:
@@ -1364,7 +1214,7 @@ def sweep_points(key: str, mode: str, grid: GridSpec) -> list[tuple[Fraction, ..
             seen.add(coeffs)
             points.append(coeffs)
 
-    templates = entry.ext1_templates if mode == "ext1" else entry.ext2_templates
+    templates = _templates(entry, mode)
     rng = random.Random(grid.seed)
     for t in templates:
         for params in t.sample(grid.n_template_samples):
@@ -1534,6 +1384,10 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
 # reports and drivers
 # ---------------------------------------------------------------------------
 
+# Template parameter points instantiated and re-verified per family.
+_VERIFY_SAMPLES = 20
+
+
 @dataclass
 class FamilyReport:
     name: str
@@ -1601,15 +1455,13 @@ class ClassificationReport:
         }
 
 
-def _classify_chunk(key: str, mode: str, grid: GridSpec,
-                    start: int, end: int) -> list[tuple]:
-    """Worker: classify a slice of the sweep, returning per-point results."""
-    points = sweep_points(key, mode, grid)[start:end]
+def _classify_chunk(key: str, mode: str,
+                    points: Sequence[tuple[Fraction, ...]]) -> list[tuple]:
+    """Worker: classify a slice of the sweep points, returning per-point
+    results."""
     entry = catalog()[key]
-    _, sweep1, sweep2 = _entry_spaces(key)
-    sweep = sweep1 if mode == "ext1" else sweep2
-    classifier = (entry.ext1_classifier if mode == "ext1"
-                  else entry.ext2_classifier)
+    sweep = _sweep_space(key, mode)
+    classifier = _classifier(entry, mode)
     results = []
     for coeffs in points:
         m = sweep.to_matrix(coeffs)
@@ -1635,16 +1487,17 @@ def _classify_chunk(key: str, mode: str, grid: GridSpec,
     return results
 
 
-def _run_sweep(key: str, mode: str, grid: GridSpec, jobs: int) -> list[tuple]:
-    points = sweep_points(key, mode, grid)
+def _run_sweep(key: str, mode: str, points: list[tuple[Fraction, ...]],
+               jobs: int) -> list[tuple]:
+    """Classify every sweep point, in at most one worker per CPU."""
     total = len(points)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 2000:
-        return _classify_chunk(key, mode, grid, 0, total)
+        return _classify_chunk(key, mode, points)
     import multiprocessing as mp
 
     chunk = (total + jobs - 1) // jobs
-    args = [(key, mode, grid, i, min(i + chunk, total))
-            for i in range(0, total, chunk)]
+    args = [(key, mode, points[i:i + chunk]) for i in range(0, total, chunk)]
     with mp.Pool(jobs) as pool:
         parts = pool.starmap(_classify_chunk, args)
     return [r for part in parts for r in part]
@@ -1653,23 +1506,21 @@ def _run_sweep(key: str, mode: str, grid: GridSpec, jobs: int) -> list[tuple]:
 def _build_extension(entry: CatalogEntry, mode: str, m: Matrix) -> LieAlgebra:
     if mode == "ext1":
         return extend_by_derivation(entry.algebra, m)
-    n = entry.algebra.dim
-    d_on_h = m.submatrix(range(n), range(n))
-    zy = m.column(n)[:n]
-    return build_double_extension(entry.algebra, Matrix.zero(n, n), d_on_h, zy)
+    spec = _double_spec(entry, m)
+    return build_double_extension(spec.base, spec.derivation, spec.second,
+                                  spec.bracket_zy)
 
 
-def _verify_template(entry: CatalogEntry, mode: str, t: FamilyTemplate,
-                     count: int) -> FamilyReport:
+def _verify_template(entry: CatalogEntry, mode: str,
+                     t: FamilyTemplate) -> FamilyReport:
     """Instantiate sample parameter points and re-verify everything slow:
     Jacobi, the full membership condition, indecomposability, and the
     exact parameter round trip through the matcher."""
-    samples = t.sample(count)
+    samples = t.sample(_VERIFY_SAMPLES)
     jac_ok = mem_ok = True
     indec_ok: Optional[bool] = None if mode == "ext1" else True
     verified = 0
-    classifier = (entry.ext1_classifier if mode == "ext1"
-                  else entry.ext2_classifier)
+    classifier = _classifier(entry, mode)
     for params in samples:
         m = t.build(params)
         _build_extension(entry, mode, m)  # raises on any Jacobi failure
@@ -1677,14 +1528,10 @@ def _verify_template(entry: CatalogEntry, mode: str, t: FamilyTemplate,
             verdict = check_codim1_condition(entry.algebra, m)
             mem_ok = mem_ok and verdict.member
         else:
-            n = entry.algebra.dim
-            d_on_h = m.submatrix(range(n), range(n))
-            zy = m.column(n)[:n]
-            verdict2 = check_codim2_condition(
-                entry.algebra, Matrix.zero(n, n), m)
+            spec = _double_spec(entry, m)
+            verdict2 = check_codim2_condition(entry.algebra, spec.derivation, m)
             mem_ok = mem_ok and verdict2.member
-            cert = is_decomposable_double(entry.algebra, ExtensionSpec(
-                entry.algebra, Matrix.zero(n, n), d_on_h, zy))
+            cert = is_decomposable_double(entry.algebra, spec)
             indec_ok = indec_ok and not cert.decomposable
         outcome = classifier(m)
         if outcome is None or outcome[0] != t.name:
@@ -1732,12 +1579,11 @@ def distinctness_evidence(entry: CatalogEntry, mode: str,
 
 
 def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
+                           points: list[tuple[Fraction, ...]],
                            results: list[tuple], count: int = 60) -> int:
     """Re-run the slow independent condition checks on a deterministic
     subsample of swept points and insist they agree with the fast filters."""
-    points = sweep_points(entry.key, mode, grid)
-    _, sweep1, sweep2 = _entry_spaces(entry.key)
-    sweep = sweep1 if mode == "ext1" else sweep2
+    sweep = _sweep_space(entry.key, mode)
     rng = random.Random(grid.seed + 1)
     idx = list(range(len(points)))
     rng.shuffle(idx)
@@ -1767,8 +1613,7 @@ def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
 
 
 def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
-                        jobs: int = 1, verify_samples: int = 20
-                        ) -> ClassificationReport:
+                        jobs: int = 1) -> ClassificationReport:
     """Run one classification sweep and return the full report.
 
     Raises :class:`GoldenMismatch` when the discovered family set differs
@@ -1782,8 +1627,9 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "ext2ad" and not entry.supports_ext2():
         raise ValueError(f"{key} has no ad-pair classification")
-    templates = entry.ext1_templates if mode == "ext1" else entry.ext2_templates
-    results = _run_sweep(key, mode, grid, jobs)
+    templates = _templates(entry, mode)
+    points = sweep_points(key, mode, grid)
+    results = _run_sweep(key, mode, points, jobs)
 
     counts: dict[str, int] = {}
     samples: dict[str, list[str]] = {}
@@ -1809,12 +1655,12 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
 
     family_reports = []
     for t in templates:
-        rep = _verify_template(entry, mode, t, verify_samples)
+        rep = _verify_template(entry, mode, t)
         rep.matched_points = counts[t.name]
         rep.sample_params = samples.get(t.name, [])
         family_reports.append(rep)
 
-    crosschecked = _crosscheck_conditions(entry, mode, grid, results)
+    crosschecked = _crosscheck_conditions(entry, mode, grid, points, results)
     evidence, prints = distinctness_evidence(entry, mode, templates)
 
     return ClassificationReport(
@@ -1825,12 +1671,3 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
         distinctness=evidence, crosscheck_points=crosschecked,
         golden_expected=sorted(expected), golden_found=sorted(found))
 
-
-def classify_ext1(key: str, grid: Optional[GridSpec] = None,
-                  jobs: int = 1) -> ClassificationReport:
-    return classify_extensions(key, "ext1", grid, jobs)
-
-
-def classify_ext2_ad(key: str, grid: Optional[GridSpec] = None,
-                     jobs: int = 1) -> ClassificationReport:
-    return classify_extensions(key, "ext2ad", grid, jobs)

@@ -24,9 +24,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from .canon import AmbiguousMatch, NoLegalPlacement, NoMatch
+from .canon import AmbiguousMatch
 from .classify import GoldenMismatch, GridSpec, catalog, classify_extensions
 from .deriv import NotADerivation, derivation_space
 from .exactla import Matrix, NotInvertible, format_frac, frac
@@ -90,16 +90,22 @@ def algebra_from_document(doc: Any, skip_jacobi: bool = False) -> LieAlgebra:
     if "dim" not in doc or not isinstance(doc["dim"], int) or doc["dim"] < 0:
         raise DocumentError("field 'dim' must be a non-negative integer")
     dim = doc["dim"]
+    brackets_doc = doc.get("brackets", [])
+    if not isinstance(brackets_doc, list):
+        raise DocumentError("field 'brackets' must be a list")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for pos, entry in enumerate(doc.get("brackets", [])):
+    for pos, entry in enumerate(brackets_doc):
         where = f"brackets[{pos}]"
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: must be an object")
         i, j = entry.get("i"), entry.get("j")
         if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim):
             raise DocumentError(f"{where}: need integer indices 1 <= i < j <= dim")
+        coeffs_doc = entry.get("coeffs", {})
+        if not isinstance(coeffs_doc, dict):
+            raise DocumentError(f"{where}: 'coeffs' must be an object")
         coeffs = {}
-        for k, val in entry.get("coeffs", {}).items():
+        for k, val in coeffs_doc.items():
             try:
                 k_int = int(k)
             except ValueError as exc:
@@ -137,6 +143,30 @@ def matrix_from_document(doc: Any) -> Matrix:
 def vector_from_text(text: str) -> tuple[Fraction, ...]:
     return tuple(_parse_rational(part.strip(), "vector")
                  for part in text.split(","))
+
+
+def _rational_list(doc: Any) -> tuple[Fraction, ...]:
+    if not isinstance(doc, list):
+        raise DocumentError("must be a list of rationals")
+    return tuple(_parse_rational(x, f"[{i}]") for i, x in enumerate(doc))
+
+
+def _matrix_pair(doc: Any) -> tuple[Matrix, Matrix]:
+    if not isinstance(doc, list) or len(doc) != 2:
+        raise DocumentError("must be a list of two matrices")
+    return matrix_from_document(doc[0]), matrix_from_document(doc[1])
+
+
+def _witness_field(wdoc: dict, name: str,
+                   parse: Callable[[Any], Any] = matrix_from_document) -> Any:
+    """Field ``name`` of a witness document, parsed; a missing or malformed
+    field raises :class:`DocumentError` naming it."""
+    if name not in wdoc:
+        raise DocumentError(f"witness field {name!r} is missing")
+    try:
+        return parse(wdoc[name])
+    except DocumentError as exc:
+        raise DocumentError(f"witness field {name!r}: {exc}") from exc
 
 
 def _load_json(path: str) -> Any:
@@ -248,17 +278,19 @@ def cmd_verify_witness(args) -> int:
     wdoc = _load_json(args.witness)
     l1 = algebra_from_document(doc1)
     l2 = algebra_from_document(doc2)
+    if not isinstance(wdoc, dict):
+        raise DocumentError("witness document must be a JSON object")
     kind = wdoc.get("kind")
     if kind == "full":
-        t = matrix_from_document(wdoc["matrix"])
-        ok = verify_iso_witness_full(l1, l2, t)
+        ok = verify_iso_witness_full(l1, l2, _witness_field(wdoc, "matrix"))
     elif kind == "triple":
-        base = algebra_from_document(wdoc["base"])
-        d1 = matrix_from_document(wdoc["d1"])
-        d2 = matrix_from_document(wdoc["d2"])
-        sigma = matrix_from_document(wdoc["sigma"])
-        alpha = _parse_rational(wdoc["alpha"], "alpha")
-        u = tuple(_parse_rational(x, "u") for x in wdoc["u"])
+        base = _witness_field(wdoc, "base", algebra_from_document)
+        d1 = _witness_field(wdoc, "d1")
+        d2 = _witness_field(wdoc, "d2")
+        sigma = _witness_field(wdoc, "sigma")
+        alpha = _witness_field(wdoc, "alpha",
+                               lambda x: _parse_rational(x, "value"))
+        u = _witness_field(wdoc, "u", _rational_list)
         if extend_by_derivation(base, d1).table != l1.table or \
                 extend_by_derivation(base, d2).table != l2.table:
             raise DocumentError(
@@ -268,14 +300,10 @@ def cmd_verify_witness(args) -> int:
         except IdentityFails:
             ok = False
     elif kind == "pair":
-        sigma = matrix_from_document(wdoc["sigma"])
-        coeffs = matrix_from_document(wdoc["coeffs"])
-        spec1 = LieCSpec(sigma.rows,
-                         matrix_from_document(wdoc["pair1"][0]),
-                         matrix_from_document(wdoc["pair1"][1]))
-        spec2 = LieCSpec(sigma.rows,
-                         matrix_from_document(wdoc["pair2"][0]),
-                         matrix_from_document(wdoc["pair2"][1]))
+        sigma = _witness_field(wdoc, "sigma")
+        coeffs = _witness_field(wdoc, "coeffs")
+        spec1 = LieCSpec(sigma.rows, *_witness_field(wdoc, "pair1", _matrix_pair))
+        spec2 = LieCSpec(sigma.rows, *_witness_field(wdoc, "pair2", _matrix_pair))
         if spec1.build().table != l1.table or spec2.build().table != l2.table:
             raise DocumentError(
                 "documents do not match the pair extensions in the witness")
@@ -344,8 +372,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except JacobiViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except (NotADerivation, NotAutomorphism, NotInvertible, NoMatch,
-            NoLegalPlacement, PreconditionViolated, IdentityFails) as exc:
+    except (NotADerivation, NotAutomorphism, NotInvertible,
+            PreconditionViolated, IdentityFails) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except _TRAP_ERRORS as exc:

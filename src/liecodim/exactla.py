@@ -10,6 +10,7 @@ clean error instead of approximating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -181,18 +182,6 @@ class Matrix:
             raise ValueError("trace of a non-square matrix")
         return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
-    def power(self, k: int) -> "Matrix":
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        result = Matrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
-
     def det(self) -> Fraction:
         """Determinant by fraction-preserving Gaussian elimination."""
         if not self.is_square():
@@ -353,23 +342,6 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if not self.basis or not other.basis:
-            return Subspace.zero(self.ambient_dim)
-        # Solve a x + b y = 0 over the stacked coefficient space.
-        a = Matrix(len(self.basis), self.ambient_dim, self.basis).transpose()
-        b = Matrix(len(other.basis), other.ambient_dim, other.basis).transpose()
-        combined = a.hstack(b.scale(-1))
-        ker = nullspace(combined)
-        vectors = []
-        for coeffs in ker.basis:
-            u = tuple(sum(coeffs[k] * self.basis[k][i] for k in range(len(self.basis)))
-                      for i in range(self.ambient_dim))
-            vectors.append(u)
-        return Subspace.from_vectors(self.ambient_dim, vectors)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -413,13 +385,6 @@ Poly = tuple[Fraction, ...]
 
 def poly_degree(p: Poly) -> int:
     return len(p) - 1
-
-
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_eval_matrix(p: Poly, m: Matrix) -> Matrix:
@@ -526,10 +491,6 @@ class EigenStructure:
     def complex_pairs(self) -> dict[tuple[Fraction, Fraction], tuple[int, ...]]:
         return {(ev.real_part, ev.imag_sq): sizes
                 for ev, sizes in self.entries if ev.kind == "complex_pair"}
-
-    def block_multiset(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        """Shape-only data (kinds and size partitions, eigenvalues erased)."""
-        return tuple(sorted((ev.kind, sizes) for ev, sizes in self.entries))
 
 
 def _block_sizes_from_nullities(nullities: list[int]) -> tuple[int, ...]:
@@ -707,8 +668,6 @@ def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
     """Exact square root of a non-negative rational, or None."""
     if x < 0:
         return None
-    import math
-
     rn = math.isqrt(x.numerator)
     rd = math.isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:

@@ -72,25 +72,10 @@ class ExtensionSpec:
     second: Optional[Matrix] = None
     bracket_zy: Optional[Vector] = None
 
-    def is_double(self) -> bool:
-        return self.second is not None
-
-
-@dataclass(frozen=True)
-class IsoWitness:
-    """An isomorphism witness: either a full matrix T on the extensions, a
-    triple (sigma, alpha, u) on the base, or (sigma, 2x2 coefficients) for
-    pair extensions."""
-
-    kind: str  # 'full' | 'triple' | 'pair'
-    matrix: Optional[Matrix] = None
-    sigma: Optional[Matrix] = None
-    alpha: Optional[Fraction] = None
-    u: Optional[Vector] = None
-    coeffs: Optional[Matrix] = None
-
 
 def _require_derivation(alg: LieAlgebra, d: Matrix) -> None:
+    if d.rows != alg.dim or d.cols != alg.dim:
+        raise ValueError("derivation matrix has wrong shape")
     violation = leibniz_residual(alg, d)
     if violation is not None:
         raise NotADerivation(*violation)
@@ -104,8 +89,6 @@ def extend_by_derivation(K: LieAlgebra, d: Matrix,
     dim [L, L] <= dim L - 1 is asserted afterwards.
     """
     n = K.dim
-    if d.rows != n or d.cols != n:
-        raise ValueError("derivation matrix has wrong shape")
     _require_derivation(K, d)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), v in K.table:
@@ -460,6 +443,8 @@ def lie_c_iso_check(spec1: LieCSpec, spec2: LieCSpec,
     """
     if spec1.n != spec2.n:
         raise ValueError("dimension mismatch")
+    if coeffs.rows != 2 or coeffs.cols != 2:
+        raise PreconditionViolated("coefficient matrix must be 2x2")
     if sigma.det() == 0 or coeffs.det() == 0:
         raise NotInvertible("witness components must be invertible")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .exactla import (
     Matrix,
@@ -72,9 +72,6 @@ class LieAlgebra:
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
-
-    def with_name(self, name: str) -> "LieAlgebra":
-        return LieAlgebra(self.dim, self.table, name)
 
 
 def _normalize_table(dim: int, brackets: BracketTable) -> tuple[tuple[tuple[int, int], Vector], ...]:
@@ -152,13 +149,6 @@ class Ideal:
 def _span_closure_is_ideal(alg: LieAlgebra, space: Subspace) -> bool:
     return all(space.contains(bracket(alg, alg.basis_vector(i), w))
                for i in range(alg.dim) for w in space.basis)
-
-
-def ideal_from_vectors(alg: LieAlgebra, vectors: Sequence[Vector]) -> Ideal:
-    space = Subspace.from_vectors(alg.dim, vectors)
-    if not _span_closure_is_ideal(alg, space):
-        raise NotAnIdeal("subspace is not closed under bracketing")
-    return Ideal(alg, space)
 
 
 def product_space(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:

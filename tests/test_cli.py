@@ -1,10 +1,14 @@
-"""The CLI's verify-witness command on pair-extension witnesses."""
+"""The CLI: verify-witness on pair-extension witnesses, and the exit-code
+contract on malformed documents."""
 
 import json
 from fractions import Fraction
 
+import pytest
+
 from liecodim.cli import (
     EXIT_OK,
+    EXIT_USAGE,
     EXIT_VERDICT,
     algebra_to_document,
     main,
@@ -59,3 +63,66 @@ class TestVerifyPairWitness:
         err = capsys.readouterr().err
         assert err.startswith("error: PreconditionViolated:")
         assert "Traceback" not in err
+
+
+class TestMalformedDocuments:
+    """Malformed input exits 1 with a message naming what is wrong, never
+    with a traceback."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def _witness(self, tmp_path, witness):
+        alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))
+        return ["verify-witness", alg, alg,
+                "--witness", _write(tmp_path / "witness.json", witness)]
+
+    def test_witness_that_is_not_an_object(self, tmp_path, capsys):
+        code, err = self._run(self._witness(tmp_path, [1]), capsys)
+        assert code == EXIT_USAGE
+        assert "witness document must be a JSON object" in err
+
+    def test_full_witness_without_matrix(self, tmp_path, capsys):
+        code, err = self._run(self._witness(tmp_path, {"kind": "full"}),
+                              capsys)
+        assert code == EXIT_USAGE
+        assert "'matrix' is missing" in err
+
+    def test_pair_with_one_member(self, tmp_path, capsys):
+        identity = matrix_to_document(Matrix.identity(2))
+        code, err = self._run(self._witness(tmp_path, {
+            "kind": "pair", "sigma": identity, "coeffs": identity,
+            "pair1": [identity], "pair2": [identity, identity]}), capsys)
+        assert code == EXIT_USAGE
+        assert "'pair1'" in err
+
+    def test_triple_with_scalar_u(self, tmp_path, capsys):
+        identity = matrix_to_document(Matrix.identity(2))
+        code, err = self._run(self._witness(tmp_path, {
+            "kind": "triple", "base": algebra_to_document(abelian(2)),
+            "d1": identity, "d2": identity, "sigma": identity,
+            "alpha": "1", "u": 5}), capsys)
+        assert code == EXIT_USAGE
+        assert "'u'" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": []}]},
+         "'coeffs' must be an object"),
+        ({"dim": 2, "brackets": 5}, "'brackets' must be a list"),
+    ])
+    def test_validate_malformed_brackets(self, tmp_path, capsys, doc, message):
+        code, err = self._run(
+            ["validate", _write(tmp_path / "alg.json", doc)], capsys)
+        assert code == EXIT_USAGE
+        assert message in err
+
+    def test_extend_with_wrongly_shaped_derivation(self, tmp_path, capsys):
+        alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))
+        d = _write(tmp_path / "d.json", matrix_to_document(Matrix.identity(3)))
+        code, err = self._run(["extend", alg, "--derivation", d], capsys)
+        assert code == EXIT_USAGE
+        assert "derivation matrix has wrong shape" in err

@@ -11,6 +11,7 @@ from liecodim.exactla import (
     IrreducibleFactorDegreeTooHigh,
     Matrix,
     RealIrrationalEigenvalues,
+    _sqrt_fraction,
     char_poly,
     eigen_structure,
     nullspace,
@@ -226,3 +227,15 @@ class TestMatrixBasics:
     def test_flatten_unflatten(self):
         m = M([[1, 2], [3, 4]])
         assert Matrix.unflatten(m.flatten(), 2, 2) == m
+
+
+class TestSqrtFraction:
+    @pytest.mark.parametrize("x, root", [
+        (F(9, 4), F(3, 2)),
+        (F(2), None),
+        (F(2, 9), None),
+        (F(-4), None),
+        (F(0), F(0)),
+    ])
+    def test_exact_root_or_none(self, x, root):
+        assert _sqrt_fraction(x) == root

@@ -409,6 +409,12 @@ class TestPairExtensionIso:
         with pytest.raises(PreconditionViolated):
             LieCSpec(2, a, b)
 
+    def test_non_2x2_coefficients_rejected(self):
+        rng = random.Random(67)
+        spec = LieCSpec(2, *_commuting_outer_pair(rng, 2))
+        with pytest.raises(PreconditionViolated, match="2x2"):
+            lie_c_iso_check(spec, spec, Matrix.identity(2), Matrix.identity(3))
+
 
 class TestChangeOfBasis:
     def test_roundtrip(self):
