@@ -8,6 +8,11 @@ discovered family set against the built-in golden list.  Points whose
 spectra leave the supported field (real irrational eigenvalues) are
 counted and skipped, never approximated.
 
+Each sweep point travels as its flat row-major matrix (a ``Vector``): the
+sweep space maps coordinates to slots through a plan computed once, the
+two-step filters run once per point, and a classifier builds a ``Matrix``
+only where it needs a determinant, rank or spectrum.
+
 The stratum matchers work on exact spectral invariants: eigenvalues of the
 relevant blocks, discriminant signs, Jordan chain ranks, and the coupling
 slots that survive the basis-change rewrites.  Every matched point carries
@@ -20,7 +25,7 @@ import dataclasses
 import itertools
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -156,26 +161,54 @@ def _domain_samples(n_params: int, in_domain, count: int) -> list[tuple[Fraction
 # sweep spaces (cohomology coordinates)
 # ---------------------------------------------------------------------------
 
+_ZERO = Fraction(0)
+
+
 @dataclass
 class SweepSpace:
     """Coordinates for a classification sweep: a basis of flat (row-major)
-    matrices spanning the relevant transversal, with their pivot slots."""
+    matrices spanning the relevant transversal, with their pivot slots.
+
+    The slot plan, computed once, records for each flat slot the
+    ``(coordinate, value)`` terms that feed it: ``None`` for a slot no basis
+    vector touches, the coordinate itself for a slot fed by one basis entry
+    equal to 1, and the terms to sum otherwise."""
 
     n: int
     basis_flat: tuple[Vector, ...]
     pivots: tuple[int, ...]
+    _slots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        slots = []
+        for idx in range(self.n * self.n):
+            terms = tuple((i, b[idx]) for i, b in enumerate(self.basis_flat)
+                          if b[idx] != 0)
+            if not terms:
+                slots.append(None)
+            elif len(terms) == 1 and terms[0][1] == 1:
+                slots.append(terms[0][0])
+            else:
+                slots.append(terms)
+        self._slots = tuple(slots)
 
     @property
     def dim(self) -> int:
         return len(self.basis_flat)
 
-    def to_flat(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        flat = [Fraction(0)] * (self.n * self.n)
-        for c, b in zip(coeffs, self.basis_flat):
-            if c != 0:
-                for idx, val in enumerate(b):
-                    if val != 0:
-                        flat[idx] += c * val
+    def to_flat(self, coeffs: Sequence[Fraction]) -> Vector:
+        """The row-major matrix with these (Fraction) coordinates."""
+        flat = []
+        for slot in self._slots:
+            if slot is None:
+                flat.append(_ZERO)
+            elif slot.__class__ is int:
+                flat.append(coeffs[slot])
+            else:
+                acc = _ZERO
+                for i, val in slot:
+                    acc += coeffs[i] * val
+                flat.append(acc)
         return tuple(flat)
 
     def to_matrix(self, coeffs: Sequence[Fraction]) -> Matrix:
@@ -423,14 +456,13 @@ def _classify_gl2_flat(flat: Sequence[Fraction]) -> MatchResult:
     return "cplx", (ExactScalar.of(abs(p)).times(_inv_q(q2)),)
 
 
-def _abelian_ext1_classifier(n: int) -> Callable[[Matrix], MatchResult]:
-    def classify(m: Matrix) -> MatchResult:
+def _abelian_ext1_classifier(n: int) -> Callable[[Vector], MatchResult]:
+    def classify(flat: Vector) -> MatchResult:
         if n == 1:
-            return ("one", ()) if m.entries[0][0] != 0 else None
+            return ("one", ()) if flat[0] != 0 else None
         if n == 2:
-            if m.det() == 0:
-                return None
-            return _classify_gl2_flat(m.flatten())
+            return _classify_gl2_flat(flat)
+        m = Matrix.unflatten(flat, n, n)
         if m.det() == 0:
             return None
         st = eigen_structure(m)
@@ -508,12 +540,12 @@ def _match_gl4(rb, cb) -> MatchResult:
     return "cc", _cc_canonical([(p, q2) for (p, q2, _) in cb])
 
 
-def _classify_abelian_ext2(n: int) -> Callable[[Matrix], MatchResult]:
+def _classify_abelian_ext2(n: int) -> Callable[[Vector], MatchResult]:
     """Strata for double extensions of an abelian base, applied after the
     membership, outerness and indecomposability filters."""
 
-    def classify(m: Matrix) -> MatchResult:
-        st = eigen_structure(m)
+    def classify(flat: Vector) -> MatchResult:
+        st = eigen_structure(Matrix.unflatten(flat, n + 1, n + 1))
         zero_sizes = st.rational_eigenvalues().get(Fraction(0), ())
         if len(zero_sizes) != 1:
             raise AssertionError("filters should force a single nilpotent chain")
@@ -560,26 +592,6 @@ def _ext2_filters(key: str, flat: Sequence[Fraction], size: int) -> dict[str, bo
     raise ValueError(f"no ad-pair filters for base {key}")
 
 
-def _ext2_matrix_classifier(key: str) -> Callable[[Matrix], MatchResult]:
-    if key == "h3":
-        def classify_h3(m: Matrix) -> MatchResult:
-            flat = m.flatten()
-            if not all(_ext2_filters("h3", flat, 4).values()):
-                return None
-            return _classify_h3_ext2(flat)
-
-        return classify_h3
-    n = {"r2": 2, "r3": 3}[key]
-    inner = _classify_abelian_ext2(n)
-
-    def classify(m: Matrix) -> MatchResult:
-        if not all(_ext2_filters(key, m.flatten(), n + 1).values()):
-            return None
-        return inner(m)
-
-    return classify
-
-
 # ---------------------------------------------------------------------------
 # template tables
 # ---------------------------------------------------------------------------
@@ -618,13 +630,6 @@ def _template(name, base, mode, param_names, domain_desc, build,
 
     return FamilyTemplate(name, base, mode, tuple(param_names), domain_desc,
                           build, in_domain, sample)
-
-
-def _wrap_flat(classifier_flat):
-    def classify(m: Matrix) -> MatchResult:
-        return classifier_flat(m.flatten())
-
-    return classify
 
 
 def _rational_point(p) -> bool:
@@ -943,14 +948,20 @@ def _h3_ext2_templates() -> tuple[FamilyTemplate, ...]:
 
 @dataclass
 class CatalogEntry:
-    """One base algebra with everything its classifications need."""
+    """One base algebra with everything its classifications need.
+
+    A classifier receives a sweep point as its flat row-major matrix (a
+    ``Vector`` of length n*n in the coordinate shape of the sweep space) and
+    returns the matched family name with canonical parameters, or ``None``
+    for a non-member.  The ext2ad classifier assumes the point has passed
+    the ``ext2_filter_key`` filters (see ``_ext2_filters``)."""
 
     key: str
     algebra: LieAlgebra
     ext1_templates: tuple[FamilyTemplate, ...]
     ext2_templates: tuple[FamilyTemplate, ...]
-    ext1_classifier: Callable[[Matrix], MatchResult]
-    ext2_classifier: Optional[Callable[[Matrix], MatchResult]]
+    ext1_classifier: Callable[[Vector], MatchResult]
+    ext2_classifier: Optional[Callable[[Vector], MatchResult]]
     ext2_filter_key: Optional[str]
 
     def supports_ext2(self) -> bool:
@@ -973,19 +984,17 @@ def catalog() -> dict[str, CatalogEntry]:
         _abelian_ext1_classifier(1))
     add("r2", abelian(2, "r2"), _abelian_ext1_templates(2),
         _abelian_ext1_classifier(2),
-        _r2_ext2_templates(), _ext2_matrix_classifier("r2"), "r2")
+        _r2_ext2_templates(), _classify_abelian_ext2(2), "r2")
     add("r3", abelian(3, "r3"), _abelian_ext1_templates(3),
         _abelian_ext1_classifier(3),
-        _r3_ext2_templates(), _ext2_matrix_classifier("r3"), "r3")
+        _r3_ext2_templates(), _classify_abelian_ext2(3), "r3")
     add("r4", abelian(4, "r4"), _abelian_ext1_templates(4),
         _abelian_ext1_classifier(4))
-    add("h3", heisenberg3(), _h3_ext1_templates(),
-        _wrap_flat(_classify_h3_ext1),
-        _h3_ext2_templates(), _ext2_matrix_classifier("h3"), "h3")
+    add("h3", heisenberg3(), _h3_ext1_templates(), _classify_h3_ext1,
+        _h3_ext2_templates(), _classify_h3_ext2, "h3")
     add("r_plus_h3", r_plus_heisenberg(), _rp_ext1_templates(),
-        _wrap_flat(_classify_rp_ext1))
-    add("g4", filiform4(), _g4_ext1_templates(),
-        _wrap_flat(_classify_g4_ext1))
+        _classify_rp_ext1)
+    add("g4", filiform4(), _g4_ext1_templates(), _classify_g4_ext1)
     return entries
 
 
@@ -1014,7 +1023,7 @@ def _sweep_space(key: str, mode: str) -> SweepSpace:
     return sweep
 
 
-def _classifier(entry: CatalogEntry, mode: str) -> Callable[[Matrix], MatchResult]:
+def _classifier(entry: CatalogEntry, mode: str) -> Callable[[Vector], MatchResult]:
     return entry.ext1_classifier if mode == "ext1" else entry.ext2_classifier
 
 
@@ -1464,9 +1473,9 @@ def _classify_chunk(key: str, mode: str,
     classifier = _classifier(entry, mode)
     results = []
     for coeffs in points:
-        m = sweep.to_matrix(coeffs)
+        flat = sweep.to_flat(coeffs)
         if mode == "ext2ad":
-            filters = _ext2_filters(entry.ext2_filter_key, m.flatten(), sweep.n)
+            filters = _ext2_filters(entry.ext2_filter_key, flat, sweep.n)
             if not filters["member"]:
                 results.append(("nonmember",))
                 continue
@@ -1474,7 +1483,7 @@ def _classify_chunk(key: str, mode: str,
                 results.append(("filtered",))
                 continue
         try:
-            outcome = classifier(m)
+            outcome = classifier(flat)
         except UnsupportedSpectrumError:
             results.append(("skip",))
             continue
@@ -1523,6 +1532,7 @@ def _verify_template(entry: CatalogEntry, mode: str,
     classifier = _classifier(entry, mode)
     for params in samples:
         m = t.build(params)
+        flat = m.flatten()
         _build_extension(entry, mode, m)  # raises on any Jacobi failure
         if mode == "ext1":
             verdict = check_codim1_condition(entry.algebra, m)
@@ -1533,7 +1543,13 @@ def _verify_template(entry: CatalogEntry, mode: str,
             mem_ok = mem_ok and verdict2.member
             cert = is_decomposable_double(entry.algebra, spec)
             indec_ok = indec_ok and not cert.decomposable
-        outcome = classifier(m)
+            filters = _ext2_filters(entry.ext2_filter_key, flat, m.rows)
+            failed = [name for name, ok in filters.items() if not ok]
+            if failed:
+                raise AmbiguousMatch(
+                    f"template {t.name} instantiation fails the filters "
+                    f"{failed}")
+        outcome = classifier(flat)
         if outcome is None or outcome[0] != t.name:
             raise AmbiguousMatch(
                 f"template {t.name} instantiation matched {outcome}")

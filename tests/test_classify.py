@@ -1,25 +1,37 @@
 """Classification sweeps: byte-identical default reports, one point list
-per sweep, and the worker-pool size."""
+per sweep, the worker-pool size, sweep-space coordinates and the per-point
+work of the sweep stage."""
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
 import os
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from liecodim import classify
+from liecodim.canon import AmbiguousMatch
 from liecodim.classify import GridSpec, classify_extensions
 from liecodim.cli import canonical_json
+from liecodim.exactla import Matrix, Subspace
 
 RECORDED = json.loads(
     (Path(__file__).resolve().parent.parent / "bench" / "report_hashes.json")
     .read_text())
 
-# The four cheapest of the ten default sweeps (about 5.5 s together).
-CHEAP_SWEEPS = ("r1/ext1", "r3/ext1", "r2/ext2ad", "h3/ext2ad")
+# Seven of the ten default sweeps (about 11 s together); r4/ext1,
+# r_plus_h3/ext1 and r3/ext2ad are left out to keep tier-1 short.
+CHEAP_SWEEPS = ("r1/ext1", "r3/ext1", "r2/ext2ad", "h3/ext2ad",
+                "r2/ext1", "h3/ext1", "g4/ext1")
+
+# Every catalog sweep space: seven ext1 spaces and three ext2ad spaces.
+SWEEP_SPACES = ("r1/ext1", "r2/ext1", "r3/ext1", "r4/ext1", "h3/ext1",
+                "r_plus_h3/ext1", "g4/ext1",
+                "r2/ext2ad", "r3/ext2ad", "h3/ext2ad")
 
 
 @pytest.mark.parametrize("sweep", CHEAP_SWEEPS)
@@ -70,3 +82,92 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     results = classify._run_sweep("r1", "ext1", points, jobs=64)
     assert _InlinePool.sizes == [2]
     assert results == classify._classify_chunk("r1", "ext1", points)
+
+
+def _random_coefficient(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.choice((1, -1)))
+    return Fraction(rng.randint(-9, 9), rng.randint(2, 9))
+
+
+def _unit(size, idx):
+    return tuple(Fraction(int(i == idx)) for i in range(size))
+
+
+@pytest.mark.parametrize("sweep", SWEEP_SPACES)
+def test_slot_plan_matches_linear_combination(sweep):
+    space = classify._sweep_space(*sweep.split("/"))
+    size = space.n * space.n
+    rng = random.Random(sweep)
+    span = Subspace.from_vectors(size, space.basis_flat)
+    outside = [i for i in range(size) if not span.contains(_unit(size, i))]
+    for _ in range(40):
+        coeffs = tuple(_random_coefficient(rng) for _ in range(space.dim))
+        plain = [Fraction(0)] * size
+        for c, b in zip(coeffs, space.basis_flat):
+            for idx, val in enumerate(b):
+                plain[idx] += c * val
+        flat = space.to_flat(coeffs)
+        assert flat == tuple(plain)
+        assert all(type(x) is Fraction for x in flat)
+        assert space.coeffs_of(space.to_matrix(coeffs)) == coeffs
+        if not outside:
+            # The space is all of gl(n): no matrix lies outside it.
+            assert space.dim == size
+            continue
+        bumped = [x + y for x, y in
+                  zip(flat, _unit(size, rng.choice(outside)))]
+        with pytest.raises(ValueError):
+            space.coeffs_of(Matrix.unflatten(tuple(bumped), space.n, space.n))
+
+
+def test_slot_plan_scales_non_unit_entries():
+    # Slot 0 copies a coordinate, slot 1 scales one, slot 2 is never
+    # touched and slot 3 sums two terms; no catalog space has a slot fed by
+    # a single entry other than 1.
+    F = Fraction
+    space = classify.SweepSpace(2, ((F(1), F(0), F(0), F(3)),
+                                    (F(0), F(2), F(0), F(1))), (0, 1))
+    assert space.to_flat((F(1, 2), F(-3))) == (F(1, 2), F(-6), F(0), F(-3, 2))
+
+
+def test_r2_ext1_sweep_takes_no_determinant(monkeypatch):
+    points = classify.sweep_points("r2", "ext1", GridSpec(num_max=2, den_max=2))
+    calls = []
+    det = Matrix.det
+
+    def counting(self):
+        calls.append(self)
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "det", counting)
+    results = classify._run_sweep("r2", "ext1", points, jobs=1)
+    assert calls == []
+    assert {r[0] for r in results} == {"match", "nonmember", "skip"}
+
+
+def test_ext2ad_sweep_filters_each_point_once(monkeypatch):
+    points = classify.sweep_points("r2", "ext2ad", GridSpec())
+    calls = []
+    filters = classify._ext2_filters
+
+    def counting(*args):
+        calls.append(args)
+        return filters(*args)
+
+    monkeypatch.setattr(classify, "_ext2_filters", counting)
+    classify._run_sweep("r2", "ext2ad", points, jobs=1)
+    assert len(calls) == len(points)
+
+
+def test_ext2ad_template_failing_a_filter_is_rejected():
+    entry = classify.catalog()["r2"]
+    # Invertible leading block: a decomposable ad-pair extension.
+    decomposable = dataclasses.replace(
+        entry.ext2_templates[0],
+        build=lambda p: Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
+    with pytest.raises(AmbiguousMatch, match="indecomposable"):
+        classify._verify_template(entry, "ext2ad", decomposable)
