@@ -145,12 +145,11 @@ def as_exact(p: ParamValue) -> ExactScalar:
 
 @dataclass(frozen=True)
 class CanonicalBlock:
-    """One block of a normalized form: its eigen data after scaling, the
-    block size, and the slot it occupies in the canonical ordering."""
+    """One block of a normalized form: its eigen data after scaling and
+    the block size."""
 
     kind: str  # 'rational' | 'complex_pair'
     size: int
-    slot: int
     value: Optional[ExactScalar] = None
     real_part: Optional[ExactScalar] = None
     imag: Optional[ExactScalar] = None
@@ -204,16 +203,15 @@ def _scaled_blocks(st: EigenStructure, c: ExactScalar) -> tuple[CanonicalBlock, 
         for size in sizes:
             if ev.kind == "rational":
                 blocks.append(CanonicalBlock(
-                    "rational", size, 0, value=ExactScalar.of(ev.value).times(c)))
+                    "rational", size, value=ExactScalar.of(ev.value).times(c)))
             else:
                 p_norm = ExactScalar.of(ev.real_part).times(c)
                 q2_norm = ev.imag_sq * c2
                 blocks.append(CanonicalBlock(
-                    "complex_pair", size, 0,
+                    "complex_pair", size,
                     real_part=p_norm, imag=ExactScalar.sqrt(q2_norm)))
     blocks.sort(key=CanonicalBlock.sort_key)
-    return tuple(CanonicalBlock(b.kind, b.size, i, b.value, b.real_part, b.imag)
-                 for i, b in enumerate(blocks))
+    return tuple(blocks)
 
 
 def _form_key(blocks: tuple[CanonicalBlock, ...]) -> tuple:
@@ -306,8 +304,6 @@ class FamilyTemplate:
     """
 
     name: str
-    base: str
-    mode: str  # 'ext1' | 'ext2ad'
     param_names: tuple[str, ...]
     domain_desc: str
     build: Callable[[tuple[Fraction, ...]], Matrix]

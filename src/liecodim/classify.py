@@ -8,6 +8,14 @@ discovered family set against the built-in golden list.  Points whose
 spectra leave the supported field (real irrational eigenvalues) are
 counted and skipped, never approximated.
 
+Both sweep modes extend one algebra by a single derivation, the sweep
+matrix.  An ext1 point is a derivation of the base.  An ext2ad point is a
+derivation of base ⊕ R with a zero y-row: the ad-pair double extension with
+its inner y-action normalized to zero, so the z-action is the matrix's
+leading block and [z, y] its last column.  The modes differ only in the
+automorphisms used for conjugation and in the membership condition
+(codimension one or two) that applies.
+
 Each sweep point travels as its flat row-major matrix (a ``Vector``): the
 sweep space maps coordinates to slots through a plan computed once, the
 two-step filters run once per point, and a classifier builds a ``Matrix``
@@ -57,10 +65,10 @@ from .exactla import (
     _sqrt_fraction,
     eigen_structure,
     nullspace,
+    solve,
 )
 from .ext import (
     ExtensionSpec,
-    build_double_extension,
     check_codim1_condition,
     check_codim2_condition,
     extend_by_derivation,
@@ -260,26 +268,17 @@ def _sweep_space_ext2(space: DerivationSpace) -> SweepSpace:
 MatchResult = Optional[tuple[str, tuple[ParamValue, ...]]]
 
 
+_H3_EXT1_NAMES = {"diag": "A", "j2": "B", "cplx": "C"}
+
+
 def _classify_h3_ext1(flat: Sequence[Fraction]) -> MatchResult:
-    """Strata of [[a+b,0,0],[0,a,c],[0,e,b]] with invertible [[a,c],[e,b]]."""
-    a, c = flat[4], flat[5]
-    e, b = flat[7], flat[8]
-    if a * b - c * e == 0:
+    """Strata of [[a+b,0,0],[0,a,c],[0,e,b]]: the gl(2) strata of the
+    pair block [[a,c],[e,b]], with diag, j2, cplx named A, B, C."""
+    outcome = _classify_gl2_flat((flat[4], flat[5], flat[7], flat[8]))
+    if outcome is None:
         return None
-    disc = (a - b) ** 2 + 4 * c * e
-    if disc > 0:
-        r = _sqrt_fraction(disc)
-        if r is None:
-            raise UnsupportedSpectrumError("real irrational eigenvalue pair")
-        lam1, lam2 = _pivot_sorted([(a + b + r) / 2, (a + b - r) / 2])
-        return "A", (lam2 / lam1,)
-    if disc == 0:
-        if c == 0 and e == 0:
-            return "A", (Fraction(1),)
-        return "B", ()
-    p = (a + b) / 2
-    q2 = -disc / 4
-    return "C", (ExactScalar.of(abs(p)).times(_inv_q(q2)),)
+    name, params = outcome
+    return _H3_EXT1_NAMES[name], params
 
 
 def _classify_rp_ext1(flat: Sequence[Fraction]) -> MatchResult:
@@ -623,12 +622,11 @@ def _block_matrix(blocks: Sequence[Sequence[Sequence]]) -> Matrix:
     return _block_diag([Matrix.from_rows(b) for b in blocks])
 
 
-def _template(name, base, mode, param_names, domain_desc, build,
-              in_domain) -> FamilyTemplate:
+def _template(name, param_names, domain_desc, build, in_domain) -> FamilyTemplate:
     def sample(count: int) -> list[tuple[Fraction, ...]]:
         return _domain_samples(len(param_names), in_domain, count)
 
-    return FamilyTemplate(name, base, mode, tuple(param_names), domain_desc,
+    return FamilyTemplate(name, tuple(param_names), domain_desc,
                           build, in_domain, sample)
 
 
@@ -640,15 +638,15 @@ def _h3_ext1_templates() -> tuple[FamilyTemplate, ...]:
     one = Fraction(1)
     return (
         _template(
-            "A", "h3", "ext1", ("lam",), "0 < |lam| <= 1",
+            "A", ("lam",), "0 < |lam| <= 1",
             lambda p: _shape_h3(one, p[0], 0, 0),
             lambda p: _rational_point(p) and 0 < abs(_as_fraction(p[0])) <= 1),
         _template(
-            "B", "h3", "ext1", (), "no parameters",
+            "B", (), "no parameters",
             lambda p: _shape_h3(one, one, one, 0),
             lambda p: True),
         _template(
-            "C", "h3", "ext1", ("lam",), "lam >= 0",
+            "C", ("lam",), "lam >= 0",
             lambda p: _shape_h3(p[0], p[0], one, -one),
             lambda p: _sgn(p[0]) >= 0),
     )
@@ -673,38 +671,38 @@ def _rp_ext1_templates() -> tuple[FamilyTemplate, ...]:
 
     return (
         _template(
-            "A", "r_plus_h3", "ext1", ("alpha", "beta"),
+            "A", ("alpha", "beta"),
             "0 < |alpha| <= 1, beta != 0",
             lambda p: _shape_rp(one, p[0], p[1], z, z, z, z, z),
             a_domain),
         _template(
-            "B", "r_plus_h3", "ext1", ("alpha",),
+            "B", ("alpha",),
             "alpha in (-1, 1], alpha != 0",
             lambda p: _shape_rp(one, p[0], one + p[0], z, z, z, z, one),
             lambda p: _rational_point(p) and
             -1 < _as_fraction(p[0]) <= 1 and _as_fraction(p[0]) != 0),
         _template(
-            "C", "r_plus_h3", "ext1", ("alpha",), "alpha != 0",
+            "C", ("alpha",), "alpha != 0",
             lambda p: _shape_rp(p[0], one, one, z, z, z, one, z),
             lambda p: _sgn(p[0]) != 0),
         _template(
-            "D", "r_plus_h3", "ext1", ("beta",), "beta != 0",
+            "D", ("beta",), "beta != 0",
             lambda p: _shape_rp(one, one, p[0], z, one, z, z, z),
             lambda p: _sgn(p[0]) != 0),
         _template(
-            "E", "r_plus_h3", "ext1", (), "no parameters",
+            "E", (), "no parameters",
             lambda p: _shape_rp(one, one, 2 * one, z, one, z, z, one),
             lambda p: True),
         _template(
-            "F", "r_plus_h3", "ext1", (), "no parameters",
+            "F", (), "no parameters",
             lambda p: _shape_rp(one, one, one, z, one, z, one, z),
             lambda p: True),
         _template(
-            "G", "r_plus_h3", "ext1", ("lam", "c"), "lam >= 0, c > 0",
+            "G", ("lam", "c"), "lam >= 0, c > 0",
             lambda p: _shape_rp(p[0], p[0], p[1], one, -one, z, z, z),
             g_domain),
         _template(
-            "H", "r_plus_h3", "ext1", ("lam",), "lam > 0",
+            "H", ("lam",), "lam > 0",
             lambda p: _shape_rp(p[0], p[0], 2 * p[0], one, -one, z, z, one),
             lambda p: _sgn(p[0]) > 0),
     )
@@ -715,11 +713,11 @@ def _g4_ext1_templates() -> tuple[FamilyTemplate, ...]:
     z = Fraction(0)
     return (
         _template(
-            "I", "g4", "ext1", ("lam",), "lam != 0",
+            "I", ("lam",), "lam != 0",
             lambda p: _shape_g4(p[0], one, z, z),
             lambda p: _sgn(p[0]) != 0),
         _template(
-            "J", "g4", "ext1", (), "no parameters",
+            "J", (), "no parameters",
             lambda p: _shape_g4(one, one, one, z),
             lambda p: True),
     )
@@ -740,37 +738,37 @@ def _abelian_ext1_templates(n: int) -> tuple[FamilyTemplate, ...]:
         return all(_sgn(x) != 0 for x in p)
 
     if n == 1:
-        return (_template("one", "r1", "ext1", (), "no parameters",
+        return (_template("one", (), "no parameters",
                           lambda p: Matrix.from_rows([[1]]),
                           lambda p: True),)
     if n == 2:
         return (
-            _template("diag", "r2", "ext1", ("alpha",), "0 < |alpha| <= 1",
+            _template("diag", ("alpha",), "0 < |alpha| <= 1",
                       lambda p: Matrix.diagonal([one, p[0]]),
                       lambda p: _rational_point(p) and
                       0 < abs(_as_fraction(p[0])) <= 1),
-            _template("j2", "r2", "ext1", (), "no parameters",
+            _template("j2", (), "no parameters",
                       lambda p: Matrix.from_rows([[1, 1], [0, 1]]),
                       lambda p: True),
-            _template("cplx", "r2", "ext1", ("lam",), "lam >= 0",
+            _template("cplx", ("lam",), "lam >= 0",
                       lambda p: Matrix.from_rows([[p[0], 1], [-1, p[0]]]),
                       lambda p: _sgn(p[0]) >= 0),
         )
     if n == 3:
         return (
-            _template("diag", "r3", "ext1", ("alpha", "beta"),
+            _template("diag", ("alpha", "beta"),
                       "0 < |beta| <= |alpha| <= 1",
                       lambda p: Matrix.diagonal([one, p[0], p[1]]),
                       lambda p: nonzero(p) and
                       _canonical_tail([one, p[0], p[1]])),
-            _template("j2", "r3", "ext1", ("beta",), "beta != 0",
+            _template("j2", ("beta",), "beta != 0",
                       lambda p: _block_matrix([[[1, 1], [0, 1]], [[p[0]]]]),
                       lambda p: _rational_point(p) and nonzero(p)),
-            _template("j3", "r3", "ext1", (), "no parameters",
+            _template("j3", (), "no parameters",
                       lambda p: _block_matrix(
                           [[[1, 1, 0], [0, 1, 1], [0, 0, 1]]]),
                       lambda p: True),
-            _template("cplx", "r3", "ext1", ("lam", "m"),
+            _template("cplx", ("lam", "m"),
                       "lam >= 0; m != 0, m > 0 when lam = 0",
                       lambda p: _block_matrix(
                           [[[p[0], 1], [-1, p[0]]], [[p[1]]]]),
@@ -823,65 +821,65 @@ def _gl4_templates() -> tuple[FamilyTemplate, ...]:
         return _params_equal(_cc_canonical(pair_data), p)
 
     t = [
-        _template("diag", "r4", "ext1", ("alpha", "beta", "gamma"),
+        _template("diag", ("alpha", "beta", "gamma"),
                   "0 < |gamma| <= |beta| <= |alpha| <= 1",
                   lambda p: Matrix.diagonal([one, p[0], p[1], p[2]]),
                   lambda p: nonzero(p) and _canonical_tail(
                       [one, p[0], p[1], p[2]])),
-        _template("j2", "r4", "ext1", ("alpha", "beta"),
+        _template("j2", ("alpha", "beta"),
                   "alpha, beta distinct, nonzero, != 1, pivot-ordered",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[p[0]]], [[p[1]]]]),
                   j2_dom),
-        _template("j2_eq1", "r4", "ext1", ("alpha",), "alpha != 0, 1",
+        _template("j2_eq1", ("alpha",), "alpha != 0, 1",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[1]], [[p[0]]]]),
                   lambda p: _rational_point(p) and nonzero(p) and ne_one(p)),
-        _template("j2_eq2", "r4", "ext1", (), "no parameters",
+        _template("j2_eq2", (), "no parameters",
                   lambda p: _block_matrix([[[1, 1], [0, 1]], [[1]], [[1]]]),
                   lambda p: True),
-        _template("j2_pair", "r4", "ext1", ("alpha",), "alpha != 0, 1",
+        _template("j2_pair", ("alpha",), "alpha != 0, 1",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[p[0]]], [[p[0]]]]),
                   lambda p: _rational_point(p) and nonzero(p) and ne_one(p)),
-        _template("j2j2", "r4", "ext1", ("alpha",),
+        _template("j2j2", ("alpha",),
                   "0 < |alpha| <= 1, alpha != 1",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[p[0], 1], [0, p[0]]]]),
                   j2j2_dom),
-        _template("j2j2_eq", "r4", "ext1", (), "no parameters",
+        _template("j2j2_eq", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[1, 1], [0, 1]]]),
                   lambda p: True),
-        _template("j3", "r4", "ext1", ("alpha",), "alpha != 0, 1",
+        _template("j3", ("alpha",), "alpha != 0, 1",
                   lambda p: _block_matrix(
                       [[[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[p[0]]]]),
                   lambda p: _rational_point(p) and nonzero(p) and ne_one(p)),
-        _template("j3_eq", "r4", "ext1", (), "no parameters",
+        _template("j3_eq", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1]]]),
                   lambda p: True),
-        _template("j4", "r4", "ext1", (), "no parameters",
+        _template("j4", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1],
                         [0, 0, 0, 1]]]),
                   lambda p: True),
-        _template("c_diag", "r4", "ext1", ("lam", "m1", "m2"),
+        _template("c_diag", ("lam", "m1", "m2"),
                   "lam >= 0; m1, m2 != 0, pivot-ordered",
                   lambda p: _block_matrix(
                       [[[p[0], 1], [-1, p[0]]], [[p[1]]], [[p[2]]]]),
                   c_diag_dom),
-        _template("c_j2", "r4", "ext1", ("lam", "m"), "lam >= 0, m != 0",
+        _template("c_j2", ("lam", "m"), "lam >= 0, m != 0",
                   lambda p: _block_matrix(
                       [[[p[0], 1], [-1, p[0]]], [[p[1], 1], [0, p[1]]]]),
                   c_j2_dom),
-        _template("cc", "r4", "ext1", ("a", "b", "q"),
+        _template("cc", ("a", "b", "q"),
                   "first pair normalized, q > 0, lexicographic minimum",
                   lambda p: _block_matrix(
                       [[[p[0], 1], [-1, p[0]]],
                        [[p[1], p[2]], [-p[2], p[1]]]]),
                   cc_dom),
-        _template("cj", "r4", "ext1", ("lam",), "lam >= 0",
+        _template("cj", ("lam",), "lam >= 0",
                   lambda p: Matrix.from_rows([
                       [p[0], 1, 1, 0], [-1, p[0], 0, 1],
                       [0, 0, p[0], 1], [0, 0, -1, p[0]]]),
@@ -892,11 +890,11 @@ def _gl4_templates() -> tuple[FamilyTemplate, ...]:
 
 def _r2_ext2_templates() -> tuple[FamilyTemplate, ...]:
     return (
-        _template("A", "r2", "ext2ad", (), "no parameters",
+        _template("A", (), "no parameters",
                   lambda p: Matrix.from_rows(
                       [[1, 0, 0], [0, 0, 1], [0, 0, 0]]),
                   lambda p: True),
-        _template("B", "r2", "ext2ad", (), "no parameters",
+        _template("B", (), "no parameters",
                   lambda p: Matrix.from_rows(
                       [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
                   lambda p: True),
@@ -905,25 +903,25 @@ def _r2_ext2_templates() -> tuple[FamilyTemplate, ...]:
 
 def _r3_ext2_templates() -> tuple[FamilyTemplate, ...]:
     return (
-        _template("A", "r3", "ext2ad", ("lam",), "0 < |lam| <= 1",
+        _template("A", ("lam",), "0 < |lam| <= 1",
                   lambda p: _block_matrix(
                       [[[1]], [[p[0]]], [[0, 1], [0, 0]]]),
                   lambda p: _rational_point(p) and
                   0 < abs(_as_fraction(p[0])) <= 1),
-        _template("B", "r3", "ext2ad", (), "no parameters",
+        _template("B", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[1, 1], [0, 1]], [[0, 1], [0, 0]]]),
                   lambda p: True),
-        _template("C", "r3", "ext2ad", (), "no parameters",
+        _template("C", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[1]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]]),
                   lambda p: True),
-        _template("D", "r3", "ext2ad", (), "no parameters",
+        _template("D", (), "no parameters",
                   lambda p: _block_matrix(
                       [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
                         [0, 0, 0, 0]]]),
                   lambda p: True),
-        _template("E", "r3", "ext2ad", ("lam",), "lam >= 0",
+        _template("E", ("lam",), "lam >= 0",
                   lambda p: _block_matrix(
                       [[[p[0], 1], [-1, p[0]]], [[0, 1], [0, 0]]]),
                   lambda p: _sgn(p[0]) >= 0),
@@ -933,10 +931,10 @@ def _r3_ext2_templates() -> tuple[FamilyTemplate, ...]:
 def _h3_ext2_templates() -> tuple[FamilyTemplate, ...]:
     one = Fraction(1)
     return (
-        _template("F", "h3", "ext2ad", (), "no parameters",
+        _template("F", (), "no parameters",
                   lambda p: _shape_h3_ext2(one, -one, 0, 0, one),
                   lambda p: True),
-        _template("G", "h3", "ext2ad", (), "no parameters",
+        _template("G", (), "no parameters",
                   lambda p: _shape_h3_ext2(0, 0, one, -one, one),
                   lambda p: True),
     )
@@ -954,7 +952,7 @@ class CatalogEntry:
     ``Vector`` of length n*n in the coordinate shape of the sweep space) and
     returns the matched family name with canonical parameters, or ``None``
     for a non-member.  The ext2ad classifier assumes the point has passed
-    the ``ext2_filter_key`` filters (see ``_ext2_filters``)."""
+    the base's ``_ext2_filters``."""
 
     key: str
     algebra: LieAlgebra
@@ -962,7 +960,6 @@ class CatalogEntry:
     ext2_templates: tuple[FamilyTemplate, ...]
     ext1_classifier: Callable[[Vector], MatchResult]
     ext2_classifier: Optional[Callable[[Vector], MatchResult]]
-    ext2_filter_key: Optional[str]
 
     def supports_ext2(self) -> bool:
         return bool(self.ext2_templates)
@@ -973,25 +970,25 @@ def catalog() -> dict[str, CatalogEntry]:
     entries: dict[str, CatalogEntry] = {}
 
     def add(key, algebra, ext1_templates, ext1_classifier,
-            ext2_templates=(), ext2_classifier=None, ext2_filter_key=None):
+            ext2_templates=(), ext2_classifier=None):
         if not is_nilpotent(algebra):
             raise AssertionError(f"catalog base {key} must be nilpotent")
         entries[key] = CatalogEntry(
             key, algebra, tuple(ext1_templates), tuple(ext2_templates),
-            ext1_classifier, ext2_classifier, ext2_filter_key)
+            ext1_classifier, ext2_classifier)
 
     add("r1", abelian(1, "r1"), _abelian_ext1_templates(1),
         _abelian_ext1_classifier(1))
     add("r2", abelian(2, "r2"), _abelian_ext1_templates(2),
         _abelian_ext1_classifier(2),
-        _r2_ext2_templates(), _classify_abelian_ext2(2), "r2")
+        _r2_ext2_templates(), _classify_abelian_ext2(2))
     add("r3", abelian(3, "r3"), _abelian_ext1_templates(3),
         _abelian_ext1_classifier(3),
-        _r3_ext2_templates(), _classify_abelian_ext2(3), "r3")
+        _r3_ext2_templates(), _classify_abelian_ext2(3))
     add("r4", abelian(4, "r4"), _abelian_ext1_templates(4),
         _abelian_ext1_classifier(4))
     add("h3", heisenberg3(), _h3_ext1_templates(), _classify_h3_ext1,
-        _h3_ext2_templates(), _classify_h3_ext2, "h3")
+        _h3_ext2_templates(), _classify_h3_ext2)
     add("r_plus_h3", r_plus_heisenberg(), _rp_ext1_templates(),
         _classify_rp_ext1)
     add("g4", filiform4(), _g4_ext1_templates(), _classify_g4_ext1)
@@ -999,16 +996,25 @@ def catalog() -> dict[str, CatalogEntry]:
 
 
 @lru_cache(maxsize=None)
-def _entry_spaces(key: str) -> tuple[DerivationSpace, SweepSpace,
-                                     Optional[SweepSpace]]:
+def _entry_spaces(key: str) -> dict[str, tuple[DerivationSpace, SweepSpace]]:
+    """Per sweep mode, the derivation space of the algebra that mode extends
+    beside the sweep space of its points: the base for ``"ext1"``, and
+    base ⊕ R for ``"ext2ad"`` (only when the base has ad-pair templates).
+    The cached dict is shared; callers must not modify it."""
     entry = catalog()[key]
     ext1_space = derivation_space(entry.algebra)
-    sweep1 = _sweep_space_ext1(ext1_space)
-    sweep2 = None
+    spaces = {"ext1": (ext1_space, _sweep_space_ext1(ext1_space))}
     if entry.supports_ext2():
-        k = direct_sum(entry.algebra, abelian(1))
-        sweep2 = _sweep_space_ext2(derivation_space(k))
-    return ext1_space, sweep1, sweep2
+        ext2_space = derivation_space(direct_sum(entry.algebra, abelian(1)))
+        spaces["ext2ad"] = (ext2_space, _sweep_space_ext2(ext2_space))
+    return spaces
+
+
+def _mode_spaces(key: str, mode: str) -> tuple[DerivationSpace, SweepSpace]:
+    spaces = _entry_spaces(key).get(mode)
+    if spaces is None:
+        raise ValueError(f"{key} has no {mode} classification")
+    return spaces
 
 
 # The per-mode choices below read the entry's fields on every call, so a
@@ -1016,11 +1022,7 @@ def _entry_spaces(key: str) -> tuple[DerivationSpace, SweepSpace,
 # say) takes effect.
 
 def _sweep_space(key: str, mode: str) -> SweepSpace:
-    _, sweep1, sweep2 = _entry_spaces(key)
-    sweep = sweep1 if mode == "ext1" else sweep2
-    if sweep is None:
-        raise ValueError(f"{key} has no {mode} classification")
-    return sweep
+    return _mode_spaces(key, mode)[1]
 
 
 def _classifier(entry: CatalogEntry, mode: str) -> Callable[[Vector], MatchResult]:
@@ -1029,15 +1031,6 @@ def _classifier(entry: CatalogEntry, mode: str) -> Callable[[Vector], MatchResul
 
 def _templates(entry: CatalogEntry, mode: str) -> tuple[FamilyTemplate, ...]:
     return entry.ext1_templates if mode == "ext1" else entry.ext2_templates
-
-
-def _double_spec(entry: CatalogEntry, m: Matrix) -> ExtensionSpec:
-    """The ad-pair extension an ext2ad sweep matrix stands for: zero
-    y-action, the leading block of ``m`` as the z-action on the base, and
-    its last column as [z, y]."""
-    n = entry.algebra.dim
-    return ExtensionSpec(entry.algebra, Matrix.zero(n, n),
-                         m.submatrix(range(n), range(n)), m.column(n)[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -1073,16 +1066,15 @@ def random_automorphism(key: str, rng: random.Random,
                         preserve_base: bool = False) -> Matrix:
     """A random automorphism of the catalog algebra.
 
-    With ``preserve_base`` the subalgebra spanned by all but the last
-    coordinate stays invariant, so conjugation preserves the restricted
-    coordinate shape used by the two-step sweeps.
+    ``preserve_base`` applies to ``r_plus_h3`` (that is, h3 ⊕ R): the
+    subalgebra spanned by all but the last coordinate stays invariant, so
+    conjugation preserves the coordinate shape of the h3 two-step sweep.
     """
     entry = catalog()[key]
     alg = entry.algebra
     n = alg.dim
     if key in ("r1", "r2", "r3", "r4"):
-        sigma = (_random_block_triangular(rng, n) if preserve_base and n > 1
-                 else _random_invertible(rng, n))
+        sigma = _random_invertible(rng, n)
     elif key == "h3":
         while True:
             a, b, c, d = (_random_fraction(rng) for _ in range(4))
@@ -1128,27 +1120,21 @@ def random_automorphism(key: str, rng: random.Random,
 
 def conjugate_in_shape(key: str, mode: str, m: Matrix,
                        rng: random.Random) -> Matrix:
-    """A random same-class representative: conjugate by an automorphism, add
-    an inner derivation, rescale, and project back to the transversal."""
-    entry = catalog()[key]
-    ext1_space, _, _ = _entry_spaces(key)
+    """A random same-class representative: conjugate by an automorphism of
+    the mode's algebra, add an inner derivation, rescale, and project back
+    to the transversal.  For ext2ad the automorphism keeps the base
+    invariant (h3 ⊕ R is the catalog's r_plus_h3)."""
+    space, _ = _mode_spaces(key, mode)
+    alg = space.algebra
     if mode == "ext1":
         sigma = random_automorphism(key, rng)
-        alg = entry.algebra
-        conj = sigma @ m @ sigma.inverse()
-        u = tuple(_random_fraction(rng) for _ in range(alg.dim))
-        shifted = conj + adjoint_matrix(alg, u)
-        c = _random_fraction(rng, allow_zero=False)
-        return project_to_h1(ext1_space, shifted.scale(c)).representative
-    k_alg = direct_sum(entry.algebra, abelian(1))
-    space = derivation_space(k_alg)
-    if key == "h3":
+    elif key == "h3":
         sigma = random_automorphism("r_plus_h3", rng, preserve_base=True)
     else:
-        sigma = _random_block_triangular(rng, k_alg.dim)
+        sigma = _random_block_triangular(rng, alg.dim)
     conj = sigma @ m @ sigma.inverse()
-    u = tuple(_random_fraction(rng) for _ in range(k_alg.dim))
-    shifted = conj + adjoint_matrix(k_alg, u)
+    u = tuple(_random_fraction(rng) for _ in range(alg.dim))
+    shifted = conj + adjoint_matrix(alg, u)
     c = _random_fraction(rng, allow_zero=False)
     return project_to_h1(space, shifted.scale(c)).representative
 
@@ -1291,44 +1277,18 @@ class Fingerprint:
         }
 
 
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    size = max(len(p), len(q))
-    return tuple((p[i] if i < len(p) else Fraction(0)) +
-                 (q[i] if i < len(q) else Fraction(0)) for i in range(size))
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b != 0:
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def _poly_det(entries: list[list[Poly]]) -> Poly:
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    total: Poly = (Fraction(0),)
-    for i in range(n):
-        minor = [[entries[r][c] for c in range(1, n)]
-                 for r in range(n) if r != i]
-        term = _poly_mul(entries[i][0], _poly_det(minor))
-        if i % 2:
-            term = tuple(-c for c in term)
-        total = _poly_add(total, term)
-    return total
-
-
-def _trim(p: Poly) -> Poly:
-    last = 0
-    for i, c in enumerate(p):
-        if c != 0:
-            last = i
-    return tuple(p[:last + 1])
+def _pencil_det(a: Matrix, b: Matrix) -> Poly:
+    """det(b + t*a) as ascending coefficients without trailing zeros (the
+    zero polynomial is ``(0,)``): the determinant at t = 0..n, interpolated
+    by an exact Vandermonde solve."""
+    n = a.rows
+    ts = range(n + 1)
+    values = tuple((b + a.scale(t)).det() for t in ts)
+    vandermonde = Matrix.from_rows([[t ** k for k in ts] for t in ts])
+    coeffs = solve(vandermonde, values)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
 
 
 def _abelianized_action(L: LieAlgebra, v: Vector) -> Matrix:
@@ -1366,9 +1326,7 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
         y = L.basis_vector(comp[1])
         a = _abelianized_action(L, z)
         b = _abelianized_action(L, y)
-        entries = [[(b.entries[i][j], a.entries[i][j]) for j in range(a.cols)]
-                   for i in range(a.rows)]
-        det_poly = _trim(_poly_det(entries))
+        det_poly = _pencil_det(a, b)
         m = a.rows
         shape: list[tuple] = []
         if all(c == 0 for c in det_poly):
@@ -1475,7 +1433,7 @@ def _classify_chunk(key: str, mode: str,
     for coeffs in points:
         flat = sweep.to_flat(coeffs)
         if mode == "ext2ad":
-            filters = _ext2_filters(entry.ext2_filter_key, flat, sweep.n)
+            filters = _ext2_filters(key, flat, sweep.n)
             if not filters["member"]:
                 results.append(("nonmember",))
                 continue
@@ -1512,12 +1470,13 @@ def _run_sweep(key: str, mode: str, points: list[tuple[Fraction, ...]],
     return [r for part in parts for r in part]
 
 
-def _build_extension(entry: CatalogEntry, mode: str, m: Matrix) -> LieAlgebra:
+def _is_member(entry: CatalogEntry, mode: str, m: Matrix) -> bool:
+    """The slow membership condition of a sweep matrix: codimension one
+    for ext1, codimension two with zero y-action for ext2ad."""
     if mode == "ext1":
-        return extend_by_derivation(entry.algebra, m)
-    spec = _double_spec(entry, m)
-    return build_double_extension(spec.base, spec.derivation, spec.second,
-                                  spec.bracket_zy)
+        return check_codim1_condition(entry.algebra, m).member
+    n = entry.algebra.dim
+    return check_codim2_condition(entry.algebra, Matrix.zero(n, n), m).member
 
 
 def _verify_template(entry: CatalogEntry, mode: str,
@@ -1530,20 +1489,20 @@ def _verify_template(entry: CatalogEntry, mode: str,
     indec_ok: Optional[bool] = None if mode == "ext1" else True
     verified = 0
     classifier = _classifier(entry, mode)
+    space, _ = _mode_spaces(entry.key, mode)
+    n = entry.algebra.dim
     for params in samples:
         m = t.build(params)
         flat = m.flatten()
-        _build_extension(entry, mode, m)  # raises on any Jacobi failure
-        if mode == "ext1":
-            verdict = check_codim1_condition(entry.algebra, m)
-            mem_ok = mem_ok and verdict.member
-        else:
-            spec = _double_spec(entry, m)
-            verdict2 = check_codim2_condition(entry.algebra, spec.derivation, m)
-            mem_ok = mem_ok and verdict2.member
+        extend_by_derivation(space.algebra, m)  # raises on any Jacobi failure
+        mem_ok = mem_ok and _is_member(entry, mode, m)
+        if mode == "ext2ad":
+            spec = ExtensionSpec(entry.algebra, Matrix.zero(n, n),
+                                 m.submatrix(range(n), range(n)),
+                                 m.column(n)[:n])
             cert = is_decomposable_double(entry.algebra, spec)
             indec_ok = indec_ok and not cert.decomposable
-            filters = _ext2_filters(entry.ext2_filter_key, flat, m.rows)
+            filters = _ext2_filters(entry.key, flat, m.rows)
             failed = [name for name, ok in filters.items() if not ok]
             if failed:
                 raise AmbiguousMatch(
@@ -1573,13 +1532,14 @@ def distinctness_evidence(entry: CatalogEntry, mode: str,
     algebras at reference parameters: a fingerprint difference, or a failed
     proportional-similarity search on the representatives.  Pairs with
     neither are flagged UNRESOLVED, never merged."""
+    space, _ = _mode_spaces(entry.key, mode)
     reps = {}
     prints = {}
     for t in templates:
         params = t.sample(1)[0]
         m = t.build(params)
         reps[t.name] = m
-        prints[t.name] = fingerprint(_build_extension(entry, mode, m))
+        prints[t.name] = fingerprint(extend_by_derivation(space.algebra, m))
     evidence = []
     names = [t.name for t in templates]
     for i, a in enumerate(names):
@@ -1597,8 +1557,9 @@ def distinctness_evidence(entry: CatalogEntry, mode: str,
 def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
                            points: list[tuple[Fraction, ...]],
                            results: list[tuple], count: int = 60) -> int:
-    """Re-run the slow independent condition checks on a deterministic
-    subsample of swept points and insist they agree with the fast filters."""
+    """Re-run the slow membership condition on a deterministic subsample of
+    swept points and insist it agrees with the recorded outcome (every
+    outcome but ``"nonmember"`` passed the fast membership test)."""
     sweep = _sweep_space(entry.key, mode)
     rng = random.Random(grid.seed + 1)
     idx = list(range(len(points)))
@@ -1611,19 +1572,9 @@ def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
         if kind == "skip":
             continue
         m = sweep.to_matrix(points[i])
-        if mode == "ext1":
-            verdict = check_codim1_condition(entry.algebra, m)
-            if verdict.member != (kind == "match"):
-                raise AssertionError(
-                    "fast membership disagrees with the full condition check")
-        else:
-            n = entry.algebra.dim
-            filters = _ext2_filters(entry.ext2_filter_key, m.flatten(), sweep.n)
-            verdict2 = check_codim2_condition(
-                entry.algebra, Matrix.zero(n, n), m)
-            if verdict2.member != filters["member"]:
-                raise AssertionError(
-                    "fast membership disagrees with the full condition check")
+        if _is_member(entry, mode, m) != (kind != "nonmember"):
+            raise AssertionError(
+                "fast membership disagrees with the full condition check")
         checked += 1
     return checked
 

@@ -1,6 +1,7 @@
 """Classification sweeps: byte-identical default reports, one point list
-per sweep, the worker-pool size, sweep-space coordinates and the per-point
-work of the sweep stage."""
+per sweep, the worker-pool size, sweep-space coordinates, the per-point
+work of the sweep stage, the shared extension path of both sweep modes, and
+the names the traced benchmark wraps."""
 
 import dataclasses
 import hashlib
@@ -8,6 +9,8 @@ import json
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,15 +20,15 @@ from liecodim import classify
 from liecodim.canon import AmbiguousMatch
 from liecodim.classify import GridSpec, classify_extensions
 from liecodim.cli import canonical_json
-from liecodim.exactla import Matrix, Subspace
+from liecodim.exactla import Matrix, Subspace, char_poly
 
-RECORDED = json.loads(
-    (Path(__file__).resolve().parent.parent / "bench" / "report_hashes.json")
-    .read_text())
+ROOT = Path(__file__).resolve().parent.parent
+RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
 
-# Seven of the ten default sweeps (about 11 s together); r4/ext1,
-# r_plus_h3/ext1 and r3/ext2ad are left out to keep tier-1 short.
-CHEAP_SWEEPS = ("r1/ext1", "r3/ext1", "r2/ext2ad", "h3/ext2ad",
+# Eight of the ten default sweeps (about 13 s together); r4/ext1 and
+# r_plus_h3/ext1 are left out to keep tier-1 short.  r3/ext2ad is the
+# ext2ad sweep with the most random conjugates (24).
+CHEAP_SWEEPS = ("r1/ext1", "r3/ext1", "r2/ext2ad", "h3/ext2ad", "r3/ext2ad",
                 "r2/ext1", "h3/ext1", "g4/ext1")
 
 # Every catalog sweep space: seven ext1 spaces and three ext2ad spaces.
@@ -171,3 +174,75 @@ def test_ext2ad_template_failing_a_filter_is_rejected():
         build=lambda p: Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
     with pytest.raises(AmbiguousMatch, match="indecomposable"):
         classify._verify_template(entry, "ext2ad", decomposable)
+
+
+@pytest.mark.parametrize("key", ("r2", "r3", "h3"))
+def test_ext2ad_conjugation_reuses_cached_spaces(monkeypatch, key):
+    classify._entry_spaces(key)
+    calls = []
+    original = classify.derivation_space
+
+    def counting(alg):
+        calls.append(alg)
+        return original(alg)
+
+    monkeypatch.setattr(classify, "derivation_space", counting)
+    template = classify.catalog()[key].ext2_templates[0]
+    m = template.build(template.sample(1)[0])
+    rng = random.Random(7)
+    for _ in range(3):
+        classify.conjugate_in_shape(key, "ext2ad", m, rng)
+    assert calls == []
+
+
+_FLIPPED = {"match": "nonmember", "filtered": "nonmember",
+            "nonmember": "match"}
+
+
+@pytest.mark.parametrize("sweep", ("r1/ext1", "r2/ext2ad"))
+def test_crosscheck_flags_a_flipped_outcome(sweep):
+    base, mode = sweep.split("/")
+    entry = classify.catalog()[base]
+    grid = GridSpec()
+    points = classify.sweep_points(base, mode, grid)[:40]
+    results = classify._classify_chunk(base, mode, points)
+    kinds = {r[0] for r in results}
+    assert {"match", "nonmember"} <= kinds
+    for point, result in zip(points, results):
+        if result[0] == "skip":
+            continue
+        assert classify._crosscheck_conditions(
+            entry, mode, grid, [point], [result]) == 1
+        flipped = (_FLIPPED[result[0]],)
+        with pytest.raises(AssertionError, match="fast membership"):
+            classify._crosscheck_conditions(
+                entry, mode, grid, [point], [flipped])
+
+
+def test_pencil_det_matches_char_poly():
+    rng = random.Random(11)
+    for n in range(1, 5):
+        for _ in range(5):
+            a = Matrix.from_rows([[_random_coefficient(rng) for _ in range(n)]
+                                  for _ in range(n)])
+            assert classify._pencil_det(Matrix.identity(n), a.scale(-1)) \
+                == char_poly(a)
+    zero = Matrix.zero(3, 3)
+    assert classify._pencil_det(zero, zero) == (Fraction(0),)
+    # det(I + t*diag(1, 0)) = 1 + t: degree 1 for a 2x2 pencil.
+    assert classify._pencil_det(Matrix.diagonal([1, 0]), Matrix.identity(2)) \
+        == (Fraction(1), Fraction(1))
+
+
+def test_traced_benchmark_finds_its_targets():
+    # Wrapping the traced layer functions and catalog fields, then setting
+    # up the ext2ad bases, raises MissingTarget if a wrapped name is gone.
+    code = ("import layers, setup_probe, spans\n"
+            "layers.install(spans.Tracer())\n"
+            "setup_probe.set_up(['r2', 'r3', 'h3'])\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "bench",
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert "MissingTarget" not in done.stderr
+    assert done.returncode == 0, done.stderr
