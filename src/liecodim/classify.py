@@ -21,22 +21,28 @@ sweep space maps coordinates to slots through a plan computed once, the
 two-step filters run once per point, and a classifier builds a ``Matrix``
 only where it needs a determinant, rank or spectrum.
 
-The stratum matchers work on exact spectral invariants: eigenvalues of the
-relevant blocks, discriminant signs, Jordan chain ranks, and the coupling
-slots that survive the basis-change rewrites.  Every matched point carries
-canonical parameter values, rational or exact quadratic irrationals.
+On an abelian base every family is a row of one table: a block recipe of
+real Jordan and complex blocks.  One matcher scales a point's spectrum to
+its normal form and picks the fitting recipe with the fewest parameters;
+the same table builds each template and decides its domain.  r2/ext1 and
+h3's pair block take a 2x2 fast path with the same answers.  The matchers
+of h3, r⊕h3 and g4 read exact invariants off their coordinate shapes:
+discriminant signs, Jordan chain ranks, and the coupling slots that
+survive the basis-change rewrites.  Every matched point carries canonical
+parameter values, rational or exact quadratic irrationals.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Optional, Sequence
 
 from .canon import (
     AmbiguousMatch,
@@ -117,8 +123,8 @@ def _inv_q(q2: Fraction) -> ExactScalar:
     return ExactScalar.sqrt(Fraction(1) / q2)
 
 
-def _is_rational(p: ParamValue) -> bool:
-    return isinstance(p, Fraction) or p.is_rational()
+def _rational_point(p: Sequence[ParamValue]) -> bool:
+    return all(isinstance(x, Fraction) or x.is_rational() for x in p)
 
 
 def _as_fraction(p: ParamValue) -> Fraction:
@@ -127,42 +133,15 @@ def _as_fraction(p: ParamValue) -> Fraction:
 
 def _sgn(p: ParamValue) -> int:
     if isinstance(p, Fraction):
-        return (p > 0) - (p < 0)
+        return (p.numerator > 0) - (p.numerator < 0)
     return p.sign()
 
 
 def _params_equal(a: Sequence[ParamValue], b: Sequence[ParamValue]) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(as_exact(x) == as_exact(y) for x, y in zip(a, b))
-
-
-# ---------------------------------------------------------------------------
-# rational sampling sequences for template parameters
-# ---------------------------------------------------------------------------
-
-def _rational_sequence() -> Iterable[Fraction]:
-    seen = set()
-    for q in range(1, 30):
-        for p in range(1, 30):
-            for val in (Fraction(p, q), Fraction(-p, q)):
-                if val not in seen:
-                    seen.add(val)
-                    yield val
-
-
-def _domain_samples(n_params: int, in_domain, count: int) -> list[tuple[Fraction, ...]]:
-    """Deterministic in-domain rational parameter points."""
-    if n_params == 0:
-        return [()]
-    out: list[tuple[Fraction, ...]] = []
-    base = list(itertools.islice(_rational_sequence(), 36))
-    for point in itertools.product(base, repeat=n_params):
-        if in_domain(point):
-            out.append(point)
-            if len(out) >= count:
-                break
-    return out
+    # Within one class values compare directly (ExactScalar is canonical).
+    return len(a) == len(b) and all(
+        x == y if x.__class__ is y.__class__ else as_exact(x) == as_exact(y)
+        for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +355,6 @@ def _classify_h3_ext2(flat: Sequence[Fraction]) -> MatchResult:
     return "F", ()
 
 
-def _complex_params(p: Fraction, q2: Fraction,
-                    reals: Sequence[Fraction]) -> tuple[ParamValue, ...]:
-    """Scale a complex pair to unit imaginary part, carrying real
-    eigenvalues along.  The scalar sign is fixed by the pair's real part,
-    falling back to the leading real eigenvalue when that is zero."""
-    inv = _inv_q(q2)
-    scaled = list(reals)
-    if p != 0:
-        sgn = 1 if p > 0 else -1
-    elif scaled:
-        lead = _pivot_sorted(scaled)[0]
-        sgn = 1 if lead > 0 else -1
-    else:
-        sgn = 1
-    ordered = _pivot_sorted([sgn * r for r in scaled])
-    lam = ExactScalar.of(abs(p)).times(inv)
-    return (lam,) + tuple(ExactScalar.of(r).times(inv) for r in ordered)
-
-
 def _cc_canonical(pairs: Sequence[tuple[Fraction, Fraction]]
                   ) -> tuple[ParamValue, ParamValue, ExactScalar]:
     """Canonical parameters for two complex pair blocks.
@@ -403,38 +363,33 @@ def _cc_canonical(pairs: Sequence[tuple[Fraction, Fraction]]
     part (so the other pair keeps q in (0, 1]); the free scalar sign and
     any remaining tie are resolved by lexicographic minimum.
     """
-    q2_max = max(q2 for _, q2 in pairs)
+    c2 = Fraction(1) / max(q2 for _, q2 in pairs)
+    # Per pair: scaled q^2, then ExactScalar._cmp_key data of its real part.
+    rel = [(q2 * c2, _sgn(p), p * p * c2, p) for (p, q2) in pairs]
     best = None
-    for (_, q2_i) in pairs:
-        if q2_i != q2_max:
-            continue
-        inv = _inv_q(q2_i)
-        c2 = Fraction(1) / q2_i
-        for sgn in (1, -1):
-            scaled = []
-            for (p, q2) in pairs:
-                p_s = ExactScalar.of(sgn * p).times(inv)
-                scaled.append((q2 * c2, p_s))
-            # normalized (largest) pair first, then smaller imaginary parts
-            scaled.sort(key=lambda t: (-t[0], t[1]._cmp_key()))
-            key = tuple((q, ps._cmp_key()) for q, ps in scaled)
-            if best is None or key < best[0]:
-                best = (key, scaled)
-    (q2_a, p_a), (q2_b, p_b) = best[1]
+    for sgn in (1, -1):
+        # normalized (largest) pair first, then smaller imaginary parts
+        scaled = sorted(((q, (sgn * s, sq if sgn * s >= 0 else -sq), sgn * p)
+                         for q, s, sq, p in rel), key=lambda t: (-t[0], t[1]))
+        if best is None or [t[:2] for t in scaled] < [t[:2] for t in best]:
+            best = scaled
+    (q2_a, _, p_a), (q2_b, _, p_b) = best
     if q2_a != 1:
         raise AssertionError("internal: designated pair not normalized")
-    return (p_a, p_b, ExactScalar.sqrt(q2_b))
+    inv = ExactScalar.sqrt(c2)
+    return (ExactScalar.of(p_a).times(inv), ExactScalar.of(p_b).times(inv),
+            ExactScalar.sqrt(q2_b))
 
 
-def _expand_blocks(st: EigenStructure):
-    rational = [(ev.value, s) for ev, sizes in st.entries
-                if ev.kind == "rational" for s in sizes]
-    cplx = [(ev.real_part, ev.imag_sq, s) for ev, sizes in st.entries
-            if ev.kind == "complex_pair" for s in sizes]
-    return rational, cplx
+def _expand_blocks(st: EigenStructure) -> list[tuple]:
+    """Blocks ("r", size, value) and ("c", size, p, q^2) of a spectrum."""
+    return [("r", s, ev.value) if ev.kind == "rational" else
+            ("c", s, ev.real_part, ev.imag_sq)
+            for ev, sizes in st.entries for s in sizes]
 
 
 def _classify_gl2_flat(flat: Sequence[Fraction]) -> MatchResult:
+    """The r2/ext1 table matcher's answer, from trace and discriminant."""
     a, b = flat[0], flat[1]
     c, d = flat[2], flat[3]
     if a * d - b * c == 0:
@@ -455,130 +410,18 @@ def _classify_gl2_flat(flat: Sequence[Fraction]) -> MatchResult:
     return "cplx", (ExactScalar.of(abs(p)).times(_inv_q(q2)),)
 
 
-def _abelian_ext1_classifier(n: int) -> Callable[[Vector], MatchResult]:
-    def classify(flat: Vector) -> MatchResult:
-        if n == 1:
-            return ("one", ()) if flat[0] != 0 else None
-        if n == 2:
-            return _classify_gl2_flat(flat)
-        m = Matrix.unflatten(flat, n, n)
-        if m.det() == 0:
-            return None
-        st = eigen_structure(m)
-        rb, cb = _expand_blocks(st)
-        if n == 3:
-            return _match_gl3(rb, cb)
-        if n == 4:
-            return _match_gl4(rb, cb)
-        raise ValueError(f"no invertible-block templates for dimension {n}")
-
-    return classify
-
-
-def _match_gl3(rb, cb) -> MatchResult:
-    if cb:
-        (p, q2, _) = cb[0]
-        mu = rb[0][0]
-        return "cplx", _complex_params(p, q2, [mu])
-    sizes = sorted((s for _, s in rb), reverse=True)
-    if sizes == [3]:
-        return "j3", ()
-    if sizes == [2, 1]:
-        lam = next(v for v, s in rb if s == 2)
-        mu = next(v for v, s in rb if s == 1)
-        return "j2", (mu / lam,)
-    vals = _pivot_sorted([v for v, _ in rb])
-    return "diag", (vals[1] / vals[0], vals[2] / vals[0])
-
-
-def _match_gl4(rb, cb) -> MatchResult:
-    if not cb:
-        sizes = sorted((s for _, s in rb), reverse=True)
-        if sizes == [1, 1, 1, 1]:
-            vals = _pivot_sorted([v for v, _ in rb])
-            piv = vals[0]
-            return "diag", (vals[1] / piv, vals[2] / piv, vals[3] / piv)
-        if sizes == [2, 1, 1]:
-            lam = next(v for v, s in rb if s == 2)
-            singles = [v for v, s in rb if s == 1]
-            eq = [v for v in singles if v == lam]
-            if len(eq) == 2:
-                return "j2_eq2", ()
-            if len(eq) == 1:
-                other = next(v for v in singles if v != lam)
-                return "j2_eq1", (other / lam,)
-            if singles[0] == singles[1]:
-                return "j2_pair", (singles[0] / lam,)
-            mu, nu = _pivot_sorted(singles)
-            return "j2", (mu / lam, nu / lam)
-        if sizes == [2, 2]:
-            vals = [v for v, s in rb if s == 2]
-            lam1, lam2 = _pivot_sorted(vals)
-            if lam1 == lam2:
-                return "j2j2_eq", ()
-            return "j2j2", (lam2 / lam1,)
-        if sizes == [3, 1]:
-            lam = next(v for v, s in rb if s == 3)
-            mu = next(v for v, s in rb if s == 1)
-            if mu == lam:
-                return "j3_eq", ()
-            return "j3", (mu / lam,)
-        return "j4", ()
-    pair_sizes = sorted((s for *_, s in cb), reverse=True)
-    if pair_sizes == [2]:
-        (p, q2, _) = cb[0]
-        return "cj", (ExactScalar.of(abs(p)).times(_inv_q(q2)),)
-    if pair_sizes == [1]:
-        (p, q2, _) = cb[0]
-        real_sizes = sorted((s for _, s in rb), reverse=True)
-        if real_sizes == [2]:
-            lam = rb[0][0]
-            return "c_j2", _complex_params(p, q2, [lam])
-        mu, nu = [v for v, _ in rb]
-        return "c_diag", _complex_params(p, q2, [mu, nu])
-    return "cc", _cc_canonical([(p, q2) for (p, q2, _) in cb])
-
-
-def _classify_abelian_ext2(n: int) -> Callable[[Vector], MatchResult]:
-    """Strata for double extensions of an abelian base, applied after the
-    membership, outerness and indecomposability filters."""
-
-    def classify(flat: Vector) -> MatchResult:
-        st = eigen_structure(Matrix.unflatten(flat, n + 1, n + 1))
-        zero_sizes = st.rational_eigenvalues().get(Fraction(0), ())
-        if len(zero_sizes) != 1:
-            raise AssertionError("filters should force a single nilpotent chain")
-        s = zero_sizes[0]
-        rb, cb = _expand_blocks(st)
-        nonzero_r = [(v, sz) for v, sz in rb if v != 0]
-        if n == 2:
-            return ("A", ()) if nonzero_r else ("B", ())
-        if n == 3:
-            if s == 4:
-                return "D", ()
-            if s == 3:
-                return "C", ()
-            if cb:
-                (p, q2, _) = cb[0]
-                return "E", (ExactScalar.of(abs(p)).times(_inv_q(q2)),)
-            if len(nonzero_r) == 1:
-                return "B", ()
-            lam1, lam2 = _pivot_sorted([v for v, _ in nonzero_r])
-            return "A", (lam2 / lam1,)
-        raise ValueError(f"no ad-pair templates for abelian dimension {n}")
-
-    return classify
-
-
 def _ext2_filters(key: str, flat: Sequence[Fraction], size: int) -> dict[str, bool]:
     """Membership, outerness and indecomposability as fast exact tests."""
     n = size - 1
     if key in ("r2", "r3"):
+        rows = [flat[i * size:(i + 1) * size] for i in range(n)]
+        outer = any(x != 0 for row in rows for x in row[:n])
+        if not all(any(x != 0 for x in row) for row in rows):
+            # A zero row of [A, v] caps the rank below n and makes A singular.
+            return {"member": False, "outer": outer, "indecomposable": True}
         m = Matrix.unflatten(tuple(flat), size, size)
         member = m.rank() == n
-        d_h = m.submatrix(range(n), range(n))
-        outer = not d_h.is_zero()
-        indecomposable = d_h.det() == 0
+        indecomposable = m.submatrix(range(n), range(n)).det() == 0
         return {"member": member, "outer": outer, "indecomposable": indecomposable}
     if key == "h3":
         a, c = flat[5], flat[6]
@@ -589,6 +432,212 @@ def _ext2_filters(key: str, flat: Sequence[Fraction], size: int) -> dict[str, bo
         indecomposable = (a + b == 0 and h != 0)
         return {"member": member, "outer": outer, "indecomposable": indecomposable}
     raise ValueError(f"no ad-pair filters for base {key}")
+
+
+# ---------------------------------------------------------------------------
+# abelian bases: one block-recipe table and one matcher
+# ---------------------------------------------------------------------------
+# On R^n an ext1 point is invertible and an ext2ad point [[A, v], [0, 0]]
+# has rank n, so its image is the base and every similarity between two
+# points preserves it: either way a class is one matrix up to proportional
+# similarity, and a family is a block recipe.  "Jk(v)" is a real Jordan
+# block of size k, "Ck(a,q)" is k blocks [[a, q], [-q, a]] chained by
+# identity blocks (k = 1 is left out, and "J(v)" is written "v"); each value
+# is a constant or a parameter name.  Constant blocks come first in a shape.
+_ABELIAN_FAMILIES = {
+    ("r1", "ext1"): (
+        ("one", "no parameters", "1"),
+    ),
+    ("r2", "ext1"): (
+        ("diag", "0 < |alpha| <= 1", "1 alpha"),
+        ("j2", "no parameters", "J2(1)"),
+        ("cplx", "lam >= 0", "C(lam,1)"),
+    ),
+    ("r3", "ext1"): (
+        ("diag", "0 < |beta| <= |alpha| <= 1", "1 alpha beta"),
+        ("j2", "beta != 0", "J2(1) beta"),
+        ("j3", "no parameters", "J3(1)"),
+        ("cplx", "lam >= 0; m != 0, m > 0 when lam = 0", "C(lam,1) m"),
+    ),
+    ("r4", "ext1"): (
+        ("diag", "0 < |gamma| <= |beta| <= |alpha| <= 1",
+         "1 alpha beta gamma"),
+        ("j2", "alpha, beta distinct, nonzero, != 1, pivot-ordered",
+         "J2(1) alpha beta"),
+        ("j2_eq1", "alpha != 0, 1", "J2(1) 1 alpha"),
+        ("j2_eq2", "no parameters", "J2(1) 1 1"),
+        ("j2_pair", "alpha != 0, 1", "J2(1) alpha alpha"),
+        ("j2j2", "0 < |alpha| <= 1, alpha != 1", "J2(1) J2(alpha)"),
+        ("j2j2_eq", "no parameters", "J2(1) J2(1)"),
+        ("j3", "alpha != 0, 1", "J3(1) alpha"),
+        ("j3_eq", "no parameters", "J3(1) 1"),
+        ("j4", "no parameters", "J4(1)"),
+        ("c_diag", "lam >= 0; m1, m2 != 0, pivot-ordered", "C(lam,1) m1 m2"),
+        ("c_j2", "lam >= 0, m != 0", "C(lam,1) J2(m)"),
+        ("cc", "first pair normalized, q > 0, lexicographic minimum",
+         "C(a,1) C(b,q)"),
+        ("cj", "lam >= 0", "C2(lam,1)"),
+    ),
+    ("r2", "ext2ad"): (
+        ("A", "no parameters", "1 J2(0)"),
+        ("B", "no parameters", "J3(0)"),
+    ),
+    ("r3", "ext2ad"): (
+        ("A", "0 < |lam| <= 1", "1 lam J2(0)"),
+        ("B", "no parameters", "J2(1) J2(0)"),
+        ("C", "no parameters", "1 J3(0)"),
+        ("D", "no parameters", "J4(0)"),
+        ("E", "lam >= 0", "C(lam,1) J2(0)"),
+    ),
+}
+
+
+def _signature(blocks) -> tuple:
+    return tuple(sorted(block[:2] for block in blocks))
+
+
+@lru_cache(maxsize=None)
+def _abelian_table(key: str, mode: str) -> tuple[list, dict]:
+    """The rows as (name, domain, parameter names, blocks), and the rows by
+    block-shape signature, fewest parameters first.  A block is ("r", size,
+    v) or ("c", size, a, q): a constant Fraction or a parameter name each."""
+    rows, lookup = [], {}
+    for name, domain, text in _ABELIAN_FAMILIES[key, mode]:
+        blocks = []
+        for token in text.split():
+            head, _, args = token.rstrip(")").rpartition("(")
+            blocks.append(("c" if head[:1] == "C" else "r", int(head[1:] or 1),
+                           *(v if v.isidentifier() else Fraction(v)
+                             for v in args.split(","))))
+        params = tuple(dict.fromkeys(
+            v for b in blocks for v in b[2:] if isinstance(v, str)))
+        rows.append((name, domain, params, blocks))
+    for row in sorted(rows, key=lambda row: len(row[2])):
+        lookup.setdefault(_signature(row[3]), []).append(row)
+    return rows, lookup
+
+
+def _pivot(reals) -> Fraction:
+    """The scale of a real spectrum: the pivot of its nonzero Jordan-chain
+    eigenvalues, else of all its nonzero ones, else 1."""
+    pool = [v for v, s in reals if s > 1 and v] or [v for v, _ in reals if v]
+    return _pivot_sorted(pool)[0] if pool else Fraction(1)
+
+
+def _normal_blocks(spectrum) -> list[tuple]:
+    """A spectrum scaled to its normal form, complex blocks first and real
+    blocks in pivot order: one complex pair to unit imaginary part with the
+    sign of its real part, else of the pivot real eigenvalue; two pairs by
+    ``_cc_canonical``; a real spectrum by 1/``_pivot``."""
+    reals = [(b[2], b[1]) for b in spectrum if b[0] == "r"]
+    pairs = [(b[2], b[3], b[1]) for b in spectrum if b[0] == "c"]
+    if len(pairs) == 2:
+        a, b, q = _cc_canonical([(p, q2) for p, q2, _ in pairs])
+        return [("c", 1, a, Fraction(1)), ("c", 1, b, q)]
+    if pairs:
+        (p, q2, size), = pairs
+        inv = _inv_q(q2)
+        lead = p or (_pivot_sorted([v for v, _ in reals]) or [1])[0]
+        factor = 1 if lead > 0 else -1
+        head = [("c", size, ExactScalar.of(abs(p)).times(inv), Fraction(1))]
+    else:
+        factor = Fraction(1) / _pivot(reals)
+        head = []
+    scaled = sorted(((v * factor, s) for v, s in reals),
+                    key=lambda vs: (-abs(vs[0]), vs[0] < 0))
+    # A zero stays a Fraction, equal to a recipe's constant 0.
+    return head + [("r", s, ExactScalar.of(v).times(inv) if pairs and v else v)
+                   for v, s in scaled]
+
+
+def _fit(recipe, blocks) -> Optional[dict[str, ParamValue]]:
+    """Parameter values that turn the recipe into ``blocks``, or None.  Each
+    recipe block takes the first remaining block of its shape whose
+    constants agree; a real block's parameter is never zero."""
+    rest = list(blocks)
+    values: dict[str, ParamValue] = {}
+    for kind, size, *spec in recipe:
+        i = next((i for i, b in enumerate(rest) if b[:2] == (kind, size)
+                  and all(isinstance(w, str) or x == w
+                          for w, x in zip(spec, b[2:]))), None)
+        if i is None:
+            return None
+        for w, x in zip(spec, rest.pop(i)[2:]):
+            if isinstance(w, str) and (kind == "r" and _sgn(x) == 0 or
+                                       values.setdefault(w, x) != x):
+                return None
+    return values
+
+
+def _match_spectrum(key: str, mode: str, spectrum) -> MatchResult:
+    """The first recipe of the normal form's shape, fewest parameters
+    first, that the normal form fits, with its parameter values."""
+    normal = _normal_blocks(spectrum)
+    for name, _, params, recipe in _abelian_table(key, mode)[1].get(
+            _signature(normal), ()):
+        values = _fit(recipe, normal)
+        if values is not None:
+            return name, tuple(values[p] for p in params)
+    return None
+
+
+def _classify_abelian(key: str, mode: str, flat: Vector) -> MatchResult:
+    """The table matcher on a sweep point of an abelian base: an ext1 point
+    must be invertible, an ext2ad point comes through the filters."""
+    size = math.isqrt(len(flat))
+    m = Matrix.unflatten(flat, size, size)
+    if mode == "ext1" and m.det() == 0:
+        return None
+    st = eigen_structure(m)
+    outcome = _match_spectrum(key, mode, _expand_blocks(st))
+    if outcome is None:
+        raise AssertionError(f"no {key}/{mode} family fits {st}")
+    return outcome
+
+
+def _abelian_templates(key: str, mode: str) -> tuple[FamilyTemplate, ...]:
+    """Templates whose ``build`` is the recipe's block diagonal; a rational
+    point is in the domain if the matcher maps those blocks back to it."""
+
+    def template(name, domain, params, recipe):
+        def blocks(point) -> list[tuple]:
+            values = dict(zip(params, point))
+            return [(kind, size, *(values[w] if isinstance(w, str) else w
+                                   for w in spec))
+                    for kind, size, *spec in recipe]
+
+        def build(point) -> Matrix:
+            mats = []
+            for kind, size, *vals in blocks(point):
+                # size copies of the unit block, chained by identity blocks
+                unit = [vals] if kind == "r" else [vals, [-vals[1], vals[0]]]
+                d = len(unit)
+                mats.append(Matrix.from_rows([
+                    [unit[i % d][j % d] if i // d == j // d else
+                     int(j == i + d) for j in range(d * size)]
+                    for i in range(d * size)]))
+            return _block_diag(mats)
+
+        def in_domain(point) -> bool:
+            if not _rational_point(point):
+                return False
+            point = tuple(map(_as_fraction, point))
+            at = blocks(point)
+            if any(b[0] == "c" and b[3] <= 0 for b in at):
+                return False  # the normal form's q is always positive
+            # A real spectrum is divided by its pivot, so a fixed point of
+            # the matcher has pivot 1.
+            if all(b[0] == "r" for b in at) and _pivot(
+                    [(b[2], b[1]) for b in at]) != 1:
+                return False
+            outcome = _match_spectrum(key, mode, [
+                b if b[0] == "r" else b[:3] + (b[3] * b[3],) for b in at])
+            return (outcome is not None and outcome[0] == name
+                    and _params_equal(outcome[1], point))
+
+        return _template(name, params, domain, build, in_domain)
+
+    return tuple(template(*row) for row in _abelian_table(key, mode)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -618,20 +667,25 @@ def _shape_h3_ext2(a, b, c, e, h) -> Matrix:
         [a + b, z, z, h], [z, a, c, z], [z, e, b, z], [z, z, z, z]])
 
 
-def _block_matrix(blocks: Sequence[Sequence[Sequence]]) -> Matrix:
-    return _block_diag([Matrix.from_rows(b) for b in blocks])
+# Template parameter values; candidates are their k-fold product, in order.
+_SAMPLE_VALUES = tuple(Fraction(s * v) for v in range(1, 19) for s in (1, -1))
 
 
 def _template(name, param_names, domain_desc, build, in_domain) -> FamilyTemplate:
+    candidates = itertools.product(_SAMPLE_VALUES, repeat=len(param_names))
+    accepted: list[tuple[Fraction, ...]] = []
+
     def sample(count: int) -> list[tuple[Fraction, ...]]:
-        return _domain_samples(len(param_names), in_domain, count)
+        """The first ``count`` (at least one) in-domain candidates."""
+        count = max(count, 1)
+        while len(accepted) < count and (
+                point := next(candidates, None)) is not None:
+            if in_domain(point):
+                accepted.append(point)
+        return accepted[:count]
 
     return FamilyTemplate(name, tuple(param_names), domain_desc,
                           build, in_domain, sample)
-
-
-def _rational_point(p) -> bool:
-    return all(map(_is_rational, p))
 
 
 def _h3_ext1_templates() -> tuple[FamilyTemplate, ...]:
@@ -723,211 +777,6 @@ def _g4_ext1_templates() -> tuple[FamilyTemplate, ...]:
     )
 
 
-def _canonical_tail(params: Sequence[ParamValue]) -> bool:
-    """Rational values already in pivot order (abs descending, then sign)."""
-    if not _rational_point(params):
-        return False
-    vals = [_as_fraction(x) for x in params]
-    return vals == _pivot_sorted(vals)
-
-
-def _abelian_ext1_templates(n: int) -> tuple[FamilyTemplate, ...]:
-    one = Fraction(1)
-
-    def nonzero(p) -> bool:
-        return all(_sgn(x) != 0 for x in p)
-
-    if n == 1:
-        return (_template("one", (), "no parameters",
-                          lambda p: Matrix.from_rows([[1]]),
-                          lambda p: True),)
-    if n == 2:
-        return (
-            _template("diag", ("alpha",), "0 < |alpha| <= 1",
-                      lambda p: Matrix.diagonal([one, p[0]]),
-                      lambda p: _rational_point(p) and
-                      0 < abs(_as_fraction(p[0])) <= 1),
-            _template("j2", (), "no parameters",
-                      lambda p: Matrix.from_rows([[1, 1], [0, 1]]),
-                      lambda p: True),
-            _template("cplx", ("lam",), "lam >= 0",
-                      lambda p: Matrix.from_rows([[p[0], 1], [-1, p[0]]]),
-                      lambda p: _sgn(p[0]) >= 0),
-        )
-    if n == 3:
-        return (
-            _template("diag", ("alpha", "beta"),
-                      "0 < |beta| <= |alpha| <= 1",
-                      lambda p: Matrix.diagonal([one, p[0], p[1]]),
-                      lambda p: nonzero(p) and
-                      _canonical_tail([one, p[0], p[1]])),
-            _template("j2", ("beta",), "beta != 0",
-                      lambda p: _block_matrix([[[1, 1], [0, 1]], [[p[0]]]]),
-                      lambda p: _rational_point(p) and nonzero(p)),
-            _template("j3", (), "no parameters",
-                      lambda p: _block_matrix(
-                          [[[1, 1, 0], [0, 1, 1], [0, 0, 1]]]),
-                      lambda p: True),
-            _template("cplx", ("lam", "m"),
-                      "lam >= 0; m != 0, m > 0 when lam = 0",
-                      lambda p: _block_matrix(
-                          [[[p[0], 1], [-1, p[0]]], [[p[1]]]]),
-                      lambda p: _sgn(p[0]) >= 0 and _sgn(p[1]) != 0 and
-                      not (_sgn(p[0]) == 0 and _sgn(p[1]) < 0)),
-        )
-    if n == 4:
-        return _gl4_templates()
-    raise ValueError(f"no templates for abelian dimension {n}")
-
-
-def _gl4_templates() -> tuple[FamilyTemplate, ...]:
-    one = Fraction(1)
-
-    def nonzero(p) -> bool:
-        return all(_sgn(x) != 0 for x in p)
-
-    def ne_one(p) -> bool:
-        return all(not (_is_rational(x) and _as_fraction(x) == 1) for x in p)
-
-    def j2_dom(p) -> bool:
-        return (_rational_point(p) and nonzero(p) and ne_one(p)
-                and _as_fraction(p[0]) != _as_fraction(p[1])
-                and _canonical_tail(p))
-
-    def j2j2_dom(p) -> bool:
-        return (_rational_point(p) and nonzero(p) and ne_one(p)
-                and abs(_as_fraction(p[0])) <= 1)
-
-    def c_diag_dom(p) -> bool:
-        if _sgn(p[0]) < 0 or not nonzero(p[1:]):
-            return False
-        if not _canonical_tail(p[1:]):
-            return False
-        return not (_sgn(p[0]) == 0 and _sgn(p[1]) < 0)
-
-    def c_j2_dom(p) -> bool:
-        if _sgn(p[0]) < 0 or _sgn(p[1]) == 0:
-            return False
-        return not (_sgn(p[0]) == 0 and _sgn(p[1]) < 0)
-
-    def cc_dom(p) -> bool:
-        if _sgn(p[2]) <= 0:
-            return False
-        a, b, q = (as_exact(x) for x in p)
-        if not (a.is_rational() and b.is_rational() and q.is_rational()):
-            return False
-        pair_data = [(a.to_fraction(), Fraction(1)),
-                     (b.to_fraction(), q.to_fraction() ** 2)]
-        return _params_equal(_cc_canonical(pair_data), p)
-
-    t = [
-        _template("diag", ("alpha", "beta", "gamma"),
-                  "0 < |gamma| <= |beta| <= |alpha| <= 1",
-                  lambda p: Matrix.diagonal([one, p[0], p[1], p[2]]),
-                  lambda p: nonzero(p) and _canonical_tail(
-                      [one, p[0], p[1], p[2]])),
-        _template("j2", ("alpha", "beta"),
-                  "alpha, beta distinct, nonzero, != 1, pivot-ordered",
-                  lambda p: _block_matrix(
-                      [[[1, 1], [0, 1]], [[p[0]]], [[p[1]]]]),
-                  j2_dom),
-        _template("j2_eq1", ("alpha",), "alpha != 0, 1",
-                  lambda p: _block_matrix(
-                      [[[1, 1], [0, 1]], [[1]], [[p[0]]]]),
-                  lambda p: _rational_point(p) and nonzero(p) and ne_one(p)),
-        _template("j2_eq2", (), "no parameters",
-                  lambda p: _block_matrix([[[1, 1], [0, 1]], [[1]], [[1]]]),
-                  lambda p: True),
-        _template("j2_pair", ("alpha",), "alpha != 0, 1",
-                  lambda p: _block_matrix(
-                      [[[1, 1], [0, 1]], [[p[0]]], [[p[0]]]]),
-                  lambda p: _rational_point(p) and nonzero(p) and ne_one(p)),
-        _template("j2j2", ("alpha",),
-                  "0 < |alpha| <= 1, alpha != 1",
-                  lambda p: _block_matrix(
-                      [[[1, 1], [0, 1]], [[p[0], 1], [0, p[0]]]]),
-                  j2j2_dom),
-        _template("j2j2_eq", (), "no parameters",
-                  lambda p: _block_matrix(
-                      [[[1, 1], [0, 1]], [[1, 1], [0, 1]]]),
-                  lambda p: True),
-        _template("j3", ("alpha",), "alpha != 0, 1",
-                  lambda p: _block_matrix(
-                      [[[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[p[0]]]]),
-                  lambda p: _rational_point(p) and nonzero(p) and ne_one(p)),
-        _template("j3_eq", (), "no parameters",
-                  lambda p: _block_matrix(
-                      [[[1, 1, 0], [0, 1, 1], [0, 0, 1]], [[1]]]),
-                  lambda p: True),
-        _template("j4", (), "no parameters",
-                  lambda p: _block_matrix(
-                      [[[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1],
-                        [0, 0, 0, 1]]]),
-                  lambda p: True),
-        _template("c_diag", ("lam", "m1", "m2"),
-                  "lam >= 0; m1, m2 != 0, pivot-ordered",
-                  lambda p: _block_matrix(
-                      [[[p[0], 1], [-1, p[0]]], [[p[1]]], [[p[2]]]]),
-                  c_diag_dom),
-        _template("c_j2", ("lam", "m"), "lam >= 0, m != 0",
-                  lambda p: _block_matrix(
-                      [[[p[0], 1], [-1, p[0]]], [[p[1], 1], [0, p[1]]]]),
-                  c_j2_dom),
-        _template("cc", ("a", "b", "q"),
-                  "first pair normalized, q > 0, lexicographic minimum",
-                  lambda p: _block_matrix(
-                      [[[p[0], 1], [-1, p[0]]],
-                       [[p[1], p[2]], [-p[2], p[1]]]]),
-                  cc_dom),
-        _template("cj", ("lam",), "lam >= 0",
-                  lambda p: Matrix.from_rows([
-                      [p[0], 1, 1, 0], [-1, p[0], 0, 1],
-                      [0, 0, p[0], 1], [0, 0, -1, p[0]]]),
-                  lambda p: _sgn(p[0]) >= 0),
-    ]
-    return tuple(t)
-
-
-def _r2_ext2_templates() -> tuple[FamilyTemplate, ...]:
-    return (
-        _template("A", (), "no parameters",
-                  lambda p: Matrix.from_rows(
-                      [[1, 0, 0], [0, 0, 1], [0, 0, 0]]),
-                  lambda p: True),
-        _template("B", (), "no parameters",
-                  lambda p: Matrix.from_rows(
-                      [[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
-                  lambda p: True),
-    )
-
-
-def _r3_ext2_templates() -> tuple[FamilyTemplate, ...]:
-    return (
-        _template("A", ("lam",), "0 < |lam| <= 1",
-                  lambda p: _block_matrix(
-                      [[[1]], [[p[0]]], [[0, 1], [0, 0]]]),
-                  lambda p: _rational_point(p) and
-                  0 < abs(_as_fraction(p[0])) <= 1),
-        _template("B", (), "no parameters",
-                  lambda p: _block_matrix(
-                      [[[1, 1], [0, 1]], [[0, 1], [0, 0]]]),
-                  lambda p: True),
-        _template("C", (), "no parameters",
-                  lambda p: _block_matrix(
-                      [[[1]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]]),
-                  lambda p: True),
-        _template("D", (), "no parameters",
-                  lambda p: _block_matrix(
-                      [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
-                        [0, 0, 0, 0]]]),
-                  lambda p: True),
-        _template("E", ("lam",), "lam >= 0",
-                  lambda p: _block_matrix(
-                      [[[p[0], 1], [-1, p[0]]], [[0, 1], [0, 0]]]),
-                  lambda p: _sgn(p[0]) >= 0),
-    )
-
-
 def _h3_ext2_templates() -> tuple[FamilyTemplate, ...]:
     one = Fraction(1)
     return (
@@ -977,16 +826,17 @@ def catalog() -> dict[str, CatalogEntry]:
             key, algebra, tuple(ext1_templates), tuple(ext2_templates),
             ext1_classifier, ext2_classifier)
 
-    add("r1", abelian(1, "r1"), _abelian_ext1_templates(1),
-        _abelian_ext1_classifier(1))
-    add("r2", abelian(2, "r2"), _abelian_ext1_templates(2),
-        _abelian_ext1_classifier(2),
-        _r2_ext2_templates(), _classify_abelian_ext2(2))
-    add("r3", abelian(3, "r3"), _abelian_ext1_templates(3),
-        _abelian_ext1_classifier(3),
-        _r3_ext2_templates(), _classify_abelian_ext2(3))
-    add("r4", abelian(4, "r4"), _abelian_ext1_templates(4),
-        _abelian_ext1_classifier(4))
+    add("r1", abelian(1, "r1"), _abelian_templates("r1", "ext1"),
+        partial(_classify_abelian, "r1", "ext1"))
+    add("r2", abelian(2, "r2"), _abelian_templates("r2", "ext1"),
+        _classify_gl2_flat, _abelian_templates("r2", "ext2ad"),
+        partial(_classify_abelian, "r2", "ext2ad"))
+    add("r3", abelian(3, "r3"), _abelian_templates("r3", "ext1"),
+        partial(_classify_abelian, "r3", "ext1"),
+        _abelian_templates("r3", "ext2ad"),
+        partial(_classify_abelian, "r3", "ext2ad"))
+    add("r4", abelian(4, "r4"), _abelian_templates("r4", "ext1"),
+        partial(_classify_abelian, "r4", "ext1"))
     add("h3", heisenberg3(), _h3_ext1_templates(), _classify_h3_ext1,
         _h3_ext2_templates(), _classify_h3_ext2)
     add("r_plus_h3", r_plus_heisenberg(), _rp_ext1_templates(),

@@ -1,9 +1,11 @@
 """Classification sweeps: byte-identical default reports, one point list
 per sweep, the worker-pool size, sweep-space coordinates, the per-point
-work of the sweep stage, the shared extension path of both sweep modes, and
-the names the traced benchmark wraps."""
+work of the sweep stage, the shared extension path of both sweep modes, the
+abelian family table and its matcher, template sampling, and the names the
+traced benchmark wraps."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -16,20 +18,23 @@ from pathlib import Path
 
 import pytest
 
-from liecodim import classify
-from liecodim.canon import AmbiguousMatch
+from liecodim import classify, exactla
+from liecodim.canon import AmbiguousMatch, param_str
 from liecodim.classify import GridSpec, classify_extensions
 from liecodim.cli import canonical_json
-from liecodim.exactla import Matrix, Subspace, char_poly
+from liecodim.exactla import (Matrix, Subspace, UnsupportedSpectrumError,
+                              _block_diag, char_poly)
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
 
 # Eight of the ten default sweeps (about 13 s together); r4/ext1 and
-# r_plus_h3/ext1 are left out to keep tier-1 short.  r3/ext2ad is the
-# ext2ad sweep with the most random conjugates (24).
+# r_plus_h3/ext1 are marked slow, which tier-1 deselects (run them with
+# ``pytest -m slow``).  r3/ext2ad is the ext2ad sweep with the most random
+# conjugates (24).
 CHEAP_SWEEPS = ("r1/ext1", "r3/ext1", "r2/ext2ad", "h3/ext2ad", "r3/ext2ad",
                 "r2/ext1", "h3/ext1", "g4/ext1")
+SLOW_SWEEPS = ("r4/ext1", "r_plus_h3/ext1")
 
 # Every catalog sweep space: seven ext1 spaces and three ext2ad spaces.
 SWEEP_SPACES = ("r1/ext1", "r2/ext1", "r3/ext1", "r4/ext1", "h3/ext1",
@@ -37,7 +42,8 @@ SWEEP_SPACES = ("r1/ext1", "r2/ext1", "r3/ext1", "r4/ext1", "h3/ext1",
                 "r2/ext2ad", "r3/ext2ad", "h3/ext2ad")
 
 
-@pytest.mark.parametrize("sweep", CHEAP_SWEEPS)
+@pytest.mark.parametrize("sweep", CHEAP_SWEEPS + tuple(
+    pytest.param(sweep, marks=pytest.mark.slow) for sweep in SLOW_SWEEPS))
 def test_default_report_matches_recorded_hash(sweep):
     base, mode = sweep.split("/")
     report = classify_extensions(base, mode, GridSpec(seed=RECORDED["seed"]))
@@ -152,6 +158,19 @@ def test_r2_ext1_sweep_takes_no_determinant(monkeypatch):
     assert {r[0] for r in results} == {"match", "nonmember", "skip"}
 
 
+def test_ext2ad_filters_reject_a_zero_row_without_rank(monkeypatch):
+    def no_rref(m):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(exactla, "rref", no_rref)
+    # [[A, v], [0, 0]] with A = [[1, 2, 0], [0, 0, 0], [3, 0, 1]]: the zero
+    # second row caps the rank at 2 and makes A singular.
+    flat = tuple(Fraction(x) for x in (1, 2, 0, 5, 0, 0, 0, 0,
+                                       3, 0, 1, 0, 0, 0, 0, 0))
+    assert classify._ext2_filters("r3", flat, 4) == {
+        "member": False, "outer": True, "indecomposable": True}
+
+
 def test_ext2ad_sweep_filters_each_point_once(monkeypatch):
     points = classify.sweep_points("r2", "ext2ad", GridSpec())
     calls = []
@@ -246,3 +265,72 @@ def test_traced_benchmark_finds_its_targets():
                           timeout=300)
     assert "MissingTarget" not in done.stderr
     assert done.returncode == 0, done.stderr
+
+
+ABELIAN_SWEEPS = ("r1/ext1", "r2/ext1", "r3/ext1", "r4/ext1",
+                  "r2/ext2ad", "r3/ext2ad")
+
+
+@pytest.mark.parametrize("sweep", ABELIAN_SWEEPS)
+def test_abelian_families_round_trip(sweep):
+    base, mode = sweep.split("/")
+    entry = classify.catalog()[base]
+    classifier = classify._classifier(entry, mode)
+    for t in classify._templates(entry, mode):
+        for params in t.sample(3):
+            outcome = classifier(t.build(params).flatten())
+            assert outcome[0] == t.name
+            assert classify._params_equal(outcome[1], params)
+            assert t.in_domain(outcome[1])
+
+
+def test_j2_with_negative_eigenvalue_lands_in_its_domain():
+    m = _block_diag([Matrix.from_rows([[-1, 1], [0, -1]]),
+                     Matrix.from_rows([[-2]]), Matrix.from_rows([[2]])])
+    entry = classify.catalog()["r4"]
+    name, params = entry.ext1_classifier(m.flatten())
+    assert (name, params) == ("j2", (Fraction(2), Fraction(-2)))
+    j2 = next(t for t in entry.ext1_templates if t.name == "j2")
+    assert j2.in_domain(params)
+    assert not j2.in_domain((Fraction(-2), Fraction(2)))
+
+
+def _outcome(classifier, flat):
+    try:
+        outcome = classifier(flat)
+    except UnsupportedSpectrumError:
+        return "skip"
+    if outcome is None:
+        return None
+    return outcome[0], tuple(param_str(p) for p in outcome[1])
+
+
+def test_gl2_fast_path_agrees_with_table_matcher():
+    grid = GridSpec(num_max=2, den_max=2)
+    points = classify.sweep_points("r2", "ext1", grid)
+    assert len(points) == 2401
+    table = functools.partial(classify._classify_abelian, "r2", "ext1")
+    sweep = classify._sweep_space("r2", "ext1")
+    outcomes = set()
+    for coeffs in points:
+        flat = sweep.to_flat(coeffs)
+        fast = _outcome(classify._classify_gl2_flat, flat)
+        assert fast == _outcome(table, flat), coeffs
+        outcomes.add(fast if fast in (None, "skip") else fast[0])
+    assert outcomes == {None, "skip", "diag", "j2", "cplx"}
+
+
+def test_template_sample_tests_each_candidate_once():
+    calls = []
+
+    def in_domain(p):
+        calls.append(p)
+        return abs(p[0]) <= 2 and p[1] > 0
+
+    t = classify._template("T", ("a", "b"), "test", lambda p: None, in_domain)
+    first = t.sample(24)
+    tested = len(calls)
+    assert t.sample(20) == first[:20]
+    assert t.sample(3) == first[:3]
+    assert len(calls) == tested
+    assert len(first) == 24 and len(set(calls)) == tested
