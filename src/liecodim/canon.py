@@ -298,9 +298,11 @@ class FamilyTemplate:
 
     ``build`` instantiates the canonical matrix at a rational parameter
     point (in the coordinate shape of the base algebra's cohomology
-    transversal); ``sample`` yields deterministic in-domain rational
-    parameter points.  Recognizing an arbitrary shaped matrix is the job of
-    the base algebra's classifier in the catalog.
+    transversal); ``in_domain`` decides rational points and rejects every
+    irrational one, although a classifier may return quadratic irrationals;
+    ``sample`` yields deterministic in-domain rational parameter points.
+    Recognizing an arbitrary shaped matrix is the job of the base algebra's
+    classifier in the catalog.
     """
 
     name: str

@@ -21,15 +21,18 @@ sweep space maps coordinates to slots through a plan computed once, the
 two-step filters run once per point, and a classifier builds a ``Matrix``
 only where it needs a determinant, rank or spectrum.
 
-On an abelian base every family is a row of one table: a block recipe of
-real Jordan and complex blocks.  One matcher scales a point's spectrum to
-its normal form and picks the fitting recipe with the fewest parameters;
-the same table builds each template and decides its domain.  r2/ext1 and
-h3's pair block take a 2x2 fast path with the same answers.  The matchers
-of h3, r⊕h3 and g4 read exact invariants off their coordinate shapes:
-discriminant signs, Jordan chain ranks, and the coupling slots that
-survive the basis-change rewrites.  Every matched point carries canonical
-parameter values, rational or exact quadratic irrationals.
+Every family is one table row: on an abelian base a block recipe of real
+Jordan and complex blocks (``_ABELIAN_FAMILIES``), on h3, r⊕h3 and g4 a
+template matrix in the base's coordinate shape (``_SHAPED_FAMILIES``).  On
+an abelian base one matcher scales a point's spectrum to its normal form
+and picks the fitting recipe with the fewest parameters; r2/ext1 and h3's
+pair block take a 2x2 fast path with the same answers.  The matchers of h3,
+r⊕h3 and g4 read exact invariants off their coordinate shapes: discriminant
+signs, Jordan chain ranks, and the coupling slots that survive the
+basis-change rewrites.  One constructor turns each row into a template
+whose domain is the rational points its matcher maps back to themselves.
+Every matched point carries canonical parameter values, rational or exact
+quadratic irrationals.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .canon import (
 )
 from .deriv import (
     DerivationSpace,
-    _reduce_against_pivots,
     derivation_space,
     project_to_h1,
 )
@@ -210,34 +212,23 @@ class SweepSpace:
 
 
 def _sweep_space_ext1(space: DerivationSpace) -> SweepSpace:
-    pivots = tuple(next(i for i, x in enumerate(row) if x != 0)
-                   for row in space.complement.basis)
-    return SweepSpace(space.algebra.dim, space.complement.basis, pivots)
+    return SweepSpace(space.algebra.dim, space.complement.basis,
+                      space.complement.pivots)
 
 
 def _sweep_space_ext2(space: DerivationSpace) -> SweepSpace:
     """Transversal of the inner derivations inside the derivations mapping
     everything into the base (zero action row for the adjoined generator)."""
-    k = space.algebra
-    n = k.dim
-    y = n - 1
-    row_slots = [y * n + j for j in range(n)]
+    n = space.algebra.dim
     if not space.full.basis:
         return SweepSpace(n, (), ())
-    constraint = Matrix(len(row_slots), len(space.full.basis), tuple(
-        tuple(b[slot] for b in space.full.basis) for slot in row_slots))
-    restricted = []
-    for coeffs in nullspace(constraint).basis:
-        v = [Fraction(0)] * (n * n)
-        for c, b in zip(coeffs, space.full.basis):
-            if c != 0:
-                for idx, val in enumerate(b):
-                    if val != 0:
-                        v[idx] += c * val
-        restricted.append(_reduce_against_pivots(tuple(v), space._inner_pivot_data))
-    sub = Subspace.from_vectors(n * n, restricted)
-    pivots = tuple(next(i for i, x in enumerate(row) if x != 0) for row in sub.basis)
-    return SweepSpace(n, sub.basis, pivots)
+    # Columns are the derivation basis; constraint rows are the y-row slots.
+    full = Matrix(len(space.full.basis), n * n, space.full.basis).transpose()
+    constraint = full.submatrix(range((n - 1) * n, n * n), range(full.cols))
+    sub = Subspace.from_vectors(n * n, [
+        space.inner.reduce(full.apply(coeffs))
+        for coeffs in nullspace(constraint).basis])
+    return SweepSpace(n, sub.basis, sub.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -595,85 +586,121 @@ def _classify_abelian(key: str, mode: str, flat: Vector) -> MatchResult:
     return outcome
 
 
-def _abelian_templates(key: str, mode: str) -> tuple[FamilyTemplate, ...]:
-    """Templates whose ``build`` is the recipe's block diagonal; a rational
-    point is in the domain if the matcher maps those blocks back to it."""
+def _recipe_at(recipe, params, point) -> list[tuple]:
+    """The recipe's blocks with its parameters set to ``point``."""
+    values = dict(zip(params, point))
+    return [(kind, size, *(values[w] if isinstance(w, str) else w
+                           for w in spec))
+            for kind, size, *spec in recipe]
 
-    def template(name, domain, params, recipe):
-        def blocks(point) -> list[tuple]:
-            values = dict(zip(params, point))
-            return [(kind, size, *(values[w] if isinstance(w, str) else w
-                                   for w in spec))
-                    for kind, size, *spec in recipe]
 
-        def build(point) -> Matrix:
-            mats = []
-            for kind, size, *vals in blocks(point):
-                # size copies of the unit block, chained by identity blocks
-                unit = [vals] if kind == "r" else [vals, [-vals[1], vals[0]]]
-                d = len(unit)
-                mats.append(Matrix.from_rows([
-                    [unit[i % d][j % d] if i // d == j // d else
-                     int(j == i + d) for j in range(d * size)]
-                    for i in range(d * size)]))
-            return _block_diag(mats)
+def _recipe_matrix(blocks) -> Matrix:
+    mats = []
+    for kind, size, *vals in blocks:
+        # size copies of the unit block, chained by identity blocks
+        unit = [vals] if kind == "r" else [vals, [-vals[1], vals[0]]]
+        d = len(unit)
+        mats.append(Matrix.from_rows([
+            [unit[i % d][j % d] if i // d == j // d else
+             int(j == i + d) for j in range(d * size)]
+            for i in range(d * size)]))
+    return _block_diag(mats)
 
-        def in_domain(point) -> bool:
-            if not _rational_point(point):
-                return False
-            point = tuple(map(_as_fraction, point))
-            at = blocks(point)
-            if any(b[0] == "c" and b[3] <= 0 for b in at):
-                return False  # the normal form's q is always positive
-            # A real spectrum is divided by its pivot, so a fixed point of
-            # the matcher has pivot 1.
-            if all(b[0] == "r" for b in at) and _pivot(
-                    [(b[2], b[1]) for b in at]) != 1:
-                return False
-            outcome = _match_spectrum(key, mode, [
-                b if b[0] == "r" else b[:3] + (b[3] * b[3],) for b in at])
-            return (outcome is not None and outcome[0] == name
-                    and _params_equal(outcome[1], point))
 
-        return _template(name, params, domain, build, in_domain)
-
-    return tuple(template(*row) for row in _abelian_table(key, mode)[0])
+def _recipe_match(key: str, mode: str, blocks) -> MatchResult:
+    """The table matcher on a recipe's own blocks, with no eigen
+    computation; None where the blocks cannot be a normal form."""
+    if any(b[0] == "c" and b[3] <= 0 for b in blocks):
+        return None  # the normal form's q is always positive
+    # A real spectrum is divided by its pivot, so a fixed point of the
+    # matcher has pivot 1.
+    if all(b[0] == "r" for b in blocks) and _pivot(
+            [(b[2], b[1]) for b in blocks]) != 1:
+        return None
+    return _match_spectrum(key, mode, [
+        b if b[0] == "r" else b[:3] + (b[3] * b[3],) for b in blocks])
 
 
 # ---------------------------------------------------------------------------
-# template tables
+# shaped bases: one row per family
 # ---------------------------------------------------------------------------
 
 def _shape_h3(a, b, c, e) -> Matrix:
-    z = Fraction(0)
-    return Matrix.from_rows([[a + b, z, z], [z, a, c], [z, e, b]])
+    return Matrix.from_rows([[a + b, 0, 0], [0, a, c], [0, e, b]])
 
 
 def _shape_rp(a, b, c, e, f, g, h, k) -> Matrix:
-    z = Fraction(0)
     return Matrix.from_rows([
-        [a + b, z, z, k], [z, a, e, z], [z, f, b, z], [z, g, h, c]])
+        [a + b, 0, 0, k], [0, a, e, 0], [0, f, b, 0], [0, g, h, c]])
 
 
 def _shape_g4(a, b, c, e) -> Matrix:
-    z = Fraction(0)
     return Matrix.from_rows([
-        [a + 2 * b, z, e, z], [z, a + b, z, z], [z, z, a, c], [z, z, z, b]])
+        [a + 2 * b, 0, e, 0], [0, a + b, 0, 0], [0, 0, a, c], [0, 0, 0, b]])
 
 
 def _shape_h3_ext2(a, b, c, e, h) -> Matrix:
-    z = Fraction(0)
     return Matrix.from_rows([
-        [a + b, z, z, h], [z, a, c, z], [z, e, b, z], [z, z, z, z]])
+        [a + b, 0, 0, h], [0, a, c, 0], [0, e, b, 0], [0, 0, 0, 0]])
 
+
+# The families of h3, r⊕h3 and g4: name, domain text, parameter names and
+# the template matrix at a point, in the coordinate shape of the base's
+# classifier; a domain is the points that classifier maps to themselves.
+_SHAPED_FAMILIES = {
+    ("h3", "ext1"): (
+        ("A", "0 < |lam| <= 1", ("lam",), lambda p: _shape_h3(1, p[0], 0, 0)),
+        ("B", "no parameters", (), lambda p: _shape_h3(1, 1, 1, 0)),
+        ("C", "lam >= 0", ("lam",), lambda p: _shape_h3(p[0], p[0], 1, -1)),
+    ),
+    ("h3", "ext2ad"): (
+        ("F", "no parameters", (), lambda p: _shape_h3_ext2(1, -1, 0, 0, 1)),
+        ("G", "no parameters", (), lambda p: _shape_h3_ext2(0, 0, 1, -1, 1)),
+    ),
+    ("r_plus_h3", "ext1"): (
+        ("A", "0 < |alpha| <= 1, beta != 0", ("alpha", "beta"),
+         lambda p: _shape_rp(1, p[0], p[1], 0, 0, 0, 0, 0)),
+        ("B", "alpha in (-1, 1], alpha != 0", ("alpha",),
+         lambda p: _shape_rp(1, p[0], 1 + p[0], 0, 0, 0, 0, 1)),
+        ("C", "alpha != 0", ("alpha",),
+         lambda p: _shape_rp(p[0], 1, 1, 0, 0, 0, 1, 0)),
+        ("D", "beta != 0", ("beta",),
+         lambda p: _shape_rp(1, 1, p[0], 0, 1, 0, 0, 0)),
+        ("E", "no parameters", (), lambda p: _shape_rp(1, 1, 2, 0, 1, 0, 0, 1)),
+        ("F", "no parameters", (), lambda p: _shape_rp(1, 1, 1, 0, 1, 0, 1, 0)),
+        ("G", "lam >= 0, c > 0", ("lam", "c"),
+         lambda p: _shape_rp(p[0], p[0], p[1], 1, -1, 0, 0, 0)),
+        ("H", "lam > 0", ("lam",),
+         lambda p: _shape_rp(p[0], p[0], 2 * p[0], 1, -1, 0, 0, 1)),
+    ),
+    ("g4", "ext1"): (
+        ("I", "lam != 0", ("lam",), lambda p: _shape_g4(p[0], 1, 0, 0)),
+        ("J", "no parameters", (), lambda p: _shape_g4(1, 1, 1, 0)),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# templates
+# ---------------------------------------------------------------------------
 
 # Template parameter values; candidates are their k-fold product, in order.
 _SAMPLE_VALUES = tuple(Fraction(s * v) for v in range(1, 19) for s in (1, -1))
 
 
-def _template(name, param_names, domain_desc, build, in_domain) -> FamilyTemplate:
+def _template(name, param_names, domain_desc, build, match) -> FamilyTemplate:
+    """A family whose domain is the fixed points of its matcher: a rational
+    point p is in it when ``match(p)`` returns ``(name, p)``."""
     candidates = itertools.product(_SAMPLE_VALUES, repeat=len(param_names))
     accepted: list[tuple[Fraction, ...]] = []
+
+    def in_domain(point) -> bool:
+        if not _rational_point(point):
+            return False
+        point = tuple(map(_as_fraction, point))
+        outcome = match(point)
+        return (outcome is not None and outcome[0] == name
+                and _params_equal(outcome[1], point))
 
     def sample(count: int) -> list[tuple[Fraction, ...]]:
         """The first ``count`` (at least one) in-domain candidates."""
@@ -688,105 +715,25 @@ def _template(name, param_names, domain_desc, build, in_domain) -> FamilyTemplat
                           build, in_domain, sample)
 
 
-def _h3_ext1_templates() -> tuple[FamilyTemplate, ...]:
-    one = Fraction(1)
-    return (
-        _template(
-            "A", ("lam",), "0 < |lam| <= 1",
-            lambda p: _shape_h3(one, p[0], 0, 0),
-            lambda p: _rational_point(p) and 0 < abs(_as_fraction(p[0])) <= 1),
-        _template(
-            "B", (), "no parameters",
-            lambda p: _shape_h3(one, one, one, 0),
-            lambda p: True),
-        _template(
-            "C", ("lam",), "lam >= 0",
-            lambda p: _shape_h3(p[0], p[0], one, -one),
-            lambda p: _sgn(p[0]) >= 0),
-    )
+def _family_templates(key: str, mode: str,
+                      classifier: Optional[Callable[[Vector], MatchResult]]
+                      ) -> tuple[FamilyTemplate, ...]:
+    """The templates of one (base, mode), one per table row.  An abelian
+    row builds and matches its block recipe; a shaped row is matched by the
+    base's classifier."""
 
+    def from_recipe(name, domain, params, recipe):
+        at = partial(_recipe_at, recipe, params)
+        return _template(name, params, domain, lambda p: _recipe_matrix(at(p)),
+                         lambda p: _recipe_match(key, mode, at(p)))
 
-def _rp_ext1_templates() -> tuple[FamilyTemplate, ...]:
-    one = Fraction(1)
-    z = Fraction(0)
+    def from_shape(name, domain, params, build):
+        return _template(name, params, domain, build,
+                         lambda p: classifier(build(p).flatten()))
 
-    def a_domain(p) -> bool:
-        if not _rational_point(p):
-            return False
-        al, be = _as_fraction(p[0]), _as_fraction(p[1])
-        if not (0 < abs(al) <= 1 and be != 0):
-            return False
-        return not (al == -1 and be < 0)
-
-    def g_domain(p) -> bool:
-        if _sgn(p[0]) < 0 or _sgn(p[1]) == 0:
-            return False
-        return not (_sgn(p[0]) == 0 and _sgn(p[1]) < 0)
-
-    return (
-        _template(
-            "A", ("alpha", "beta"),
-            "0 < |alpha| <= 1, beta != 0",
-            lambda p: _shape_rp(one, p[0], p[1], z, z, z, z, z),
-            a_domain),
-        _template(
-            "B", ("alpha",),
-            "alpha in (-1, 1], alpha != 0",
-            lambda p: _shape_rp(one, p[0], one + p[0], z, z, z, z, one),
-            lambda p: _rational_point(p) and
-            -1 < _as_fraction(p[0]) <= 1 and _as_fraction(p[0]) != 0),
-        _template(
-            "C", ("alpha",), "alpha != 0",
-            lambda p: _shape_rp(p[0], one, one, z, z, z, one, z),
-            lambda p: _sgn(p[0]) != 0),
-        _template(
-            "D", ("beta",), "beta != 0",
-            lambda p: _shape_rp(one, one, p[0], z, one, z, z, z),
-            lambda p: _sgn(p[0]) != 0),
-        _template(
-            "E", (), "no parameters",
-            lambda p: _shape_rp(one, one, 2 * one, z, one, z, z, one),
-            lambda p: True),
-        _template(
-            "F", (), "no parameters",
-            lambda p: _shape_rp(one, one, one, z, one, z, one, z),
-            lambda p: True),
-        _template(
-            "G", ("lam", "c"), "lam >= 0, c > 0",
-            lambda p: _shape_rp(p[0], p[0], p[1], one, -one, z, z, z),
-            g_domain),
-        _template(
-            "H", ("lam",), "lam > 0",
-            lambda p: _shape_rp(p[0], p[0], 2 * p[0], one, -one, z, z, one),
-            lambda p: _sgn(p[0]) > 0),
-    )
-
-
-def _g4_ext1_templates() -> tuple[FamilyTemplate, ...]:
-    one = Fraction(1)
-    z = Fraction(0)
-    return (
-        _template(
-            "I", ("lam",), "lam != 0",
-            lambda p: _shape_g4(p[0], one, z, z),
-            lambda p: _sgn(p[0]) != 0),
-        _template(
-            "J", (), "no parameters",
-            lambda p: _shape_g4(one, one, one, z),
-            lambda p: True),
-    )
-
-
-def _h3_ext2_templates() -> tuple[FamilyTemplate, ...]:
-    one = Fraction(1)
-    return (
-        _template("F", (), "no parameters",
-                  lambda p: _shape_h3_ext2(one, -one, 0, 0, one),
-                  lambda p: True),
-        _template("G", (), "no parameters",
-                  lambda p: _shape_h3_ext2(0, 0, one, -one, one),
-                  lambda p: True),
-    )
+    if (key, mode) in _ABELIAN_FAMILIES:
+        return tuple(from_recipe(*row) for row in _abelian_table(key, mode)[0])
+    return tuple(from_shape(*row) for row in _SHAPED_FAMILIES.get((key, mode), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -818,30 +765,23 @@ class CatalogEntry:
 def catalog() -> dict[str, CatalogEntry]:
     entries: dict[str, CatalogEntry] = {}
 
-    def add(key, algebra, ext1_templates, ext1_classifier,
-            ext2_templates=(), ext2_classifier=None):
+    def add(key, algebra, ext1_classifier, ext2_classifier=None):
         if not is_nilpotent(algebra):
             raise AssertionError(f"catalog base {key} must be nilpotent")
         entries[key] = CatalogEntry(
-            key, algebra, tuple(ext1_templates), tuple(ext2_templates),
+            key, algebra, _family_templates(key, "ext1", ext1_classifier),
+            _family_templates(key, "ext2ad", ext2_classifier),
             ext1_classifier, ext2_classifier)
 
-    add("r1", abelian(1, "r1"), _abelian_templates("r1", "ext1"),
-        partial(_classify_abelian, "r1", "ext1"))
-    add("r2", abelian(2, "r2"), _abelian_templates("r2", "ext1"),
-        _classify_gl2_flat, _abelian_templates("r2", "ext2ad"),
+    add("r1", abelian(1, "r1"), partial(_classify_abelian, "r1", "ext1"))
+    add("r2", abelian(2, "r2"), _classify_gl2_flat,
         partial(_classify_abelian, "r2", "ext2ad"))
-    add("r3", abelian(3, "r3"), _abelian_templates("r3", "ext1"),
-        partial(_classify_abelian, "r3", "ext1"),
-        _abelian_templates("r3", "ext2ad"),
+    add("r3", abelian(3, "r3"), partial(_classify_abelian, "r3", "ext1"),
         partial(_classify_abelian, "r3", "ext2ad"))
-    add("r4", abelian(4, "r4"), _abelian_templates("r4", "ext1"),
-        partial(_classify_abelian, "r4", "ext1"))
-    add("h3", heisenberg3(), _h3_ext1_templates(), _classify_h3_ext1,
-        _h3_ext2_templates(), _classify_h3_ext2)
-    add("r_plus_h3", r_plus_heisenberg(), _rp_ext1_templates(),
-        _classify_rp_ext1)
-    add("g4", filiform4(), _g4_ext1_templates(), _classify_g4_ext1)
+    add("r4", abelian(4, "r4"), partial(_classify_abelian, "r4", "ext1"))
+    add("h3", heisenberg3(), _classify_h3_ext1, _classify_h3_ext2)
+    add("r_plus_h3", r_plus_heisenberg(), _classify_rp_ext1)
+    add("g4", filiform4(), _classify_g4_ext1)
     return entries
 
 

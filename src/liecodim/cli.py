@@ -177,6 +177,8 @@ def _load_json(path: str) -> Any:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path}: nested too deeply") from exc
 
 
 # ---------------------------------------------------------------------------

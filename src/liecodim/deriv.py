@@ -100,7 +100,6 @@ class DerivationSpace:
     full: Subspace
     inner: Subspace
     complement: Subspace
-    _inner_pivot_data: tuple[tuple[Vector, int], ...]
 
     @property
     def dim_full(self) -> int:
@@ -145,26 +144,12 @@ def derivation_space(alg: LieAlgebra) -> DerivationSpace:
     inner_vectors = [adjoint_matrix(alg, alg.basis_vector(i)).flatten()
                      for i in range(alg.dim)]
     inner = Subspace.from_vectors(alg.dim ** 2, inner_vectors)
-    pivot_data = tuple(
-        (row, next(i for i, x in enumerate(row) if x != 0)) for row in inner.basis)
-    complement_vectors = [
-        _reduce_against_pivots(v, pivot_data) for v in full.basis]
-    complement = Subspace.from_vectors(alg.dim ** 2, complement_vectors)
-    space = DerivationSpace(alg, full, inner, complement, pivot_data)
+    complement = Subspace.from_vectors(
+        alg.dim ** 2, [inner.reduce(v) for v in full.basis])
+    space = DerivationSpace(alg, full, inner, complement)
     if space.dim_h1 != complement.dim:
         raise AssertionError("internal: transversal dimension mismatch")
     return space
-
-
-def _reduce_against_pivots(v: Vector,
-                           pivot_data: tuple[tuple[Vector, int], ...]) -> Vector:
-    w = list(v)
-    for row, p in pivot_data:
-        if w[p] != 0:
-            f = w[p]
-            for i in range(len(w)):
-                w[i] -= f * row[i]
-    return tuple(w)
 
 
 def project_to_h1(space: DerivationSpace, d: Matrix) -> CohomologyClass:
@@ -175,7 +160,7 @@ def project_to_h1(space: DerivationSpace, d: Matrix) -> CohomologyClass:
     violation = leibniz_residual(space.algebra, d)
     if violation is not None:
         raise NotADerivation(*violation)
-    reduced = _reduce_against_pivots(d.flatten(), space._inner_pivot_data)
+    reduced = space.inner.reduce(d.flatten())
     rep = space.matrix_from_flat(reduced)
     if not space.complement.contains(reduced):
         raise AssertionError("internal: projected representative left the transversal")

@@ -11,7 +11,8 @@ clean error instead of approximating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -40,6 +41,11 @@ class NotInvertible(ExactLAError):
     """A matrix required to be invertible is singular."""
 
 
+# An optional sign, digits and an optional "/digits": no exponent and no
+# decimal point, so a short string never stands for a huge number.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def frac(x: Scalar) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact rational."""
     if isinstance(x, Fraction):
@@ -47,6 +53,8 @@ def frac(x: Scalar) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL_TEXT.fullmatch(x.strip()):
+            raise ValueError(f"not a rational 'p' or 'p/q': {x!r}")
         return Fraction(x.strip())
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
@@ -298,6 +306,11 @@ class Subspace:
 
     ambient_dim: int
     basis: tuple[Vector, ...]
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pivots", tuple(
+            next(i for i, x in enumerate(row) if x != 0) for row in self.basis))
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
@@ -325,14 +338,23 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         return self.coordinates(v) is not None
 
+    def reduce(self, v: Vector) -> Vector:
+        """``v`` reduced against the echelon basis: zero at every pivot, and
+        zero altogether exactly when ``v`` lies in the subspace."""
+        w = list(v)
+        for row, p in zip(self.basis, self.pivots):
+            f = w[p]
+            if f != 0:
+                w = [x - f * y for x, y in zip(w, row)]
+        return tuple(w)
+
     def coordinates(self, v: Vector) -> Optional[Vector]:
         """Coefficients of ``v`` in the echelon basis, or None if outside."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if not self.basis:
-            return () if vec_is_zero(v) else None
-        a = Matrix(len(self.basis), self.ambient_dim, self.basis).transpose()
-        return solve(a, v)
+        if not vec_is_zero(self.reduce(v)):
+            return None
+        return tuple(Fraction(v[p]) for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)

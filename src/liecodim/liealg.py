@@ -9,7 +9,7 @@ fails exactly here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -253,10 +253,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: Optional[str] = None) -> LieA
 
 def complement_coordinates(space: Subspace) -> list[int]:
     """Ambient coordinates not used as pivots by the echelon basis."""
-    pivots = []
-    for row in space.basis:
-        pivots.append(next(i for i, x in enumerate(row) if x != 0))
-    return [i for i in range(space.ambient_dim) if i not in pivots]
+    return [i for i in range(space.ambient_dim) if i not in space.pivots]
 
 
 def quotient(alg: LieAlgebra, ideal: Ideal, name: Optional[str] = None) -> LieAlgebra:
@@ -279,15 +276,9 @@ def quotient(alg: LieAlgebra, ideal: Ideal, name: Optional[str] = None) -> LieAl
 def _projection_to_complement(space: Subspace, comp: list[int]):
     """Project ambient vectors onto the complement coordinates modulo the
     subspace (reduce against the echelon basis, read off free slots)."""
-    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in space.basis]
 
     def project(v: Vector) -> Vector:
-        w = list(v)
-        for row, p in zip(space.basis, pivots):
-            if w[p] != 0:
-                f = w[p]
-                for i in range(len(w)):
-                    w[i] -= f * row[i]
+        w = space.reduce(v)
         return tuple(w[i] for i in comp)
 
     return project

@@ -1,8 +1,9 @@
 """Classification sweeps: byte-identical default reports, one point list
 per sweep, the worker-pool size, sweep-space coordinates, the per-point
 work of the sweep stage, the shared extension path of both sweep modes, the
-abelian family table and its matcher, template sampling, and the names the
-traced benchmark wraps."""
+abelian family table and its matcher, template sampling, the pinned samples
+of the shaped families, small-grid sweeps of the two slow bases, and the
+names the traced benchmark wraps."""
 
 import dataclasses
 import functools
@@ -323,14 +324,72 @@ def test_gl2_fast_path_agrees_with_table_matcher():
 def test_template_sample_tests_each_candidate_once():
     calls = []
 
-    def in_domain(p):
+    def match(p):
         calls.append(p)
-        return abs(p[0]) <= 2 and p[1] > 0
+        return ("T", p) if abs(p[0]) <= 2 and p[1] > 0 else None
 
-    t = classify._template("T", ("a", "b"), "test", lambda p: None, in_domain)
+    t = classify._template("T", ("a", "b"), "test", lambda p: None, match)
     first = t.sample(24)
     tested = len(calls)
     assert t.sample(20) == first[:20]
     assert t.sample(3) == first[:3]
     assert len(calls) == tested
     assert len(first) == 24 and len(set(calls)) == tested
+
+
+def _series(*values):
+    return " ".join(str(v) for v in values)
+
+
+_ALTERNATING = _series(*(s * v for v in range(1, 13) for s in (1, -1)))
+_POSITIVE = _series(*range(1, 19))
+
+# sample(24) of every h3, r⊕h3 and g4 template, 165 points in all: points
+# are separated by spaces and their coordinates by commas; "()" is the
+# point of a family without parameters.
+_PINNED_SAMPLES = {
+    "h3/ext1": {"A": "1 -1", "B": "()", "C": _POSITIVE},
+    "h3/ext2ad": {"F": "()", "G": "()"},
+    "r_plus_h3/ext1": {
+        "A": " ".join(f"1,{v}" for v in _ALTERNATING.split()),
+        "B": "1", "C": _ALTERNATING, "D": _ALTERNATING, "E": "()",
+        "F": "()",
+        "G": " ".join(f"1,{v}" for v in _ALTERNATING.split()),
+        "H": _POSITIVE},
+    "g4/ext1": {"I": _ALTERNATING, "J": "()"},
+}
+
+
+def test_shaped_template_samples_are_pinned():
+    total = 0
+    for sweep, families in _PINNED_SAMPLES.items():
+        base, mode = sweep.split("/")
+        entry = classify.catalog()[base]
+        classifier = classify._classifier(entry, mode)
+        templates = classify._templates(entry, mode)
+        assert [t.name for t in templates] == list(families)
+        for t in templates:
+            expected = [tuple(Fraction(x) for x in point.strip("()").split(",")
+                              if x)
+                        for point in families[t.name].split()]
+            assert t.sample(24) == expected, (sweep, t.name)
+            for params in expected:
+                name, found = classifier(t.build(params).flatten())
+                assert name == t.name
+                assert classify._params_equal(found, params)
+            total += len(expected)
+    assert total == 165
+
+
+# A small grid for the two sweeps too slow for tier-1 at the default grid.
+# num_max=1 would make the r_plus_h3 grid Cartesian and miss D, E and F.
+_SMALL_GRID = GridSpec(num_max=2, den_max=1, n_random=20,
+                       n_template_samples=4, n_conjugates=1)
+
+
+@pytest.mark.parametrize("sweep", SLOW_SWEEPS)
+def test_slow_sweep_on_a_small_grid(sweep):
+    report = classify_extensions(*sweep.split("/"), _SMALL_GRID).as_dict()
+    assert report["golden"]["ok"]
+    assert all(f["verified_points"] > 0 for f in report["families"])
+    assert all(e["evidence"] != "UNRESOLVED" for e in report["distinctness"])

@@ -14,7 +14,7 @@ from liecodim.cli import (
     main,
     matrix_to_document,
 )
-from liecodim.exactla import Matrix
+from liecodim.exactla import Matrix, frac
 from liecodim.ext import build_double_extension
 from liecodim.liealg import abelian
 
@@ -126,3 +126,31 @@ class TestMalformedDocuments:
         code, err = self._run(["extend", alg, "--derivation", d], capsys)
         assert code == EXIT_USAGE
         assert "derivation matrix has wrong shape" in err
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, err = self._run(["validate", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert "nested too deeply" in err
+
+    @staticmethod
+    def _algebra_with_coefficient(tmp_path, text):
+        return _write(tmp_path / "alg.json", {
+            "dim": 2, "brackets": [{"i": 1, "j": 2, "coeffs": {"1": text}}]})
+
+    @pytest.mark.parametrize("text", ["1e3", "0.5"])
+    def test_rational_with_exponent_or_decimal_point(self, tmp_path, capsys,
+                                                      text):
+        code, err = self._run(
+            ["validate", self._algebra_with_coefficient(tmp_path, text)],
+            capsys)
+        assert code == EXIT_USAGE
+        assert "bad rational" in err
+
+    def test_signed_fraction_parses(self, tmp_path, capsys):
+        code, _ = self._run(
+            ["validate", self._algebra_with_coefficient(tmp_path, "-3/4")],
+            capsys)
+        assert code == EXIT_OK
+        assert frac(" -3/4 ") == Fraction(-3, 4)

@@ -11,6 +11,7 @@ from liecodim.exactla import (
     IrreducibleFactorDegreeTooHigh,
     Matrix,
     RealIrrationalEigenvalues,
+    Subspace,
     _sqrt_fraction,
     char_poly,
     eigen_structure,
@@ -82,6 +83,34 @@ class TestSolve:
         # does (2, 4) lie in the column span of [[1],[2]]?
         assert solve(M([[1], [2]]), (F(2), F(4))) == (F(2),)
         assert solve(M([[1], [2]]), (F(2), F(5))) is None
+
+
+class TestSubspace:
+    def test_coordinates_agree_with_solve(self):
+        rng = random.Random(20250801)
+
+        def entry():
+            return F(rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 3))
+
+        seen = {"inside": 0, "outside": 0}
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            gens = [tuple(entry() for _ in range(n))
+                    for _ in range(rng.randint(0, n))]
+            space = Subspace.from_vectors(n, gens)
+            assert space.pivots == (
+                rref(Matrix.from_rows(space.basis))[2] if space.basis else ())
+            combo = tuple(sum((entry() * g[i] for g in gens), F(0))
+                          for i in range(n))
+            for v in (combo, tuple(entry() for _ in range(n))):
+                columns = Matrix(n, space.dim, tuple(
+                    tuple(b[i] for b in space.basis) for i in range(n)))
+                expected = solve(columns, v)
+                assert space.coordinates(v) == expected
+                assert all(x == 0 for x in space.reduce(v)) == \
+                    (expected is not None)
+                seen["inside" if expected is not None else "outside"] += 1
+        assert min(seen.values()) > 50
 
 
 class TestCharPoly:
