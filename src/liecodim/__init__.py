@@ -15,7 +15,6 @@ from .exactla import (
     eigen_structure,
     frac,
     nullspace,
-    real_jordan_form,
     rref,
     solve,
 )
@@ -51,7 +50,6 @@ from .deriv import (
 )
 from .ext import (
     ConditionDisagreement,
-    ExtensionSpec,
     LieCSpec,
     build_double_extension,
     check_codim1_condition,

@@ -19,9 +19,10 @@ u*sqrt(v); they are carried exactly by :class:`ExactScalar`, never floats.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .exactla import (
     EigenStructure,
@@ -29,12 +30,18 @@ from .exactla import (
     _sqrt_fraction,
     eigen_structure,
     format_frac,
-    real_jordan_form,
+    nullspace,
 )
 
 
 class AmbiguousMatch(Exception):
     """Two templates claimed the same matrix (internal bug trap)."""
+
+
+def _pivot_sorted(items: Sequence, value: Callable = lambda v: v) -> list:
+    """Largest absolute ``value`` first; ties prefer the positive value.
+    This is the one pivot rule of the scaling conventions."""
+    return sorted(items, key=lambda x: (-abs(value(x)), value(x) < 0))
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
@@ -187,12 +194,10 @@ def _candidate_scalings(st: EigenStructure) -> list[ExactScalar]:
     jordan_eigs = [ev.value for ev, sizes in st.entries
                    if ev.kind == "rational" and ev.value != 0 and sizes and sizes[0] >= 2]
     if jordan_eigs:
-        lam = max(jordan_eigs, key=lambda v: (abs(v), v > 0))
-        return [ExactScalar.of(Fraction(1) / lam)]
+        return [ExactScalar.of(Fraction(1) / _pivot_sorted(jordan_eigs)[0])]
     nonzero = [ev.value for ev, _ in st.entries if ev.kind == "rational" and ev.value != 0]
     if nonzero:
-        lam = max(nonzero, key=lambda v: (abs(v), v > 0))
-        return [ExactScalar.of(Fraction(1) / lam)]
+        return [ExactScalar.of(Fraction(1) / _pivot_sorted(nonzero)[0])]
     return [ExactScalar.of(1)]
 
 
@@ -248,6 +253,39 @@ def _structure_key(st: EigenStructure) -> tuple:
     return _scaled_structure_key(st, Fraction(1))
 
 
+def _intertwiner(x: Matrix, y: Matrix) -> Matrix:
+    """An invertible C with y C = C x, for x and y known to be similar.
+
+    The solutions C form a linear space (the nullspace of an n^2 x n^2
+    system in row-major C) that contains an invertible matrix, so det is a
+    nonzero polynomial of degree n on it.  A seeded random combination of
+    the basis with integer coefficients in [-10n, 10n] is therefore
+    singular with probability at most n / (20n + 1) < 1/20 (Schwartz,
+    JACM 1980); failing 100 draws is an internal error.
+    """
+    n = x.rows
+    system = []
+    for i in range(n):
+        for j in range(n):
+            row = [Fraction(0)] * (n * n)
+            for k in range(n):
+                row[k * n + j] += y[i, k]
+                row[i * n + k] -= x[k, j]
+            system.append(tuple(row))
+    basis = nullspace(Matrix(n * n, n * n, tuple(system))).basis
+    rng = random.Random(0)
+    for _ in range(100):
+        coeffs = [rng.randint(-10 * n, 10 * n) for _ in basis]
+        flat = tuple(sum((c * v[i] for c, v in zip(coeffs, basis)), Fraction(0))
+                     for i in range(n * n))
+        candidate = Matrix.unflatten(flat, n, n)
+        if candidate.det() != 0:
+            return candidate
+    raise AssertionError(
+        f"internal: no invertible intertwiner in 100 draws from a "
+        f"{len(basis)}-dimensional solution space")
+
+
 def proportional_similar(a: Matrix, b: Matrix
                          ) -> Optional[tuple[Fraction, Matrix]]:
     """A verified witness (c, C) with c*a = C^-1 b C, or None.
@@ -258,6 +296,11 @@ def proportional_similar(a: Matrix, b: Matrix
     over the reals but only via an irrational scalar (possible when the
     whole spectrum is irrational complex) is reported as None, consistent
     with the no-algebraic-number-tower policy.
+
+    Matching eigenvalues and Jordan block sizes make c*a and b similar over
+    the rationals, so the witness for the first passing candidate is an
+    invertible solution of the linear condition b C = C (c*a), drawn by
+    :func:`_intertwiner`.
     """
     if a.rows != b.rows or not a.is_square() or not b.is_square():
         return None
@@ -282,13 +325,11 @@ def proportional_similar(a: Matrix, b: Matrix
     for c in sorted(candidates):
         if c == 0 or _scaled_structure_key(st_a, c) != key_b:
             continue
-        dec_a = real_jordan_form(a.scale(c))
-        dec_b = real_jordan_form(b)
-        if dec_a.jordan != dec_b.jordan:
-            continue
-        witness = dec_b.transform @ dec_a.transform.inverse()
-        if witness.inverse() @ b @ witness == a.scale(c):
-            return c, witness
+        scaled = a.scale(c)
+        witness = _intertwiner(scaled, b)
+        if witness.inverse() @ b @ witness != scaled:
+            raise AssertionError("internal: intertwiner fails to verify")
+        return c, witness
     return None
 
 

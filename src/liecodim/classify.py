@@ -52,6 +52,7 @@ from .canon import (
     ExactScalar,
     FamilyTemplate,
     ParamValue,
+    _pivot_sorted,
     as_exact,
     param_str,
     proportional_normalize,
@@ -76,7 +77,6 @@ from .exactla import (
     solve,
 )
 from .ext import (
-    ExtensionSpec,
     check_codim1_condition,
     check_codim2_condition,
     extend_by_derivation,
@@ -114,11 +114,6 @@ class GoldenMismatch(Exception):
         self.expected = set(expected)
         super().__init__(f"found families {sorted(found)} but expected "
                          f"{sorted(expected)}{'; ' + detail if detail else ''}")
-
-
-def _pivot_sorted(values: Sequence[Fraction]) -> list[Fraction]:
-    """Largest absolute value first; ties prefer the positive value."""
-    return sorted(values, key=lambda v: (-abs(v), v < 0))
 
 
 def _inv_q(q2: Fraction) -> ExactScalar:
@@ -534,8 +529,8 @@ def _normal_blocks(spectrum) -> list[tuple]:
     else:
         factor = Fraction(1) / _pivot(reals)
         head = []
-    scaled = sorted(((v * factor, s) for v, s in reals),
-                    key=lambda vs: (-abs(vs[0]), vs[0] < 0))
+    scaled = _pivot_sorted([(v * factor, s) for v, s in reals],
+                           lambda vs: vs[0])
     # A zero stays a Fraction, equal to a recipe's constant 0.
     return head + [("r", s, ExactScalar.of(v).times(inv) if pairs and v else v)
                    for v, s in scaled]
@@ -951,6 +946,15 @@ class GridSpec:
     n_conjugates: int = 3
     seed: int = 20250801
 
+    def __post_init__(self) -> None:
+        for name, low in (("num_max", 1), ("den_max", 1),
+                          ("cartesian_budget", 0), ("n_random", 0),
+                          ("n_template_samples", 0), ("n_conjugates", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(
+                    f"grid field {name} must be at least {low}, got {value}")
+
     def values(self) -> list[Fraction]:
         return sorted({Fraction(p, q)
                        for p in range(-self.num_max, self.num_max + 1)
@@ -1280,17 +1284,13 @@ def _verify_template(entry: CatalogEntry, mode: str,
     verified = 0
     classifier = _classifier(entry, mode)
     space, _ = _mode_spaces(entry.key, mode)
-    n = entry.algebra.dim
     for params in samples:
         m = t.build(params)
         flat = m.flatten()
         extend_by_derivation(space.algebra, m)  # raises on any Jacobi failure
         mem_ok = mem_ok and _is_member(entry, mode, m)
         if mode == "ext2ad":
-            spec = ExtensionSpec(entry.algebra, Matrix.zero(n, n),
-                                 m.submatrix(range(n), range(n)),
-                                 m.column(n)[:n])
-            cert = is_decomposable_double(entry.algebra, spec)
+            cert = is_decomposable_double(entry.algebra, m)
             indec_ok = indec_ok and not cert.decomposable
             filters = _ext2_filters(entry.key, flat, m.rows)
             failed = [name for name, ok in filters.items() if not ok]

@@ -40,7 +40,6 @@ from .ext import (
     check_codim1_condition,
     check_codim2_condition,
     extend_by_derivation,
-    ExtensionSpec,
     is_decomposable_double,
     lie_c_iso_check,
     verify_iso_witness_full,
@@ -256,7 +255,7 @@ def cmd_extend(args) -> int:
         "verdicts": {"member": verdict2.member},
     }
     if d.is_zero():
-        cert = is_decomposable_double(alg, ExtensionSpec(alg, d, second, zy))
+        cert = is_decomposable_double(alg, d_full)
         doc["verdicts"]["decomposable"] = cert.decomposable
     sys.stdout.write(canonical_json(doc))
     return EXIT_OK if verdict2.member else EXIT_VERDICT

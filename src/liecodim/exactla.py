@@ -588,104 +588,6 @@ def eigen_structure(m: Matrix) -> EigenStructure:
     return EigenStructure(n, tuple(entries))
 
 
-# ---------------------------------------------------------------------------
-# real Jordan form with exact change of basis
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JordanDecomposition:
-    """Exact Jordan data: ``transform^-1 @ matrix @ transform == jordan``.
-
-    Block conventions, fixed so the output is deterministic:
-
-    * blocks are ordered by (eigenvalue kind, eigenvalue value ascending),
-      then by block size descending;
-    * rational-eigenvalue blocks carry their 1s on the superdiagonal;
-    * a complex pair p +- q*i with rational q yields, for 1x1 pair blocks,
-      the rotation block [[p, q], [-q, p]]; otherwise (irrational q or
-      higher pair blocks) the rational pair block [[p, 1], [-q^2, p]] is
-      used, chained by an E21 coupling between consecutive levels.
-    """
-
-    jordan: Matrix
-    transform: Matrix
-    structure: EigenStructure
-
-
-def _extend_basis(current: list[Vector], candidates: Iterable[Vector],
-                  ambient: int) -> list[Vector]:
-    """Candidates that extend the span of ``current``, in canonical order."""
-    chosen: list[Vector] = []
-    span = Subspace.from_vectors(ambient, current)
-    for v in candidates:
-        if not span.contains(v):
-            chosen.append(v)
-            span = Subspace.from_vectors(ambient, list(span.basis) + [v])
-    return chosen
-
-
-def _jordan_chains(op: Matrix, max_size: int, multiplicity: int) -> list[list[Vector]]:
-    """Jordan chains for a nilpotent-on-its-kernel-tower operator ``op``.
-
-    Returns chains [v, op v, op^2 v, ...] with heads chosen from canonical
-    kernel bases, longest chains first.
-    """
-    n = op.rows
-    kernels = []
-    power = Matrix.identity(n)
-    for _ in range(max_size):
-        power = power @ op
-        kernels.append(nullspace(power))
-    chains: list[list[Vector]] = []
-    used: list[Vector] = []
-    for level in range(max_size, 0, -1):
-        k_here = kernels[level - 1]
-        k_below = kernels[level - 2] if level >= 2 else Subspace.zero(n)
-        obstructions = list(k_below.basis)
-        # vectors already placed at this height (images of taller chain heads)
-        for chain in chains:
-            depth = len(chain) - level
-            if 0 <= depth < len(chain):
-                obstructions.append(chain[depth])
-        heads = _extend_basis(obstructions, k_here.basis, n)
-        for head in heads:
-            chain = [head]
-            for _ in range(level - 1):
-                chain.append(op.apply(chain[-1]))
-            chains.append(chain)
-            used.append(head)
-    chains.sort(key=len, reverse=True)
-    return chains
-
-
-def _rational_block(lam: Fraction, size: int) -> Matrix:
-    rows = []
-    for i in range(size):
-        row = [Fraction(0)] * size
-        row[i] = lam
-        if i + 1 < size:
-            row[i + 1] = Fraction(1)
-        rows.append(tuple(row))
-    return Matrix(size, size, tuple(rows))
-
-
-def _pair_block(p: Fraction, q2: Fraction, levels: int,
-                q_rational: Optional[Fraction]) -> Matrix:
-    size = 2 * levels
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(levels):
-        a = 2 * j
-        if levels == 1 and q_rational is not None:
-            m[a][a], m[a][a + 1] = p, q_rational
-            m[a + 1][a], m[a + 1][a + 1] = -q_rational, p
-        else:
-            m[a][a], m[a][a + 1] = p, Fraction(1)
-            m[a + 1][a], m[a + 1][a + 1] = -q2, p
-            if j + 1 < levels:
-                m[a + 1][a + 2] = Fraction(1)
-    return Matrix(size, size, tuple(tuple(row) for row in m))
-
-
 def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
     """Exact square root of a non-negative rational, or None."""
     if x < 0:
@@ -695,98 +597,6 @@ def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def real_jordan_form(m: Matrix) -> JordanDecomposition:
-    """Exact real Jordan-type normal form J with S satisfying S^-1 m S = J.
-
-    Supported spectra are rational eigenvalues and complex quadratic pairs;
-    see :class:`JordanDecomposition` for the block conventions.  The
-    identity S^-1 m S = J is re-verified before returning.
-    """
-    structure = eigen_structure(m)
-    n = m.rows
-    columns: list[Vector] = []
-    blocks: list[Matrix] = []
-    for ev, sizes in structure.entries:
-        if ev.kind == "rational":
-            op = m - Matrix.identity(n).scale(ev.value)
-            chains = _jordan_chains(op, max(sizes), ev.multiplicity)
-            if tuple(sorted((len(c) for c in chains), reverse=True)) != sizes:
-                raise ExactLAError("internal: chain sizes disagree with rank data")
-            for chain in chains:
-                # basis ordered tail-first so 1s land on the superdiagonal
-                columns.extend(reversed(chain))
-                blocks.append(_rational_block(ev.value, len(chain)))
-        else:
-            p, q2 = ev.real_part, ev.imag_sq
-            g = poly_eval_matrix((p * p + q2, -2 * p, Fraction(1)), m)
-            chains = _pair_chains(m, g, p, max(sizes))
-            if tuple(sorted((len(c) // 2 for c in chains), reverse=True)) != sizes:
-                raise ExactLAError("internal: pair chain sizes disagree with rank data")
-            q = _sqrt_fraction(q2)
-            for chain in chains:
-                levels = len(chain) // 2
-                if levels == 1 and q is not None:
-                    w, v = chain[0], chain[1]
-                    columns.extend([vec_scale(1 / q, w), v])
-                else:
-                    # chains are built top level first; blocks expect the
-                    # kernel-level pair leading
-                    for idx in range(levels - 1, -1, -1):
-                        columns.extend(chain[2 * idx:2 * idx + 2])
-                blocks.append(_pair_block(p, q2, levels, q if levels == 1 else None))
-    transform = Matrix.from_columns(columns)
-    jordan = _block_diag(blocks)
-    check = transform.inverse() @ m @ transform
-    if check != jordan:
-        raise ExactLAError("internal: change of basis failed to reproduce the normal form")
-    return JordanDecomposition(jordan, transform, structure)
-
-
-def _pair_chains(m: Matrix, g: Matrix, p: Fraction, max_level: int) -> list[list[Vector]]:
-    """Chains for a complex pair: per level j the pair (w_j, v_j) with
-    w_j = (m - p)v_j and g v_j = v_{j-1}."""
-    n = m.rows
-    kernels = []
-    power = Matrix.identity(n)
-    for _ in range(max_level):
-        power = power @ g
-        kernels.append(nullspace(power))
-    shift = m - Matrix.identity(n).scale(p)
-    chains: list[list[Vector]] = []
-    for level in range(max_level, 0, -1):
-        k_here = kernels[level - 1]
-        k_below = kernels[level - 2] if level >= 2 else Subspace.zero(n)
-        obstructions = list(k_below.basis)
-        for chain in chains:
-            depth = len(chain) // 2 - level
-            if 0 <= 2 * depth < len(chain):
-                # both members of the pair at this height obstruct
-                obstructions.append(chain[2 * depth])
-                obstructions.append(chain[2 * depth + 1])
-        heads = _extend_basis(obstructions, k_here.basis, n)
-        for head in heads:
-            # heads may come in w/v pairs; skip heads already covered
-            if any(Subspace.from_vectors(n, ch).contains(head) for ch in chains):
-                continue
-            span_check = Subspace.from_vectors(
-                n, [v for ch in chains for v in ch] + list(k_below.basis))
-            if span_check.contains(head):
-                continue
-            chain: list[Vector] = []
-            v = head
-            for lev in range(level, 0, -1):
-                chain.append(shift.apply(v))
-                chain.append(v)
-                v = g.apply(v)
-            chains.append(chain)
-            # re-check independence; drop if the w-partner was dependent
-            flat = [x for ch in chains for x in ch]
-            if Subspace.from_vectors(n, flat).dim != len(flat):
-                chains.pop()
-    chains.sort(key=len, reverse=True)
-    return chains
 
 
 def _block_diag(blocks: list[Matrix]) -> Matrix:

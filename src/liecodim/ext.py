@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exactla import (
     Matrix,
@@ -60,17 +60,6 @@ class IdentityFails(Exception):
 
 class PreconditionViolated(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ExtensionSpec:
-    """Extension data: a base algebra plus one derivation, or a pair for the
-    double extension with its explicit [z, y] vector."""
-
-    base: LieAlgebra
-    derivation: Matrix
-    second: Optional[Matrix] = None
-    bracket_zy: Optional[Vector] = None
 
 
 def _require_derivation(alg: LieAlgebra, d: Matrix) -> None:
@@ -240,21 +229,23 @@ class DecomposabilityCertificate:
     center_preimage: Optional[Vector]  # x' in Z(H) with d(x') = [z, y]
 
 
-def is_decomposable_double(H: LieAlgebra, spec: ExtensionSpec) -> DecomposabilityCertificate:
+def is_decomposable_double(H: LieAlgebra, d_full: Matrix) -> DecomposabilityCertificate:
     """Decide decomposability of a double extension in normalized form.
 
-    Preconditions: the intermediate derivation has been normalized away
-    (``spec.second`` acts on H, ``spec.derivation`` is the y-action and
-    must be zero here).  The criterion is membership of [z, y] in the image
-    of the center of H under the z-action; for abelian H the result is
-    cross-checked against invertibility of that action.
+    The y-action on H has been normalized to zero, and ``d_full`` is the
+    (n+1)-square action of z on R*y + H with zero y-row: its leading block
+    acts on H and its last column is [z, y].  The criterion is membership
+    of [z, y] in the image of the center of H under the z-action; for
+    abelian H the result is cross-checked against invertibility of that
+    action.
     """
-    if spec.second is None or spec.bracket_zy is None:
-        raise PreconditionViolated("double extension data required")
-    if not spec.derivation.is_zero():
-        raise PreconditionViolated("intermediate derivation must be normalized to zero")
-    d_on_h = spec.second
-    zy = spec.bracket_zy
+    n = H.dim
+    if d_full.rows != n + 1 or d_full.cols != n + 1:
+        raise ValueError("double extension data has wrong shape")
+    if not vec_is_zero(d_full.row(n)):
+        raise ValueError("the action of z must map everything into H")
+    d_on_h = d_full.submatrix(range(n), range(n))
+    zy = d_full.column(n)[:n]
     z_h = center(H)
     cols = [d_on_h.apply(b) for b in z_h.space.basis]
     preimage_coords = None
@@ -268,15 +259,14 @@ def is_decomposable_double(H: LieAlgebra, spec: ExtensionSpec) -> Decomposabilit
         certificate = tuple(
             sum(preimage_coords[k] * z_h.space.basis[k][i]
                 for k in range(len(preimage_coords)))
-            for i in range(H.dim))
+            for i in range(n))
     elif decomposable:
-        certificate = tuple(Fraction(0) for _ in range(H.dim))
+        certificate = tuple(Fraction(0) for _ in range(n))
 
     if not H.table:
         # Abelian base: once the extension really has full derived algebra,
         # decomposability is equivalent to the z-action being nonsingular.
-        d_full = double_extension_matrix(H, d_on_h, zy)
-        member = d_full.rank() == H.dim
+        member = d_full.rank() == n
         if member:
             nonsingular = d_on_h.det() != 0
             if nonsingular != decomposable:

@@ -2,8 +2,8 @@
 per sweep, the worker-pool size, sweep-space coordinates, the per-point
 work of the sweep stage, the shared extension path of both sweep modes, the
 abelian family table and its matcher, template sampling, the pinned samples
-of the shaped families, small-grid sweeps of the two slow bases, and the
-names the traced benchmark wraps."""
+of the shaped families, small-grid sweeps of the two slow bases, the
+names the traced benchmark wraps, and the range of the grid fields."""
 
 import dataclasses
 import functools
@@ -142,6 +142,20 @@ def test_slot_plan_scales_non_unit_entries():
     space = classify.SweepSpace(2, ((F(1), F(0), F(0), F(3)),
                                     (F(0), F(2), F(0), F(1))), (0, 1))
     assert space.to_flat((F(1, 2), F(-3))) == (F(1, 2), F(-6), F(0), F(-3, 2))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_max", 0), ("den_max", 0), ("num_max", -1), ("cartesian_budget", -1),
+    ("n_random", -1), ("n_template_samples", -1), ("n_conjugates", -1)])
+def test_grid_spec_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=f"grid field {field} "):
+        dataclasses.replace(GridSpec(), **{field: value})
+
+
+def test_grid_spec_accepts_its_lower_bounds():
+    grid = GridSpec(num_max=1, den_max=1, cartesian_budget=0, n_random=0,
+                    n_template_samples=0, n_conjugates=0, seed=-5)
+    assert grid.values() == [Fraction(-1), Fraction(0), Fraction(1)]
 
 
 def test_r2_ext1_sweep_takes_no_determinant(monkeypatch):

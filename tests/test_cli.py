@@ -154,3 +154,67 @@ class TestMalformedDocuments:
             capsys)
         assert code == EXIT_OK
         assert frac(" -3/4 ") == Fraction(-3, 4)
+
+
+class TestExitCodes:
+    """The 0/1/2 exit-code contract of ``classify`` and ``extend``."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return code, out, err
+
+    def test_classify_golden_ok(self, capsys):
+        code, out, _ = self._run(["classify", "--base", "r1"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["golden"]["ok"] is True
+
+    def test_classify_unsupported_mode(self, capsys):
+        code, _, _ = self._run(["classify", "--base", "r1", "--mode", "ext2ad"],
+                               capsys)
+        assert code == EXIT_USAGE
+
+    def test_classify_unknown_grid_field(self, capsys):
+        code, _, err = self._run(
+            ["classify", "--base", "r1", "--grid", "bogus=1"], capsys)
+        assert code == EXIT_USAGE
+        assert "unknown grid field 'bogus'" in err
+
+    @pytest.mark.parametrize("grid, field", [("num=-1", "num_max"),
+                                             ("den=0", "den_max")])
+    def test_classify_out_of_range_grid_field(self, capsys, grid, field):
+        code, out, err = self._run(
+            ["classify", "--base", "r1", "--grid", grid], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"grid field {field} must be at least 1" in err
+
+    def _extend(self, tmp_path, capsys, derivation, *extra):
+        alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))
+        d = _write(tmp_path / "d.json", matrix_to_document(derivation))
+        return self._run(["extend", alg, "--derivation", d, *extra], capsys)
+
+    def test_extend_by_identity_is_a_member(self, tmp_path, capsys):
+        code, out, _ = self._extend(tmp_path, capsys, Matrix.identity(2))
+        assert code == EXIT_OK
+        assert json.loads(out)["verdicts"]["member"] is True
+
+    def test_extend_by_zero_is_not_a_member(self, tmp_path, capsys):
+        code, out, _ = self._extend(tmp_path, capsys, Matrix.zero(2, 2))
+        assert code == EXIT_VERDICT
+        assert json.loads(out)["verdicts"]["member"] is False
+
+    @pytest.mark.parametrize("second, decomposable", [
+        (Matrix.identity(2), True),
+        (Matrix.diagonal([1, 0]), False),
+    ])
+    def test_double_extension_decomposability(self, tmp_path, capsys,
+                                              second, decomposable):
+        path = _write(tmp_path / "second.json", matrix_to_document(second))
+        code, out, _ = self._extend(tmp_path, capsys, Matrix.zero(2, 2),
+                                    "--second", path, "--zy", "0,1")
+        assert code == EXIT_OK
+        assert json.loads(out)["verdicts"] == {
+            "decomposable": decomposable, "member": True}

@@ -1,4 +1,5 @@
-"""Exact linear algebra: echelon forms, spectra, Jordan decompositions."""
+"""Exact linear algebra: echelon forms, solving, characteristic polynomials
+and spectra."""
 
 import random
 from fractions import Fraction
@@ -17,7 +18,6 @@ from liecodim.exactla import (
     eigen_structure,
     nullspace,
     poly_eval_matrix,
-    real_jordan_form,
     rref,
     solve,
 )
@@ -137,6 +137,13 @@ class TestCharPoly:
         assert char_poly(m)[0] == sign * det_cofactor([list(r) for r in m.entries])
 
 
+# the rotation pair i, -i with a single Jordan tower of height 2
+COMPLEX_TOWER = M([[0, 1, 1, 0],
+                   [-1, 0, 0, 1],
+                   [0, 0, 0, 1],
+                   [0, 0, -1, 0]])
+
+
 class TestEigenStructure:
     def test_mixed_block_sizes(self):
         st_ = eigen_structure(M([[2, 0, 0], [0, 1, 1], [0, 0, 1]]))
@@ -159,6 +166,10 @@ class TestEigenStructure:
         with pytest.raises(RealIrrationalEigenvalues):
             eigen_structure(M([[0, 2], [1, 0]]))  # t^2 - 2
 
+    def test_complex_jordan_tower(self):
+        st_ = eigen_structure(COMPLEX_TOWER)
+        assert st_.complex_pairs() == {(F(0), F(1)): (2,)}
+
     def test_conjugation_invariance(self):
         rng = random.Random(7)
         targets = [
@@ -166,6 +177,8 @@ class TestEigenStructure:
             M([[2, 0, 0], [0, 1, 1], [0, 0, 1]]),
             M([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
             M([[0, 1, 0], [-1, 0, 0], [0, 0, 3]]),
+            COMPLEX_TOWER,
+            M([[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 0], [0, 0, 0, 7]]),
         ]
         for m in targets:
             reference = eigen_structure(m)
@@ -180,67 +193,6 @@ def _random_invertible(rng, n):
                                for _ in range(n)] for _ in range(n)])
         if m.det() != 0:
             return m
-
-
-class TestRealJordanForm:
-    def test_diagonal_fixed_point(self):
-        dec = real_jordan_form(Matrix.diagonal([1, 2]))
-        assert dec.jordan == Matrix.diagonal([1, 2])
-        assert dec.transform == Matrix.identity(2)
-
-    def test_recovers_jordan_block_after_conjugation(self):
-        rng = random.Random(11)
-        j = M([[1, 1], [0, 1]])
-        for _ in range(25):
-            s = _random_invertible(rng, 2)
-            dec = real_jordan_form(s.inverse() @ j @ s)
-            assert dec.jordan == j
-
-    def test_explicit_eigenvector_case(self):
-        m = M([[3, 0], [-2, -1]])
-        dec = real_jordan_form(m)
-        # blocks ordered by eigenvalue value: -1 before 3
-        assert dec.jordan == Matrix.diagonal([-1, 3])
-        s = dec.transform
-        assert s.inverse() @ m @ s == dec.jordan
-
-    def test_rotation_block_with_rational_q(self):
-        m = M([[1, 2], [-2, 1]])
-        dec = real_jordan_form(m)
-        assert dec.jordan == M([[1, 2], [-2, 1]])
-
-    def test_irrational_q_uses_pair_block(self):
-        m = M([[0, 2], [-1, 0]])  # t^2 + 2, q = sqrt(2)
-        dec = real_jordan_form(m)
-        assert dec.jordan == M([[0, 1], [-2, 0]])
-        s = dec.transform
-        assert s.inverse() @ m @ s == dec.jordan
-
-    def test_complex_jordan_tower(self):
-        m = M([[0, 1, 1, 0],
-               [-1, 0, 0, 1],
-               [0, 0, 0, 1],
-               [0, 0, -1, 0]])
-        dec = real_jordan_form(m)
-        assert dec.structure.complex_pairs() == {(F(0), F(1)): (2,)}
-        s = dec.transform
-        assert s.inverse() @ m @ s == dec.jordan
-
-    def test_roundtrip_property(self):
-        rng = random.Random(23)
-        seeds = [
-            Matrix.diagonal([3, 3, 1]),
-            M([[2, 1, 0], [0, 2, 0], [0, 0, 5]]),
-            M([[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 0], [0, 0, 0, 7]]),
-            M([[1, 3, 0], [-3, 1, 0], [0, 0, -2]]),
-        ]
-        for seed in seeds:
-            for _ in range(10):
-                s0 = _random_invertible(rng, seed.rows)
-                m = s0.inverse() @ seed @ s0
-                dec = real_jordan_form(m)
-                assert dec.transform.inverse() @ m @ dec.transform == dec.jordan
-                assert dec.structure == eigen_structure(seed)
 
 
 class TestMatrixBasics:

@@ -8,7 +8,6 @@ import pytest
 from liecodim.deriv import NotADerivation, derivation_space
 from liecodim.exactla import Matrix, NotInvertible, Subspace
 from liecodim.ext import (
-    ExtensionSpec,
     IdentityFails,
     LieCSpec,
     NotAutomorphism,
@@ -176,23 +175,23 @@ class TestDoubleExtension:
 class TestDecomposability:
     def test_abelian_nonsingular_decomposable(self):
         h = abelian(3)
-        spec = ExtensionSpec(h, Matrix.zero(3, 3),
-                             Matrix.diagonal([1, 2, 3]), vec(0, 0, 1))
-        cert = is_decomposable_double(h, spec)
+        d_full = double_extension_matrix(
+            h, Matrix.diagonal([1, 2, 3]), vec(0, 0, 1))
+        cert = is_decomposable_double(h, d_full)
         assert cert.decomposable
         assert cert.center_preimage is not None
 
     def test_heisenberg_offdiagonal_indecomposable(self):
         h = heisenberg3()
-        spec = ExtensionSpec(h, Matrix.zero(3, 3),
-                             Matrix.diagonal([0, 1, -1]), vec(1, 0, 0))
-        assert not is_decomposable_double(h, spec).decomposable
+        d_full = double_extension_matrix(
+            h, Matrix.diagonal([0, 1, -1]), vec(1, 0, 0))
+        assert not is_decomposable_double(h, d_full).decomposable
 
     def test_zero_bracket_always_decomposable(self):
         h = heisenberg3()
-        spec = ExtensionSpec(h, Matrix.zero(3, 3),
-                             Matrix.diagonal([0, 1, -1]), vec(0, 0, 0))
-        assert is_decomposable_double(h, spec).decomposable
+        d_full = double_extension_matrix(
+            h, Matrix.diagonal([0, 1, -1]), vec(0, 0, 0))
+        assert is_decomposable_double(h, d_full).decomposable
 
     def test_abelian_agreement_suite(self):
         rng = random.Random(17)
@@ -203,11 +202,16 @@ class TestDecomposability:
                     [[F(rng.randint(-3, 3)) for _ in range(n)]
                      for _ in range(n)])
                 zy = tuple(F(rng.randint(-3, 3)) for _ in range(n))
-                spec = ExtensionSpec(h, Matrix.zero(n, n), d_on_h, zy)
-                cert = is_decomposable_double(h, spec)
                 d_full = double_extension_matrix(h, d_on_h, zy)
+                cert = is_decomposable_double(h, d_full)
                 if d_full.rank() == n:
                     assert cert.decomposable == (d_on_h.det() != 0)
+
+    def test_nonzero_y_row_rejected(self):
+        h = abelian(2)
+        d_full = Matrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 0]])
+        with pytest.raises(ValueError, match="into H"):
+            is_decomposable_double(h, d_full)
 
 
 class TestFullWitness:
