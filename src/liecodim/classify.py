@@ -71,6 +71,7 @@ from .exactla import (
     UnsupportedSpectrumError,
     Vector,
     _block_diag,
+    _factor_over_rationals,
     _sqrt_fraction,
     eigen_structure,
     nullspace,
@@ -1130,11 +1131,7 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
             if inf_mult > 0:
                 shape.append(("inf", inf_mult))
             if len(det_poly) > 1:
-                from .exactla import _factor_over_rationals
-
-                lead = det_poly[-1]
-                monic = tuple(c / lead for c in det_poly)
-                for fac, mult in _factor_over_rationals(monic):
+                for fac, mult in _factor_over_rationals(det_poly):
                     shape.append((len(fac) - 1, mult))
         pencil = tuple(sorted(shape, key=str))
     return Fingerprint(ds, lcs, zdim, space.dim_full, space.dim_h1,

@@ -2,15 +2,19 @@
 
 Everything here computes over ``fractions.Fraction``; no floating point is
 used anywhere.  Matrices are immutable, row-major grids of rationals.
-Spectral computations support rational eigenvalues plus complex-conjugate
-pairs coming from irreducible quadratic factors; anything outside that field
-(real irrational eigenvalues, irreducible factors of degree >= 3) raises a
-clean error instead of approximating.
+Characteristic polynomials are factored over Q exactly, by the package's own
+factoriser in ``Fraction`` and integer arithmetic (no computer algebra
+system).  Spectral computations support rational eigenvalues plus
+complex-conjugate pairs coming from irreducible quadratic factors; anything
+outside that field (real irrational eigenvalues, irreducible factors of
+degree >= 3) raises a clean error instead of approximating.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -436,25 +440,366 @@ def char_poly(m: Matrix) -> Poly:
     return tuple(coeffs)
 
 
-def _factor_over_rationals(p: Poly) -> list[tuple[Poly, int]]:
-    """Irreducible monic factors of a rational polynomial with multiplicities.
+# ---------------------------------------------------------------------------
+# factoring over Q
+#
+# Inside the factoriser a polynomial is a list of ints, ascending and
+# without trailing zeros (the zero polynomial is []); ``Fraction``s appear
+# only at its entry and exit.  The ``_z_*`` helpers work modulo an integer m,
+# a prime p or a power of it.
+# ---------------------------------------------------------------------------
 
-    Delegates the factorization itself to sympy (exact over QQ); imported
-    lazily so the common linear-algebra paths never pay the import cost.
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _derivative(a: list) -> list:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _primitive(a: Sequence) -> list[int]:
+    """The integer multiple of a nonzero rational polynomial whose
+    coefficients are coprime and whose leading coefficient is positive."""
+    d = math.lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (d // c.denominator) for c in a]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // g for c in ints]
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> Optional[list[int]]:
+    """a / b when b divides a over the integers, else None."""
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c, r = divmod(a[i + len(b) - 1], b[-1])
+        if r:
+            return None
+        q[i] = c
+        if c:
+            for j, y in enumerate(b):
+                a[i + j] -= c * y
+    return None if any(a) else q
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Z, leading coefficient positive, by primitive
+    pseudo-remainder sequences; a is nonzero."""
+    a = _primitive(a)
+    while b:
+        b = _primitive(b)
+        while len(a) >= len(b):
+            shift, c = len(a) - len(b), a[-1]
+            a = [x * b[-1] for x in a]
+            for j, y in enumerate(b):
+                a[shift + j] -= c * y
+            _trim(a)
+        a, b = b, a
+    return a
+
+
+def _squarefree_parts(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's squarefree decomposition of an integer f of degree >= 1: the
+    pairwise coprime, primitive squarefree parts a_i with f = c prod a_i^i,
+    as (a_i, i) for every nonconstant a_i."""
+    df = _derivative(f)
+    g = _int_gcd(f, df)
+    b, c = _exact_quotient(f, g), _exact_quotient(df, g)
+    parts = []
+    mult = 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in
+                   itertools.zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _int_gcd(b, d)
+        if len(a) > 1:
+            parts.append((a, mult))
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
+        mult += 1
+    return parts
+
+
+def _sign_at(h: list, x: int) -> int:
+    acc = 0
+    for c in reversed(h):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+def _split_at_sign_changes(h: list, cuts: list[int]) -> list[int]:
+    """Refine ``cuts``, sorted integers between which h is monotone where
+    they are more than 1 apart, at each sign change of h by exact
+    bisection: an integer root of h becomes a cut, and a sign change
+    between k and k + 1 the cuts k and k + 1."""
+    signs = [_sign_at(h, x) for x in cuts]
+    out = set(cuts)
+    for lo, hi, s_lo, s_hi in zip(cuts, cuts[1:], signs, signs[1:]):
+        if hi - lo < 2 or s_lo * s_hi >= 0:
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            s_mid = _sign_at(h, mid)
+            if s_mid == 0:
+                lo = hi = mid
+            elif s_mid == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        out.update((lo, hi))
+    return sorted(out)
+
+
+def _integer_roots(g: list[int]) -> list[int]:
+    """Integer roots of the monic integer polynomial g, ascending.
+
+    Every root lies in [-B, B] with B a power of two at or above Fujiwara's
+    bound 2 max |g_(n-k)|^(1/k).  The (n-1)-th derivative of g is linear,
+    so it is monotone on [-B, B]; splitting at its sign change leaves pieces
+    on which the (n-2)-th derivative is monotone, and so on down to g,
+    whose integer roots then are cuts.  Every step is an exact bisection,
+    so no integer is factored and the work grows with the bits of B.
     """
-    import sympy
+    n = len(g) - 1
+    bound = 2 ** (1 + max(((abs(c).bit_length() + k - 1) // k
+                           for k, c in zip(range(n, 0, -1), g)), default=0))
+    derivatives = [g]
+    for _ in range(n - 1):
+        derivatives.append(_derivative(derivatives[-1]))
+    cuts = [-bound, bound]
+    for h in reversed(derivatives):
+        cuts = _split_at_sign_changes(h, cuts)
+    return [x for x in cuts if _sign_at(g, x) == 0]
 
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** k
-               for k, c in enumerate(p))
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
-    result = []
-    for fac, mult in factors:
-        monic = fac.monic()
-        coeffs = monic.all_coeffs()  # descending
-        asc = tuple(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
-        result.append((asc, int(mult)))
+
+def _rational_roots(f: list[int]) -> list[Fraction]:
+    """Rational roots of an integer polynomial f of degree n with leading
+    coefficient c: c^(n-1) f(y / c) is monic with integer coefficients, and
+    its integer roots are c times those of f."""
+    n, c = len(f) - 1, f[-1]
+    g = [a * c ** (n - 1 - k) for k, a in enumerate(f[:-1])] + [1]
+    return [Fraction(y, c) for y in _integer_roots(g)]
+
+
+def _z_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _z_add(a: list[int], b: list[int], m: int) -> list[int]:
+    return _trim([(x + y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _z_sub(a: list[int], b: list[int], m: int) -> list[int]:
+    return _trim([(x - y) % m for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _z_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod m; the leading coefficient of b is a unit."""
+    a = [c % m for c in a]
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, m)
+    for i in range(len(a) - len(b), -1, -1):
+        c = q[i] = a[i + len(b) - 1] * inv % m
+        if c:
+            for j, y in enumerate(b):
+                a[i + j] = (a[i + j] - c * y) % m
+    return _trim(q), _trim(a[:len(b) - 1])
+
+
+def _z_monic(a: list[int], m: int) -> list[int]:
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _z_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod the prime p; a is nonzero mod p."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while b:
+        a, b = b, _z_divmod(a, b, p)[1]
+    return _z_monic(a, p)
+
+
+def _z_powmod(a: list[int], e: int, f: list[int], m: int) -> list[int]:
+    """a^e mod (f, m); f is monic."""
+    result, base = [1], _z_divmod(a, f, m)[1]
+    while e:
+        if e & 1:
+            result = _z_divmod(_z_mul(result, base, m), f, m)[1]
+        base = _z_divmod(_z_mul(base, base, m), f, m)[1]
+        e >>= 1
     return result
+
+
+def _z_bezout(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
+    """s, t with s g + t h = 1 mod the prime p, deg s < deg h, deg t < deg g,
+    for g and h coprime mod p and h monic."""
+    r0, r1, s0, s1 = g, h, [1], []
+    while r1:
+        quo, rem = _z_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, rem, s1, _z_sub(s0, _z_mul(quo, s1, p), p)
+    s = _z_divmod(_z_mul(s0, [pow(r0[0], -1, p)], p), h, p)[1]
+    t = _z_divmod(_z_sub([1], _z_mul(s, g, p), p), h, p)[0]
+    return s, t
+
+
+def _z_equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Cantor-Zassenhaus: the monic irreducible factors, all of degree d, of
+    the monic squarefree g mod the odd prime p."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = [rng.randrange(p) for _ in range(len(g) - 1)]
+        b = _z_sub(_z_powmod(a, (p ** d - 1) // 2, g, p), [1], p)
+        f = _z_gcd(g, b, p) if b else g
+        if 1 < len(f) < len(g):
+            return (_z_equal_degree(f, d, p, rng)
+                    + _z_equal_degree(_z_divmod(g, f, p)[0], d, p, rng))
+
+
+def _z_factor(f: list[int], p: int) -> list[list[int]]:
+    """Monic irreducible factors of the monic squarefree f mod the odd prime
+    p, by distinct-degree then equal-degree splitting."""
+    rng = random.Random(0)
+    factors: list[list[int]] = []
+    x_power, d = [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        x_power = _z_powmod(x_power, p, f, p)
+        g = _z_gcd(f, _z_sub(x_power, [0, 1], p), p)
+        if len(g) > 1:
+            factors += _z_equal_degree(g, d, p, rng)
+            f = _z_divmod(f, g, p)[0]
+            x_power = _z_divmod(x_power, f, p)[1]
+    if len(f) > 1:
+        factors.append(f)
+    return factors
+
+
+def _hensel_lift(f: list[int], factors: list[list[int]], p: int,
+                 modulus: int) -> list[list[int]]:
+    """Lift f = lc(f) prod(factors) mod p, the factors monic and pairwise
+    coprime mod p, to monic factors mod ``modulus``, a power p^(2^j), by a
+    factor tree of quadratic Hensel steps (von zur Gathen and Gerhard,
+    Modern Computer Algebra, Algorithm 15.10)."""
+    if len(factors) == 1:
+        return [_z_monic(f, modulus)]
+    half = len(factors) // 2
+    g = [f[-1] % p]
+    for a in factors[:half]:
+        g = _z_mul(g, a, p)
+    h = [1]
+    for a in factors[half:]:
+        h = _z_mul(h, a, p)
+    s, t = _z_bezout(g, h, p)
+    m = p
+    while m < modulus:
+        m *= m
+        e = _z_sub(f, _z_mul(g, h, m), m)
+        quo, rem = _z_divmod(_z_mul(s, e, m), h, m)
+        g = _z_add(g, _z_add(_z_mul(t, e, m), _z_mul(quo, g, m), m), m)
+        h = _z_add(h, rem, m)
+        b = _z_sub(_z_add(_z_mul(s, g, m), _z_mul(t, h, m), m), [1], m)
+        quo, rem = _z_divmod(_z_mul(s, b, m), h, m)
+        s = _z_sub(s, rem, m)
+        t = _z_sub(_z_sub(t, _z_mul(t, b, m), m), _z_mul(quo, g, m), m)
+    return (_hensel_lift(g, factors[:half], p, modulus)
+            + _hensel_lift(h, factors[half:], p, modulus))
+
+
+def _split_rootfree(f: list[int]) -> list[list[int]]:
+    """Irreducible factors over Q of a primitive squarefree integer
+    polynomial with no rational root, by Zassenhaus's method: factor mod a
+    prime p that keeps it squarefree, Hensel-lift the factors past twice
+    Mignotte's bound on the coefficients of lc(f) times any factor, then try
+    products of ever more lifted factors until each divides exactly."""
+    p = 3
+    while (f[-1] % p == 0 or any(p % k == 0 for k in range(3, math.isqrt(p) + 1, 2))
+           or len(_z_gcd(f, _derivative(f), p)) > 1):
+        p += 2
+    lifted = _z_factor(_z_monic(f, p), p)
+    if len(lifted) == 1:
+        return [f]
+    bound = abs(f[-1]) * 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
+    modulus = p
+    while modulus <= 2 * bound:
+        modulus *= modulus
+    lifted = _hensel_lift(f, lifted, p, modulus)
+    found = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            candidate = [f[-1]]
+            for i in subset:
+                candidate = _z_mul(candidate, lifted[i], modulus)
+            candidate = _primitive([c - modulus if 2 * c > modulus else c
+                                    for c in candidate])
+            quotient = _exact_quotient(f, candidate)
+            if quotient is not None:
+                found.append(candidate)
+                f = quotient
+                lifted = [a for i, a in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return found + [f]
+
+
+def _split_squarefree(f: list[int]) -> list[list[int]]:
+    """Irreducible primitive factors over Q of a primitive squarefree
+    integer polynomial."""
+    if len(f) == 3:
+        disc = f[1] * f[1] - 4 * f[0] * f[2]
+        root = math.isqrt(disc) if disc >= 0 else -1
+        roots = ([Fraction(-f[1] + root, 2 * f[2]), Fraction(-f[1] - root, 2 * f[2])]
+                 if root * root == disc else [])
+    else:
+        roots = _rational_roots(f) if len(f) > 3 else []
+    linear = [[-r.numerator, r.denominator] for r in roots]
+    for factor in linear:
+        f = _exact_quotient(f, factor)
+    if len(f) < 5:
+        return linear + ([f] if len(f) > 1 else [])
+    return linear + _split_rootfree(f)
+
+
+def _factor_order(factor: tuple[Poly, int]) -> tuple:
+    return len(factor[0]), factor[0]
+
+
+def _factor_over_rationals(p: Poly) -> list[tuple[Poly, int]]:
+    """Monic irreducible factors over Q of a nonzero rational polynomial,
+    with multiplicities; a constant has none.
+
+    Exact throughout, in integer arithmetic on the primitive integer
+    multiple of p, and complete at every degree:
+
+    1. Yun's squarefree decomposition splits p into coprime squarefree
+       parts, one per multiplicity.
+    2. A part of degree 1 is a factor; a part of degree 2 splits into
+       rational roots exactly when its discriminant is a square.  From a
+       part of higher degree the rational roots are split off
+       (``_rational_roots``: exact bisection, no integer factoring).
+    3. A root-free remainder of degree 2 or 3 is irreducible; one of degree
+       4 or more is split by ``_split_rootfree`` (Zassenhaus: factors mod
+       a prime, Hensel lifting, recombination), which also separates a
+       sextic into two cubics.
+
+    The factors come back sorted by degree, then by their coefficient
+    tuple, constant term first.
+    """
+    f = _trim(list(p))
+    if len(f) < 2:
+        return []
+    return sorted(((tuple(Fraction(c, g[-1]) for c in g), mult)
+                   for part, mult in _squarefree_parts(_primitive(f))
+                   for g in _split_squarefree(part)), key=_factor_order)
 
 
 @dataclass(frozen=True)
@@ -533,18 +878,30 @@ def _block_sizes_from_nullities(nullities: list[int]) -> tuple[int, ...]:
 def eigen_structure(m: Matrix) -> EigenStructure:
     """Eigenvalues with Jordan block partitions, via exact rank tests.
 
-    Raises :class:`IrreducibleFactorDegreeTooHigh` when some irreducible
-    factor of the characteristic polynomial has degree >= 3, and
-    :class:`RealIrrationalEigenvalues` for irreducible quadratics with
-    positive discriminant.
+    The spectrum is unsupported when an irreducible factor of the
+    characteristic polynomial is a quadratic with positive discriminant
+    (:class:`RealIrrationalEigenvalues`) or has degree >= 3
+    (:class:`IrreducibleFactorDegreeTooHigh`).  The first unsupported factor
+    in ``_factor_over_rationals`` order, lowest degree first, names the
+    cause, so a real irrational pair wins over a factor of degree >= 3.
+    Nothing is computed before every factor has been checked.
     """
     if not m.is_square():
         raise ValueError("eigen structure of a non-square matrix")
     n = m.rows
-    entries: list[tuple[QuadraticEigenvalue, tuple[int, ...]]] = []
-    for factor, mult in _factor_over_rationals(char_poly(m)):
+    factors = _factor_over_rationals(char_poly(m))
+    for factor, _ in factors:
         deg = poly_degree(factor)
-        if deg == 1:
+        disc = factor[1] * factor[1] - 4 * factor[0] if deg == 2 else -1
+        if disc >= 0:
+            raise RealIrrationalEigenvalues(
+                f"irreducible quadratic with non-negative discriminant {disc}")
+        if deg >= 3:
+            raise IrreducibleFactorDegreeTooHigh(
+                f"irreducible factor of degree {deg} in the characteristic polynomial")
+    entries: list[tuple[QuadraticEigenvalue, tuple[int, ...]]] = []
+    for factor, mult in factors:
+        if poly_degree(factor) == 1:
             lam = -factor[0]
             nm = m - Matrix.identity(n).scale(lam)
             nullities = []
@@ -557,14 +914,10 @@ def eigen_structure(m: Matrix) -> EigenStructure:
             sizes = _block_sizes_from_nullities(nullities)
             ev = QuadraticEigenvalue("rational", mult, value=lam)
             entries.append((ev, sizes))
-        elif deg == 2:
+        else:
             b, c = factor[1], factor[0]
-            disc = b * b - 4 * c
-            if disc >= 0:
-                raise RealIrrationalEigenvalues(
-                    f"irreducible quadratic with non-negative discriminant {disc}")
             p = -b / 2
-            q2 = -disc / 4
+            q2 = c - b * b / 4
             g = poly_eval_matrix(factor, m)
             nullities = []
             power = Matrix.identity(n)
@@ -576,9 +929,6 @@ def eigen_structure(m: Matrix) -> EigenStructure:
             sizes = _block_sizes_from_nullities(nullities)
             ev = QuadraticEigenvalue("complex_pair", mult, real_part=p, imag_sq=q2)
             entries.append((ev, sizes))
-        else:
-            raise IrreducibleFactorDegreeTooHigh(
-                f"irreducible factor of degree {deg} in the characteristic polynomial")
     entries.sort(key=lambda pair: pair[0].sort_key())
     total = sum(sum(sizes) for ev, sizes in entries
                 if ev.kind == "rational") + \

@@ -2,9 +2,10 @@
 
 An algebra of dimension n stores brackets of basis pairs [x_i, x_j] for
 1 <= i < j <= n only; antisymmetry is implicit.  The Jacobi identity is
-validated on every basis triple at construction time, which is the central
-safety net for everything built on top (wrong extension data typically
-fails exactly here).
+validated on every basis triple at construction time (a triple through no
+table pair holds trivially and is skipped), which is the central safety
+net for everything built on top (wrong extension data typically fails
+exactly here).
 """
 
 from __future__ import annotations
@@ -105,16 +106,22 @@ def make_algebra(dim: int, brackets: BracketTable, name: Optional[str] = None,
 
 
 def validate_jacobi(alg: LieAlgebra) -> None:
-    """Raise :class:`JacobiViolation` on the first failing basis triple."""
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in range(j + 1, alg.dim):
-                r1 = bracket(alg, alg.bracket_basis(i, j), alg.basis_vector(k))
-                r2 = bracket(alg, alg.bracket_basis(j, k), alg.basis_vector(i))
-                r3 = bracket(alg, alg.bracket_basis(k, i), alg.basis_vector(j))
-                residual = vec_add(vec_add(r1, r2), r3)
-                if not vec_is_zero(residual):
-                    raise JacobiViolation((i + 1, j + 1, k + 1), residual)
+    """Raise :class:`JacobiViolation` on the first failing basis triple
+    i < j < k in lexicographic order.
+
+    A triple none of whose pairs is in the table has three zero brackets and
+    satisfies Jacobi, so only the triples through a table pair are visited:
+    at most (table size) x dim of them instead of dim^3 / 6.
+    """
+    triples = sorted({tuple(sorted((a, b, c))) for (a, b), _ in alg.table
+                      for c in range(alg.dim) if c != a and c != b})
+    for i, j, k in triples:
+        r1 = bracket(alg, alg.bracket_basis(i, j), alg.basis_vector(k))
+        r2 = bracket(alg, alg.bracket_basis(j, k), alg.basis_vector(i))
+        r3 = bracket(alg, alg.bracket_basis(k, i), alg.basis_vector(j))
+        residual = vec_add(vec_add(r1, r2), r3)
+        if not vec_is_zero(residual):
+            raise JacobiViolation((i + 1, j + 1, k + 1), residual)
 
 
 def bracket(alg: LieAlgebra, u: Vector, v: Vector) -> Vector:

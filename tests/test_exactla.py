@@ -1,8 +1,13 @@
 """Exact linear algebra: echelon forms, solving, characteristic polynomials
 and spectra."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +18,8 @@ from liecodim.exactla import (
     Matrix,
     RealIrrationalEigenvalues,
     Subspace,
+    _block_diag,
+    _factor_over_rationals,
     _sqrt_fraction,
     char_poly,
     eigen_structure,
@@ -187,6 +194,24 @@ class TestEigenStructure:
                 assert eigen_structure(s.inverse() @ m @ s) == reference
 
 
+class TestUnsupportedCause:
+    # (t^2 - 2)(t^3 - 2): a real irrational pair and an irreducible cubic.
+    PAIR = M([[0, 2], [1, 0]])
+    CUBIC = M([[0, 0, 2], [1, 0, 0], [0, 1, 0]])
+
+    @pytest.mark.parametrize("blocks", [(PAIR, CUBIC), (CUBIC, PAIR)])
+    def test_real_irrational_pair_wins_over_cubic(self, blocks):
+        m = _block_diag(list(blocks))
+        assert m.rows == 5
+        with pytest.raises(RealIrrationalEigenvalues):
+            eigen_structure(m)
+        rng = random.Random(3)
+        for _ in range(5):
+            s = _random_invertible(rng, 5)
+            with pytest.raises(RealIrrationalEigenvalues):
+                eigen_structure(s.inverse() @ m @ s)
+
+
 def _random_invertible(rng, n):
     while True:
         m = Matrix.from_rows([[F(rng.randint(-4, 4), rng.randint(1, 3))
@@ -220,3 +245,205 @@ class TestSqrtFraction:
     ])
     def test_exact_root_or_none(self, x, root):
         assert _sqrt_fraction(x) == root
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_power(a, k):
+    out = [F(1)]
+    for _ in range(k):
+        out = _poly_mul(out, a)
+    return out
+
+
+def _factor_order(factors):
+    return sorted(factors, key=lambda f: (len(f[0]), f[0]))
+
+
+def _sympy_factors(sympy, coeffs):
+    """Monic irreducible factors of an ascending Fraction polynomial by
+    sympy's ``factor_list`` over QQ, in ``_factor_over_rationals`` order."""
+    poly = sympy.Poly.from_list(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+        sympy.Symbol("x"), domain=sympy.QQ)
+    return _factor_order(
+        [(tuple(F(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())), k)
+         for f, k in poly.factor_list()[1]])
+
+
+def _factor_cases(rng, per_kind):
+    """Seeded rational polynomials of degree 1-6, ``per_kind`` of each kind."""
+    def rational(bits, nonzero=False):
+        while True:
+            x = F(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+            if x or not nonzero:
+                return x
+
+    def monic(degree, bits):
+        return [rational(bits) for _ in range(degree)] + [F(1)]
+
+    def pair(bits):  # t^2 - 2p t + p^2 + q^2 with q != 0: a complex pair
+        p, q = rational(bits), rational(bits, nonzero=True)
+        return [p * p + q * q, -2 * p, F(1)]
+
+    def moved(poly, bits):  # poly(s t + r) / lead, irreducible with poly
+        s, r = rational(bits, nonzero=True), rational(bits)
+        out = poly[-1:]
+        for c in reversed(poly[:-1]):
+            out = _poly_mul(out, [r, s])
+            out[0] += c
+        return [c / out[-1] for c in out]
+
+    def irreducible(degree, bits):  # Eisenstein at 2, 3 or 5, then moved
+        if degree == 2 and rng.random() < 0.5:
+            return pair(bits)
+        p = rng.choice((2, 3, 5))
+        poly = [F(p * rng.choice((1, -1)) * rng.choice((1, 7, 11, 13)))] + \
+            [F(p * rng.randint(-3, 3)) for _ in range(degree - 1)] + [F(1)]
+        return moved(poly, bits)
+
+    def repeated():  # linear powers, a root at 0, a squared quadratic
+        poly, degree = [F(0), F(1)], 1
+        while degree < 6:
+            base = ([-F(rng.randint(-3, 3))] if rng.random() < 0.7
+                    else monic(2, 3)[:2]) + [F(1)]
+            k = rng.randint(1, (6 - degree) // (len(base) - 1) or 1)
+            if degree + k * (len(base) - 1) > 6:
+                break
+            poly, degree = _poly_mul(poly, _poly_power(base, k)), degree + k * (len(base) - 1)
+            if rng.random() < 0.3:
+                break
+        return poly
+
+    def nonmonic():  # up to three factors with rationals of up to 20 bits, scaled
+        bits = rng.choice((4, 8, 12, 20))
+        degree = rng.randint(1, 6)
+        poly = [rational(bits, nonzero=True)]
+        while degree:
+            d = rng.randint(1, min(3, degree))
+            poly, degree = _poly_mul(poly, monic(d, bits)), degree - d
+        return poly
+
+    def tower():  # Jordan and complex-pair towers
+        bits = rng.choice((2, 4, 8))
+        lam = [-rational(bits), F(1)]
+        shape = rng.choice(((0, 2), (0, 3), (1, 2), (2, 2), (3, 1), (4, 1)))
+        return _poly_mul(_poly_power(lam, shape[0]), _poly_power(pair(bits), shape[1]))
+
+    def product(degree):  # two irreducible factors, scaled
+        bits = rng.choice((2, 4, 8))
+        scale = rational(bits, nonzero=True)
+        return [scale * c for c in
+                _poly_mul(irreducible(degree, bits), irreducible(degree, bits))]
+
+    def quartic():
+        return product(2)
+
+    def sextic():
+        return product(3)
+
+    def anything():
+        return [rational(rng.choice((1, 3, 6))) for _ in range(rng.randint(1, 6))] \
+            + [rational(3, nonzero=True)]
+
+    kinds = (repeated, nonmonic, tower, quartic, sextic, anything)
+    for _ in range(per_kind):
+        for kind in kinds:
+            yield kind()
+
+
+class TestFactorOverRationals:
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20250801)
+        checked = {"cubic x cubic": 0, "quadratic x quadratic": 0, "repeated": 0}
+        count = 0
+        for poly in _factor_cases(rng, 1700):
+            assert 2 <= len(poly) <= 7 and poly[-1] != 0
+            got = _factor_over_rationals(tuple(poly))
+            assert got == _factor_order(got)
+            assert got == _sympy_factors(sympy, poly), poly
+            degrees = sorted(len(f) - 1 for f, _ in got)
+            checked["cubic x cubic"] += degrees == [3, 3]
+            checked["quadratic x quadratic"] += degrees == [2, 2]
+            checked["repeated"] += any(k > 1 for _, k in got)
+            count += 1
+        assert count >= 10_000
+        assert min(checked.values()) >= 100, checked
+
+    def test_char_poly_factors_agree_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20250802)
+        blocks = [M([[2]]), M([[0, 1], [-1, 0]]), M([[1, 1], [0, 1]]),
+                  M([[0, -5], [1, 2]]), COMPLEX_TOWER, M([[0, 2], [1, 0]]),
+                  M([[0, 0, 2], [1, 0, 0], [0, 1, 0]]), M([[-1, 1, 0], [0, -1, 1], [0, 0, -1]])]
+        for trial in range(400):
+            n = rng.randint(1, 5)
+            if trial % 2:
+                m = Matrix.from_rows([[F(rng.randint(-4, 4), rng.randint(1, 3))
+                                       for _ in range(n)] for _ in range(n)])
+            else:
+                chosen, size = [], 0
+                while size < n:
+                    block = rng.choice([b for b in blocks if b.rows <= n - size])
+                    chosen.append(block)
+                    size += block.rows
+                s = _random_invertible(rng, n)
+                m = s.inverse() @ _block_diag(chosen) @ s
+            poly = char_poly(m)
+            oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                                    for x in row] for row in m.entries]).charpoly()
+            assert poly == tuple(F(int(c.p), int(c.q))
+                                 for c in reversed(oracle.all_coeffs()))
+            assert _factor_over_rationals(poly) == _sympy_factors(sympy, poly)
+
+    def test_constants_and_zero_leading_coefficients(self):
+        assert _factor_over_rationals((F(3),)) == []
+        assert _factor_over_rationals((F(0), F(0))) == []
+        # 2t^2 - 1 written with a zero t^3 coefficient
+        assert _factor_over_rationals((F(-1), F(0), F(2), F(0))) == \
+            [((F(-1, 2), F(0), F(1)), 1)]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+NO_SYMPY_SCRIPT = textwrap.dedent("""
+    import sys
+    sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+    from liecodim.classify import GridSpec, classify_extensions, fingerprint
+    from liecodim.exactla import Matrix, eigen_structure
+    from liecodim.liealg import make_algebra
+
+    pair = eigen_structure(Matrix.from_rows(
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]))
+    assert pair.complex_pairs() == {(0, 1): (1,)}, pair
+    jordan = eigen_structure(Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 3]]))
+    assert jordan.rational_eigenvalues() == {1: (2,), 3: (1,)}, jordan
+    report = classify_extensions("r1", "ext1", GridSpec())
+    assert report.as_dict()["golden"]["ok"]
+    # R^2 extended by z = diag(1, 2) and y = diag(1, -1): derived codimension
+    # two, pencil det(y + t z) = (1 + t)(2t - 1).
+    L = make_algebra(4, {(1, 3): {1: -1}, (2, 3): {2: -2},
+                         (1, 4): {1: -1}, (2, 4): {2: 1}})
+    shape = fingerprint(L).pencil_shape
+    assert [s for s in shape if isinstance(s[0], int)] == [(1, 1), (1, 1)], shape
+    assert sys.modules["sympy"] is None
+    assert not [name for name in sys.modules if name.startswith("sympy.")]
+    print("ok")
+""")
+
+
+def test_liecodim_never_imports_sympy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

@@ -1,5 +1,7 @@
 """Structure-constant algebras: construction, series, centers, quotients."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,55 @@ class TestConstruction:
     def test_bad_indices_rejected(self):
         with pytest.raises(ValueError):
             make_algebra(2, {(2, 1): {1: 1}})
+
+
+def _first_violation_full(brackets, dim):
+    """The first violating triple over all dim^3 / 6 basis triples, by the
+    oracle's direct expansion, with its residual; None when Jacobi holds."""
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            for k in range(j + 1, dim + 1):
+                residual = jacobi_residual(brackets, dim, i, j, k)
+                if any(residual):
+                    return (i, j, k), residual
+    return None
+
+
+class TestSparseJacobi:
+    def test_empty_table_of_dimension_60_is_fast(self):
+        start = time.perf_counter()
+        make_algebra(60, {})
+        assert time.perf_counter() - start < 1.0
+
+    def test_agrees_with_full_triple_check(self):
+        rng = random.Random(20250801)
+        seen = {"holds": 0, "fails": 0}
+        for trial in range(200):
+            dim = rng.randint(3, 12)
+            pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+            if trial % 2:
+                # brackets into a central set hold Jacobi (two-step nilpotent)
+                central = set(rng.sample(range(1, dim + 1), rng.randint(1, dim - 2)))
+                pairs = [(i, j) for i, j in pairs if i not in central and j not in central]
+                targets = sorted(central)
+            else:
+                targets = list(range(1, dim + 1))
+            brackets = {
+                pair: {t: rng.choice((-2, -1, 1, 3)) for t in rng.sample(
+                    targets, rng.randint(1, min(2, len(targets))))}
+                for pair in rng.sample(pairs, rng.randint(1, min(4, len(pairs))))}
+            expected = _first_violation_full(brackets, dim)
+            alg = make_algebra(dim, brackets, skip_jacobi=True)
+            if expected is None:
+                validate_jacobi(alg)
+                seen["holds"] += 1
+            else:
+                with pytest.raises(JacobiViolation) as err:
+                    validate_jacobi(alg)
+                assert err.value.triple == expected[0]
+                assert list(err.value.residual) == expected[1]
+                seen["fails"] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestBracket:
