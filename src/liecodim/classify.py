@@ -17,9 +17,13 @@ automorphisms used for conjugation and in the membership condition
 (codimension one or two) that applies.
 
 Each sweep point travels as its flat row-major matrix (a ``Vector``): the
-sweep space maps coordinates to slots through a plan computed once, the
-two-step filters run once per point, and a classifier builds a ``Matrix``
-only where it needs a determinant, rank or spectrum.
+sweep space maps coordinates to slots through a plan computed once, and a
+classifier builds a ``Matrix`` only where it needs a determinant, rank or
+spectrum.  The sweep classifies each line through the origin once: D and
+c*D (c a nonzero rational) are proportionally similar and give isomorphic
+extensions, in codimension one and for the ad-pair extensions alike, so
+the two-step filters and the matcher run once per line and every point on
+it shares the outcome.
 
 Every family is one table row: on an abelian base a block recipe of real
 Jordan and complex blocks (``_ABELIAN_FAMILIES``), on h3, r⊕h3 and g4 a
@@ -1213,35 +1217,78 @@ class ClassificationReport:
         }
 
 
+def _line_key(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector on the line through ``coeffs``, signed
+    so that its first nonzero entry is positive; the zero vector is its own
+    key.  Two points share a key exactly when one is a nonzero rational
+    multiple of the other."""
+    dens = [x.denominator for x in coeffs]
+    scale = math.lcm(*dens)
+    if scale == 1:
+        ints = [x.numerator for x in coeffs]
+    else:
+        ints = [x.numerator * (scale // d) for x, d in zip(coeffs, dens)]
+    g = math.gcd(*ints)
+    for v in ints:
+        if v:
+            if v < 0:
+                g = -g
+            break
+    else:
+        return tuple(ints)
+    if g != 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
+
+
+def _classify_point(key: str, mode: str, sweep: SweepSpace,
+                    classifier: Callable[[Vector], MatchResult],
+                    coeffs: Sequence[Fraction]) -> tuple:
+    """The outcome of one sweep point: ``("nonmember",)``,
+    ``("filtered",)``, ``("skip",)`` or ``("match", name, params)`` with
+    the parameters as ``param_str`` texts."""
+    flat = sweep.to_flat(coeffs)
+    if mode == "ext2ad":
+        filters = _ext2_filters(key, flat, sweep.n)
+        if not filters["member"]:
+            return ("nonmember",)
+        if not (filters["outer"] and filters["indecomposable"]):
+            return ("filtered",)
+    try:
+        outcome = classifier(flat)
+    except UnsupportedSpectrumError:
+        return ("skip",)
+    if outcome is None:
+        return ("nonmember",)
+    name, params = outcome
+    return ("match", name, tuple(param_str(p) for p in params))
+
+
 def _classify_chunk(key: str, mode: str,
                     points: Sequence[tuple[Fraction, ...]]) -> list[tuple]:
     """Worker: classify a slice of the sweep points, returning per-point
-    results."""
+    results in order.
+
+    Each line through the origin is classified once, at its first point in
+    the slice: a point c*D (c a nonzero rational) is proportionally similar
+    to D, so both give isomorphic algebras with the same outcome, and every
+    later point of the line reuses the first one's result.  One matcher
+    defect makes this a choice: when the largest |eigenvalue| of an r3 or
+    r4 diagonal point is tied between signs, D and -D get different
+    canonical parameters of the same family, and the line takes those of
+    its first point."""
     entry = catalog()[key]
     sweep = _sweep_space(key, mode)
     classifier = _classifier(entry, mode)
+    by_line: dict[tuple[int, ...], tuple] = {}
     results = []
     for coeffs in points:
-        flat = sweep.to_flat(coeffs)
-        if mode == "ext2ad":
-            filters = _ext2_filters(key, flat, sweep.n)
-            if not filters["member"]:
-                results.append(("nonmember",))
-                continue
-            if not (filters["outer"] and filters["indecomposable"]):
-                results.append(("filtered",))
-                continue
-        try:
-            outcome = classifier(flat)
-        except UnsupportedSpectrumError:
-            results.append(("skip",))
-            continue
-        if outcome is None:
-            results.append(("nonmember",))
-        else:
-            name, params = outcome
-            results.append(("match", name,
-                            tuple(param_str(p) for p in params)))
+        line = _line_key(coeffs)
+        result = by_line.get(line)
+        if result is None:
+            result = by_line[line] = _classify_point(key, mode, sweep,
+                                                     classifier, coeffs)
+        results.append(result)
     return results
 
 
@@ -1371,8 +1418,11 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
     """Run one classification sweep and return the full report.
 
     Raises :class:`GoldenMismatch` when the discovered family set differs
-    from the catalog's golden list.
+    from the catalog's golden list, and ``ValueError`` when ``jobs`` is
+    below 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     grid = grid or GridSpec()
     entry = catalog().get(key)
     if entry is None:

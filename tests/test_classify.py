@@ -1,9 +1,11 @@
 """Classification sweeps: byte-identical default reports, one point list
-per sweep, the worker-pool size, sweep-space coordinates, the per-point
-work of the sweep stage, the shared extension path of both sweep modes, the
-abelian family table and its matcher, template sampling, the pinned samples
-of the shaped families, small-grid sweeps of the two slow bases, the
-names the traced benchmark wraps, and the range of the grid fields."""
+per sweep, the worker-pool size, one classification per line through the
+origin and the scaling invariance that makes it sound, sweep-space
+coordinates, the per-point work of the sweep stage, the shared extension
+path of both sweep modes, the abelian family table and its matcher,
+template sampling, the pinned samples of the shaped families, small-grid
+sweeps of the two slow bases, the names the traced benchmark wraps, and the
+range of the grid fields."""
 
 import dataclasses
 import functools
@@ -92,6 +94,113 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     results = classify._run_sweep("r1", "ext1", points, jobs=64)
     assert _InlinePool.sizes == [2]
     assert results == classify._classify_chunk("r1", "ext1", points)
+
+
+def test_pool_chunks_sharing_a_line_agree_with_one_chunk(monkeypatch):
+    # The second half of the points is the first half times -2/3, so every
+    # line of the first chunk shows up again in the second.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    _InlinePool.sizes.clear()
+    first = classify.sweep_points("r2", "ext1", GridSpec())[:1000]
+    points = first + [tuple(Fraction(-2, 3) * x for x in p) for p in first]
+    results = classify._run_sweep("r2", "ext1", points, jobs=2)
+    assert _InlinePool.sizes == [2]
+    assert results == classify._run_sweep("r2", "ext1", points, jobs=1)
+    outcome_of = functools.partial(
+        classify._classify_point, "r2", "ext1",
+        classify._sweep_space("r2", "ext1"),
+        classify._classifier(classify.catalog()["r2"], "ext1"))
+    assert results == [outcome_of(p) for p in points]
+    assert {r[0] for r in results} == {"match", "nonmember", "skip"}
+
+
+def test_line_key_examples():
+    F = Fraction
+    assert classify._line_key((F(0), F(0), F(0))) == (0, 0, 0)
+    assert classify._line_key(()) == ()
+    assert classify._line_key((F(0), F(-2), F(4))) == (0, 1, -2)
+    assert classify._line_key((F(1, 2), F(-1, 3), F(0), F(5, 6))) \
+        == (3, -2, 0, 5)
+    assert classify._line_key((F(-3, 4), F(9, 8))) == (2, -3)
+    assert classify._line_key((0, -4, 6)) == (0, 2, -3)
+    assert classify._line_key((2, F(1, 3))) == (6, 1)
+    assert all(type(v) is int for v in classify._line_key((F(7, 5), 3)))
+
+
+def _proportional(p, q):
+    return all(p[i] * q[j] == p[j] * q[i]
+               for i in range(len(p)) for j in range(len(p)))
+
+
+def test_line_key_is_shared_exactly_by_proportional_points():
+    rng = random.Random(5)
+    shared = split = 0
+    for _ in range(2000):
+        size = rng.randint(1, 4)
+        p = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                  for _ in range(size))
+        c = Fraction(rng.choice((1, -1)) * rng.randint(1, 9),
+                     rng.randint(1, 9))
+        assert classify._line_key(tuple(c * x for x in p)) \
+            == classify._line_key(p)
+        q = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                  for _ in range(size))
+        # The zero vector is a line of its own.
+        same = _proportional(p, q) and (any(p) == any(q))
+        assert (classify._line_key(p) == classify._line_key(q)) == same
+        shared += same
+        split += not same
+    assert shared > 100 and split > 100
+
+
+def _sample_by_outcome(outcome_of, points, rng, per_kind=8):
+    """Up to ``per_kind`` points of each outcome kind (twice as many
+    matches), from a seeded walk over at most 3,000 sweep points."""
+    taken = {}
+    for coeffs in rng.sample(points, min(3000, len(points))):
+        outcome = outcome_of(coeffs)
+        quota = 2 * per_kind if outcome[0] == "match" else per_kind
+        bucket = taken.setdefault(outcome[0], [])
+        if len(bucket) < quota:
+            bucket.append((coeffs, outcome))
+    return taken
+
+
+# A known defect of the abelian matcher: when the largest |eigenvalue| is
+# tied between signs, D and -D get different canonical parameters (r3 diag
+# (1, -1) for diag(1, 1, -1) but (-1, -1) for its negative; likewise r4).
+# The kind and family still agree.  There the sweep reports the parameters
+# of the first point it meets on the line.
+_SIGN_TIE_SWEEPS = ("r3/ext1", "r4/ext1")
+
+
+@pytest.mark.parametrize("sweep", SWEEP_SPACES)
+def test_outcomes_are_invariant_under_scaling(sweep):
+    # The sweep classifies one point per line, which rests on this: c*D is
+    # proportionally similar to D, so the per-point path should give p and
+    # c*p the same outcome, canonical parameters included.
+    base, mode = sweep.split("/")
+    entry = classify.catalog()[base]
+    outcome_of = functools.partial(
+        classify._classify_point, base, mode,
+        classify._sweep_space(base, mode), classify._classifier(entry, mode))
+    rng = random.Random(f"scale {sweep}")
+    points = classify.sweep_points(base, mode, GridSpec())
+    taken = _sample_by_outcome(outcome_of, points, rng)
+    assert "match" in taken
+    tied = []
+    for pairs in taken.values():
+        for coeffs, outcome in pairs:
+            for sign in (1, -1):
+                c = Fraction(sign * rng.randint(1, 12), rng.randint(1, 12))
+                scaled = outcome_of(tuple(c * x for x in coeffs))
+                assert scaled[:2] == outcome[:2], (coeffs, c)
+                if scaled != outcome:
+                    tied.append((coeffs, c, outcome[2], scaled[2]))
+    if tied and sweep in _SIGN_TIE_SWEEPS and all(t[1] < 0 for t in tied):
+        pytest.xfail(f"sign-tied parameters {tied[0][2]} and {tied[0][3]}")
+    assert tied == []
 
 
 def _random_coefficient(rng):
@@ -186,7 +295,7 @@ def test_ext2ad_filters_reject_a_zero_row_without_rank(monkeypatch):
         "member": False, "outer": True, "indecomposable": True}
 
 
-def test_ext2ad_sweep_filters_each_point_once(monkeypatch):
+def test_ext2ad_sweep_filters_each_line_once(monkeypatch):
     points = classify.sweep_points("r2", "ext2ad", GridSpec())
     calls = []
     filters = classify._ext2_filters
@@ -197,7 +306,8 @@ def test_ext2ad_sweep_filters_each_point_once(monkeypatch):
 
     monkeypatch.setattr(classify, "_ext2_filters", counting)
     classify._run_sweep("r2", "ext2ad", points, jobs=1)
-    assert len(calls) == len(points)
+    assert len(calls) == len({classify._line_key(p) for p in points})
+    assert len(calls) < len(points)
 
 
 def test_ext2ad_template_failing_a_filter_is_rejected():

@@ -191,6 +191,14 @@ class TestExitCodes:
         assert out == ""
         assert f"grid field {field} must be at least 1" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_classify_jobs_below_one(self, capsys, jobs):
+        code, out, err = self._run(
+            ["classify", "--base", "r1", "--jobs", jobs], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"jobs must be at least 1, got {jobs}" in err
+
     def _extend(self, tmp_path, capsys, derivation, *extra):
         alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))
         d = _write(tmp_path / "d.json", matrix_to_document(derivation))
