@@ -7,7 +7,6 @@ from .exactla import (
     EigenStructure,
     IrreducibleFactorDegreeTooHigh,
     Matrix,
-    QuadraticEigenvalue,
     RealIrrationalEigenvalues,
     Subspace,
     UnsupportedSpectrumError,
@@ -37,14 +36,12 @@ from .liealg import (
     make_algebra,
     quotient,
     r_plus_heisenberg,
-    restricted_adjoint,
 )
 from .deriv import (
     CohomologyClass,
     DerivationSpace,
     NotADerivation,
     derivation_space,
-    induced_quotient_map,
     is_outer,
     project_to_h1,
 )

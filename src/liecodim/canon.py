@@ -15,6 +15,11 @@ conventions are:
 
 Scalars produced by the complex normalization may be quadratic irrationals
 u*sqrt(v); they are carried exactly by :class:`ExactScalar`, never floats.
+
+Blocks keep the shape of :class:`~liecodim.exactla.EigenStructure` blocks:
+``("r", size, v)`` and ``("c", size, re, q)``.  After scaling every value is
+an :class:`ExactScalar` and a pair carries its imaginary part q itself, not
+q^2; ``exactla._block_key`` orders them, as it orders the unscaled blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Callable, Optional, Sequence, Union
 from .exactla import (
     EigenStructure,
     Matrix,
+    _block_key,
     _sqrt_fraction,
     eigen_structure,
     format_frac,
@@ -42,6 +48,14 @@ def _pivot_sorted(items: Sequence, value: Callable = lambda v: v) -> list:
     """Largest absolute ``value`` first; ties prefer the positive value.
     This is the one pivot rule of the scaling conventions."""
     return sorted(items, key=lambda x: (-abs(value(x)), value(x) < 0))
+
+
+def _pivot(reals) -> Fraction:
+    """The scale of a real spectrum, given as (eigenvalue, block size)
+    pairs: the pivot of its nonzero Jordan-chain eigenvalues, else of all
+    its nonzero ones, else 1."""
+    pool = [v for v, s in reals if s > 1 and v] or [v for v, _ in reals if v]
+    return _pivot_sorted(pool)[0] if pool else Fraction(1)
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
@@ -151,36 +165,20 @@ def as_exact(p: ParamValue) -> ExactScalar:
 
 
 @dataclass(frozen=True)
-class CanonicalBlock:
-    """One block of a normalized form: its eigen data after scaling and
-    the block size."""
-
-    kind: str  # 'rational' | 'complex_pair'
-    size: int
-    value: Optional[ExactScalar] = None
-    real_part: Optional[ExactScalar] = None
-    imag: Optional[ExactScalar] = None
-
-    def sort_key(self) -> tuple:
-        if self.kind == "rational":
-            return (0, self.value._cmp_key(), -self.size)
-        return (1, self.real_part._cmp_key(), self.imag._cmp_key(), -self.size)
-
-    def describe(self) -> str:
-        if self.kind == "rational":
-            return f"[{self.value}]x{self.size}"
-        return f"[{self.real_part}+-{self.imag}i]x{self.size}"
-
-
-@dataclass(frozen=True)
 class CanonicalForm:
-    """Scaling-normalized spectral data of a matrix."""
+    """Scaling-normalized spectral data of a matrix: its blocks, scaled."""
 
-    blocks: tuple[CanonicalBlock, ...]
+    blocks: tuple[tuple, ...]
     scaling_applied: ExactScalar
 
     def describe(self) -> str:
-        return " + ".join(b.describe() for b in self.blocks)
+        return " + ".join(f"[{vals[0]}]x{size}" if kind == "r" else
+                          f"[{vals[0]}+-{vals[1]}i]x{size}"
+                          for kind, size, *vals in self.blocks)
+
+
+def _nonzero_rationals(st: EigenStructure) -> list[Fraction]:
+    return [v for kind, _, v, *_ in st.blocks if kind == "r" and v != 0]
 
 
 def _candidate_scalings(st: EigenStructure) -> list[ExactScalar]:
@@ -188,39 +186,20 @@ def _candidate_scalings(st: EigenStructure) -> list[ExactScalar]:
     with both sign choices when signs are free."""
     pairs = st.complex_pairs()
     if pairs:
-        q2_des, p_des = max((q2, p) for (p, q2) in pairs)
-        base = ExactScalar.sqrt(Fraction(1) / q2_des)
+        base = ExactScalar.sqrt(Fraction(1) / max(q2 for _, q2 in pairs))
         return [base, -base]
-    jordan_eigs = [ev.value for ev, sizes in st.entries
-                   if ev.kind == "rational" and ev.value != 0 and sizes and sizes[0] >= 2]
-    if jordan_eigs:
-        return [ExactScalar.of(Fraction(1) / _pivot_sorted(jordan_eigs)[0])]
-    nonzero = [ev.value for ev, _ in st.entries if ev.kind == "rational" and ev.value != 0]
-    if nonzero:
-        return [ExactScalar.of(Fraction(1) / _pivot_sorted(nonzero)[0])]
-    return [ExactScalar.of(1)]
+    reals = [(v, size) for kind, size, v, *_ in st.blocks if kind == "r"]
+    return [ExactScalar.of(Fraction(1) / _pivot(reals))]
 
 
-def _scaled_blocks(st: EigenStructure, c: ExactScalar) -> tuple[CanonicalBlock, ...]:
-    blocks: list[CanonicalBlock] = []
+def _scaled_blocks(st: EigenStructure, c: ExactScalar) -> tuple[tuple, ...]:
+    """The blocks of ``st`` with every eigenvalue times c, sorted by
+    :func:`_block_key`."""
     c2 = c.square()
-    for ev, sizes in st.entries:
-        for size in sizes:
-            if ev.kind == "rational":
-                blocks.append(CanonicalBlock(
-                    "rational", size, value=ExactScalar.of(ev.value).times(c)))
-            else:
-                p_norm = ExactScalar.of(ev.real_part).times(c)
-                q2_norm = ev.imag_sq * c2
-                blocks.append(CanonicalBlock(
-                    "complex_pair", size,
-                    real_part=p_norm, imag=ExactScalar.sqrt(q2_norm)))
-    blocks.sort(key=CanonicalBlock.sort_key)
-    return tuple(blocks)
-
-
-def _form_key(blocks: tuple[CanonicalBlock, ...]) -> tuple:
-    return tuple(b.sort_key() for b in blocks)
+    return tuple(sorted(
+        ((kind, size, ExactScalar.of(vals[0]).times(c)) if kind == "r" else
+         (kind, size, ExactScalar.of(vals[0]).times(c), ExactScalar.sqrt(vals[1] * c2))
+         for kind, size, *vals in st.blocks), key=_block_key))
 
 
 def proportional_normalize(m: Matrix) -> CanonicalForm:
@@ -231,26 +210,8 @@ def proportional_normalize(m: Matrix) -> CanonicalForm:
     """
     st = eigen_structure(m)
     scaled = [(_scaled_blocks(st, c), c) for c in _candidate_scalings(st)]
-    blocks, c = min(scaled, key=lambda bc: _form_key(bc[0]))
+    blocks, c = min(scaled, key=lambda bc: [_block_key(b) for b in bc[0]])
     return CanonicalForm(blocks, c)
-
-
-def _nonzero_rationals(st: EigenStructure) -> list[Fraction]:
-    return [ev.value for ev, _ in st.entries if ev.kind == "rational" and ev.value != 0]
-
-
-def _scaled_structure_key(st: EigenStructure, c: Fraction) -> tuple:
-    data = []
-    for ev, sizes in st.entries:
-        if ev.kind == "rational":
-            data.append((0, c * ev.value, Fraction(0), sizes))
-        else:
-            data.append((1, c * ev.real_part, c * c * ev.imag_sq, sizes))
-    return tuple(sorted(data))
-
-
-def _structure_key(st: EigenStructure) -> tuple:
-    return _scaled_structure_key(st, Fraction(1))
 
 
 def _intertwiner(x: Matrix, y: Matrix) -> Matrix:
@@ -321,9 +282,9 @@ def proportional_similar(a: Matrix, b: Matrix
     if not candidates:
         # fully nilpotent spectra: any nonzero scalar preserves the form
         candidates = {Fraction(1)}
-    key_b = _structure_key(st_b)
+    blocks_b = _scaled_blocks(st_b, ExactScalar.of(1))
     for c in sorted(candidates):
-        if c == 0 or _scaled_structure_key(st_a, c) != key_b:
+        if c == 0 or _scaled_blocks(st_a, ExactScalar.of(c)) != blocks_b:
             continue
         scaled = a.scale(c)
         witness = _intertwiner(scaled, b)

@@ -56,6 +56,7 @@ from .canon import (
     ExactScalar,
     FamilyTemplate,
     ParamValue,
+    _pivot,
     _pivot_sorted,
     as_exact,
     param_str,
@@ -68,7 +69,6 @@ from .deriv import (
     project_to_h1,
 )
 from .exactla import (
-    EigenStructure,
     Matrix,
     Poly,
     Subspace,
@@ -372,13 +372,6 @@ def _cc_canonical(pairs: Sequence[tuple[Fraction, Fraction]]
             ExactScalar.sqrt(q2_b))
 
 
-def _expand_blocks(st: EigenStructure) -> list[tuple]:
-    """Blocks ("r", size, value) and ("c", size, p, q^2) of a spectrum."""
-    return [("r", s, ev.value) if ev.kind == "rational" else
-            ("c", s, ev.real_part, ev.imag_sq)
-            for ev, sizes in st.entries for s in sizes]
-
-
 def _classify_gl2_flat(flat: Sequence[Fraction]) -> MatchResult:
     """The r2/ext1 table matcher's answer, from trace and discriminant."""
     a, b = flat[0], flat[1]
@@ -508,13 +501,6 @@ def _abelian_table(key: str, mode: str) -> tuple[list, dict]:
     return rows, lookup
 
 
-def _pivot(reals) -> Fraction:
-    """The scale of a real spectrum: the pivot of its nonzero Jordan-chain
-    eigenvalues, else of all its nonzero ones, else 1."""
-    pool = [v for v, s in reals if s > 1 and v] or [v for v, _ in reals if v]
-    return _pivot_sorted(pool)[0] if pool else Fraction(1)
-
-
 def _normal_blocks(spectrum) -> list[tuple]:
     """A spectrum scaled to its normal form, complex blocks first and real
     blocks in pivot order: one complex pair to unit imaginary part with the
@@ -580,7 +566,7 @@ def _classify_abelian(key: str, mode: str, flat: Vector) -> MatchResult:
     if mode == "ext1" and m.det() == 0:
         return None
     st = eigen_structure(m)
-    outcome = _match_spectrum(key, mode, _expand_blocks(st))
+    outcome = _match_spectrum(key, mode, st.blocks)
     if outcome is None:
         raise AssertionError(f"no {key}/{mode} family fits {st}")
     return outcome

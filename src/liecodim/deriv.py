@@ -17,12 +17,10 @@ from typing import Optional
 
 from .exactla import Matrix, Subspace, Vector, nullspace, vec_is_zero, vec_sub
 from .liealg import (
-    Ideal,
     LieAlgebra,
     adjoint_matrix,
     bracket,
     derived_subalgebra,
-    induced_operator_on_quotient,
 )
 
 
@@ -32,10 +30,6 @@ class NotADerivation(Exception):
         self.residual = residual
         super().__init__(
             f"Leibniz identity fails on basis pair {pair}; residual {residual}")
-
-
-class IdealNotInvariant(Exception):
-    pass
 
 
 def leibniz_system(alg: LieAlgebra) -> Matrix:
@@ -170,18 +164,6 @@ def project_to_h1(space: DerivationSpace, d: Matrix) -> CohomologyClass:
 def is_outer(space: DerivationSpace, d: Matrix) -> bool:
     """True iff d is a derivation whose class modulo ad is nonzero."""
     return not project_to_h1(space, d).is_zero()
-
-
-def induced_quotient_map(alg: LieAlgebra, d: Matrix, ideal: Ideal) -> Matrix:
-    """Matrix induced by d on L/I, in the complement coordinates.
-
-    d must preserve the ideal; for I = [L, L] this holds automatically for
-    every derivation, by Leibniz.
-    """
-    try:
-        return induced_operator_on_quotient(alg, d, ideal)
-    except Exception as exc:  # noqa: BLE001 - translate to the documented error
-        raise IdealNotInvariant(str(exc)) from exc
 
 
 def derived_invariance_holds(alg: LieAlgebra, d: Matrix) -> bool:

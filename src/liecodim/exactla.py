@@ -8,6 +8,11 @@ system).  Spectral computations support rational eigenvalues plus
 complex-conjugate pairs coming from irreducible quadratic factors; anything
 outside that field (real irrational eigenvalues, irreducible factors of
 degree >= 3) raises a clean error instead of approximating.
+
+A spectrum is one tuple of real Jordan blocks, ``("r", size, lam)`` for a
+rational eigenvalue lam and ``("c", size, p, q2)`` for the pair
+p +- sqrt(q2) i, sorted as :class:`EigenStructure` documents; canon scales
+these blocks and classify matches them as they are.
 """
 
 from __future__ import annotations
@@ -209,7 +214,7 @@ class Matrix:
                 a[col], a[pivot] = a[pivot], a[col]
                 det = -det
             det *= a[col][col]
-            inv = 1 / a[col][col]
+            inv = Fraction(1) / a[col][col]
             for r in range(col + 1, n):
                 if a[r][col] != 0:
                     f = a[r][col] * inv
@@ -286,7 +291,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
+        inv = Fraction(1) / a[r][col]
         a[r] = [x * inv for x in a[r]]
         for i in range(nrows):
             if i != r and a[i][col] != 0:
@@ -803,80 +808,48 @@ def _factor_over_rationals(p: Poly) -> list[tuple[Poly, int]]:
 
 
 @dataclass(frozen=True)
-class QuadraticEigenvalue:
-    """One eigenvalue of a rational matrix, within the supported field.
-
-    ``kind`` is either 'rational' (value stored exactly) or 'complex_pair'
-    for a conjugate pair p +- q*i where p and q^2 are rational and q^2 > 0.
-    ``multiplicity`` counts occurrences (pairs count once per conjugate
-    pair).
-    """
-
-    kind: str
-    multiplicity: int
-    value: Optional[Fraction] = None
-    real_part: Optional[Fraction] = None
-    imag_sq: Optional[Fraction] = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "rational":
-            if self.value is None:
-                raise ValueError("rational eigenvalue needs a value")
-        elif self.kind == "complex_pair":
-            if self.real_part is None or self.imag_sq is None:
-                raise ValueError("complex pair needs (p, q^2)")
-            if self.imag_sq <= 0:
-                raise ValueError("complex pair requires q^2 > 0")
-        else:
-            raise ValueError(f"unknown eigenvalue kind {self.kind!r}")
-
-    def sort_key(self) -> tuple:
-        if self.kind == "rational":
-            return (0, self.value, Fraction(0))
-        return (1, self.real_part, self.imag_sq)
-
-    def describe(self) -> str:
-        if self.kind == "rational":
-            return format_frac(self.value)
-        return f"{format_frac(self.real_part)}+-sqrt({format_frac(self.imag_sq)})i"
-
-
-@dataclass(frozen=True)
 class EigenStructure:
-    """Complete spectral data: eigenvalues with Jordan block size partitions.
+    """Complete spectral data: the real Jordan blocks of a rational matrix.
 
-    Entries are sorted by (kind, value) to make the structure canonical;
-    block sizes are listed in descending order.
+    Each block is ``("r", size, lam)`` for a Jordan block of size ``size``
+    at the rational eigenvalue lam, or ``("c", size, p, q2)`` for a real
+    Jordan block of ``size`` 2x2 tiles at the pair p +- sqrt(q2) i, q2 > 0.
+    Blocks are sorted by :func:`_block_key`: rational first, then by lam
+    or (p, q2), then by decreasing size.
     """
 
     dim: int
-    entries: tuple[tuple[QuadraticEigenvalue, tuple[int, ...]], ...]
+    blocks: tuple[tuple, ...]
 
     def rational_eigenvalues(self) -> dict[Fraction, tuple[int, ...]]:
-        return {ev.value: sizes for ev, sizes in self.entries if ev.kind == "rational"}
+        out: dict[Fraction, tuple[int, ...]] = {}
+        for kind, size, *vals in self.blocks:
+            if kind == "r":
+                out[vals[0]] = out.get(vals[0], ()) + (size,)
+        return out
 
     def complex_pairs(self) -> dict[tuple[Fraction, Fraction], tuple[int, ...]]:
-        return {(ev.real_part, ev.imag_sq): sizes
-                for ev, sizes in self.entries if ev.kind == "complex_pair"}
+        out: dict[tuple[Fraction, Fraction], tuple[int, ...]] = {}
+        for kind, size, *vals in self.blocks:
+            if kind == "c":
+                out[tuple(vals)] = out.get(tuple(vals), ()) + (size,)
+        return out
 
 
-def _block_sizes_from_nullities(nullities: list[int]) -> tuple[int, ...]:
-    """Jordan block sizes from the nullity sequence of successive powers."""
-    counts = []
-    prev = 0
-    for nl in nullities:
-        counts.append(nl - prev)
-        prev = nl
-    # counts[k] = number of blocks of size >= k+1
-    sizes = []
-    for k in range(len(counts) - 1, -1, -1):
-        extra = counts[k] - (counts[k + 1] if k + 1 < len(counts) else 0)
-        sizes.extend([k + 1] * extra)
-    return tuple(sorted(sizes, reverse=True))
+def _block_key(block: tuple) -> tuple:
+    """Rational blocks first, then by eigenvalue data, then by decreasing
+    size; the values need only compare with == and <."""
+    return block[0] == "c", block[2:], -block[1]
 
 
 def eigen_structure(m: Matrix) -> EigenStructure:
-    """Eigenvalues with Jordan block partitions, via exact rank tests.
+    """Real Jordan blocks of ``m``, via exact rank tests.
+
+    For an irreducible factor f of the characteristic polynomial, of
+    multiplicity ``mult``, the nullity of f(m)^k divided by deg f is
+    N_k = sum over the blocks of f of min(size, k), so 2 N_k - N_(k-1) -
+    N_(k+1) blocks have size k.  The powers stop once N_k reaches ``mult``,
+    after at most ``mult`` of them.
 
     The spectrum is unsupported when an irreducible factor of the
     characteristic polynomial is a quadratic with positive discriminant
@@ -899,43 +872,30 @@ def eigen_structure(m: Matrix) -> EigenStructure:
         if deg >= 3:
             raise IrreducibleFactorDegreeTooHigh(
                 f"irreducible factor of degree {deg} in the characteristic polynomial")
-    entries: list[tuple[QuadraticEigenvalue, tuple[int, ...]]] = []
+    blocks: list[tuple] = []
     for factor, mult in factors:
-        if poly_degree(factor) == 1:
-            lam = -factor[0]
-            nm = m - Matrix.identity(n).scale(lam)
-            nullities = []
-            power = Matrix.identity(n)
-            for _ in range(mult):
-                power = power @ nm
-                nullities.append(n - power.rank())
-                if nullities[-1] == mult:
-                    break
-            sizes = _block_sizes_from_nullities(nullities)
-            ev = QuadraticEigenvalue("rational", mult, value=lam)
-            entries.append((ev, sizes))
+        deg = poly_degree(factor)
+        if deg == 1:
+            kind, vals = "r", (-factor[0],)
+            g = m - Matrix.identity(n).scale(-factor[0])
         else:
-            b, c = factor[1], factor[0]
-            p = -b / 2
-            q2 = c - b * b / 4
+            kind, vals = "c", (-factor[1] / 2, factor[0] - factor[1] * factor[1] / 4)
             g = poly_eval_matrix(factor, m)
-            nullities = []
-            power = Matrix.identity(n)
-            for _ in range(mult):
-                power = power @ g
-                nullities.append((n - power.rank()) // 2)
-                if nullities[-1] == mult:
-                    break
-            sizes = _block_sizes_from_nullities(nullities)
-            ev = QuadraticEigenvalue("complex_pair", mult, real_part=p, imag_sq=q2)
-            entries.append((ev, sizes))
-    entries.sort(key=lambda pair: pair[0].sort_key())
-    total = sum(sum(sizes) for ev, sizes in entries
-                if ev.kind == "rational") + \
-        2 * sum(sum(sizes) for ev, sizes in entries if ev.kind == "complex_pair")
-    if total != n:
+        nullities = [0]
+        power = Matrix.identity(n)
+        for _ in range(mult):
+            power = power @ g
+            nullities.append((n - power.rank()) // deg)
+            if nullities[-1] == mult:
+                break
+        nullities.append(mult)
+        for k in range(len(nullities) - 2, 0, -1):
+            blocks += [(kind, k, *vals)] * (
+                2 * nullities[k] - nullities[k - 1] - nullities[k + 1])
+    blocks.sort(key=_block_key)
+    if sum(size * (1 if kind == "r" else 2) for kind, size, *_ in blocks) != n:
         raise ExactLAError("internal: Jordan sizes do not fill the dimension")
-    return EigenStructure(n, tuple(entries))
+    return EigenStructure(n, tuple(blocks))
 
 
 def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:

@@ -224,16 +224,6 @@ def adjoint_matrix(alg: LieAlgebra, v: Vector) -> Matrix:
     return Matrix.from_columns(cols)
 
 
-def restricted_adjoint(alg: LieAlgebra, v: Vector) -> Matrix:
-    """Matrix of u -> [v, u] restricted to the derived algebra.
-
-    Well-defined because [L, L] is an ideal; expressed in the canonical
-    echelon basis of the derived algebra.
-    """
-    der = derived_subalgebra(alg)
-    return restrict_operator(adjoint_matrix(alg, v), der.space)
-
-
 def restrict_operator(op: Matrix, space: Subspace) -> Matrix:
     """Matrix of an operator restricted to an invariant subspace, in the
     subspace's echelon basis."""

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from liecodim.canon import ExactScalar, proportional_normalize, proportional_similar
-from liecodim.exactla import Matrix, _block_diag
+from liecodim.exactla import Matrix, _block_diag, eigen_structure
 
 F = Fraction
 
@@ -137,6 +137,24 @@ def _scaled_conjugate(rng, m):
     s = _random_invertible(rng, m.rows)
     c = rng.choice((F(1), F(-1), F(2), F(-1, 2), F(3)))
     return (s.inverse() @ m @ s).scale(c)
+
+
+def test_eigen_structure_blocks_have_the_seed_shape():
+    """One block per real Jordan block, ("r", size, lam) or ("c", size, p,
+    q2), sorted rational first, then by lam or (p, q2), then by decreasing
+    size; a conjugate has the very same blocks."""
+    rng = random.Random(20250802)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        seed, shape = _random_seed(rng, n)
+        blocks = eigen_structure(seed).blocks
+        assert tuple(sorted(b[:2] for b in blocks)) == shape
+        assert all(len(b) == 3 if b[0] == "r" else len(b) == 4 and b[3] > 0
+                   for b in blocks)
+        assert list(blocks) == sorted(
+            blocks, key=lambda b: (b[0] == "c", b[2:], -b[1]))
+        s = _random_invertible(rng, n)
+        assert eigen_structure(s.inverse() @ seed @ s).blocks == blocks
 
 
 def test_proportional_similar_finds_a_verified_witness():

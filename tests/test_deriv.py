@@ -9,7 +9,6 @@ from liecodim.deriv import (
     NotADerivation,
     derivation_space,
     derived_invariance_holds,
-    induced_quotient_map,
     is_derivation,
     is_outer,
     project_to_h1,
@@ -22,6 +21,7 @@ from liecodim.liealg import (
     derived_subalgebra,
     filiform4,
     heisenberg3,
+    induced_operator_on_quotient,
     r_plus_heisenberg,
     center,
 )
@@ -189,12 +189,12 @@ class TestInducedMaps:
     def test_heisenberg_quotient_block(self):
         h3 = heisenberg3()
         d = h3_general_derivation(F(1), F(2), F(3), F(4), F(0), F(0))
-        induced = induced_quotient_map(h3, d, derived_subalgebra(h3))
+        induced = induced_operator_on_quotient(h3, d, derived_subalgebra(h3))
         assert induced == Matrix.from_rows([[1, 3], [4, 2]])
 
     def test_identity_induces_identity(self):
         h3 = heisenberg3()
-        induced = induced_quotient_map(
+        induced = induced_operator_on_quotient(
             h3, Matrix.identity(3), derived_subalgebra(h3))
         assert induced == Matrix.identity(2)
 
@@ -206,7 +206,7 @@ class TestInducedMaps:
             [a + b, 0, 0, h], [0, a, c, 0], [0, e, b, 0], [0, 0, 0, 0]])
         der_h_in_k = Ideal(k, Subspace.from_vectors(
             4, [(F(1), F(0), F(0), F(0))]))
-        induced = induced_quotient_map(k, d, der_h_in_k)
+        induced = induced_operator_on_quotient(k, d, der_h_in_k)
         assert induced == Matrix.from_rows(
             [[a, c, 0], [e, b, 0], [0, 0, 0]])
 

@@ -234,6 +234,24 @@ class TestMatrixBasics:
         m = M([[1, 2], [3, 4]])
         assert Matrix.unflatten(m.flatten(), 2, 2) == m
 
+    def test_int_entries_stay_exact(self):
+        """The pivot inverse is exact: an invertible matrix of ints gives
+        only Fractions, never floats."""
+        rng = random.Random(11)
+        seeds = [((2, 1), (1, 1))] + [
+            tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+            for n in (2, 3, 3, 4, 4)]
+        for rows in seeds:
+            n = len(rows)
+            m = Matrix(n, n, rows)
+            wide = Matrix(n, n + 1, tuple(row + (1,) for row in rows))
+            outputs = [m.det(), *m.inverse().flatten(),
+                       *solve(m, (1,) * n), *rref(m)[0].flatten(),
+                       *(x for v in nullspace(wide).basis for x in v),
+                       *(x for v in Subspace.from_vectors(n, rows).basis for x in v)]
+            assert all(type(x) is Fraction for x in outputs), (rows, outputs)
+        assert Matrix(2, 2, ((2, 1), (1, 1))).det() == 1
+
 
 class TestSqrtFraction:
     @pytest.mark.parametrize("x, root", [

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from liecodim.classify import catalog
 from liecodim.deriv import NotADerivation, derivation_space
 from liecodim.exactla import Matrix, NotInvertible, Subspace
 from liecodim.ext import (
@@ -49,6 +50,16 @@ def rp_shape(a, b, c, e, f, g, h, k):
     z = F(0)
     return Matrix.from_rows([
         [a + b, z, z, k], [z, a, e, z], [z, f, b, z], [z, g, h, c]])
+
+
+def random_derivation(rng, sp):
+    """A combination of the derivation basis with coefficients in [-2, 2]."""
+    flat = [F(0)] * sp.algebra.dim ** 2
+    for b in sp.full.basis:
+        c = F(rng.randint(-2, 2))
+        for i, x in enumerate(b):
+            flat[i] += c * x
+    return sp.matrix_from_flat(tuple(flat))
 
 
 class TestExtendByDerivation:
@@ -105,12 +116,7 @@ class TestCodimOneCondition:
                     abelian(3)):
             sp = derivation_space(alg)
             for _ in range(15):
-                flat = [F(0)] * alg.dim ** 2
-                for b in sp.full.basis:
-                    c = F(rng.randint(-2, 2))
-                    for i, x in enumerate(b):
-                        flat[i] += c * x
-                d = sp.matrix_from_flat(tuple(flat))
+                d = random_derivation(rng, sp)
                 ext = extend_by_derivation(alg, d)
                 der_ext = derived_subalgebra(ext)
                 expected = Subspace.from_vectors(alg.dim, [
@@ -119,6 +125,18 @@ class TestCodimOneCondition:
                 padded = Subspace.from_vectors(ext.dim, [
                     v + (F(0),) for v in expected.basis])
                 assert der_ext.space == padded
+
+    def test_derived_algebra_misses_the_new_generator(self):
+        """[L, L] <= K by construction: every derived basis vector has a
+        zero y coordinate, for each catalog base K and for K + R."""
+        rng = random.Random(5)
+        for entry in catalog().values():
+            for alg in (entry.algebra, direct_sum(entry.algebra, abelian(1))):
+                sp = derivation_space(alg)
+                for _ in range(10):
+                    ext = extend_by_derivation(alg, random_derivation(rng, sp))
+                    assert all(v[-1] == 0
+                               for v in derived_subalgebra(ext).space.basis)
 
     def test_member_extension_has_full_codim_one(self):
         d = Matrix.diagonal([2, 1, 1])

@@ -26,7 +26,7 @@ from liecodim.liealg import (
     make_algebra,
     quotient,
     r_plus_heisenberg,
-    restricted_adjoint,
+    restrict_operator,
     subalgebra,
     validate_jacobi,
 )
@@ -205,7 +205,8 @@ class TestAdjoint:
 
     def test_filiform_restricted_adjoint(self):
         g4 = filiform4()
-        restricted = restricted_adjoint(g4, g4.basis_vector(3))
+        restricted = restrict_operator(adjoint_matrix(g4, g4.basis_vector(3)),
+                                       derived_subalgebra(g4).space)
         assert restricted == Matrix.from_rows([[0, -1], [0, 0]])
         assert restricted @ restricted == Matrix.zero(2, 2)
 
