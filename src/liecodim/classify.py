@@ -161,7 +161,9 @@ class SweepSpace:
     The slot plan, computed once, records for each flat slot the
     ``(coordinate, value)`` terms that feed it: ``None`` for a slot no basis
     vector touches, the coordinate itself for a slot fed by one basis entry
-    equal to 1, and the terms to sum otherwise."""
+    equal to 1, and the terms to sum otherwise.  A summed term whose value is
+    +1 or -1 holds it as the int 1 or -1 and copies or negates its
+    coordinate; the sum starts from its first term."""
 
     n: int
     basis_flat: tuple[Vector, ...]
@@ -178,7 +180,8 @@ class SweepSpace:
             elif len(terms) == 1 and terms[0][1] == 1:
                 slots.append(terms[0][0])
             else:
-                slots.append(terms)
+                slots.append(tuple((i, int(v) if v in (1, -1) else v)
+                                   for i, v in terms))
         self._slots = tuple(slots)
 
     @property
@@ -194,9 +197,14 @@ class SweepSpace:
             elif slot.__class__ is int:
                 flat.append(coeffs[slot])
             else:
-                acc = _ZERO
+                acc = None
                 for i, val in slot:
-                    acc += coeffs[i] * val
+                    c = coeffs[i]
+                    if val.__class__ is not int:
+                        c = c * val
+                    elif val < 0:
+                        c = -c
+                    acc = c if acc is None else acc + c
                 flat.append(acc)
         return tuple(flat)
 
@@ -990,8 +998,10 @@ def sweep_points(key: str, mode: str, grid: GridSpec) -> list[tuple[Fraction, ..
     seen: set[tuple[Fraction, ...]] = set()
 
     def push(coeffs: tuple[Fraction, ...]) -> None:
-        if coeffs not in seen:
-            seen.add(coeffs)
+        # One hash per point: a tuple does not cache its hash.
+        size = len(seen)
+        seen.add(coeffs)
+        if len(seen) > size:
             points.append(coeffs)
 
     templates = _templates(entry, mode)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactla import Matrix, Subspace, Vector, nullspace, vec_is_zero, vec_sub
+from .exactla import Matrix, Subspace, Vector, nullspace, vec_is_zero
 from .liealg import (
     LieAlgebra,
     adjoint_matrix,
@@ -68,13 +68,24 @@ def is_derivation(alg: LieAlgebra, d: Matrix) -> bool:
 
 
 def leibniz_residual(alg: LieAlgebra, d: Matrix) -> Optional[tuple[tuple[int, int], Vector]]:
-    """First basis pair violating Leibniz, with its residual, else None."""
+    """First basis pair violating Leibniz, with its residual, else None.
+
+    Pairs are visited in the order i < j, i outer, and the first pair whose
+    residual d([x_i, x_j]) - [d(x_i), x_j] - [x_i, d(x_j)] is nonzero is
+    returned as 1-based ``(i, j)`` with that residual.  d(x_i) is read as
+    column i of d.  Raises ValueError unless d is dim x dim.
+    """
+    if d.rows != alg.dim or d.cols != alg.dim:
+        raise ValueError("derivation matrix has wrong shape")
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    images = [d.column(i) for i in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             lhs = d.apply(alg.bracket_basis(i, j))
-            rhs_1 = bracket(alg, d.apply(alg.basis_vector(i)), alg.basis_vector(j))
-            rhs_2 = bracket(alg, alg.basis_vector(i), d.apply(alg.basis_vector(j)))
-            residual = vec_sub(lhs, tuple(a + b for a, b in zip(rhs_1, rhs_2)))
+            rhs_1 = bracket(alg, images[i], basis[j])
+            rhs_2 = bracket(alg, basis[i], images[j])
+            residual = tuple(a - b - c if b or c else a
+                             for a, b, c in zip(lhs, rhs_1, rhs_2))
             if not vec_is_zero(residual):
                 return (i + 1, j + 1), residual
     return None

@@ -13,6 +13,15 @@ A spectrum is one tuple of real Jordan blocks, ``("r", size, lam)`` for a
 rational eigenvalue lam and ``("c", size, p, q2)`` for the pair
 p +- sqrt(q2) i, sorted as :class:`EigenStructure` documents; canon scales
 these blocks and classify matches them as they are.
+
+The kernels (``Matrix.apply``, ``@`` and ``scale``, the elimination loops of
+``Matrix.det`` and ``rref``, and ``Subspace.reduce``) skip zero terms and
+never multiply them: each loop runs over the nonzero entries of the vector,
+or of the pivot row, and for ``@`` over the nonzero entries of the left row
+and of the right row it meets.  The matrices met here (derivations of
+nilpotent algebras, basis vectors, structure tables) are mostly zeros.
+Every entry these kernels return is a ``Fraction``, also where the input
+held ``int``s; a slot no nonzero term reaches is ``Fraction(0)``.
 """
 
 from __future__ import annotations
@@ -55,6 +64,10 @@ class NotInvertible(ExactLAError):
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 def frac(x: Scalar) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact rational."""
     if isinstance(x, Fraction):
@@ -75,6 +88,13 @@ def format_frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _nonzero(v: Sequence) -> list[tuple[int, Fraction]]:
+    """The ``(index, entry)`` pairs of the nonzero entries of ``v``, each
+    entry a Fraction."""
+    return [(j, x if x.__class__ is Fraction else Fraction(x))
+            for j, x in enumerate(v) if x]
+
+
 def vec(entries: Iterable[Scalar]) -> Vector:
     return tuple(frac(e) for e in entries)
 
@@ -83,16 +103,12 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c: Fraction, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
 def vec_is_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 @dataclass(frozen=True)
@@ -135,11 +151,11 @@ class Matrix:
             tuple(vals[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def from_columns(cols: Sequence[Vector]) -> "Matrix":
+    def from_columns(cols: Sequence[Sequence[Scalar]]) -> "Matrix":
         ncols = len(cols)
         nrows = len(cols[0]) if ncols else 0
         return Matrix(nrows, ncols, tuple(
-            tuple(cols[j][i] for j in range(ncols)) for i in range(nrows)))
+            tuple(frac(cols[j][i]) for j in range(ncols)) for i in range(nrows)))
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -155,7 +171,7 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, tuple(
@@ -178,21 +194,41 @@ class Matrix:
 
     def scale(self, c: Scalar) -> "Matrix":
         cc = frac(c)
+        if not cc:
+            return Matrix.zero(self.rows, self.cols)
         return Matrix(self.rows, self.cols, tuple(
-            tuple(cc * x for x in row) for row in self.entries))
+            tuple(cc * x if x else _ZERO for x in row) for row in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().entries
-        return Matrix(self.rows, other.cols, tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries))
+        # A slot still holding the shared _ZERO has no term yet: it takes
+        # its first product as it is, with no addition to zero.
+        right = [_nonzero(row) for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [_ZERO] * other.cols
+            for a, terms in zip(row, right):
+                if a:
+                    for j, b in terms:
+                        s = acc[j]
+                        acc[j] = a * b if s is _ZERO else s + a * b
+            out.append(tuple(acc))
+        return Matrix(self.rows, other.cols, tuple(out))
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        terms = _nonzero(v)
+        out = []
+        for row in self.entries:
+            s = _ZERO
+            for j, x in terms:
+                a = row[j]
+                if a:
+                    s = a * x if s is _ZERO else s + a * x
+            out.append(s)
+        return tuple(out)
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -205,21 +241,25 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
         a = [list(row) for row in self.entries]
-        det = Fraction(1)
+        det = _ONE
         for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+            pivot = next((r for r in range(col, n) if a[r][col]), None)
             if pivot is None:
-                return Fraction(0)
+                return _ZERO
             if pivot != col:
                 a[col], a[pivot] = a[pivot], a[col]
                 det = -det
             det *= a[col][col]
-            inv = Fraction(1) / a[col][col]
+            inv = _ONE / a[col][col]
+            # Column col is never read again below the pivot, so only the
+            # nonzero entries right of it are eliminated.
+            terms = [(c, y) for c, y in enumerate(a[col]) if c > col and y]
             for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    f = a[r][col] * inv
-                    for c in range(col, n):
-                        a[r][c] -= f * a[col][c]
+                row = a[r]
+                if row[col]:
+                    f = row[col] * inv
+                    for c, y in terms:
+                        row[c] -= f * y
         return det
 
     def inverse(self) -> "Matrix":
@@ -282,21 +322,33 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     Returns ``(reduced, rank, pivot_columns)``.  Pivots are normalized to 1
     and cleared above and below, so the output is the unique RREF of ``m``.
     """
-    a = [list(row) for row in m.entries]
+    a = [[x if x.__class__ is Fraction else Fraction(x) for x in row]
+         for row in m.entries]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][col] != 0), None)
+        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][col]
-        a[r] = [x * inv for x in a[r]]
+        # Left of col the pivot row is zero; right of it only its nonzero
+        # entries are scaled and eliminated.
+        prow = a[r]
+        inv = _ONE / prow[col]
+        terms = []
+        for c in range(col + 1, ncols):
+            if prow[c]:
+                prow[c] *= inv
+                terms.append((c, prow[c]))
+        prow[col] = _ONE
         for i in range(nrows):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            f = row[col]
+            if i != r and f:
+                row[col] = _ZERO
+                for c, y in terms:
+                    row[c] -= f * y
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -350,11 +402,13 @@ class Subspace:
     def reduce(self, v: Vector) -> Vector:
         """``v`` reduced against the echelon basis: zero at every pivot, and
         zero altogether exactly when ``v`` lies in the subspace."""
-        w = list(v)
+        w = [x if x.__class__ is Fraction else Fraction(x) for x in v]
         for row, p in zip(self.basis, self.pivots):
             f = w[p]
-            if f != 0:
-                w = [x - f * y for x, y in zip(w, row)]
+            if f:
+                for c, y in enumerate(row):
+                    if y:
+                        w[c] -= f * y
         return tuple(w)
 
     def coordinates(self, v: Vector) -> Optional[Vector]:

@@ -62,8 +62,6 @@ class PreconditionViolated(Exception):
 
 
 def _require_derivation(alg: LieAlgebra, d: Matrix) -> None:
-    if d.rows != alg.dim or d.cols != alg.dim:
-        raise ValueError("derivation matrix has wrong shape")
     violation = leibniz_residual(alg, d)
     if violation is not None:
         raise NotADerivation(*violation)

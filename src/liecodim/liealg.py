@@ -125,16 +125,22 @@ def validate_jacobi(alg: LieAlgebra) -> None:
 
 
 def bracket(alg: LieAlgebra, u: Vector, v: Vector) -> Vector:
-    """Bilinear extension of the structure constants to arbitrary vectors."""
+    """Bilinear extension of the structure constants to arbitrary vectors.
+
+    Like the ``exactla`` kernels it skips zero terms: a product with a zero
+    factor is never formed."""
     if len(u) != alg.dim or len(v) != alg.dim:
         raise ValueError("vector length mismatch")
-    out = [Fraction(0)] * alg.dim
+    zero = Fraction(0)
+    out = [zero] * alg.dim
     for (i, j), w in alg.table:
-        c = u[i] * v[j] - u[j] * v[i]
-        if c != 0:
-            for k in range(alg.dim):
-                if w[k] != 0:
-                    out[k] += c * w[k]
+        c = u[i] * v[j] if u[i] and v[j] else zero
+        if u[j] and v[i]:
+            c = c - u[j] * v[i]
+        if c:
+            for k, x in enumerate(w):
+                if x:
+                    out[k] += c * x
     return tuple(out)
 
 

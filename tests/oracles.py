@@ -114,3 +114,101 @@ def jacobi_residual(brackets, dim, i, j, k):
         for t in range(dim):
             total[t] += term[t]
     return total
+
+
+def dense_apply(rows, v):
+    """Matrix times vector, every product formed, zeros included."""
+    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0))
+            for row in rows]
+
+
+def dense_matmul(a, b):
+    """Matrix product by the textbook triple loop."""
+    inner = len(b)
+    cols = len(b[0]) if inner else 0
+    out = []
+    for row in a:
+        out.append([Fraction(0)] * cols)
+        for j in range(cols):
+            for k in range(inner):
+                out[-1][j] += Fraction(row[k]) * Fraction(b[k][j])
+    return out
+
+
+def dense_scale(c, rows):
+    return [[Fraction(c) * Fraction(x) for x in row] for row in rows]
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination on whole rows.
+
+    Returns ``(reduced_rows, pivot_columns)``.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        p = a[r][col]
+        a[r] = [x / p for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def dense_reduce(basis, v):
+    """``v`` minus, for each echelon row in turn, its entry at the row's
+    leading column times the whole row."""
+    w = [Fraction(x) for x in v]
+    for row in basis:
+        lead = next(i for i, x in enumerate(row) if x != 0)
+        f = w[lead] / Fraction(row[lead])
+        w = [x - f * Fraction(y) for x, y in zip(w, row)]
+    return w
+
+
+def leibniz_first_violation(dim, table, d):
+    """First basis pair i < j (1-based, i outer) where
+    d([xi, xj]) - [d(xi), xj] - [xi, d(xj)] is nonzero, with that residual,
+    or None; every term is expanded densely.
+
+    ``table`` maps 0-based (i, j), i < j, to the coordinates of [xi, xj];
+    ``d`` is the matrix as a list of rows, d(xi) its column i.
+    """
+    def bb(a, b):
+        if a > b:
+            return [-x for x in bb(b, a)]
+        return [Fraction(x) for x in table.get((a, b), [0] * dim)]
+
+    def br(u, v):
+        out = [Fraction(0)] * dim
+        for a in range(dim):
+            for b in range(dim):
+                w = bb(a, b) if a != b else [0] * dim
+                for t in range(dim):
+                    out[t] += Fraction(u[a]) * Fraction(v[b]) * w[t]
+        return out
+
+    def image(u):
+        return [sum((Fraction(d[r][k]) * Fraction(u[k]) for k in range(dim)),
+                    Fraction(0)) for r in range(dim)]
+
+    def unit(i):
+        return [Fraction(int(k == i)) for k in range(dim)]
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            lhs = image(bb(i, j))
+            rhs_1 = br(image(unit(i)), unit(j))
+            rhs_2 = br(unit(i), image(unit(j)))
+            residual = [x - y - z for x, y, z in zip(lhs, rhs_1, rhs_2)]
+            if any(x != 0 for x in residual):
+                return (i + 1, j + 1), residual
+    return None

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from liecodim.classify import catalog
 from liecodim.deriv import (
     NotADerivation,
     derivation_space,
     derived_invariance_holds,
     is_derivation,
     is_outer,
+    leibniz_residual,
     project_to_h1,
 )
 from liecodim.exactla import Matrix, Subspace
@@ -24,7 +26,10 @@ from liecodim.liealg import (
     induced_operator_on_quotient,
     r_plus_heisenberg,
     center,
+    direct_sum,
 )
+
+from oracles import leibniz_first_violation
 
 F = Fraction
 
@@ -168,6 +173,40 @@ class TestProjection:
             assert project_to_h1(sp, adjoint_matrix(h3, u)).is_zero()
         d = Matrix.diagonal([2, 1, 1])
         assert not project_to_h1(sp, d).is_zero()
+
+
+class TestLeibnizResidual:
+    def test_first_violation_matches_dense_oracle(self):
+        """On seeded non-derivations of every catalog base K and of K + R,
+        the first violating pair and its residual are those of a dense
+        expansion visiting the pairs in the same order."""
+        rng = random.Random(12)
+        for entry in catalog().values():
+            for alg in (entry.algebra, direct_sum(entry.algebra, abelian(1))):
+                sp = derivation_space(alg)
+                n = alg.dim
+                table = {ij: list(v) for ij, v in alg.table}
+                violations = 0
+                for _ in range(12):
+                    flat = [F(0)] * n * n
+                    for b in sp.full.basis:
+                        c = F(rng.randint(-2, 2))
+                        flat = [x + c * y for x, y in zip(flat, b)]
+                    for _ in range(rng.randint(1, 3)):
+                        flat[rng.randrange(n * n)] += F(rng.randint(1, 3),
+                                                        rng.randint(1, 2))
+                    d = sp.matrix_from_flat(tuple(flat))
+                    expected = leibniz_first_violation(
+                        n, table, [list(row) for row in d.entries])
+                    got = leibniz_residual(alg, d)
+                    if expected is None:
+                        assert got is None
+                        continue
+                    violations += 1
+                    assert got == (expected[0], tuple(expected[1]))
+                    assert all(type(x) is Fraction for x in got[1])
+                if alg.table:
+                    assert violations > 0, alg.name
 
 
 class TestOuter:

@@ -31,7 +31,16 @@ from liecodim.exactla import (
 from liecodim.deriv import leibniz_system
 from liecodim.liealg import heisenberg3
 
-from oracles import det_cofactor, leibniz_equations_h3, rank_elimination
+from oracles import (
+    dense_apply,
+    dense_matmul,
+    dense_reduce,
+    dense_rref,
+    dense_scale,
+    det_cofactor,
+    leibniz_equations_h3,
+    rank_elimination,
+)
 
 F = Fraction
 
@@ -251,6 +260,57 @@ class TestMatrixBasics:
                        *(x for v in Subspace.from_vectors(n, rows).basis for x in v)]
             assert all(type(x) is Fraction for x in outputs), (rows, outputs)
         assert Matrix(2, 2, ((2, 1), (1, 1))).det() == 1
+
+    def test_from_columns_coerces_entries(self):
+        m = Matrix.from_columns([(1, 0), (F(1, 2), 3)])
+        assert m == Matrix.from_rows([[1, F(1, 2)], [0, 3]])
+        assert all(type(x) is Fraction for x in m.flatten())
+        with pytest.raises(TypeError):
+            Matrix.from_columns([(1, 0.5), (0, 1)])
+
+
+def _sparse_grid(rng, rows, cols, density, kind):
+    """A rows x cols grid of ``kind`` entries, each nonzero with probability
+    ``density``."""
+    def entry():
+        if rng.random() >= density:
+            return kind(0)
+        if kind is int:
+            return rng.choice((-3, -2, -1, 1, 2, 3))
+        return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
+@pytest.mark.parametrize("kind", [int, Fraction])
+@pytest.mark.parametrize("density", [0, 0.1, 0.25, 0.5, 0.75, 1])
+def test_kernels_match_dense_oracles(kind, density):
+    """The zero-skipping kernels agree with dense loops that form every
+    product, and return only Fractions, on raw Matrix grids of ints or
+    Fractions at every density."""
+    rng = random.Random(f"{kind.__name__}-{density}")
+    for _ in range(30):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        a = Matrix(n, k, _sparse_grid(rng, n, k, density, kind))
+        b = Matrix(k, m, _sparse_grid(rng, k, m, density, kind))
+        sq = Matrix(n, n, _sparse_grid(rng, n, n, density, kind))
+        (v,) = _sparse_grid(rng, 1, k, density, kind)
+        c = rng.choice((kind(0), kind(1), kind(-2), F(3, 2)))
+        span = Subspace.from_vectors(k, _sparse_grid(rng, rng.randint(1, 4), k,
+                                                     density, kind))
+        red, rank, pivots = rref(a)
+        expected_red, expected_pivots = dense_rref(a.entries)
+
+        assert a.apply(v) == tuple(dense_apply(a.entries, v))
+        assert (a @ b).entries == tuple(map(tuple, dense_matmul(a.entries, b.entries)))
+        assert a.scale(c).entries == tuple(map(tuple, dense_scale(c, a.entries)))
+        assert sq.det() == det_cofactor(sq.entries)
+        assert red.entries == tuple(map(tuple, expected_red))
+        assert (rank, pivots) == (len(expected_pivots), tuple(expected_pivots))
+        assert span.reduce(v) == tuple(dense_reduce(span.basis, v))
+
+        outputs = [*a.apply(v), *(a @ b).flatten(), *a.scale(c).flatten(),
+                   sq.det(), *red.flatten(), *span.reduce(v)]
+        assert all(type(x) is Fraction for x in outputs), outputs
 
 
 class TestSqrtFraction:
