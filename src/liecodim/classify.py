@@ -22,8 +22,10 @@ classifier builds a ``Matrix`` only where it needs a determinant, rank or
 spectrum.  The sweep classifies each line through the origin once: D and
 c*D (c a nonzero rational) are proportionally similar and give isomorphic
 extensions, in codimension one and for the ad-pair extensions alike, so
-the two-step filters and the matcher run once per line and every point on
-it shares the outcome.
+the two-step filters and the matcher run once per line, at its primitive
+integer vector in ``int`` arithmetic, and every point on it shares the
+outcome.  The matchers are exact on ``int`` and ``Fraction`` entries alike,
+and every parameter they return is a ``Fraction`` or an ``ExactScalar``.
 
 Every family is one table row: on an abelian base a block recipe of real
 Jordan and complex blocks (``_ABELIAN_FAMILIES``), on h3, r⊕h3 and g4 a
@@ -49,7 +51,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import (
     AmbiguousMatch,
@@ -121,10 +123,6 @@ class GoldenMismatch(Exception):
                          f"{sorted(expected)}{'; ' + detail if detail else ''}")
 
 
-def _inv_q(q2: Fraction) -> ExactScalar:
-    return ExactScalar.sqrt(Fraction(1) / q2)
-
-
 def _rational_point(p: Sequence[ParamValue]) -> bool:
     return all(isinstance(x, Fraction) or x.is_rational() for x in p)
 
@@ -161,9 +159,11 @@ class SweepSpace:
     The slot plan, computed once, records for each flat slot the
     ``(coordinate, value)`` terms that feed it: ``None`` for a slot no basis
     vector touches, the coordinate itself for a slot fed by one basis entry
-    equal to 1, and the terms to sum otherwise.  A summed term whose value is
-    +1 or -1 holds it as the int 1 or -1 and copies or negates its
-    coordinate; the sum starts from its first term."""
+    equal to 1, and the terms to sum otherwise.  An integral value is held
+    as an ``int``, so ``int`` coordinates give an ``int`` flat (the sweep
+    classifies each line at its primitive integer vector) and ``Fraction``
+    coordinates a ``Fraction`` flat.  A summed term of value +1 or -1
+    copies or negates its coordinate; the sum starts from its first term."""
 
     n: int
     basis_flat: tuple[Vector, ...]
@@ -180,7 +180,7 @@ class SweepSpace:
             elif len(terms) == 1 and terms[0][1] == 1:
                 slots.append(terms[0][0])
             else:
-                slots.append(tuple((i, int(v) if v in (1, -1) else v)
+                slots.append(tuple((i, int(v) if v.denominator == 1 else v)
                                    for i, v in terms))
         self._slots = tuple(slots)
 
@@ -189,21 +189,23 @@ class SweepSpace:
         return len(self.basis_flat)
 
     def to_flat(self, coeffs: Sequence[Fraction]) -> Vector:
-        """The row-major matrix with these (Fraction) coordinates."""
+        """The row-major matrix with these coordinates, all ``Fraction`` or
+        all ``int``; its entries are of the same kind."""
+        zero = 0 if coeffs and coeffs[0].__class__ is int else _ZERO
         flat = []
         for slot in self._slots:
             if slot is None:
-                flat.append(_ZERO)
+                flat.append(zero)
             elif slot.__class__ is int:
                 flat.append(coeffs[slot])
             else:
                 acc = None
                 for i, val in slot:
                     c = coeffs[i]
-                    if val.__class__ is not int:
-                        c = c * val
-                    elif val < 0:
+                    if val == -1:
                         c = -c
+                    elif val != 1:
+                        c = c * val
                     acc = c if acc is None else acc + c
                 flat.append(acc)
         return tuple(flat)
@@ -266,47 +268,48 @@ def _classify_rp_ext1(flat: Sequence[Fraction]) -> MatchResult:
     The coupling parameter k matters exactly when c equals the trace slot
     value a+b (otherwise a basis shear eliminates it); the pair-to-tail
     coupling row (g, h) matters exactly when c is an eigenvalue of M and the
-    row leaves the row space of M - c.
+    row leaves the row space of M - c.  Exact on ``int`` and ``Fraction``
+    entries alike: every quotient is a ``Fraction``.
     """
     k = flat[3]
     a, e = flat[5], flat[6]
     f, b = flat[9], flat[10]
     g, h, c = flat[13], flat[14], flat[15]
-    det_m = a * b - e * f
-    if c == 0 or det_m == 0:
+    if c == 0 or a * b == e * f:
         return None
+    s = a + b
     disc = (a - b) ** 2 + 4 * e * f
-    k_active = (k != 0 and c == a + b)
+    k_active = (k != 0 and c == s)
 
     if disc < 0:
-        p = (a + b) / 2
-        q2 = -disc / 4
-        lam = ExactScalar.of(abs(p)).times(_inv_q(q2))
+        # M has the pair (s +- sqrt(disc))/2; at unit imaginary part its
+        # real part is |s|/sqrt(-disc) and c is 2c/sqrt(-disc).
+        q = -disc
+        lam = ExactScalar.of(Fraction(abs(s), q), q)
         if k_active:
             return "H", (lam,)
-        sgn = 1 if (p > 0 or (p == 0 and c > 0)) else -1
-        cpar = ExactScalar.of(sgn * c).times(_inv_q(q2))
-        return "G", (lam, cpar)
+        sgn = 1 if (s > 0 or (s == 0 and c > 0)) else -1
+        return "G", (lam, ExactScalar.of(Fraction(2 * sgn * c, q), q))
 
     if disc == 0 and not (e == 0 and f == 0):
-        lam = (a + b) / 2
+        lam = Fraction(s, 2)
         if c == lam:
             d_shift = Matrix.from_rows([
                 [a - lam, e, 0], [f, b - lam, 0], [g, h, 0]])
             if d_shift.rank() > 1:  # M - lam has rank 1 for a Jordan pair
                 return "F", ()
             return "D", (Fraction(1),)
-        if k != 0 and c == 2 * lam:
+        if k != 0 and c == s:
             return "E", ()
         return "D", (c / lam,)
 
     if disc == 0:
-        lam1 = lam2 = (a + b) / 2
+        lam1 = lam2 = Fraction(s, 2)
     else:
         r = _sqrt_fraction(disc)
         if r is None:
             raise UnsupportedSpectrumError("real irrational eigenvalue pair")
-        lam1, lam2 = _pivot_sorted([(a + b + r) / 2, (a + b - r) / 2])
+        lam1, lam2 = _pivot_sorted([Fraction(s + r, 2), Fraction(s - r, 2)])
     if c in (lam1, lam2):
         m_shift = Matrix.from_rows([[a - c, e], [f, b - c]])
         d_shift = Matrix.from_rows([[a - c, e, 0], [f, b - c, 0], [g, h, 0]])
@@ -330,14 +333,16 @@ def _classify_g4_ext1(flat: Sequence[Fraction]) -> MatchResult:
 
     The tail coordinates are ordered (the coupling slot sits strictly above
     the diagonal), so the two tail eigenvalues are never interchangeable and
-    the ratio a/b is a full invariant.
+    the ratio a/b is a full invariant.  The comparisons run in the
+    arithmetic of the entries (``int`` or ``Fraction``); the ratio is a
+    ``Fraction``.
     """
     a, c, b = flat[10], flat[11], flat[15]
     if a == 0 or b == 0:
         return None
     if a == b and c != 0:
         return "J", ()
-    return "I", (a / b,)
+    return "I", (Fraction(a, b),)
 
 
 def _classify_h3_ext2(flat: Sequence[Fraction]) -> MatchResult:
@@ -381,25 +386,31 @@ def _cc_canonical(pairs: Sequence[tuple[Fraction, Fraction]]
 
 
 def _classify_gl2_flat(flat: Sequence[Fraction]) -> MatchResult:
-    """The r2/ext1 table matcher's answer, from trace and discriminant."""
+    """The r2/ext1 table matcher's answer, from trace and discriminant.
+
+    Determinant, discriminant sign and squareness are decided in the
+    arithmetic of the entries (``int`` or ``Fraction``); only a matched
+    parameter is built as a ``Fraction`` or ``ExactScalar``.  With t the
+    absolute trace, the eigenvalues are (+-t +- sqrt(disc))/2: a real pair
+    divided by its pivot, the one of larger modulus, has ratio
+    (t - r)/(t + r), and a complex pair scaled to unit imaginary part has
+    real part t/sqrt(-disc)."""
     a, b = flat[0], flat[1]
     c, d = flat[2], flat[3]
-    if a * d - b * c == 0:
+    if a * d == b * c:
         return None
+    t = abs(a + d)
     disc = (a - d) ** 2 + 4 * b * c
     if disc > 0:
         r = _sqrt_fraction(disc)
         if r is None:
             raise UnsupportedSpectrumError("real irrational eigenvalue pair")
-        lam1, lam2 = _pivot_sorted([(a + d + r) / 2, (a + d - r) / 2])
-        return "diag", (lam2 / lam1,)
+        return "diag", (Fraction(t - r, t + r),)
     if disc == 0:
         if b == 0 and c == 0:
             return "diag", (Fraction(1),)
         return "j2", ()
-    p = (a + d) / 2
-    q2 = -disc / 4
-    return "cplx", (ExactScalar.of(abs(p)).times(_inv_q(q2)),)
+    return "cplx", (ExactScalar.of(Fraction(t, -disc), -disc),)
 
 
 def _ext2_filters(key: str, flat: Sequence[Fraction], size: int) -> dict[str, bool]:
@@ -521,7 +532,7 @@ def _normal_blocks(spectrum) -> list[tuple]:
         return [("c", 1, a, Fraction(1)), ("c", 1, b, q)]
     if pairs:
         (p, q2, size), = pairs
-        inv = _inv_q(q2)
+        inv = ExactScalar.sqrt(Fraction(1) / q2)
         lead = p or (_pivot_sorted([v for v, _ in reals]) or [1])[0]
         factor = 1 if lead > 0 else -1
         head = [("c", size, ExactScalar.of(abs(p)).times(inv), Fraction(1))]
@@ -739,7 +750,8 @@ class CatalogEntry:
     """One base algebra with everything its classifications need.
 
     A classifier receives a sweep point as its flat row-major matrix (a
-    ``Vector`` of length n*n in the coordinate shape of the sweep space) and
+    ``Vector`` of length n*n in the coordinate shape of the sweep space,
+    with ``int`` entries in the sweep and ``Fraction`` entries elsewhere) and
     returns the matched family name with canonical parameters, or ``None``
     for a non-member.  The ext2ad classifier assumes the point has passed
     the base's ``_ext2_filters``."""
@@ -985,14 +997,20 @@ class GridSpec:
         return dataclasses.replace(spec, **kwargs)
 
 
+def _cartesian(grid: GridSpec, dim: int) -> bool:
+    """Whether a sweep on ``dim`` coordinates enumerates the full Cartesian
+    grid over the values: it does when that grid fits the budget."""
+    return len(grid.values()) ** dim <= grid.cartesian_budget
+
+
 def sweep_points(key: str, mode: str, grid: GridSpec) -> list[tuple[Fraction, ...]]:
     """The deterministic list of coefficient tuples for one sweep."""
     entry = catalog()[key]
     sweep = _sweep_space(key, mode)
     dim = sweep.dim
     vals = grid.values()
-    if len(vals) ** dim <= grid.cartesian_budget:
-        return [tuple(p) for p in itertools.product(vals, repeat=dim)]
+    if _cartesian(grid, dim):
+        return list(itertools.product(vals, repeat=dim))
 
     points: list[tuple[Fraction, ...]] = []
     seen: set[tuple[Fraction, ...]] = set()
@@ -1237,6 +1255,23 @@ def _line_key(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _grid_line_keys(values: Sequence[Fraction], dim: int, start: int,
+                    stop: int) -> Iterator[tuple[int, ...]]:
+    """The ``_line_key`` of each point ``start:stop`` of the Cartesian grid
+    ``itertools.product(values, repeat=dim)``, in order and in integer
+    arithmetic: with L the lcm of the value denominators, a point times L
+    is an integer vector t, and its key is t divided by gcd(t), negated
+    when the first nonzero entry of t is negative."""
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    zero = (0,) * dim
+    for t in itertools.islice(itertools.product(ints, repeat=dim), start, stop):
+        g = math.gcd(*t)
+        if t < zero:
+            g = -g
+        yield t if g in (0, 1) else tuple(map(g.__rfloordiv__, t))
+
+
 def _classify_point(key: str, mode: str, sweep: SweepSpace,
                     classifier: Callable[[Vector], MatchResult],
                     coeffs: Sequence[Fraction]) -> tuple:
@@ -1261,44 +1296,60 @@ def _classify_point(key: str, mode: str, sweep: SweepSpace,
 
 
 def _classify_chunk(key: str, mode: str,
-                    points: Sequence[tuple[Fraction, ...]]) -> list[tuple]:
+                    points: Sequence[tuple[Fraction, ...]],
+                    grid_values: Optional[Sequence[Fraction]] = None,
+                    start: int = 0) -> list[tuple]:
     """Worker: classify a slice of the sweep points, returning per-point
-    results in order.
+    results in order.  Given ``grid_values``, the slice starts at index
+    ``start`` of the Cartesian grid over them and its line keys are
+    generated by ``_grid_line_keys``; otherwise each point's key is its
+    ``_line_key``.
 
-    Each line through the origin is classified once, at its first point in
-    the slice: a point c*D (c a nonzero rational) is proportionally similar
-    to D, so both give isomorphic algebras with the same outcome, and every
-    later point of the line reuses the first one's result.  One matcher
-    defect makes this a choice: when the largest |eigenvalue| of an r3 or
-    r4 diagonal point is tied between signs, D and -D get different
-    canonical parameters of the same family, and the line takes those of
-    its first point."""
+    Each line through the origin is classified once, at its primitive
+    integer vector (the key) oriented like the line's first point in the
+    slice, so the matchers run on ``int`` entries: a point c*D (c a nonzero
+    rational) is proportionally similar to D, so both give isomorphic
+    algebras with the same outcome, and every point of the line takes that
+    result.  One matcher defect makes the orientation a choice: when the
+    largest |eigenvalue| of an r3 or r4 diagonal point is tied between
+    signs, D and -D get different canonical parameters of the same family,
+    and the line takes those of its first point's side."""
     entry = catalog()[key]
     sweep = _sweep_space(key, mode)
     classifier = _classifier(entry, mode)
+    if grid_values is None:
+        lines = map(_line_key, points)
+    else:
+        lines = _grid_line_keys(grid_values, sweep.dim, start,
+                                start + len(points))
+    zero = (0,) * sweep.dim
     by_line: dict[tuple[int, ...], tuple] = {}
     results = []
-    for coeffs in points:
-        line = _line_key(coeffs)
+    for coeffs, line in zip(points, lines, strict=True):
         result = by_line.get(line)
         if result is None:
+            vector = line if coeffs > zero else tuple(-v for v in line)
             result = by_line[line] = _classify_point(key, mode, sweep,
-                                                     classifier, coeffs)
+                                                     classifier, vector)
         results.append(result)
     return results
 
 
 def _run_sweep(key: str, mode: str, points: list[tuple[Fraction, ...]],
-               jobs: int) -> list[tuple]:
-    """Classify every sweep point, in at most one worker per CPU."""
+               jobs: int, grid_values: Optional[Sequence[Fraction]] = None
+               ) -> list[tuple]:
+    """Classify every sweep point, in at most one worker per CPU;
+    ``grid_values`` says the points are the Cartesian grid over those
+    values (see ``_classify_chunk``)."""
     total = len(points)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 2000:
-        return _classify_chunk(key, mode, points)
+        return _classify_chunk(key, mode, points, grid_values)
     import multiprocessing as mp
 
     chunk = (total + jobs - 1) // jobs
-    args = [(key, mode, points[i:i + chunk]) for i in range(0, total, chunk)]
+    args = [(key, mode, points[i:i + chunk], grid_values, i)
+            for i in range(0, total, chunk)]
     with mp.Pool(jobs) as pool:
         parts = pool.starmap(_classify_chunk, args)
     return [r for part in parts for r in part]
@@ -1384,6 +1435,16 @@ def distinctness_evidence(entry: CatalogEntry, mode: str,
     return evidence, {n: prints[n].as_dict() for n in names}
 
 
+def _shuffled_indices(rng: random.Random, n: int) -> Iterator[int]:
+    """A seeded random permutation of ``range(n)``, drawn lazily by a
+    Fisher-Yates shuffle that records only the positions it has swapped."""
+    moved: dict[int, int] = {}
+    for i in range(n):
+        j = rng.randrange(i, n)
+        yield moved.get(j, j)
+        moved[j] = moved.pop(i, i)
+
+
 def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
                            points: list[tuple[Fraction, ...]],
                            results: list[tuple], count: int = 60) -> int:
@@ -1392,10 +1453,8 @@ def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
     outcome but ``"nonmember"`` passed the fast membership test)."""
     sweep = _sweep_space(entry.key, mode)
     rng = random.Random(grid.seed + 1)
-    idx = list(range(len(points)))
-    rng.shuffle(idx)
     checked = 0
-    for i in idx:
+    for i in _shuffled_indices(rng, len(points)):
         if checked >= count:
             break
         kind = results[i][0]
@@ -1429,7 +1488,9 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
         raise ValueError(f"{key} has no ad-pair classification")
     templates = _templates(entry, mode)
     points = sweep_points(key, mode, grid)
-    results = _run_sweep(key, mode, points, jobs)
+    cartesian = _cartesian(grid, _sweep_space(key, mode).dim)
+    results = _run_sweep(key, mode, points, jobs,
+                         grid.values() if cartesian else None)
 
     counts: dict[str, int] = {}
     samples: dict[str, list[str]] = {}

@@ -18,8 +18,8 @@ from typing import Optional
 from .exactla import Matrix, Subspace, Vector, nullspace, vec_is_zero
 from .liealg import (
     LieAlgebra,
+    _bracket,
     adjoint_matrix,
-    bracket,
     derived_subalgebra,
 )
 
@@ -82,8 +82,8 @@ def leibniz_residual(alg: LieAlgebra, d: Matrix) -> Optional[tuple[tuple[int, in
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             lhs = d.apply(alg.bracket_basis(i, j))
-            rhs_1 = bracket(alg, images[i], basis[j])
-            rhs_2 = bracket(alg, basis[i], images[j])
+            rhs_1 = _bracket(alg, images[i], basis[j])
+            rhs_2 = _bracket(alg, basis[i], images[j])
             residual = tuple(a - b - c if b or c else a
                              for a, b, c in zip(lhs, rhs_1, rhs_2))
             if not vec_is_zero(residual):

@@ -21,7 +21,10 @@ or of the pivot row, and for ``@`` over the nonzero entries of the left row
 and of the right row it meets.  The matrices met here (derivations of
 nilpotent algebras, basis vectors, structure tables) are mostly zeros.
 Every entry these kernels return is a ``Fraction``, also where the input
-held ``int``s; a slot no nonzero term reaches is ``Fraction(0)``.
+held ``int``s; a slot no nonzero term reaches is ``Fraction(0)``.  Where
+they coerce an entry (``rref``, ``Subspace.reduce``, the nonzero entries
+of ``apply`` and of the right factor of ``@``) they use ``frac``, so a
+``float`` raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def format_frac(x: Fraction) -> str:
 def _nonzero(v: Sequence) -> list[tuple[int, Fraction]]:
     """The ``(index, entry)`` pairs of the nonzero entries of ``v``, each
     entry a Fraction."""
-    return [(j, x if x.__class__ is Fraction else Fraction(x))
+    return [(j, x if x.__class__ is Fraction else frac(x))
             for j, x in enumerate(v) if x]
 
 
@@ -322,7 +325,7 @@ def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     Returns ``(reduced, rank, pivot_columns)``.  Pivots are normalized to 1
     and cleared above and below, so the output is the unique RREF of ``m``.
     """
-    a = [[x if x.__class__ is Fraction else Fraction(x) for x in row]
+    a = [[x if x.__class__ is Fraction else frac(x) for x in row]
          for row in m.entries]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
@@ -375,6 +378,9 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
+        """The span of ``vectors``; ``rref`` coerces the entries of the
+        nonzero ones (``int`` becomes ``Fraction``, ``float`` raises
+        ``TypeError``)."""
         vecs = [v for v in vectors if not vec_is_zero(v)]
         if not vecs:
             return Subspace(ambient_dim, ())
@@ -402,7 +408,7 @@ class Subspace:
     def reduce(self, v: Vector) -> Vector:
         """``v`` reduced against the echelon basis: zero at every pivot, and
         zero altogether exactly when ``v`` lies in the subspace."""
-        w = [x if x.__class__ is Fraction else Fraction(x) for x in v]
+        w = [x if x.__class__ is Fraction else frac(x) for x in v]
         for row, p in zip(self.basis, self.pivots):
             f = w[p]
             if f:
@@ -953,14 +959,15 @@ def eigen_structure(m: Matrix) -> EigenStructure:
 
 
 def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a non-negative rational, or None."""
+    """Exact square root of a non-negative rational, or None; the root of
+    an ``int`` is an ``int``."""
     if x < 0:
         return None
     rn = math.isqrt(x.numerator)
     rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
+    if rn * rn != x.numerator or rd * rd != x.denominator:
+        return None
+    return rn if x.__class__ is int else Fraction(rn, rd)
 
 
 def _block_diag(blocks: list[Matrix]) -> Matrix:

@@ -28,8 +28,8 @@ from .deriv import NotADerivation, leibniz_residual
 from .liealg import (
     Ideal,
     LieAlgebra,
+    _bracket,
     adjoint_matrix,
-    bracket,
     center,
     complement_coordinates,
     derived_subalgebra,
@@ -279,7 +279,7 @@ def verify_iso_witness_full(L1: LieAlgebra, L2: LieAlgebra, T: Matrix) -> bool:
     for i in range(L1.dim):
         for j in range(i + 1, L1.dim):
             lhs = T.apply(L1.bracket_basis(i, j))
-            rhs = bracket(L2, T.column(i), T.column(j))
+            rhs = _bracket(L2, T.column(i), T.column(j))
             if lhs != rhs:
                 return False
     return True
@@ -343,7 +343,7 @@ def change_of_basis(alg: LieAlgebra, P: Matrix) -> LieAlgebra:
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            w = p_inv.apply(bracket(alg, P.column(i), P.column(j)))
+            w = p_inv.apply(_bracket(alg, P.column(i), P.column(j)))
             entry = {k + 1: c for k, c in enumerate(w) if c != 0}
             if entry:
                 brackets[(i + 1, j + 1)] = entry

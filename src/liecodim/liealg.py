@@ -21,6 +21,7 @@ from .exactla import (
     Vector,
     frac,
     nullspace,
+    vec,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -116,9 +117,9 @@ def validate_jacobi(alg: LieAlgebra) -> None:
     triples = sorted({tuple(sorted((a, b, c))) for (a, b), _ in alg.table
                       for c in range(alg.dim) if c != a and c != b})
     for i, j, k in triples:
-        r1 = bracket(alg, alg.bracket_basis(i, j), alg.basis_vector(k))
-        r2 = bracket(alg, alg.bracket_basis(j, k), alg.basis_vector(i))
-        r3 = bracket(alg, alg.bracket_basis(k, i), alg.basis_vector(j))
+        r1 = _bracket(alg, alg.bracket_basis(i, j), alg.basis_vector(k))
+        r2 = _bracket(alg, alg.bracket_basis(j, k), alg.basis_vector(i))
+        r3 = _bracket(alg, alg.bracket_basis(k, i), alg.basis_vector(j))
         residual = vec_add(vec_add(r1, r2), r3)
         if not vec_is_zero(residual):
             raise JacobiViolation((i + 1, j + 1, k + 1), residual)
@@ -127,10 +128,18 @@ def validate_jacobi(alg: LieAlgebra) -> None:
 def bracket(alg: LieAlgebra, u: Vector, v: Vector) -> Vector:
     """Bilinear extension of the structure constants to arbitrary vectors.
 
-    Like the ``exactla`` kernels it skips zero terms: a product with a zero
-    factor is never formed."""
+    The entries are coerced by ``frac``: ``int`` entries give ``Fraction``
+    results, a ``float`` raises ``TypeError``."""
     if len(u) != alg.dim or len(v) != alg.dim:
         raise ValueError("vector length mismatch")
+    return _bracket(alg, vec(u), vec(v))
+
+
+def _bracket(alg: LieAlgebra, u: Vector, v: Vector) -> Vector:
+    """``bracket`` of two Fraction vectors of the right length, unchecked.
+
+    Like the ``exactla`` kernels it skips zero terms: a product with a zero
+    factor is never formed."""
     zero = Fraction(0)
     out = [zero] * alg.dim
     for (i, j), w in alg.table:
@@ -160,13 +169,13 @@ class Ideal:
 
 
 def _span_closure_is_ideal(alg: LieAlgebra, space: Subspace) -> bool:
-    return all(space.contains(bracket(alg, alg.basis_vector(i), w))
+    return all(space.contains(_bracket(alg, alg.basis_vector(i), w))
                for i in range(alg.dim) for w in space.basis)
 
 
 def product_space(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """span{[u, v] : u in a, v in b}."""
-    vectors = [bracket(alg, u, v) for u in a.basis for v in b.basis]
+    vectors = [_bracket(alg, u, v) for u in a.basis for v in b.basis]
     return Subspace.from_vectors(alg.dim, vectors)
 
 
@@ -225,8 +234,12 @@ def center(alg: LieAlgebra) -> Ideal:
 
 
 def adjoint_matrix(alg: LieAlgebra, v: Vector) -> Matrix:
-    """Matrix of u -> [v, u] in the ambient basis."""
-    cols = [bracket(alg, v, alg.basis_vector(j)) for j in range(alg.dim)]
+    """Matrix of u -> [v, u] in the ambient basis; ``v`` is coerced as in
+    ``bracket``."""
+    if len(v) != alg.dim:
+        raise ValueError("vector length mismatch")
+    v = vec(v)
+    cols = [_bracket(alg, v, alg.basis_vector(j)) for j in range(alg.dim)]
     return Matrix.from_columns(cols)
 
 
@@ -268,7 +281,7 @@ def quotient(alg: LieAlgebra, ideal: Ideal, name: Optional[str] = None) -> LieAl
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a_idx, i in enumerate(comp):
         for b_idx, j in enumerate(comp[a_idx + 1:], start=a_idx + 1):
-            w = bracket(alg, alg.basis_vector(i), alg.basis_vector(j))
+            w = _bracket(alg, alg.basis_vector(i), alg.basis_vector(j))
             coords = proj(w)
             entry = {k + 1: c for k, c in enumerate(coords) if c != 0}
             if entry:
@@ -293,7 +306,7 @@ def subalgebra(alg: LieAlgebra, space: Subspace, name: Optional[str] = None) -> 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, u in enumerate(space.basis):
         for j in range(i + 1, space.dim):
-            w = bracket(alg, u, space.basis[j])
+            w = _bracket(alg, u, space.basis[j])
             coords = space.coordinates(w)
             if coords is None:
                 raise NotAnIdeal("subspace is not closed under bracketing")

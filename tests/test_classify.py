@@ -1,15 +1,17 @@
 """Classification sweeps: byte-identical default reports, one point list
 per sweep, the worker-pool size, one classification per line through the
-origin and the scaling invariance that makes it sound, sweep-space
-coordinates, the per-point work of the sweep stage, the shared extension
-path of both sweep modes, the abelian family table and its matcher,
-template sampling, the pinned samples of the shaped families, small-grid
-sweeps of the two slow bases, the names the traced benchmark wraps, and the
-range of the grid fields."""
+origin at its integer vector, the integer line keys of a Cartesian grid,
+and the scaling invariance that makes it sound, sweep-space coordinates,
+the per-point work of the sweep stage, the shared extension path of both
+sweep modes, the lazy cross-check draw, the abelian family table and its
+matcher, template sampling, the pinned samples of the shaped families,
+small-grid sweeps of the two slow bases, the names the traced benchmark
+wraps, and the range of the grid fields."""
 
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -22,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from liecodim import classify, exactla
-from liecodim.canon import AmbiguousMatch, param_str
+from liecodim.canon import AmbiguousMatch, ExactScalar, param_str
 from liecodim.classify import GridSpec, classify_extensions
 from liecodim.cli import canonical_json
 from liecodim.exactla import (Matrix, Subspace, UnsupportedSpectrumError,
@@ -114,6 +116,60 @@ def test_pool_chunks_sharing_a_line_agree_with_one_chunk(monkeypatch):
     assert results == [outcome_of(p) for p in points]
     assert {r[0] for r in results} == {"match", "nonmember", "skip"}
 
+    # On a Cartesian grid the keys come from the integer product: p and -p
+    # sit in opposite halves, so every chunk meets lines of the other.
+    grid = GridSpec(num_max=2, den_max=2)
+    values = grid.values()
+    points = classify.sweep_points("r2", "ext1", grid)
+    assert len(points) == len(values) ** 4 >= 2000
+    _InlinePool.sizes.clear()
+    results = classify._run_sweep("r2", "ext1", points, 2, values)
+    assert _InlinePool.sizes == [2]
+    assert results == classify._run_sweep("r2", "ext1", points, 1, values)
+    assert results == classify._run_sweep("r2", "ext1", points, 1)
+    assert results == [outcome_of(p) for p in points]
+
+
+def test_a_line_takes_the_outcome_of_its_first_points_side():
+    # diag(1, 1, -1) ties its largest |eigenvalue| between signs, so it and
+    # its negative get different r3 diag parameters; the line is classified
+    # at its integer vector pointing the way of its first point.
+    d = tuple(Fraction(x) for x in (1, 0, 0, 0, 1, 0, 0, 0, -1))
+    minus = tuple(-x for x in d)
+    outcome_of = functools.partial(
+        classify._classify_point, "r3", "ext1",
+        classify._sweep_space("r3", "ext1"),
+        classify._classifier(classify.catalog()["r3"], "ext1"))
+    assert outcome_of(d)[:2] == outcome_of(minus)[:2]
+    assert outcome_of(d) != outcome_of(minus)
+    for first, second in ((d, minus), (minus, d)):
+        points = [first, tuple(Fraction(3, 2) * x for x in second)]
+        assert classify._classify_chunk("r3", "ext1", points) \
+            == [outcome_of(first)] * 2
+
+
+@pytest.mark.parametrize("grid, dim", [
+    (GridSpec(den_max=1), 4), (GridSpec(num_max=2, den_max=4), 3),
+    (GridSpec(num_max=2, den_max=5), 4), (GridSpec(), 1), (GridSpec(), 0)])
+def test_grid_line_keys_match_line_key(grid, dim):
+    values = grid.values()
+    points = list(itertools.product(values, repeat=dim))
+    keys = list(classify._grid_line_keys(values, dim, 0, len(points)))
+    assert keys == list(map(classify._line_key, points))
+    assert all(type(v) is int for key in keys[:50] for v in key)
+    # A window of the grid, as a pool chunk takes it.
+    start, stop = len(points) // 3, len(points) // 3 + 500
+    assert list(classify._grid_line_keys(values, dim, start, stop)) \
+        == keys[start:stop]
+
+
+def test_grid_just_under_the_budget_is_cartesian():
+    # GridSpec(num_max=2, den_max=5) has 17 values: 17^4 = 83,521 points.
+    grid = GridSpec(num_max=2, den_max=5)
+    assert classify._cartesian(grid, 4) and not classify._cartesian(grid, 5)
+    assert classify.sweep_points("h3", "ext1", grid) \
+        == list(itertools.product(grid.values(), repeat=4))
+
 
 def test_line_key_examples():
     F = Fraction
@@ -203,6 +259,47 @@ def test_outcomes_are_invariant_under_scaling(sweep):
     assert tied == []
 
 
+@pytest.mark.parametrize("sweep", SWEEP_SPACES)
+def test_int_vector_outcomes_are_invariant_under_positive_scaling(sweep):
+    # The sweep classifies each line at its primitive integer vector, with
+    # the orientation of the line's first point, and every point of the
+    # line takes that outcome: so an int vector v and c*v (c a positive
+    # rational, an integer or not) must give the same outcome.  Every
+    # matched parameter is a Fraction or an ExactScalar, never a float.
+    base, mode = sweep.split("/")
+    entry = classify.catalog()[base]
+    space = classify._sweep_space(base, mode)
+    classifier = classify._classifier(entry, mode)
+    params = []
+
+    def recording(flat):
+        outcome = classifier(flat)
+        if outcome is not None:
+            params.extend(outcome[1])
+        return outcome
+
+    outcome_of = functools.partial(classify._classify_point, base, mode,
+                                   space, recording)
+    zero = (0,) * space.dim
+    vectors = sorted({
+        key if p > zero else tuple(-v for v in key)
+        for p in classify.sweep_points(base, mode, GridSpec())
+        for key in [classify._line_key(p)]})
+    rng = random.Random(f"int scale {sweep}")
+    taken = _sample_by_outcome(outcome_of, vectors, rng)
+    assert "match" in taken
+    assert params or not any(
+        t.param_names for t in classify._templates(entry, mode))
+    for pairs in taken.values():
+        for v, outcome in pairs:
+            assert all(type(x) is int for x in v)
+            for c in (Fraction(rng.randint(2, 9)),
+                      Fraction(2 * rng.randint(0, 9) + 1, 2),
+                      Fraction(rng.randint(1, 12), rng.randint(1, 12))):
+                assert outcome_of(tuple(c * x for x in v)) == outcome, (v, c)
+    assert all(type(p) in (Fraction, ExactScalar) for p in params)
+
+
 def _random_coefficient(rng):
     kind = rng.randrange(4)
     if kind == 0:
@@ -232,6 +329,11 @@ def test_slot_plan_matches_linear_combination(sweep):
         flat = space.to_flat(coeffs)
         assert flat == tuple(plain)
         assert all(type(x) is Fraction for x in flat)
+        # Integral plan values are ints: int coordinates give an int flat.
+        ints = tuple(rng.randint(-9, 9) for _ in range(space.dim))
+        int_flat = space.to_flat(ints)
+        assert int_flat == space.to_flat(tuple(map(Fraction, ints)))
+        assert all(type(x) is int for x in int_flat)
         assert space.coeffs_of(space.to_matrix(coeffs)) == coeffs
         if not outside:
             # The space is all of gl(n): no matrix lies outside it.
@@ -341,6 +443,23 @@ def test_ext2ad_conjugation_reuses_cached_spaces(monkeypatch, key):
 
 _FLIPPED = {"match": "nonmember", "filtered": "nonmember",
             "nonmember": "match"}
+
+
+def test_shuffled_indices_are_a_lazy_seeded_permutation():
+    for n in (0, 1, 2, 7, 100):
+        drawn = list(classify._shuffled_indices(random.Random(n), n))
+        assert sorted(drawn) == list(range(n))
+        assert drawn == list(classify._shuffled_indices(random.Random(n), n))
+    orders = {tuple(classify._shuffled_indices(random.Random(s), 3))
+              for s in range(200)}
+    assert len(orders) == 6
+    # Taking k indices draws k numbers from the generator and no more.
+    rng, ref = random.Random(3), random.Random(3)
+    assert len(list(itertools.islice(
+        classify._shuffled_indices(rng, 50_625), 60))) == 60
+    for i in range(60):
+        ref.randrange(i, 50_625)
+    assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("sweep", ("r1/ext1", "r2/ext2ad"))

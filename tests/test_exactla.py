@@ -268,6 +268,14 @@ class TestMatrixBasics:
         with pytest.raises(TypeError):
             Matrix.from_columns([(1, 0.5), (0, 1)])
 
+    def test_from_vectors_coerces_entries(self):
+        space = Subspace.from_vectors(2, [(2, 1), (0, 0)])
+        assert space.basis == ((F(1), F(1, 2)),)
+        assert all(type(x) is Fraction for x in space.basis[0])
+        for vectors in ([(0.1, 1)], [(1, 0), (0.5, 0)], [(1, 0.0)]):
+            with pytest.raises(TypeError):
+                Subspace.from_vectors(2, vectors)
+
 
 def _sparse_grid(rng, rows, cols, density, kind):
     """A rows x cols grid of ``kind`` entries, each nonzero with probability
@@ -323,6 +331,12 @@ class TestSqrtFraction:
     ])
     def test_exact_root_or_none(self, x, root):
         assert _sqrt_fraction(x) == root
+
+    def test_int_root_is_an_int(self):
+        assert [_sqrt_fraction(x) for x in (0, 1, 49, 2, -4)] \
+            == [0, 1, 7, None, None]
+        assert type(_sqrt_fraction(49)) is int
+        assert type(_sqrt_fraction(F(49))) is Fraction
 
 
 def _poly_mul(a, b):

@@ -141,6 +141,22 @@ class TestBracket:
         h3 = heisenberg3()
         assert bracket(h3, h3.basis_vector(2), h3.basis_vector(1)) == vec(-1, 0, 0)
 
+    def test_entries_are_coerced(self):
+        # int entries give Fractions; a float raises instead of leaking,
+        # also through adjoint_matrix.
+        h3 = heisenberg3()
+        out = bracket(h3, (0, 2, 0), (0, F(1, 3), 1))
+        assert out == vec(2, 0, 0)
+        assert all(type(x) is Fraction for x in out)
+        for u, v in (((0, 0.5, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1.0)),
+                     ((0.5, 0, 0), (0, 0, 1))):
+            with pytest.raises(TypeError):
+                bracket(h3, u, v)
+        assert adjoint_matrix(h3, (0, 1, 0)) \
+            == adjoint_matrix(h3, h3.basis_vector(1))
+        with pytest.raises(TypeError):
+            adjoint_matrix(h3, (0, 0.5, 0))
+
 
 class TestSeries:
     def test_heisenberg_derived(self):
