@@ -24,8 +24,12 @@ c*D (c a nonzero rational) are proportionally similar and give isomorphic
 extensions, in codimension one and for the ad-pair extensions alike, so
 the two-step filters and the matcher run once per line, at its primitive
 integer vector in ``int`` arithmetic, and every point on it shares the
-outcome.  The matchers are exact on ``int`` and ``Fraction`` entries alike,
-and every parameter they return is a ``Fraction`` or an ``ExactScalar``.
+outcome.  A Cartesian sweep enumerates the integer grid L*values, L the lcm
+of the value denominators: each of its points is a positive multiple of the
+grid point it stands for, so it lies on the same line with the same
+orientation, and its line key costs one ``gcd``.  The matchers are exact on
+``int`` and ``Fraction`` entries alike, and every parameter they return is
+a ``Fraction`` or an ``ExactScalar``.
 
 Every family is one table row: on an abelian base a block recipe of real
 Jordan and complex blocks (``_ABELIAN_FAMILIES``), on h3, r⊕h3 and g4 a
@@ -48,6 +52,7 @@ import itertools
 import math
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -80,6 +85,7 @@ from .exactla import (
     _factor_over_rationals,
     _sqrt_fraction,
     eigen_structure,
+    frac,
     nullspace,
     solve,
 )
@@ -211,7 +217,9 @@ class SweepSpace:
         return tuple(flat)
 
     def to_matrix(self, coeffs: Sequence[Fraction]) -> Matrix:
-        return Matrix.unflatten(self.to_flat(coeffs), self.n, self.n)
+        """The matrix with these coordinates, its entries ``Fraction``s."""
+        return Matrix.unflatten(tuple(map(frac, self.to_flat(coeffs))),
+                                self.n, self.n)
 
     def coeffs_of(self, m: Matrix) -> tuple[Fraction, ...]:
         flat = m.flatten()
@@ -997,20 +1005,22 @@ class GridSpec:
         return dataclasses.replace(spec, **kwargs)
 
 
-def _cartesian(grid: GridSpec, dim: int) -> bool:
-    """Whether a sweep on ``dim`` coordinates enumerates the full Cartesian
-    grid over the values: it does when that grid fits the budget."""
-    return len(grid.values()) ** dim <= grid.cartesian_budget
+def sweep_points(key: str, mode: str, grid: GridSpec) -> list[tuple]:
+    """The deterministic list of coefficient tuples for one sweep.
 
-
-def sweep_points(key: str, mode: str, grid: GridSpec) -> list[tuple[Fraction, ...]]:
-    """The deterministic list of coefficient tuples for one sweep."""
+    When the Cartesian grid over the values fits the budget, the points are
+    the integer grid ``itertools.product`` of the values times L, the lcm of
+    their denominators: each is L*p for the grid point p it stands for, a
+    positive multiple on the same line, so the sweep's outcomes and point
+    count are those of the grid.  Otherwise they are ``Fraction`` tuples."""
     entry = catalog()[key]
     sweep = _sweep_space(key, mode)
     dim = sweep.dim
     vals = grid.values()
-    if _cartesian(grid, dim):
-        return list(itertools.product(vals, repeat=dim))
+    if len(vals) ** dim <= grid.cartesian_budget:
+        scale = math.lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (scale // v.denominator) for v in vals]
+        return list(itertools.product(ints, repeat=dim))
 
     points: list[tuple[Fraction, ...]] = []
     seen: set[tuple[Fraction, ...]] = set()
@@ -1162,6 +1172,9 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
 
 # Template parameter points instantiated and re-verified per family.
 _VERIFY_SAMPLES = 20
+# Swept points whose fast membership outcome is re-checked by the full
+# condition.
+_CROSSCHECK_POINTS = 60
 
 
 @dataclass
@@ -1235,14 +1248,25 @@ def _line_key(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
     """The primitive integer vector on the line through ``coeffs``, signed
     so that its first nonzero entry is positive; the zero vector is its own
     key.  Two points share a key exactly when one is a nonzero rational
-    multiple of the other."""
-    dens = [x.denominator for x in coeffs]
-    scale = math.lcm(*dens)
-    if scale == 1:
-        ints = [x.numerator for x in coeffs]
-    else:
-        ints = [x.numerator * (scale // d) for x, d in zip(coeffs, dens)]
-    g = math.gcd(*ints)
+    multiple of the other.  An all-``int`` point (a Cartesian sweep's)
+    costs one ``gcd``; ``Fraction`` and mixed points are first scaled by
+    the lcm of their denominators.  The leading entry's class picks the
+    path, so a ``Fraction`` point raises no ``TypeError`` on the way."""
+    ints = None
+    if not coeffs or coeffs[0].__class__ is int:
+        try:
+            g = math.gcd(*coeffs)
+            ints = coeffs
+        except TypeError:  # an int, then a Fraction
+            pass
+    if ints is None:
+        dens = [x.denominator for x in coeffs]
+        scale = math.lcm(*dens)
+        if scale == 1:
+            ints = [x.numerator for x in coeffs]
+        else:
+            ints = [x.numerator * (scale // d) for x, d in zip(coeffs, dens)]
+        g = math.gcd(*ints)
     for v in ints:
         if v:
             if v < 0:
@@ -1250,26 +1274,9 @@ def _line_key(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
             break
     else:
         return tuple(ints)
-    if g != 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
-def _grid_line_keys(values: Sequence[Fraction], dim: int, start: int,
-                    stop: int) -> Iterator[tuple[int, ...]]:
-    """The ``_line_key`` of each point ``start:stop`` of the Cartesian grid
-    ``itertools.product(values, repeat=dim)``, in order and in integer
-    arithmetic: with L the lcm of the value denominators, a point times L
-    is an integer vector t, and its key is t divided by gcd(t), negated
-    when the first nonzero entry of t is negative."""
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    zero = (0,) * dim
-    for t in itertools.islice(itertools.product(ints, repeat=dim), start, stop):
-        g = math.gcd(*t)
-        if t < zero:
-            g = -g
-        yield t if g in (0, 1) else tuple(map(g.__rfloordiv__, t))
+    if g == 1:
+        return tuple(ints)
+    return tuple(map(g.__rfloordiv__, ints))
 
 
 def _classify_point(key: str, mode: str, sweep: SweepSpace,
@@ -1296,14 +1303,11 @@ def _classify_point(key: str, mode: str, sweep: SweepSpace,
 
 
 def _classify_chunk(key: str, mode: str,
-                    points: Sequence[tuple[Fraction, ...]],
-                    grid_values: Optional[Sequence[Fraction]] = None,
-                    start: int = 0) -> list[tuple]:
+                    points: Sequence[tuple]) -> list[tuple]:
     """Worker: classify a slice of the sweep points, returning per-point
-    results in order.  Given ``grid_values``, the slice starts at index
-    ``start`` of the Cartesian grid over them and its line keys are
-    generated by ``_grid_line_keys``; otherwise each point's key is its
-    ``_line_key``.
+    results in order.  Each point's line is its ``_line_key``; the points
+    of a Cartesian sweep are the integer grid L*values, so their keys take
+    one ``gcd`` each.
 
     Each line through the origin is classified once, at its primitive
     integer vector (the key) oriented like the line's first point in the
@@ -1317,15 +1321,10 @@ def _classify_chunk(key: str, mode: str,
     entry = catalog()[key]
     sweep = _sweep_space(key, mode)
     classifier = _classifier(entry, mode)
-    if grid_values is None:
-        lines = map(_line_key, points)
-    else:
-        lines = _grid_line_keys(grid_values, sweep.dim, start,
-                                start + len(points))
     zero = (0,) * sweep.dim
     by_line: dict[tuple[int, ...], tuple] = {}
     results = []
-    for coeffs, line in zip(points, lines, strict=True):
+    for coeffs, line in zip(points, map(_line_key, points)):
         result = by_line.get(line)
         if result is None:
             vector = line if coeffs > zero else tuple(-v for v in line)
@@ -1335,20 +1334,17 @@ def _classify_chunk(key: str, mode: str,
     return results
 
 
-def _run_sweep(key: str, mode: str, points: list[tuple[Fraction, ...]],
-               jobs: int, grid_values: Optional[Sequence[Fraction]] = None
-               ) -> list[tuple]:
-    """Classify every sweep point, in at most one worker per CPU;
-    ``grid_values`` says the points are the Cartesian grid over those
-    values (see ``_classify_chunk``)."""
+def _run_sweep(key: str, mode: str, points: list[tuple],
+               jobs: int) -> list[tuple]:
+    """Classify every sweep point, in at most one worker per CPU."""
     total = len(points)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or total < 2000:
-        return _classify_chunk(key, mode, points, grid_values)
+        return _classify_chunk(key, mode, points)
     import multiprocessing as mp
 
     chunk = (total + jobs - 1) // jobs
-    args = [(key, mode, points[i:i + chunk], grid_values, i)
+    args = [(key, mode, points[i:i + chunk])
             for i in range(0, total, chunk)]
     with mp.Pool(jobs) as pool:
         parts = pool.starmap(_classify_chunk, args)
@@ -1446,8 +1442,8 @@ def _shuffled_indices(rng: random.Random, n: int) -> Iterator[int]:
 
 
 def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
-                           points: list[tuple[Fraction, ...]],
-                           results: list[tuple], count: int = 60) -> int:
+                           points: list[tuple],
+                           results: list[tuple]) -> int:
     """Re-run the slow membership condition on a deterministic subsample of
     swept points and insist it agrees with the recorded outcome (every
     outcome but ``"nonmember"`` passed the fast membership test)."""
@@ -1455,7 +1451,7 @@ def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
     rng = random.Random(grid.seed + 1)
     checked = 0
     for i in _shuffled_indices(rng, len(points)):
-        if checked >= count:
+        if checked >= _CROSSCHECK_POINTS:
             break
         kind = results[i][0]
         if kind == "skip":
@@ -1488,26 +1484,22 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
         raise ValueError(f"{key} has no ad-pair classification")
     templates = _templates(entry, mode)
     points = sweep_points(key, mode, grid)
-    cartesian = _cartesian(grid, _sweep_space(key, mode).dim)
-    results = _run_sweep(key, mode, points, jobs,
-                         grid.values() if cartesian else None)
+    results = _run_sweep(key, mode, points, jobs)
 
+    # One entry per distinct outcome, in first-occurrence order; distinct
+    # outcomes of one family have distinct parameter texts.
+    tally = Counter(results)
     counts: dict[str, int] = {}
     samples: dict[str, list[str]] = {}
-    skipped = members = filtered = 0
-    for r in results:
-        if r[0] == "skip":
-            skipped += 1
-        elif r[0] == "filtered":
-            filtered += 1
-        elif r[0] == "match":
-            members += 1
-            name = r[1]
-            counts[name] = counts.get(name, 0) + 1
-            bucket = samples.setdefault(name, [])
-            text = "(" + ", ".join(r[2]) + ")"
-            if len(bucket) < 5 and text not in bucket:
-                bucket.append(text)
+    for r, n in tally.items():
+        if r[0] == "match":
+            counts[r[1]] = counts.get(r[1], 0) + n
+            bucket = samples.setdefault(r[1], [])
+            if len(bucket) < 5:
+                bucket.append("(" + ", ".join(r[2]) + ")")
+    skipped = tally[("skip",)]
+    filtered = tally[("filtered",)]
+    members = sum(counts.values())
 
     found = set(counts)
     expected = {t.name for t in templates}

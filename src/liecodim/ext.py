@@ -433,11 +433,14 @@ def lie_c_iso_check(spec1: LieCSpec, spec2: LieCSpec,
     if sigma.det() == 0 or coeffs.det() == 0:
         raise NotInvertible("witness components must be invertible")
 
+    # sigma d sigma^-1 = alpha*d_2 + beta*d_2' is
+    # d = sigma^-1 (alpha*d_2 + beta*d_2') sigma: the pair identity.
+    cond = verify_weak_similarity_witness((spec2.d, spec2.d_prime),
+                                          (spec1.d, spec1.d_prime),
+                                          sigma, coeffs)
+
     al, be = coeffs.entries[0]
     ga, de = coeffs.entries[1]
-    s_inv = sigma.inverse()
-    cond = (sigma @ spec1.d @ s_inv == spec2.d.scale(al) + spec2.d_prime.scale(be)
-            and sigma @ spec1.d_prime @ s_inv == spec2.d.scale(ga) + spec2.d_prime.scale(de))
 
     n = spec1.n
     rows = []

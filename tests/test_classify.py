@@ -1,12 +1,12 @@
 """Classification sweeps: byte-identical default reports, one point list
 per sweep, the worker-pool size, one classification per line through the
-origin at its integer vector, the integer line keys of a Cartesian grid,
-and the scaling invariance that makes it sound, sweep-space coordinates,
-the per-point work of the sweep stage, the shared extension path of both
-sweep modes, the lazy cross-check draw, the abelian family table and its
-matcher, template sampling, the pinned samples of the shaped families,
-small-grid sweeps of the two slow bases, the names the traced benchmark
-wraps, and the range of the grid fields."""
+origin at its integer vector, the integer grid of a Cartesian sweep and
+its line keys, and the scaling invariance that makes it sound, sweep-space
+coordinates, the per-point work of the sweep stage, the shared extension
+path of both sweep modes, the lazy cross-check draw, the abelian family
+table and its matcher, template sampling, the pinned samples of the shaped
+families, small-grid sweeps of the two slowest bases, the names the traced
+benchmark wraps, and the range of the grid fields."""
 
 import dataclasses
 import functools
@@ -19,7 +19,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,13 +35,13 @@ from liecodim.exactla import (Matrix, Subspace, UnsupportedSpectrumError,
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
 
-# Eight of the ten default sweeps (about 13 s together); r4/ext1 and
-# r_plus_h3/ext1 are marked slow, which tier-1 deselects (run them with
-# ``pytest -m slow``).  r3/ext2ad is the ext2ad sweep with the most random
-# conjugates (24).
+# Nine of the ten default sweeps (about 3.5 s together), every sweep of the
+# three benchmark workloads among them; r4/ext1 (about 6 s) is marked slow,
+# which tier-1 deselects (run it with ``pytest -m slow``).  r3/ext2ad is the
+# ext2ad sweep with the most random conjugates (24).
 CHEAP_SWEEPS = ("r1/ext1", "r3/ext1", "r2/ext2ad", "h3/ext2ad", "r3/ext2ad",
-                "r2/ext1", "h3/ext1", "g4/ext1")
-SLOW_SWEEPS = ("r4/ext1", "r_plus_h3/ext1")
+                "r2/ext1", "h3/ext1", "g4/ext1", "r_plus_h3/ext1")
+SLOW_SWEEPS = ("r4/ext1",)
 
 # Every catalog sweep space: seven ext1 spaces and three ext2ad spaces.
 SWEEP_SPACES = ("r1/ext1", "r2/ext1", "r3/ext1", "r4/ext1", "h3/ext1",
@@ -116,16 +118,14 @@ def test_pool_chunks_sharing_a_line_agree_with_one_chunk(monkeypatch):
     assert results == [outcome_of(p) for p in points]
     assert {r[0] for r in results} == {"match", "nonmember", "skip"}
 
-    # On a Cartesian grid the keys come from the integer product: p and -p
-    # sit in opposite halves, so every chunk meets lines of the other.
+    # A Cartesian sweep's points are the integer grid: p and -p sit in
+    # opposite halves, so every chunk meets lines of the other.
     grid = GridSpec(num_max=2, den_max=2)
-    values = grid.values()
     points = classify.sweep_points("r2", "ext1", grid)
-    assert len(points) == len(values) ** 4 >= 2000
+    assert len(points) == len(grid.values()) ** 4 >= 2000
     _InlinePool.sizes.clear()
-    results = classify._run_sweep("r2", "ext1", points, 2, values)
+    results = classify._run_sweep("r2", "ext1", points, 2)
     assert _InlinePool.sizes == [2]
-    assert results == classify._run_sweep("r2", "ext1", points, 1, values)
     assert results == classify._run_sweep("r2", "ext1", points, 1)
     assert results == [outcome_of(p) for p in points]
 
@@ -151,24 +151,43 @@ def test_a_line_takes_the_outcome_of_its_first_points_side():
 @pytest.mark.parametrize("grid, dim", [
     (GridSpec(den_max=1), 4), (GridSpec(num_max=2, den_max=4), 3),
     (GridSpec(num_max=2, den_max=5), 4), (GridSpec(), 1), (GridSpec(), 0)])
-def test_grid_line_keys_match_line_key(grid, dim):
+def test_grid_line_keys_match_line_key(grid, dim, monkeypatch):
+    # A Cartesian sweep's points are the integer grid L*values in product
+    # order, L the lcm of the value denominators, and each point keys to the
+    # line of the Fraction grid point it stands for.  The grid branch reads
+    # only the sweep space's dimension.
+    monkeypatch.setattr(classify, "_sweep_space",
+                        lambda key, mode: SimpleNamespace(dim=dim))
     values = grid.values()
-    points = list(itertools.product(values, repeat=dim))
-    keys = list(classify._grid_line_keys(values, dim, 0, len(points)))
-    assert keys == list(map(classify._line_key, points))
+    scale = lcm(*(v.denominator for v in values))
+    grid_points = list(itertools.product(values, repeat=dim))
+    points = classify.sweep_points("r1", "ext1", grid)
+    assert all((scale * v).denominator == 1 for v in values)
+    assert points == [tuple(int(scale * x) for x in p) for p in grid_points]
+    assert all(type(v) is int for p in points for v in p)
+    keys = list(map(classify._line_key, points))
+    assert keys == list(map(classify._line_key, grid_points))
     assert all(type(v) is int for key in keys[:50] for v in key)
-    # A window of the grid, as a pool chunk takes it.
-    start, stop = len(points) // 3, len(points) // 3 + 500
-    assert list(classify._grid_line_keys(values, dim, start, stop)) \
-        == keys[start:stop]
 
 
 def test_grid_just_under_the_budget_is_cartesian():
-    # GridSpec(num_max=2, den_max=5) has 17 values: 17^4 = 83,521 points.
+    # GridSpec(num_max=2, den_max=5) has 17 values with lcm 60 of their
+    # denominators: on h3's four coordinates the grid is 17^4 = 83,521
+    # points, Cartesian at the default budget and at a budget of exactly
+    # 17^4, structured at one less.
     grid = GridSpec(num_max=2, den_max=5)
-    assert classify._cartesian(grid, 4) and not classify._cartesian(grid, 5)
-    assert classify.sweep_points("h3", "ext1", grid) \
-        == list(itertools.product(grid.values(), repeat=4))
+    integer_grid = list(itertools.product(
+        [int(60 * v) for v in grid.values()], repeat=4))
+    assert len(integer_grid) == 83_521
+    assert classify.sweep_points("h3", "ext1", grid) == integer_grid
+    small = dataclasses.replace(grid, n_template_samples=1, n_conjugates=0,
+                                n_random=0)
+    at = dataclasses.replace(small, cartesian_budget=17 ** 4)
+    assert classify.sweep_points("h3", "ext1", at) == integer_grid
+    under = dataclasses.replace(small, cartesian_budget=17 ** 4 - 1)
+    structured = classify.sweep_points("h3", "ext1", under)
+    assert len(structured) < 17 ** 4
+    assert all(type(v) is Fraction for p in structured for v in p)
 
 
 def test_line_key_examples():
@@ -334,6 +353,9 @@ def test_slot_plan_matches_linear_combination(sweep):
         int_flat = space.to_flat(ints)
         assert int_flat == space.to_flat(tuple(map(Fraction, ints)))
         assert all(type(x) is int for x in int_flat)
+        # The cross-check's membership test takes the Fraction matrix.
+        assert all(type(x) is Fraction
+                   for row in space.to_matrix(ints).entries for x in row)
         assert space.coeffs_of(space.to_matrix(coeffs)) == coeffs
         if not outside:
             # The space is all of gl(n): no matrix lies outside it.
@@ -624,13 +646,13 @@ def test_shaped_template_samples_are_pinned():
     assert total == 165
 
 
-# A small grid for the two sweeps too slow for tier-1 at the default grid.
+# A small grid for the two slowest sweeps at the default grid.
 # num_max=1 would make the r_plus_h3 grid Cartesian and miss D, E and F.
 _SMALL_GRID = GridSpec(num_max=2, den_max=1, n_random=20,
                        n_template_samples=4, n_conjugates=1)
 
 
-@pytest.mark.parametrize("sweep", SLOW_SWEEPS)
+@pytest.mark.parametrize("sweep", ("r4/ext1", "r_plus_h3/ext1"))
 def test_slow_sweep_on_a_small_grid(sweep):
     report = classify_extensions(*sweep.split("/"), _SMALL_GRID).as_dict()
     assert report["golden"]["ok"]
