@@ -120,9 +120,6 @@ class ExactScalar:
     def __abs__(self) -> "ExactScalar":
         return ExactScalar(abs(self.rat), self.rad)
 
-    def scale(self, c: Fraction) -> "ExactScalar":
-        return ExactScalar.of(self.rat * c, self.rad)
-
     def times(self, other: "ExactScalar") -> "ExactScalar":
         return ExactScalar.of(self.rat * other.rat, self.rad * other.rad)
 

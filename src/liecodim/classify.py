@@ -24,12 +24,12 @@ c*D (c a nonzero rational) are proportionally similar and give isomorphic
 extensions, in codimension one and for the ad-pair extensions alike, so
 the two-step filters and the matcher run once per line, at its primitive
 integer vector in ``int`` arithmetic, and every point on it shares the
-outcome.  A Cartesian sweep enumerates the integer grid L*values, L the lcm
-of the value denominators: each of its points is a positive multiple of the
-grid point it stands for, so it lies on the same line with the same
-orientation, and its line key costs one ``gcd``.  The matchers are exact on
-``int`` and ``Fraction`` entries alike, and every parameter they return is
-a ``Fraction`` or an ``ExactScalar``.
+outcome.  Every sweep point is an integer vector, a positive multiple L*p
+of the rational point p it stands for (L the lcm of p's denominators, or of
+the grid values' denominators on a Cartesian grid), so it lies on the same
+line with the same orientation, and its line key costs one ``gcd``.  The
+matchers are exact on ``int`` and ``Fraction`` entries alike, and every
+parameter they return is a ``Fraction`` or an ``ExactScalar``.
 
 Every family is one table row: on an abelian base a block recipe of real
 Jordan and complex blocks (``_ABELIAN_FAMILIES``), on h3, r⊕h3 and g4 a
@@ -1005,32 +1005,46 @@ class GridSpec:
         return dataclasses.replace(spec, **kwargs)
 
 
-def sweep_points(key: str, mode: str, grid: GridSpec) -> list[tuple]:
-    """The deterministic list of coefficient tuples for one sweep.
+def _integer_point(coeffs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """``(L, L*p)`` for the rational point p, L the lcm of its denominators.
 
+    The integer point L*p is a positive multiple of p, on the same line
+    with the same orientation; the pair identifies p exactly, where L*p
+    alone does not: (1/2, 1) and (1, 2) share the integer point (1, 2)."""
+    dens = [x.denominator for x in coeffs]
+    scale = math.lcm(*dens)
+    return scale, tuple(x.numerator * (scale // d)
+                        for x, d in zip(coeffs, dens))
+
+
+def sweep_points(key: str, mode: str,
+                 grid: GridSpec) -> list[tuple[int, ...]]:
+    """The deterministic list of integer coefficient tuples for one sweep.
+
+    Each point is the integer point L*p of the rational point p it stands
+    for, a positive multiple on the same line with the same orientation, so
+    the sweep's outcomes and point count are those of the rational points.
     When the Cartesian grid over the values fits the budget, the points are
     the integer grid ``itertools.product`` of the values times L, the lcm of
-    their denominators: each is L*p for the grid point p it stands for, a
-    positive multiple on the same line, so the sweep's outcomes and point
-    count are those of the grid.  Otherwise they are ``Fraction`` tuples."""
+    their denominators.  Otherwise each distinct rational point of the
+    structured sweep is kept once, as its ``_integer_point``."""
     entry = catalog()[key]
     sweep = _sweep_space(key, mode)
     dim = sweep.dim
     vals = grid.values()
     if len(vals) ** dim <= grid.cartesian_budget:
-        scale = math.lcm(*(v.denominator for v in vals))
-        ints = [v.numerator * (scale // v.denominator) for v in vals]
-        return list(itertools.product(ints, repeat=dim))
+        return list(itertools.product(_integer_point(vals)[1], repeat=dim))
 
-    points: list[tuple[Fraction, ...]] = []
-    seen: set[tuple[Fraction, ...]] = set()
+    points: list[tuple[int, ...]] = []
+    seen: set[tuple[int, tuple[int, ...]]] = set()
 
-    def push(coeffs: tuple[Fraction, ...]) -> None:
-        # One hash per point: a tuple does not cache its hash.
+    def push(coeffs: Sequence[Fraction]) -> None:
+        # One hash per point, of ints only: a tuple does not cache its hash.
+        exact = _integer_point(coeffs)
         size = len(seen)
-        seen.add(coeffs)
+        seen.add(exact)
         if len(seen) > size:
-            points.append(coeffs)
+            points.append(exact[1])
 
     templates = _templates(entry, mode)
     rng = random.Random(grid.seed)
@@ -1046,20 +1060,19 @@ def sweep_points(key: str, mode: str, grid: GridSpec) -> list[tuple]:
                     push(sweep.coeffs_of(rep))
                 except ValueError:
                     continue
-    zero = Fraction(0)
     nonzero_vals = [v for v in vals if v != 0]
     for i in range(dim):
         for v in nonzero_vals:
-            coeffs = [zero] * dim
+            coeffs = [0] * dim
             coeffs[i] = v
-            push(tuple(coeffs))
+            push(coeffs)
     for i in range(dim):
         for j in range(i + 1, dim):
             for v1 in nonzero_vals:
                 for v2 in nonzero_vals:
-                    coeffs = [zero] * dim
+                    coeffs = [0] * dim
                     coeffs[i], coeffs[j] = v1, v2
-                    push(tuple(coeffs))
+                    push(coeffs)
     for _ in range(grid.n_random):
         push(tuple(rng.choice(vals) for _ in range(dim)))
     return points
@@ -1114,9 +1127,8 @@ def _pencil_det(a: Matrix, b: Matrix) -> Poly:
     return coeffs
 
 
-def _abelianized_action(L: LieAlgebra, v: Vector) -> Matrix:
-    """Action induced by ad_v on derived/(derived of derived)."""
-    der = derived_subalgebra(L)
+def _abelianized_action(L: LieAlgebra, der: Ideal, v: Vector) -> Matrix:
+    """Action induced by ad_v on der/[der, der], der the derived algebra."""
     sub = subalgebra(L, der.space)
     op = restrict_operator(adjoint_matrix(L, v), der.space)
     der2 = derived_subalgebra(sub)
@@ -1141,14 +1153,15 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
     if codim == 1 and der.dim > 0:
         y = L.basis_vector(comp[0])
         try:
-            spectral = proportional_normalize(_abelianized_action(L, y)).describe()
+            spectral = proportional_normalize(
+                _abelianized_action(L, der, y)).describe()
         except UnsupportedSpectrumError:
             spectral = "outside supported spectrum"
     elif codim == 2 and der.dim > 0:
         z = L.basis_vector(comp[0])
         y = L.basis_vector(comp[1])
-        a = _abelianized_action(L, z)
-        b = _abelianized_action(L, y)
+        a = _abelianized_action(L, der, z)
+        b = _abelianized_action(L, der, y)
         det_poly = _pencil_det(a, b)
         m = a.rows
         shape: list[tuple] = []
@@ -1244,39 +1257,22 @@ class ClassificationReport:
         }
 
 
-def _line_key(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
-    """The primitive integer vector on the line through ``coeffs``, signed
-    so that its first nonzero entry is positive; the zero vector is its own
-    key.  Two points share a key exactly when one is a nonzero rational
-    multiple of the other.  An all-``int`` point (a Cartesian sweep's)
-    costs one ``gcd``; ``Fraction`` and mixed points are first scaled by
-    the lcm of their denominators.  The leading entry's class picks the
-    path, so a ``Fraction`` point raises no ``TypeError`` on the way."""
-    ints = None
-    if not coeffs or coeffs[0].__class__ is int:
-        try:
-            g = math.gcd(*coeffs)
-            ints = coeffs
-        except TypeError:  # an int, then a Fraction
-            pass
-    if ints is None:
-        dens = [x.denominator for x in coeffs]
-        scale = math.lcm(*dens)
-        if scale == 1:
-            ints = [x.numerator for x in coeffs]
-        else:
-            ints = [x.numerator * (scale // d) for x, d in zip(coeffs, dens)]
-        g = math.gcd(*ints)
-    for v in ints:
+def _line_key(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector on the line through the integer point
+    ``coeffs``, signed so that its first nonzero entry is positive; the zero
+    vector is its own key.  Two points share a key exactly when one is a
+    nonzero rational multiple of the other."""
+    g = math.gcd(*coeffs)
+    for v in coeffs:
         if v:
             if v < 0:
                 g = -g
             break
     else:
-        return tuple(ints)
+        return tuple(coeffs)
     if g == 1:
-        return tuple(ints)
-    return tuple(map(g.__rfloordiv__, ints))
+        return tuple(coeffs)
+    return tuple(map(g.__rfloordiv__, coeffs))
 
 
 def _classify_point(key: str, mode: str, sweep: SweepSpace,
@@ -1305,9 +1301,8 @@ def _classify_point(key: str, mode: str, sweep: SweepSpace,
 def _classify_chunk(key: str, mode: str,
                     points: Sequence[tuple]) -> list[tuple]:
     """Worker: classify a slice of the sweep points, returning per-point
-    results in order.  Each point's line is its ``_line_key``; the points
-    of a Cartesian sweep are the integer grid L*values, so their keys take
-    one ``gcd`` each.
+    results in order.  Every sweep point is an integer vector, so its line
+    key (``_line_key``) costs one ``gcd``.
 
     Each line through the origin is classified once, at its primitive
     integer vector (the key) oriented like the line's first point in the

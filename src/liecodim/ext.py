@@ -424,14 +424,12 @@ def lie_c_iso_check(spec1: LieCSpec, spec2: LieCSpec,
 
     The matrix condition and the assembled algebra-level isomorphism are
     both evaluated; agreement is asserted.  The preconditions on the pairs
-    are enforced by :class:`LieCSpec`.
+    are enforced by :class:`LieCSpec`; a malformed witness raises as in
+    :func:`verify_weak_similarity_witness` (``ValueError`` for ``coeffs``
+    that is not 2x2, ``NotInvertible`` for a singular component).
     """
     if spec1.n != spec2.n:
         raise ValueError("dimension mismatch")
-    if coeffs.rows != 2 or coeffs.cols != 2:
-        raise PreconditionViolated("coefficient matrix must be 2x2")
-    if sigma.det() == 0 or coeffs.det() == 0:
-        raise NotInvertible("witness components must be invertible")
 
     # sigma d sigma^-1 = alpha*d_2 + beta*d_2' is
     # d = sigma^-1 (alpha*d_2 + beta*d_2') sigma: the pair identity.

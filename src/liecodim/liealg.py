@@ -180,9 +180,11 @@ def product_space(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Ideal:
-    """[L, L], returned with its canonical reduced basis."""
-    full = Subspace.full(alg.dim)
-    return Ideal(alg, product_space(alg, full, full))
+    """[L, L], returned with its canonical reduced basis: the span of the
+    table's brackets [x_i, x_j], since every other bracket of basis
+    vectors is zero or the negative of one of them."""
+    return Ideal(alg, Subspace.from_vectors(alg.dim,
+                                            [v for _, v in alg.table]))
 
 
 def derived_series(alg: LieAlgebra) -> list[Ideal]:

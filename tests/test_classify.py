@@ -1,7 +1,8 @@
 """Classification sweeps: byte-identical default reports, one point list
-per sweep, the worker-pool size, one classification per line through the
-origin at its integer vector, the integer grid of a Cartesian sweep and
-its line keys, and the scaling invariance that makes it sound, sweep-space
+per sweep, the worker-pool size and a real worker pool, one classification
+per line through the origin at its integer vector, the integer grid of a
+Cartesian sweep, the integer points of a structured sweep and their line
+keys, and the scaling invariance that makes it sound, sweep-space
 coordinates, the per-point work of the sweep stage, the shared extension
 path of both sweep modes, the lazy cross-check draw, the abelian family
 table and its matcher, template sampling, the pinned samples of the shaped
@@ -94,20 +95,20 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     _InlinePool.sizes.clear()
-    points = [(Fraction(i - 1000),) for i in range(2000)]
+    points = [(i - 1000,) for i in range(2000)]
     results = classify._run_sweep("r1", "ext1", points, jobs=64)
     assert _InlinePool.sizes == [2]
     assert results == classify._classify_chunk("r1", "ext1", points)
 
 
 def test_pool_chunks_sharing_a_line_agree_with_one_chunk(monkeypatch):
-    # The second half of the points is the first half times -2/3, so every
+    # The second half of the points is the first half times -2, so every
     # line of the first chunk shows up again in the second.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     _InlinePool.sizes.clear()
     first = classify.sweep_points("r2", "ext1", GridSpec())[:1000]
-    points = first + [tuple(Fraction(-2, 3) * x for x in p) for p in first]
+    points = first + [tuple(-2 * x for x in p) for p in first]
     results = classify._run_sweep("r2", "ext1", points, jobs=2)
     assert _InlinePool.sizes == [2]
     assert results == classify._run_sweep("r2", "ext1", points, jobs=1)
@@ -130,11 +131,32 @@ def test_pool_chunks_sharing_a_line_agree_with_one_chunk(monkeypatch):
     assert results == [outcome_of(p) for p in points]
 
 
+@pytest.mark.parametrize("sweep", ("r2/ext1", "r3/ext2ad"))
+def test_process_pool_report_matches_recorded_hash(sweep, monkeypatch):
+    # A real two-worker pool: the points of a Cartesian (r2/ext1) and of a
+    # structured sweep (r3/ext2ad) pickle to the workers and back.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes = []
+    pool = multiprocessing.Pool
+
+    def recording(size):
+        sizes.append(size)
+        return pool(size)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording)
+    base, mode = sweep.split("/")
+    report = classify_extensions(base, mode, GridSpec(seed=RECORDED["seed"]),
+                                 jobs=2)
+    assert sizes == [2]
+    text = canonical_json(report.as_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED["sha256"][sweep]
+
+
 def test_a_line_takes_the_outcome_of_its_first_points_side():
     # diag(1, 1, -1) ties its largest |eigenvalue| between signs, so it and
     # its negative get different r3 diag parameters; the line is classified
     # at its integer vector pointing the way of its first point.
-    d = tuple(Fraction(x) for x in (1, 0, 0, 0, 1, 0, 0, 0, -1))
+    d = (1, 0, 0, 0, 1, 0, 0, 0, -1)
     minus = tuple(-x for x in d)
     outcome_of = functools.partial(
         classify._classify_point, "r3", "ext1",
@@ -143,7 +165,10 @@ def test_a_line_takes_the_outcome_of_its_first_points_side():
     assert outcome_of(d)[:2] == outcome_of(minus)[:2]
     assert outcome_of(d) != outcome_of(minus)
     for first, second in ((d, minus), (minus, d)):
-        points = [first, tuple(Fraction(3, 2) * x for x in second)]
+        scaled = classify._integer_point([Fraction(3, 2) * x
+                                          for x in second])[1]
+        assert scaled == tuple(3 * x for x in second)
+        points = [first, scaled]
         assert classify._classify_chunk("r3", "ext1", points) \
             == [outcome_of(first)] * 2
 
@@ -154,8 +179,8 @@ def test_a_line_takes_the_outcome_of_its_first_points_side():
 def test_grid_line_keys_match_line_key(grid, dim, monkeypatch):
     # A Cartesian sweep's points are the integer grid L*values in product
     # order, L the lcm of the value denominators, and each point keys to the
-    # line of the Fraction grid point it stands for.  The grid branch reads
-    # only the sweep space's dimension.
+    # line of the integer point of the Fraction grid point it stands for.
+    # The grid branch reads only the sweep space's dimension.
     monkeypatch.setattr(classify, "_sweep_space",
                         lambda key, mode: SimpleNamespace(dim=dim))
     values = grid.values()
@@ -166,7 +191,8 @@ def test_grid_line_keys_match_line_key(grid, dim, monkeypatch):
     assert points == [tuple(int(scale * x) for x in p) for p in grid_points]
     assert all(type(v) is int for p in points for v in p)
     keys = list(map(classify._line_key, points))
-    assert keys == list(map(classify._line_key, grid_points))
+    assert keys == [classify._line_key(classify._integer_point(p)[1])
+                    for p in grid_points]
     assert all(type(v) is int for key in keys[:50] for v in key)
 
 
@@ -174,7 +200,7 @@ def test_grid_just_under_the_budget_is_cartesian():
     # GridSpec(num_max=2, den_max=5) has 17 values with lcm 60 of their
     # denominators: on h3's four coordinates the grid is 17^4 = 83,521
     # points, Cartesian at the default budget and at a budget of exactly
-    # 17^4, structured at one less.
+    # 17^4, structured (integer points too) at one less.
     grid = GridSpec(num_max=2, den_max=5)
     integer_grid = list(itertools.product(
         [int(60 * v) for v in grid.values()], repeat=4))
@@ -187,20 +213,60 @@ def test_grid_just_under_the_budget_is_cartesian():
     under = dataclasses.replace(small, cartesian_budget=17 ** 4 - 1)
     structured = classify.sweep_points("h3", "ext1", under)
     assert len(structured) < 17 ** 4
-    assert all(type(v) is Fraction for p in structured for v in p)
+    assert all(type(v) is int for p in structured for v in p)
 
 
 def test_line_key_examples():
-    F = Fraction
-    assert classify._line_key((F(0), F(0), F(0))) == (0, 0, 0)
+    assert classify._line_key((0, 0, 0)) == (0, 0, 0)
     assert classify._line_key(()) == ()
-    assert classify._line_key((F(0), F(-2), F(4))) == (0, 1, -2)
-    assert classify._line_key((F(1, 2), F(-1, 3), F(0), F(5, 6))) \
-        == (3, -2, 0, 5)
-    assert classify._line_key((F(-3, 4), F(9, 8))) == (2, -3)
+    assert classify._line_key((0, -2, 4)) == (0, 1, -2)
+    assert classify._line_key((3, -2, 0, 5)) == (3, -2, 0, 5)
+    assert classify._line_key((-6, 9)) == (2, -3)
     assert classify._line_key((0, -4, 6)) == (0, 2, -3)
-    assert classify._line_key((2, F(1, 3))) == (6, 1)
-    assert all(type(v) is int for v in classify._line_key((F(7, 5), 3)))
+    # The integer point of a rational point p is L*p, L the lcm of its
+    # denominators.
+    F = Fraction
+    assert classify._integer_point(()) == (1, ())
+    assert classify._integer_point((2, F(1, 3))) == (3, (6, 1))
+    assert classify._integer_point((F(1, 2), F(-1, 3), F(0), F(5, 6))) \
+        == (6, (3, -2, 0, 5))
+    assert classify._integer_point((F(-3, 4), F(9, 8))) == (8, (-6, 9))
+    assert all(type(v) is int
+               for v in classify._integer_point((F(7, 5), 3))[1])
+    # Two points, one integer tuple: the dedupe key tells them apart.
+    half = classify._integer_point((F(1, 2), 1))
+    whole = classify._integer_point((1, 2))
+    assert half[1] == whole[1] == (1, 2)
+    assert half != whole
+
+
+@pytest.mark.parametrize("sweep", ("r3/ext1", "r3/ext2ad"))
+def test_structured_sweep_points_are_integer_points(sweep, monkeypatch):
+    # A structured sweep keeps each distinct rational point once, as its
+    # integer point; distinct rational points may share an integer tuple,
+    # and each still counts.
+    base, mode = sweep.split("/")
+    pushed = []
+    integer_point = classify._integer_point
+
+    def recording(coeffs):
+        pushed.append(tuple(coeffs))
+        return integer_point(coeffs)
+
+    monkeypatch.setattr(classify, "_integer_point", recording)
+    grid = GridSpec()
+    points = classify.sweep_points(base, mode, grid)
+    monkeypatch.undo()
+    assert all(type(v) is int for p in points for v in p)
+    distinct = dict.fromkeys(pushed)
+    assert points == [integer_point(p)[1] for p in distinct]
+    assert len(set(points)) < len(points)
+    sweep_space = classify._sweep_space(base, mode)
+    members = set(points)
+    for t in classify._templates(classify.catalog()[base], mode):
+        for params in t.sample(grid.n_template_samples):
+            coeffs = sweep_space.coeffs_of(t.build(params))
+            assert integer_point(coeffs)[1] in members, (t.name, params)
 
 
 def _proportional(p, q):
@@ -209,6 +275,9 @@ def _proportional(p, q):
 
 
 def test_line_key_is_shared_exactly_by_proportional_points():
+    def key(p):
+        return classify._line_key(classify._integer_point(p)[1])
+
     rng = random.Random(5)
     shared = split = 0
     for _ in range(2000):
@@ -217,13 +286,12 @@ def test_line_key_is_shared_exactly_by_proportional_points():
                   for _ in range(size))
         c = Fraction(rng.choice((1, -1)) * rng.randint(1, 9),
                      rng.randint(1, 9))
-        assert classify._line_key(tuple(c * x for x in p)) \
-            == classify._line_key(p)
+        assert key(tuple(c * x for x in p)) == key(p)
         q = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                   for _ in range(size))
         # The zero vector is a line of its own.
         same = _proportional(p, q) and (any(p) == any(q))
-        assert (classify._line_key(p) == classify._line_key(q)) == same
+        assert (key(p) == key(q)) == same
         shared += same
         split += not same
     assert shared > 100 and split > 100

@@ -56,6 +56,14 @@ class TestVerifyPairWitness:
         assert main(argv) == EXIT_VERDICT
         assert capsys.readouterr().out.strip() == "witness fails"
 
+    def test_malformed_coefficients_are_a_usage_error(self, tmp_path, capsys):
+        argv = _pair_witness(tmp_path, D, D_PRIME,
+                             [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "coefficient matrix must be 2x2" in err
+        assert "Traceback" not in err
+
     def test_proportional_pair_is_a_precondition_verdict(self, tmp_path,
                                                          capsys):
         argv = _pair_witness(tmp_path, D, D.scale(3), [[1, 0], [0, 1]])

@@ -36,6 +36,7 @@ from liecodim.liealg import (
     filiform4,
     heisenberg3,
     make_algebra,
+    product_space,
     r_plus_heisenberg,
 )
 
@@ -137,6 +138,20 @@ class TestCodimOneCondition:
                     ext = extend_by_derivation(alg, random_derivation(rng, sp))
                     assert all(v[-1] == 0
                                for v in derived_subalgebra(ext).space.basis)
+
+    def test_derived_algebra_is_the_span_of_the_table(self):
+        """derived_subalgebra, the span of the table's brackets, is the
+        span of all brackets of basis vectors."""
+        rng = random.Random(6)
+        for entry in catalog().values():
+            for alg in (entry.algebra, direct_sum(entry.algebra, abelian(1))):
+                sp = derivation_space(alg)
+                exts = [extend_by_derivation(alg, random_derivation(rng, sp))
+                        for _ in range(5)]
+                for L in [alg] + exts:
+                    full = Subspace.full(L.dim)
+                    assert derived_subalgebra(L).space \
+                        == product_space(L, full, full)
 
     def test_member_extension_has_full_codim_one(self):
         d = Matrix.diagonal([2, 1, 1])
@@ -432,10 +447,25 @@ class TestPairExtensionIso:
             LieCSpec(2, a, b)
 
     def test_non_2x2_coefficients_rejected(self):
+        # Both witness checks reject a malformed coefficient matrix alike.
         rng = random.Random(67)
-        spec = LieCSpec(2, *_commuting_outer_pair(rng, 2))
-        with pytest.raises(PreconditionViolated, match="2x2"):
+        d, d_prime = _commuting_outer_pair(rng, 2)
+        spec = LieCSpec(2, d, d_prime)
+        with pytest.raises(ValueError, match="2x2"):
             lie_c_iso_check(spec, spec, Matrix.identity(2), Matrix.identity(3))
+        with pytest.raises(ValueError, match="2x2"):
+            verify_weak_similarity_witness((d, d_prime), (d, d_prime),
+                                           Matrix.identity(2),
+                                           Matrix.identity(3))
+
+    def test_singular_witness_components_rejected(self):
+        rng = random.Random(71)
+        spec = LieCSpec(2, *_commuting_outer_pair(rng, 2))
+        for sigma, coeffs in ((Matrix.zero(2, 2), Matrix.identity(2)),
+                              (Matrix.identity(2), Matrix.zero(2, 2))):
+            with pytest.raises(NotInvertible,
+                               match="witness components must be invertible"):
+                lie_c_iso_check(spec, spec, sigma, coeffs)
 
 
 class TestChangeOfBasis:
