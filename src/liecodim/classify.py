@@ -1127,14 +1127,16 @@ def _pencil_det(a: Matrix, b: Matrix) -> Poly:
     return coeffs
 
 
-def _abelianized_action(L: LieAlgebra, der: Ideal, v: Vector) -> Matrix:
-    """Action induced by ad_v on der/[der, der], der the derived algebra."""
+def _abelianized_actions(L: LieAlgebra, der: Ideal,
+                         vectors: Sequence[Vector]) -> list[Matrix]:
+    """The actions induced by ad_v on der/[der, der], der the derived
+    algebra, for each v in ``vectors``; der is built as an algebra once."""
     sub = subalgebra(L, der.space)
-    op = restrict_operator(adjoint_matrix(L, v), der.space)
     der2 = derived_subalgebra(sub)
+    ops = [restrict_operator(adjoint_matrix(L, v), der.space) for v in vectors]
     if der2.dim == 0:
-        return op
-    return induced_operator_on_quotient(sub, op, Ideal(sub, der2.space))
+        return ops
+    return [induced_operator_on_quotient(sub, op, der2) for op in ops]
 
 
 def fingerprint(L: LieAlgebra) -> Fingerprint:
@@ -1154,14 +1156,13 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
         y = L.basis_vector(comp[0])
         try:
             spectral = proportional_normalize(
-                _abelianized_action(L, der, y)).describe()
+                _abelianized_actions(L, der, [y])[0]).describe()
         except UnsupportedSpectrumError:
             spectral = "outside supported spectrum"
     elif codim == 2 and der.dim > 0:
         z = L.basis_vector(comp[0])
         y = L.basis_vector(comp[1])
-        a = _abelianized_action(L, der, z)
-        b = _abelianized_action(L, der, y)
+        a, b = _abelianized_actions(L, der, [z, y])
         det_poly = _pencil_det(a, b)
         m = a.rows
         shape: list[tuple] = []

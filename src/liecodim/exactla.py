@@ -14,8 +14,8 @@ rational eigenvalue lam and ``("c", size, p, q2)`` for the pair
 p +- sqrt(q2) i, sorted as :class:`EigenStructure` documents; canon scales
 these blocks and classify matches them as they are.
 
-The kernels (``Matrix.apply``, ``@`` and ``scale``, the elimination loops of
-``Matrix.det`` and ``rref``, and ``Subspace.reduce``) skip zero terms and
+The rational kernels (``Matrix.apply``, ``@`` and ``scale``, the
+elimination loop of ``rref``, and ``Subspace.reduce``) skip zero terms and
 never multiply them: each loop runs over the nonzero entries of the vector,
 or of the pivot row, and for ``@`` over the nonzero entries of the left row
 and of the right row it meets.  The matrices met here (derivations of
@@ -25,6 +25,14 @@ held ``int``s; a slot no nonzero term reaches is ``Fraction(0)``.  Where
 they coerce an entry (``rref``, ``Subspace.reduce``, the nonzero entries
 of ``apply`` and of the right factor of ``@``) they use ``frac``, so a
 ``float`` raises ``TypeError``.
+
+The integer kernels (``Matrix.det``, ``Matrix.rank``, ``char_poly`` and the
+rank tests of ``eigen_structure``) work on d*M as lists of ``int``s, d the
+lcm of M's denominators (1 for a sweep point), by Bareiss's fraction-free
+elimination and Berkowitz's division-free recurrence.  No ``Fraction`` is
+formed until the output: ``det`` and ``char_poly`` divide by a power of d
+once per returned value.  They coerce every entry through ``frac``, so a
+``float`` raises ``TypeError`` here too.
 """
 
 from __future__ import annotations
@@ -239,31 +247,15 @@ class Matrix:
         return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
     def det(self) -> Fraction:
-        """Determinant by fraction-preserving Gaussian elimination."""
+        """Determinant by one Bareiss elimination on the integer matrix d*M,
+        d the lcm of the denominators: det M = det(d*M) / d^n."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        a = [list(row) for row in self.entries]
-        det = _ONE
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                return _ZERO
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = _ONE / a[col][col]
-            # Column col is never read again below the pivot, so only the
-            # nonzero entries right of it are eliminated.
-            terms = [(c, y) for c, y in enumerate(a[col]) if c > col and y]
-            for r in range(col + 1, n):
-                row = a[r]
-                if row[col]:
-                    f = row[col] * inv
-                    for c, y in terms:
-                        row[c] -= f * y
-        return det
+        a, d = _integer_rows(self)
+        rank, det = _bareiss(a)
+        if rank < self.rows:
+            return _ZERO
+        return Fraction(det, d ** self.rows)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -278,7 +270,8 @@ class Matrix:
         return Matrix(n, n, tuple(row[n:] for row in red.entries))
 
     def rank(self) -> int:
-        return rref(self)[1]
+        """Rank by Bareiss elimination on the integer matrix d*M."""
+        return _bareiss(_integer_rows(self)[0])[0]
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -317,6 +310,63 @@ class Matrix:
         return "\n".join(
             "[" + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "]"
             for row in grid)
+
+
+def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
+    """``(rows, d)``: the integer matrix d*m as lists of ints, d the lcm of
+    m's denominators (1 when every entry is integral).  Entries are coerced
+    through ``frac``, so a ``float`` raises ``TypeError``."""
+    rows = [[x if x.__class__ is int or x.__class__ is Fraction else frac(x)
+             for x in row] for row in m.entries]
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """Bareiss's fraction-free elimination of the integer rows ``a``, in
+    place: ``(rank, det)``, where det is the last pivot, signed by the row
+    swaps; for a square ``a`` of full rank it is the determinant.
+
+    After the pivots in columns c_1 < ... < c_r every entry below them is
+    the (r+1)-minor on rows 1..r, i and columns c_1..c_r, j, so the division
+    by the previous pivot is exact (Sylvester's identity), also when a
+    column holds no pivot and is skipped (Math. Comp. 22, 1968)."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    r, prev, sign = 0, 1, 1
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        prow = a[r]
+        p = prow[col]
+        for i in range(r + 1, nrows):
+            row = a[i]
+            f = row[col]
+            for c in range(col + 1, ncols):
+                row[c] = (p * row[c] - f * prow[c]) // prev
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r, sign * prev
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two integer matrices given as lists of rows."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
@@ -478,31 +528,34 @@ def poly_degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def poly_eval_matrix(p: Poly, m: Matrix) -> Matrix:
-    acc = Matrix.zero(m.rows, m.cols)
-    for c in reversed(p):
-        acc = acc @ m + Matrix.identity(m.rows).scale(c)
-    return acc
-
-
 def char_poly(m: Matrix) -> Poly:
     """Monic characteristic polynomial det(tI - m), ascending coefficients.
 
-    Uses the Faddeev-LeVerrier recurrence, which stays in exact rational
-    arithmetic throughout.
+    Berkowitz's division-free recurrence (Inf. Process. Lett. 18, 1984) on
+    the integer matrix A = d*m, d the lcm of m's denominators: bordering
+    the leading r x r block A_r by the column C, the row R and the corner a
+    multiplies the descending coefficients by the lower-triangular Toeplitz
+    matrix with first column 1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C.
+    The coefficient c_k of t^(n-k) of det(tI - A) becomes c_k / d^k, the
+    only ``Fraction``s formed.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = Matrix.zero(n, n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        mk = m @ (mk + Matrix.identity(n).scale(c))
-        c = -mk.trace() / k
-        coeffs[n - k] = c
-    return tuple(coeffs)
+    a, d = _integer_rows(m)
+    desc = [1]
+    for r in range(n):
+        column = [a[i][r] for i in range(r)]
+        row = a[r][:r]
+        toeplitz = [1, -a[r][r]]
+        for k in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(row, column)))
+            if k < r - 1:  # A_r C: zip stops at the r entries of C
+                column = [sum(x * y for x, y in zip(a[i], column))
+                          for i in range(r)]
+        desc = [sum(toeplitz[i - j] * c for j, c in enumerate(desc[:i + 1]))
+                for i in range(r + 2)]
+    return tuple(Fraction(desc[k], d ** k) for k in range(n, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +964,13 @@ def eigen_structure(m: Matrix) -> EigenStructure:
     N_(k+1) blocks have size k.  The powers stop once N_k reaches ``mult``,
     after at most ``mult`` of them.
 
+    The rank tests run on integer matrices, each a nonzero multiple of f(m)
+    with A = d*m, d the lcm of m's denominators: q*A - p*d*I for the factor
+    t - p/q, and L*(A^2 + c1*d*A + c0*d^2*I) for t^2 + c1*t + c0, L the lcm
+    of the denominators of c0 and c1.  Powers are integer products and
+    ranks Bareiss eliminations, so no ``Fraction`` is formed after the
+    factorisation but the block data.
+
     The spectrum is unsupported when an irreducible factor of the
     characteristic polynomial is a quadratic with positive discriminant
     (:class:`RealIrrationalEigenvalues`) or has degree >= 3
@@ -932,22 +992,35 @@ def eigen_structure(m: Matrix) -> EigenStructure:
         if deg >= 3:
             raise IrreducibleFactorDegreeTooHigh(
                 f"irreducible factor of degree {deg} in the characteristic polynomial")
+    a, d = _integer_rows(m)
     blocks: list[tuple] = []
     for factor, mult in factors:
         deg = poly_degree(factor)
         if deg == 1:
             kind, vals = "r", (-factor[0],)
-            g = m - Matrix.identity(n).scale(-factor[0])
+            # q*d*(m - p/q) = q*A - p*d*I, for the eigenvalue p/q
+            p, q = vals[0].numerator, vals[0].denominator
+            g = [[q * x for x in row] for row in a]
+            for i in range(n):
+                g[i][i] -= p * d
         else:
             kind, vals = "c", (-factor[1] / 2, factor[0] - factor[1] * factor[1] / 4)
-            g = poly_eval_matrix(factor, m)
+            # L*d^2*f(m) = L*A^2 + L*c1*d*A + L*c0*d^2*I, L clearing c0, c1
+            c0, c1 = factor[0], factor[1]
+            scale = math.lcm(c0.denominator, c1.denominator)
+            b1 = c1.numerator * (scale // c1.denominator) * d
+            b0 = c0.numerator * (scale // c0.denominator) * d * d
+            g = [[scale * x + b1 * y for x, y in zip(row2, row)]
+                 for row2, row in zip(_int_matmul(a, a), a)]
+            for i in range(n):
+                g[i][i] += b0
         nullities = [0]
-        power = Matrix.identity(n)
+        power = g
         for _ in range(mult):
-            power = power @ g
-            nullities.append((n - power.rank()) // deg)
+            nullities.append((n - _bareiss([list(row) for row in power])[0]) // deg)
             if nullities[-1] == mult:
                 break
+            power = _int_matmul(power, g)
         nullities.append(mult)
         for k in range(len(nullities) - 2, 0, -1):
             blocks += [(kind, k, *vals)] * (

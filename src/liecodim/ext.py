@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .exactla import (
@@ -176,6 +177,30 @@ class CodimTwoVerdict:
     quotient_images_cover: bool
 
 
+@lru_cache(maxsize=32)
+def _codim2_base(H: LieAlgebra, d_prime: Matrix) -> tuple:
+    """What ``check_codim2_condition`` needs of (H, d') alone: the extension
+    K = R*y + H, built and Jacobi-validated once per pair, [H, H], the
+    coordinates of its complement, the quotient map q of K onto K/[H, H],
+    and the q-images of the action of y and of the basis of H.  A bad d'
+    raises ``NotADerivation`` on every call: ``lru_cache`` keeps no
+    exception."""
+    n = H.dim
+    K = extend_by_derivation(H, d_prime)
+    der_h = derived_subalgebra(H)
+    der_h_in_k = Ideal(K, Subspace.from_vectors(
+        n + 1, [v + (Fraction(0),) for v in der_h.space.basis]))
+    q_k = quotient_map_matrix(K, der_h_in_k)
+    dprime_ext = double_extension_matrix(H, d_prime, tuple(Fraction(0)
+                                                           for _ in range(n)))
+    dprime_tilde_image = tuple(q_k.apply(dprime_ext.column(j))
+                               for j in range(n + 1))
+    h_image = tuple(q_k.apply(H.basis_vector(i) + (Fraction(0),))
+                    for i in range(n))
+    return (K, der_h, tuple(complement_coordinates(der_h.space)), q_k,
+            dprime_tilde_image, h_image)
+
+
 def check_codim2_condition(H: LieAlgebra, d_prime: Matrix,
                            d_full: Matrix) -> CodimTwoVerdict:
     """Decide whether the double extension has derived algebra equal to H.
@@ -183,34 +208,24 @@ def check_codim2_condition(H: LieAlgebra, d_prime: Matrix,
     ``d_full`` is the (n+1)-square action of z on R*y + H with zero y-row.
     Two conditions are evaluated independently: a span inclusion inside H,
     and coverage of H/[H,H] by the images of the two induced quotient
-    maps.  Their agreement is asserted.
+    maps.  Their agreement is asserted.  What depends on (H, d') alone
+    comes from ``_codim2_base``.
     """
     n = H.dim
-    _require_derivation(H, d_prime)
-    K = extend_by_derivation(H, d_prime)
+    K, der_h, comp, q_k, dprime_tilde_image, h_image = _codim2_base(H, d_prime)
     _require_derivation(K, d_full)
     if any(d_full.entries[n][j] != 0 for j in range(n + 1)):
         raise ValueError("the action of z must map everything into H")
 
-    der_h = derived_subalgebra(H)
     # condition: complement of [H,H] inside d(K) + d'(H) + [H,H]
     image_vectors = [d_full.column(j)[:n] for j in range(n + 1)]
     image_vectors += [d_prime.column(j) for j in range(n)]
     span = Subspace.from_vectors(n, image_vectors + list(der_h.space.basis))
-    comp = complement_coordinates(der_h.space)
     cond_span = all(span.contains(H.basis_vector(i)) for i in comp)
 
     # condition: images of the induced maps cover H/[H,H]
-    der_h_in_k = Ideal(K, Subspace.from_vectors(
-        n + 1, [v + (Fraction(0),) for v in der_h.space.basis]))
-    q_k = quotient_map_matrix(K, der_h_in_k)
     d_tilde_image = [q_k.apply(d_full.column(j)) for j in range(n + 1)]
-    q_h_dim = q_k.rows
-    dprime_ext = double_extension_matrix(H, d_prime, tuple(Fraction(0)
-                                                           for _ in range(n)))
-    dprime_tilde_image = [q_k.apply(dprime_ext.column(j)) for j in range(n + 1)]
-    h_image = [q_k.apply(H.basis_vector(i) + (Fraction(0),)) for i in range(n)]
-    covered = Subspace.from_vectors(q_h_dim, d_tilde_image + dprime_tilde_image)
+    covered = Subspace.from_vectors(q_k.rows, [*d_tilde_image, *dprime_tilde_image])
     cond_quot = all(covered.contains(v) for v in h_image)
 
     if cond_span != cond_quot:

@@ -188,16 +188,15 @@ def derived_subalgebra(alg: LieAlgebra) -> Ideal:
 
 
 def derived_series(alg: LieAlgebra) -> list[Ideal]:
-    """L >= [L,L] >= [[L,L],[L,L]] >= ..., down to stabilization."""
+    """L >= [L,L] >= [[L,L],[L,L]] >= ..., down to stabilization; [L, L]
+    is ``derived_subalgebra``, the span of the table's brackets."""
     series = [Ideal(alg, Subspace.full(alg.dim))]
-    while True:
-        prev = series[-1].space
-        nxt = product_space(alg, prev, prev)
-        if nxt.dim == prev.dim:
-            break
+    nxt = derived_subalgebra(alg).space
+    while nxt.dim < series[-1].space.dim:
         series.append(Ideal(alg, nxt))
         if nxt.dim == 0:
             break
+        nxt = product_space(alg, nxt, nxt)
     return series
 
 

@@ -6,6 +6,7 @@ expansion of multilinear identities.  Nothing here imports package
 internals beyond plain data.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -22,6 +23,30 @@ def det_cofactor(rows):
         sign = -1 if j % 2 else 1
         total += sign * Fraction(rows[0][j]) * det_cofactor(minor)
     return total
+
+
+def char_poly_minors(rows):
+    """det(tI - m), ascending coefficients: the coefficient of t^(n-k) is
+    (-1)^k times the sum of the k x k principal minors, each expanded by
+    cofactors."""
+    n = len(rows)
+    coeffs = [Fraction(1)] + [
+        (-1) ** k * sum((det_cofactor([[rows[i][j] for j in idx] for i in idx])
+                         for idx in itertools.combinations(range(n), k)),
+                        Fraction(0))
+        for k in range(1, n + 1)]
+    return tuple(reversed(coeffs))
+
+
+def poly_eval_matrix(p, rows):
+    """p(m) by Horner's rule on dense products; p ascending."""
+    n = len(rows)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p):
+        acc = dense_matmul(acc, rows)
+        for i in range(n):
+            acc[i][i] += Fraction(c)
+    return acc
 
 
 def rank_elimination(rows):

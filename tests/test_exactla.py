@@ -18,13 +18,13 @@ from liecodim.exactla import (
     Matrix,
     RealIrrationalEigenvalues,
     Subspace,
+    UnsupportedSpectrumError,
     _block_diag,
     _factor_over_rationals,
     _sqrt_fraction,
     char_poly,
     eigen_structure,
     nullspace,
-    poly_eval_matrix,
     rref,
     solve,
 )
@@ -32,6 +32,7 @@ from liecodim.deriv import leibniz_system
 from liecodim.liealg import heisenberg3
 
 from oracles import (
+    char_poly_minors,
     dense_apply,
     dense_matmul,
     dense_reduce,
@@ -39,6 +40,7 @@ from oracles import (
     dense_scale,
     det_cofactor,
     leibniz_equations_h3,
+    poly_eval_matrix,
     rank_elimination,
 )
 
@@ -144,7 +146,7 @@ class TestCharPoly:
     @given(square_matrices())
     @settings(max_examples=40, deadline=None)
     def test_cayley_hamilton(self, m):
-        assert poly_eval_matrix(char_poly(m), m).is_zero()
+        assert not any(map(any, poly_eval_matrix(char_poly(m), m.entries)))
 
     @given(square_matrices(3))
     @settings(max_examples=30, deadline=None)
@@ -319,6 +321,136 @@ def test_kernels_match_dense_oracles(kind, density):
         outputs = [*a.apply(v), *(a @ b).flatten(), *a.scale(c).flatten(),
                    sq.det(), *red.flatten(), *span.reduce(v)]
         assert all(type(x) is Fraction for x in outputs), outputs
+
+
+def _typed_entry(rng, kind):
+    """A small nonzero entry: an int, a Fraction, or for "mixed" either."""
+    if kind == "mixed":
+        kind = rng.choice((int, Fraction))
+    if kind is int:
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+    return F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+
+def _typed(x, kind, rng):
+    """``x`` as an int for ``int``, a Fraction for ``Fraction``, and for
+    "mixed" an integral value as either."""
+    if kind is int:
+        return int(x)
+    if kind == "mixed" and x == int(x) and rng.random() < 0.5:
+        return int(x)
+    return F(x)
+
+
+def _deficient_grid(rng, rows, cols, kind):
+    """A rows x cols grid B C of rank at most r, with B random (some rows
+    zero) and C r x cols with r pivot columns at random places: every other
+    column of C combines the pivot columns left of it, so the echelon
+    pivots skip columns."""
+    r = rng.randint(0, min(rows, cols))
+    pivots = sorted(rng.sample(range(cols), r))
+    c = [[0] * cols for _ in range(r)]
+    for j in range(cols):
+        if j in pivots:
+            for i in range(r):
+                c[i][j] = _typed_entry(rng, kind) if rng.random() < 0.7 else 0
+        else:
+            for p in (p for p in pivots if p < j):
+                f = rng.choice((0, 1, -2) if kind is int else (0, 1, -2, F(1, 2)))
+                for i in range(r):
+                    c[i][j] += f * c[i][p]
+    b = [[_typed_entry(rng, kind) if rng.random() < 0.8 else 0
+          for _ in range(r)] if rng.random() < 0.8 else [0] * r
+         for _ in range(rows)]
+    return tuple(tuple(_typed(sum(b[i][k] * c[k][j] for k in range(r)), kind, rng)
+                       for j in range(cols)) for i in range(rows))
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, "mixed"])
+def test_bareiss_rank_and_det_match_oracles(kind):
+    """Fraction-free rank and det agree with plain elimination and cofactor
+    expansion on square, wide and tall grids, full or rank-deficient, with
+    zero rows and skipped pivot columns."""
+    rng = random.Random(f"bareiss-{kind}")
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows, cols = rng.choice(((n, n), (n, n + rng.randint(1, 3)),
+                                 (n + rng.randint(1, 3), n)))
+        if rng.random() < 0.5:
+            grid = _deficient_grid(rng, rows, cols, kind)
+        else:
+            grid = tuple(tuple(_typed_entry(rng, kind) if rng.random() < 0.6
+                               else _typed(0, kind, rng)
+                               for _ in range(cols)) for _ in range(rows))
+        m = Matrix(rows, cols, grid)
+        assert m.rank() == rank_elimination(grid), grid
+        if rows == cols:
+            det = m.det()
+            assert det == det_cofactor(grid) and type(det) is Fraction, grid
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, "mixed"])
+def test_char_poly_matches_principal_minors(kind):
+    rng = random.Random(f"berkowitz-{kind}")
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        grid = (_deficient_grid(rng, n, n, kind) if rng.random() < 0.3 else
+                tuple(tuple(_typed_entry(rng, kind) if rng.random() < 0.7 else 0
+                            for _ in range(n)) for _ in range(n)))
+        assert char_poly(Matrix(n, n, grid)) == char_poly_minors(grid), grid
+
+
+def test_eigen_structure_scales_with_positive_rationals():
+    """eigen_structure(c M) scales every block: lam by c, p by c and q2 by
+    c^2, in the same order; c has a denominator, so the integer kernels
+    run at d != 1."""
+    rng = random.Random(29)
+    targets = [
+        Matrix.diagonal([2, 1, 1]),
+        M([[2, 0, 0], [0, 1, 1], [0, 0, 1]]),
+        M([[0, 1, 0], [-1, 0, 0], [0, 0, 3]]),
+        M([[1, 2], [-1, 1]]),
+        COMPLEX_TOWER,
+        M([[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 0], [0, 0, 0, F(-7, 3)]]),
+    ]
+    for m in targets:
+        blocks = eigen_structure(m).blocks
+        for _ in range(10):
+            c = F(rng.randrange(1, 40, 2), 2 ** rng.randint(1, 4))
+            s = _random_invertible(rng, m.rows)
+            scaled = eigen_structure((s.inverse() @ m @ s).scale(c))
+            assert scaled.blocks == tuple(
+                (kind, size, c * vals[0]) if kind == "r" else
+                (kind, size, c * vals[0], c * c * vals[1])
+                for kind, size, *vals in blocks)
+
+
+def test_spectral_kernels_return_fractions_and_reject_floats():
+    """On raw Matrix grids of ints, det, char_poly and the eigenvalue data
+    of eigen_structure are Fractions and rank is an int; a single float
+    entry, zero or not, makes all four raise TypeError."""
+    rng = random.Random(31)
+    kernels = (Matrix.det, Matrix.rank, char_poly, eigen_structure)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) if rng.random() < 0.5 or i <= j else 0
+                 for j in range(n)] for i in range(n)]
+        m = Matrix(n, n, tuple(map(tuple, rows)))
+        outputs = [m.det(), *char_poly(m)]
+        try:
+            outputs += [x for block in eigen_structure(m).blocks for x in block[2:]]
+        except UnsupportedSpectrumError:
+            pass
+        assert all(type(x) is Fraction for x in outputs), (rows, outputs)
+        assert type(m.rank()) is int
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = rng.choice((0.0, 0.5, float(rows[i][j])))
+        floating = Matrix(n, n, tuple(map(tuple, rows)))
+        for kernel in kernels:
+            with pytest.raises(TypeError):
+                kernel(floating)
+    with pytest.raises(TypeError):
+        Matrix(2, 2, ((0.5, 1), (1, 1))).det()
 
 
 class TestSqrtFraction:

@@ -8,6 +8,7 @@ import pytest
 from liecodim.classify import catalog
 from liecodim.deriv import NotADerivation, derivation_space
 from liecodim.exactla import Matrix, NotInvertible, Subspace
+from liecodim import ext
 from liecodim.ext import (
     IdentityFails,
     LieCSpec,
@@ -31,6 +32,7 @@ from liecodim.liealg import (
     abelian,
     adjoint_matrix,
     bracket,
+    center,
     derived_subalgebra,
     direct_sum,
     filiform4,
@@ -203,6 +205,49 @@ class TestDoubleExtension:
         bad = double_extension_matrix(
             h, Matrix.from_rows([[1, 0], [0, 0]]), vec(1, 0))
         assert not check_codim2_condition(h, Matrix.zero(2, 2), bad).member
+
+
+    def test_bad_d_prime_raises_on_every_call(self):
+        h = heisenberg3()
+        not_a_derivation = Matrix.identity(3)
+        d_full = double_extension_matrix(h, Matrix.zero(3, 3), vec(0, 0, 0))
+        for _ in range(3):
+            with pytest.raises(NotADerivation):
+                check_codim2_condition(h, not_a_derivation, d_full)
+
+    def test_cached_verdicts_match_the_uncached_path(self):
+        """Verdicts on a warm base cache equal those after clearing it, and
+        both say whether [L, L] of the double extension is all of H."""
+        rng = random.Random(23)
+        for h in (abelian(2), abelian(3), heisenberg3(), filiform4(),
+                  r_plus_heisenberg()):
+            n = h.dim
+            sp = derivation_space(h)
+            center_basis = center(h).space.basis
+            for _ in range(12):
+                if rng.random() < 0.5:
+                    # d' = 0: z acts on H by a derivation, [z, y] central
+                    d_prime = Matrix.zero(n, n)
+                    zy = [F(0)] * n
+                    for b in center_basis:
+                        c = rng.randint(-2, 2)
+                        zy = [x + c * y for x, y in zip(zy, b)]
+                    d_full = double_extension_matrix(
+                        h, random_derivation(rng, sp), tuple(zy))
+                else:
+                    # z acts as ad_u, u in H, on K = R*y + H by d'
+                    d_prime = random_derivation(rng, sp)
+                    u = tuple(F(rng.randint(-2, 2)) for _ in range(n)) + (F(0),)
+                    d_full = adjoint_matrix(extend_by_derivation(h, d_prime), u)
+                warm = [check_codim2_condition(h, d_prime, d_full)
+                        for _ in range(2)]
+                ext._codim2_base.cache_clear()
+                cold = check_codim2_condition(h, d_prime, d_full)
+                d_on_h = d_full.submatrix(range(n), range(n))
+                built = build_double_extension(h, d_prime, d_on_h,
+                                               d_full.column(n)[:n])
+                assert warm == [cold, cold]
+                assert cold.member == (derived_subalgebra(built).dim == n)
 
 
 class TestDecomposability:
