@@ -83,6 +83,7 @@ from .exactla import (
     Vector,
     _block_diag,
     _factor_over_rationals,
+    _integer_point,
     _sqrt_fraction,
     eigen_structure,
     frac,
@@ -1003,18 +1004,6 @@ class GridSpec:
                 raise ValueError(f"unknown grid field {name!r}")
             kwargs[field_name] = int(value)
         return dataclasses.replace(spec, **kwargs)
-
-
-def _integer_point(coeffs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """``(L, L*p)`` for the rational point p, L the lcm of its denominators.
-
-    The integer point L*p is a positive multiple of p, on the same line
-    with the same orientation; the pair identifies p exactly, where L*p
-    alone does not: (1/2, 1) and (1, 2) share the integer point (1, 2)."""
-    dens = [x.denominator for x in coeffs]
-    scale = math.lcm(*dens)
-    return scale, tuple(x.numerator * (scale // d)
-                        for x, d in zip(coeffs, dens))
 
 
 def sweep_points(key: str, mode: str,

@@ -14,25 +14,25 @@ rational eigenvalue lam and ``("c", size, p, q2)`` for the pair
 p +- sqrt(q2) i, sorted as :class:`EigenStructure` documents; canon scales
 these blocks and classify matches them as they are.
 
-The rational kernels (``Matrix.apply``, ``@`` and ``scale``, the
-elimination loop of ``rref``, and ``Subspace.reduce``) skip zero terms and
-never multiply them: each loop runs over the nonzero entries of the vector,
-or of the pivot row, and for ``@`` over the nonzero entries of the left row
-and of the right row it meets.  The matrices met here (derivations of
-nilpotent algebras, basis vectors, structure tables) are mostly zeros.
-Every entry these kernels return is a ``Fraction``, also where the input
-held ``int``s; a slot no nonzero term reaches is ``Fraction(0)``.  Where
-they coerce an entry (``rref``, ``Subspace.reduce``, the nonzero entries
-of ``apply`` and of the right factor of ``@``) they use ``frac``, so a
-``float`` raises ``TypeError``.
+Every elimination runs on one kernel, ``_bareiss``: Bareiss's
+fraction-free elimination of integer rows (Math. Comp. 22, 1968).
+``Matrix.det``, ``Matrix.rank`` and the rank tests of ``eigen_structure``
+run it on d*M, d the lcm of M's denominators (1 for a sweep point); ``rref``
+runs it on the rows of M, each cleared of its own denominators, and
+back-substitutes in integers.  ``char_poly`` is Berkowitz's division-free
+recurrence on d*M.  One helper, ``_integer_point``, clears denominators for
+all of them and for the sweep's integer points.  No ``Fraction`` is formed
+until the output, and every entry is coerced through ``frac`` on the way
+in, so a ``float`` raises ``TypeError``.
 
-The integer kernels (``Matrix.det``, ``Matrix.rank``, ``char_poly`` and the
-rank tests of ``eigen_structure``) work on d*M as lists of ``int``s, d the
-lcm of M's denominators (1 for a sweep point), by Bareiss's fraction-free
-elimination and Berkowitz's division-free recurrence.  No ``Fraction`` is
-formed until the output: ``det`` and ``char_poly`` divide by a power of d
-once per returned value.  They coerce every entry through ``frac``, so a
-``float`` raises ``TypeError`` here too.
+The rational kernels (``Matrix.apply``, ``@`` and ``scale``, and
+``Subspace.reduce``) skip zero terms and never multiply them: each loop
+runs over the nonzero entries of the vector, and for ``@`` over the nonzero
+entries of the left row and of the right row it meets.  The matrices met
+here (derivations of nilpotent algebras, basis vectors, structure tables)
+are mostly zeros.  They coerce the nonzero entries they read through
+``frac``, and every entry they return is a ``Fraction``, also where the
+input held ``int``s.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_INT_OR_FRACTION = (int, Fraction)
 
 
 def frac(x: Scalar) -> Fraction:
@@ -97,6 +97,12 @@ def format_frac(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _fractions(v: Iterable) -> list[Fraction]:
+    """The entries of ``v`` coerced through ``frac``; a ``Fraction`` is kept
+    as it is."""
+    return [x if x.__class__ is Fraction else frac(x) for x in v]
 
 
 def _nonzero(v: Sequence) -> list[tuple[int, Fraction]]:
@@ -185,19 +191,20 @@ class Matrix:
         return not any(map(any, self.entries))
 
     def transpose(self) -> "Matrix":
+        rows = [_fractions(row) for row in self.entries]
         return Matrix(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
+            tuple(rows[i][j] for i in range(self.rows)) for j in range(self.cols)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         return Matrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
+            tuple(a + b for a, b in zip(_fractions(r1), _fractions(r2)))
             for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         return Matrix(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(r1, r2))
+            tuple(a - b for a, b in zip(_fractions(r1), _fractions(r2)))
             for r1, r2 in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
@@ -244,7 +251,7 @@ class Matrix:
     def trace(self) -> Fraction:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+        return sum(_fractions(self.entries[i][i] for i in range(self.rows)), _ZERO)
 
     def det(self) -> Fraction:
         """Determinant by one Bareiss elimination on the integer matrix d*M,
@@ -252,7 +259,7 @@ class Matrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         a, d = _integer_rows(self)
-        rank, det = _bareiss(a)
+        rank, det, _ = _bareiss(a)
         if rank < self.rows:
             return _ZERO
         return Fraction(det, d ** self.rows)
@@ -261,10 +268,7 @@ class Matrix:
         if not self.is_square():
             raise NotInvertible("not square")
         n = self.rows
-        aug = Matrix(n, 2 * n, tuple(
-            row + tuple(Fraction(1 if i == j else 0) for j in range(n))
-            for i, row in enumerate(self.entries)))
-        red, rank, _ = rref(aug)
+        red, rank, _ = rref(self.hstack(Matrix.identity(n)))
         if rank < n or any(red.entries[i][i] != 1 for i in range(n)):
             raise NotInvertible("singular matrix")
         return Matrix(n, n, tuple(row[n:] for row in red.entries))
@@ -312,28 +316,43 @@ class Matrix:
             for row in grid)
 
 
+def _integer_point(v: Iterable) -> tuple[int, tuple[int, ...]]:
+    """``(L, L*v)`` for the rational vector v, L the lcm of its denominators.
+
+    L*v is the integer vector on v's line with v's orientation; the pair
+    identifies v exactly, where L*v alone does not: (1/2, 1) and (1, 2)
+    share L*v = (1, 2).  Entries are coerced through ``frac``, so a
+    ``float`` raises ``TypeError``."""
+    pairs = [(x if x.__class__ in _INT_OR_FRACTION else frac(x)).as_integer_ratio()
+             for x in v]
+    scale = math.lcm(*[d for _, d in pairs])
+    return scale, tuple([n * (scale // d) for n, d in pairs])
+
+
 def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
     """``(rows, d)``: the integer matrix d*m as lists of ints, d the lcm of
-    m's denominators (1 when every entry is integral).  Entries are coerced
-    through ``frac``, so a ``float`` raises ``TypeError``."""
-    rows = [[x if x.__class__ is int or x.__class__ is Fraction else frac(x)
-             for x in row] for row in m.entries]
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+    all of m's denominators (1 when every entry is integral)."""
+    d, flat = _integer_point(itertools.chain.from_iterable(m.entries))
+    c = m.cols
+    return [list(flat[i * c:(i + 1) * c]) for i in range(m.rows)], d
 
 
-def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+def _bareiss(a: list[list[int]]) -> tuple[int, int, list[int]]:
     """Bareiss's fraction-free elimination of the integer rows ``a``, in
-    place: ``(rank, det)``, where det is the last pivot, signed by the row
-    swaps; for a square ``a`` of full rank it is the determinant.
+    place: ``(rank, det, pivot_columns)``, where det is the last pivot,
+    signed by the row swaps; for a square ``a`` of full rank it is the
+    determinant.
 
     After the pivots in columns c_1 < ... < c_r every entry below them is
     the (r+1)-minor on rows 1..r, i and columns c_1..c_r, j, so the division
     by the previous pivot is exact (Sylvester's identity), also when a
-    column holds no pivot and is skipped (Math. Comp. 22, 1968)."""
+    column holds no pivot and is skipped (Math. Comp. 22, 1968).  The
+    column being eliminated is not written: left of its pivot a row holds
+    stale entries, and only ``a[k][c_k:]`` is its echelon form."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     r, prev, sign = 0, 1, 1
+    pivots = []
     for col in range(ncols):
         pivot = next((i for i in range(r, nrows) if a[i][col]), None)
         if pivot is None:
@@ -349,10 +368,11 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
             for c in range(col + 1, ncols):
                 row[c] = (p * row[c] - f * prow[c]) // prev
         prev = p
+        pivots.append(col)
         r += 1
         if r == nrows:
             break
-    return r, sign * prev
+    return r, sign * prev, pivots
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -372,42 +392,42 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form.
 
-    Returns ``(reduced, rank, pivot_columns)``.  Pivots are normalized to 1
-    and cleared above and below, so the output is the unique RREF of ``m``.
+    Returns ``(reduced, rank, pivot_columns)``.  Pivots are 1 and the only
+    nonzero entries of their columns, so the output is the unique RREF of
+    ``m``.
+
+    Each row is cleared of its own denominators, which leaves the RREF
+    unchanged, the zero rows are set aside (they are the RREF's last rows),
+    and ``_bareiss`` brings the other integer rows to echelon rows E_k
+    with pivots p_k in columns c_k, read from c_k on.  The back substitution
+    runs from the last pivot up, in integers: with D = +-p_r, the last pivot
+    as ``_bareiss`` returns it, the integer row
+    X_k = (D*E_k - sum over j > k of E_k[c_j]*X_j) / p_k is D times the k-th
+    row of the RREF, and the division is exact (Cramer's rule).  The only
+    ``Fraction``s formed are the entries X_k[c] / D.
     """
-    a = [[x if x.__class__ is Fraction else frac(x) for x in row]
-         for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        # Left of col the pivot row is zero; right of it only its nonzero
-        # entries are scaled and eliminated.
-        prow = a[r]
-        inv = _ONE / prow[col]
-        terms = []
-        for c in range(col + 1, ncols):
-            if prow[c]:
-                prow[c] *= inv
-                terms.append((c, prow[c]))
-        prow[col] = _ONE
-        for i in range(nrows):
-            row = a[i]
-            f = row[col]
-            if i != r and f:
-                row[col] = _ZERO
-                for c, y in terms:
-                    row[c] -= f * y
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    reduced = Matrix(nrows, ncols, tuple(tuple(row) for row in a))
-    return reduced, len(pivots), tuple(pivots)
+    a = [list(v) for v in (_integer_point(row)[1] for row in m.entries)
+         if any(v)]
+    rank, last, pivots = _bareiss(a)
+    terms: list[list[tuple[int, int]]] = [[]] * rank
+    for k in range(rank - 1, -1, -1):
+        row, start = a[k], pivots[k]
+        p = row[start]
+        x = [last * y for y in row[start:]]
+        for j in range(k + 1, rank):
+            f = row[pivots[j]]
+            if f:
+                for c, y in terms[j]:
+                    x[c - start] -= f * y
+        terms[k] = [(start + i, y // p) for i, y in enumerate(x) if y]
+    reduced = []
+    for nonzero in terms:
+        out = [_ZERO] * m.cols
+        for c, y in nonzero:
+            out[c] = Fraction(y, last)
+        reduced.append(tuple(out))
+    reduced += [(_ZERO,) * m.cols] * (m.rows - rank)
+    return Matrix(m.rows, m.cols, tuple(reduced)), rank, tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -428,10 +448,10 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Sequence[Vector]) -> "Subspace":
-        """The span of ``vectors``; ``rref`` coerces the entries of the
-        nonzero ones (``int`` becomes ``Fraction``, ``float`` raises
-        ``TypeError``)."""
-        vecs = [v for v in vectors if not vec_is_zero(v)]
+        """The span of ``vectors``, every entry coerced through ``frac``
+        (``int`` becomes ``Fraction``, ``float`` raises ``TypeError``, also
+        in a zero vector)."""
+        vecs = [v for v in map(_fractions, vectors) if any(v)]
         if not vecs:
             return Subspace(ambient_dim, ())
         red, rank, _ = rref(Matrix(len(vecs), ambient_dim, tuple(vecs)))
@@ -443,10 +463,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.from_vectors(
-            ambient_dim,
-            [tuple(Fraction(1 if i == j else 0) for j in range(ambient_dim))
-             for i in range(ambient_dim)])
+        return Subspace(ambient_dim, Matrix.identity(ambient_dim).entries)
 
     @property
     def dim(self) -> int:
@@ -458,7 +475,7 @@ class Subspace:
     def reduce(self, v: Vector) -> Vector:
         """``v`` reduced against the echelon basis: zero at every pivot, and
         zero altogether exactly when ``v`` lies in the subspace."""
-        w = [x if x.__class__ is Fraction else frac(x) for x in v]
+        w = _fractions(v)
         for row, p in zip(self.basis, self.pivots):
             f = w[p]
             if f:
@@ -477,11 +494,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
@@ -581,8 +593,7 @@ def _derivative(a: list) -> list:
 def _primitive(a: Sequence) -> list[int]:
     """The integer multiple of a nonzero rational polynomial whose
     coefficients are coprime and whose leading coefficient is positive."""
-    d = math.lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (d // c.denominator) for c in a]
+    ints = _integer_point(a)[1]
     g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
     return [c // g for c in ints]
 
@@ -873,10 +884,9 @@ def _split_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible primitive factors over Q of a primitive squarefree
     integer polynomial."""
     if len(f) == 3:
-        disc = f[1] * f[1] - 4 * f[0] * f[2]
-        root = math.isqrt(disc) if disc >= 0 else -1
+        root = _sqrt_fraction(f[1] * f[1] - 4 * f[0] * f[2])
         roots = ([Fraction(-f[1] + root, 2 * f[2]), Fraction(-f[1] - root, 2 * f[2])]
-                 if root * root == disc else [])
+                 if root is not None else [])
     else:
         roots = _rational_roots(f) if len(f) > 3 else []
     linear = [[-r.numerator, r.denominator] for r in roots]
@@ -1006,14 +1016,11 @@ def eigen_structure(m: Matrix) -> EigenStructure:
         else:
             kind, vals = "c", (-factor[1] / 2, factor[0] - factor[1] * factor[1] / 4)
             # L*d^2*f(m) = L*A^2 + L*c1*d*A + L*c0*d^2*I, L clearing c0, c1
-            c0, c1 = factor[0], factor[1]
-            scale = math.lcm(c0.denominator, c1.denominator)
-            b1 = c1.numerator * (scale // c1.denominator) * d
-            b0 = c0.numerator * (scale // c0.denominator) * d * d
-            g = [[scale * x + b1 * y for x, y in zip(row2, row)]
+            scale, (b0, b1) = _integer_point(factor[:2])
+            g = [[scale * x + b1 * d * y for x, y in zip(row2, row)]
                  for row2, row in zip(_int_matmul(a, a), a)]
             for i in range(n):
-                g[i][i] += b0
+                g[i][i] += b0 * d * d
         nullities = [0]
         power = g
         for _ in range(mult):

@@ -22,6 +22,7 @@ from .exactla import (
     NotInvertible,
     Subspace,
     Vector,
+    _block_diag,
     solve,
     vec_is_zero,
 )
@@ -101,11 +102,16 @@ class CodimOneVerdict:
     quotient_invertible: bool
 
 
-def _adapted_basis_transform(K: LieAlgebra, ideal: Ideal) -> Matrix:
-    """Basis change putting the ideal on the leading coordinates."""
-    comp = complement_coordinates(ideal.space)
-    cols = list(ideal.space.basis) + [K.basis_vector(i) for i in comp]
-    return Matrix.from_columns(cols)
+@lru_cache(maxsize=32)
+def _codim1_base(K: LieAlgebra) -> tuple:
+    """What ``check_codim1_condition`` needs of K alone: [K, K], the
+    coordinates of its complement, and the basis change P putting [K, K]
+    on the leading coordinates, with its inverse."""
+    der = derived_subalgebra(K)
+    comp = tuple(complement_coordinates(der.space))
+    p = Matrix.from_columns(list(der.space.basis)
+                            + [K.basis_vector(i) for i in comp])
+    return der, comp, p, p.inverse()
 
 
 def check_codim1_condition(K: LieAlgebra, d: Matrix) -> CodimOneVerdict:
@@ -114,22 +120,21 @@ def check_codim1_condition(K: LieAlgebra, d: Matrix) -> CodimOneVerdict:
     Three conditions are evaluated independently (a span inclusion, the
     rank of the lower block of d in a basis adapted to [K, K], and the
     invertibility of the map induced on K/[K, K]); their agreement is
-    asserted before the verdict is returned.
+    asserted before the verdict is returned.  What depends on K alone
+    comes from ``_codim1_base``.
     """
     _require_derivation(K, d)
     n = K.dim
-    der = derived_subalgebra(K)
+    der, comp, p, p_inv = _codim1_base(K)
     m = der.dim
 
     # span inclusion: complement directions of [K,K] lie in d(K) + [K,K]
     image_plus_derived = Subspace.from_vectors(
         n, [d.column(j) for j in range(n)] + list(der.space.basis))
-    comp = complement_coordinates(der.space)
     cond_span = all(image_plus_derived.contains(K.basis_vector(i)) for i in comp)
 
     # lower-block rank in an adapted basis (abelian case reads rank d = n)
-    p = _adapted_basis_transform(K, der)
-    d_adapted = p.inverse() @ d @ p
+    d_adapted = p_inv @ d @ p
     lower = d_adapted.submatrix(range(m, n), range(n))
     rank = lower.rank()
     cond_rank = rank == n - m
@@ -454,15 +459,8 @@ def lie_c_iso_check(spec1: LieCSpec, spec2: LieCSpec,
 
     al, be = coeffs.entries[0]
     ga, de = coeffs.entries[1]
-
-    n = spec1.n
-    rows = []
-    for i in range(n):
-        rows.append(sigma.entries[i] + (Fraction(0), Fraction(0)))
     # basis order x_1..x_n, y, z: columns are the images of y and of z
-    rows.append(tuple(Fraction(0) for _ in range(n)) + (de, be))
-    rows.append(tuple(Fraction(0) for _ in range(n)) + (ga, al))
-    t_full = Matrix(n + 2, n + 2, tuple(rows))
+    t_full = _block_diag([sigma, Matrix.from_rows([[de, be], [ga, al]])])
     l1 = spec1.build()
     l2 = spec2.build()
     try:

@@ -370,7 +370,9 @@ def _deficient_grid(rng, rows, cols, kind):
 def test_bareiss_rank_and_det_match_oracles(kind):
     """Fraction-free rank and det agree with plain elimination and cofactor
     expansion on square, wide and tall grids, full or rank-deficient, with
-    zero rows and skipped pivot columns."""
+    zero rows and skipped pivot columns; so do rref, which back-substitutes
+    the same elimination, and the inverse, solve and nullspace built on
+    it."""
     rng = random.Random(f"bareiss-{kind}")
     for _ in range(150):
         n = rng.randint(1, 5)
@@ -383,10 +385,23 @@ def test_bareiss_rank_and_det_match_oracles(kind):
                                else _typed(0, kind, rng)
                                for _ in range(cols)) for _ in range(rows))
         m = Matrix(rows, cols, grid)
-        assert m.rank() == rank_elimination(grid), grid
+        rank = m.rank()
+        assert rank == rank_elimination(grid), grid
         if rows == cols:
             det = m.det()
             assert det == det_cofactor(grid) and type(det) is Fraction, grid
+            if det:
+                assert m @ m.inverse() == Matrix.identity(rows), grid
+        red, red_rank, pivots = rref(m)
+        expected_red, expected_pivots = dense_rref(grid)
+        assert red.entries == tuple(map(tuple, expected_red)), grid
+        assert (red_rank, list(pivots)) == (rank, expected_pivots), grid
+        x = [_typed_entry(rng, kind) for _ in range(cols)]
+        b = m.apply(x)
+        assert m.apply(solve(m, b)) == b, grid
+        kernel = nullspace(m).basis
+        assert len(kernel) == cols - rank, grid
+        assert all(not any(m.apply(v)) for v in kernel), grid
 
 
 @pytest.mark.parametrize("kind", [int, Fraction, "mixed"])
@@ -426,31 +441,51 @@ def test_eigen_structure_scales_with_positive_rationals():
 
 
 def test_spectral_kernels_return_fractions_and_reject_floats():
-    """On raw Matrix grids of ints, det, char_poly and the eigenvalue data
-    of eigen_structure are Fractions and rank is an int; a single float
-    entry, zero or not, makes all four raise TypeError."""
+    """On raw Matrix grids of ints, det, char_poly, the eigenvalue data of
+    eigen_structure, rref, nullspace, solve, inverse, Subspace.from_vectors,
+    trace, transpose, + and - give Fractions and rank is an int; a single
+    float entry, zero or not, makes each of them raise TypeError (trace
+    reads only the diagonal, so there the float is on it)."""
     rng = random.Random(31)
-    kernels = (Matrix.det, Matrix.rank, char_poly, eigen_structure)
+    kernels = (Matrix.det, Matrix.rank, char_poly, eigen_structure, rref,
+               nullspace, Matrix.inverse, Matrix.transpose,
+               lambda m: solve(m, (0,) * m.rows),
+               lambda m: Subspace.from_vectors(m.cols, m.entries),
+               lambda m: m + Matrix.zero(m.rows, m.cols),
+               lambda m: Matrix.zero(m.rows, m.cols) - m)
     for _ in range(40):
         n = rng.randint(1, 4)
         rows = [[rng.randint(-3, 3) if rng.random() < 0.5 or i <= j else 0
                  for j in range(n)] for i in range(n)]
         m = Matrix(n, n, tuple(map(tuple, rows)))
-        outputs = [m.det(), *char_poly(m)]
+        outputs = [m.det(), *char_poly(m), m.trace()]
         try:
             outputs += [x for block in eigen_structure(m).blocks for x in block[2:]]
         except UnsupportedSpectrumError:
             pass
+        if outputs[0]:
+            outputs += m.inverse().flatten()
+        b = tuple(sum(x for x in row) for row in rows)
+        outputs += solve(m, b) + rref(m)[0].flatten() + m.transpose().flatten()
+        outputs += [x for v in nullspace(m).basis for x in v]
+        outputs += [x for v in Subspace.from_vectors(n, rows).basis for x in v]
+        outputs += (m + m).flatten() + (m - m).flatten()
         assert all(type(x) is Fraction for x in outputs), (rows, outputs)
         assert type(m.rank()) is int
         i, j = rng.randrange(n), rng.randrange(n)
-        rows[i][j] = rng.choice((0.0, 0.5, float(rows[i][j])))
+        value = rng.choice((0.0, 0.5, float(rows[i][j])))
+        rows[i][j] = value
         floating = Matrix(n, n, tuple(map(tuple, rows)))
         for kernel in kernels:
             with pytest.raises(TypeError):
                 kernel(floating)
+        rows[i][j], rows[i][i] = 0, value
+        with pytest.raises(TypeError):
+            Matrix(n, n, tuple(map(tuple, rows))).trace()
     with pytest.raises(TypeError):
         Matrix(2, 2, ((0.5, 1), (1, 1))).det()
+    with pytest.raises(TypeError):
+        Subspace.from_vectors(2, [(0.0, 0.0), (1, 2)])
 
 
 class TestSqrtFraction:
