@@ -1016,7 +1016,9 @@ def sweep_points(key: str, mode: str,
     When the Cartesian grid over the values fits the budget, the points are
     the integer grid ``itertools.product`` of the values times L, the lcm of
     their denominators.  Otherwise each distinct rational point of the
-    structured sweep is kept once, as its ``_integer_point``."""
+    structured sweep is kept once, as its ``_integer_point``; the axis and
+    pair points, supported on one or two coordinates, are built as those
+    integer points directly from each grid value's integer ratio."""
     entry = catalog()[key]
     sweep = _sweep_space(key, mode)
     dim = sweep.dim
@@ -1027,13 +1029,15 @@ def sweep_points(key: str, mode: str,
     points: list[tuple[int, ...]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
-    def push(coeffs: Sequence[Fraction]) -> None:
+    def add(exact: tuple[int, tuple[int, ...]]) -> None:
         # One hash per point, of ints only: a tuple does not cache its hash.
-        exact = _integer_point(coeffs)
         size = len(seen)
         seen.add(exact)
         if len(seen) > size:
             points.append(exact[1])
+
+    def push(coeffs: Sequence[Fraction]) -> None:
+        add(_integer_point(coeffs))
 
     templates = _templates(entry, mode)
     rng = random.Random(grid.seed)
@@ -1049,19 +1053,26 @@ def sweep_points(key: str, mode: str,
                     push(sweep.coeffs_of(rep))
                 except ValueError:
                     continue
-    nonzero_vals = [v for v in vals if v != 0]
+    # The integer point of n/d on axis i is (d, n*e_i); of (n1/d1, n2/d2) on
+    # axes i < j it is (l, n1*l/d1*e_i + n2*l/d2*e_j), l = lcm(d1, d2).
+    ratios = [v.as_integer_ratio() for v in vals if v]
+    pairs = []
+    for n1, d1 in ratios:
+        for n2, d2 in ratios:
+            lcm = math.lcm(d1, d2)
+            pairs.append((lcm, n1 * (lcm // d1), n2 * (lcm // d2)))
+    zeros = [0] * dim
     for i in range(dim):
-        for v in nonzero_vals:
-            coeffs = [0] * dim
-            coeffs[i] = v
-            push(coeffs)
+        for n, d in ratios:
+            coeffs = zeros.copy()
+            coeffs[i] = n
+            add((d, tuple(coeffs)))
     for i in range(dim):
         for j in range(i + 1, dim):
-            for v1 in nonzero_vals:
-                for v2 in nonzero_vals:
-                    coeffs = [0] * dim
-                    coeffs[i], coeffs[j] = v1, v2
-                    push(coeffs)
+            for lcm, a, b in pairs:
+                coeffs = zeros.copy()
+                coeffs[i], coeffs[j] = a, b
+                add((lcm, tuple(coeffs)))
     for _ in range(grid.n_random):
         push(tuple(rng.choice(vals) for _ in range(dim)))
     return points

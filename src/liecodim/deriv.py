@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactla import Matrix, Subspace, Vector, nullspace, vec_is_zero
+from .exactla import _ZERO, Matrix, Subspace, Vector, _fractions, nullspace
 from .liealg import (
     LieAlgebra,
-    _bracket,
     adjoint_matrix,
     derived_subalgebra,
 )
@@ -73,21 +72,46 @@ def leibniz_residual(alg: LieAlgebra, d: Matrix) -> Optional[tuple[tuple[int, in
     Pairs are visited in the order i < j, i outer, and the first pair whose
     residual d([x_i, x_j]) - [d(x_i), x_j] - [x_i, d(x_j)] is nonzero is
     returned as 1-based ``(i, j)`` with that residual.  d(x_i) is read as
-    column i of d.  Raises ValueError unless d is dim x dim.
+    column i of d.  Raises ValueError unless d is dim x dim; the entries of
+    d are coerced through ``frac``, so a ``float`` raises ``TypeError``.
+
+    Only the table's nonzero structure constants are read:
+    d([x_i, x_j]) = sum_k c_ij^k d(x_k), [d(x_i), x_j] = sum_s d_si [x_s, x_j]
+    over the table pairs through j, and [x_i, d(x_j)] = -sum_s d_sj [x_s, x_i]
+    over those through i.  A pair through no table index has residual 0, so
+    on an abelian algebra nothing is computed.
     """
-    if d.rows != alg.dim or d.cols != alg.dim:
+    n = alg.dim
+    if d.rows != n or d.cols != n:
         raise ValueError("derivation matrix has wrong shape")
-    basis = [alg.basis_vector(i) for i in range(alg.dim)]
-    images = [d.column(i) for i in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            lhs = d.apply(alg.bracket_basis(i, j))
-            rhs_1 = _bracket(alg, images[i], basis[j])
-            rhs_2 = _bracket(alg, basis[i], images[j])
-            residual = tuple(a - b - c if b or c else a
-                             for a, b, c in zip(lhs, rhs_1, rhs_2))
-            if not vec_is_zero(residual):
-                return (i + 1, j + 1), residual
+    rows = [_fractions(row) for row in d.entries]
+    # through[t]: the (s, nonzero terms of [x_s, x_t]) of the table pairs
+    # through t.
+    through: list[list] = [[] for _ in range(n)]
+    for (s, t), v in alg._brackets.items():
+        through[t].append((s, [(k, x) for k, x in enumerate(v) if x]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not (through[i] or through[j]):
+                continue
+            acc = [_ZERO] * n
+            for k, c in enumerate(alg.bracket_basis(i, j)):
+                if c:
+                    for r in range(n):
+                        if rows[r][k]:
+                            acc[r] += c * rows[r][k]
+            for s, terms in through[j]:
+                a = rows[s][i]
+                if a:
+                    for k, x in terms:
+                        acc[k] -= a * x
+            for s, terms in through[i]:
+                a = rows[s][j]
+                if a:
+                    for k, x in terms:
+                        acc[k] += a * x
+            if any(acc):
+                return (i + 1, j + 1), tuple(acc)
     return None
 
 

@@ -30,9 +30,10 @@ The rational kernels (``Matrix.apply``, ``@`` and ``scale``, and
 runs over the nonzero entries of the vector, and for ``@`` over the nonzero
 entries of the left row and of the right row it meets.  The matrices met
 here (derivations of nilpotent algebras, basis vectors, structure tables)
-are mostly zeros.  They coerce the nonzero entries they read through
-``frac``, and every entry they return is a ``Fraction``, also where the
-input held ``int``s.
+are mostly zeros.  ``apply``, ``@`` and ``scale`` coerce every entry of
+their operands through ``frac``, zeros included, so a ``float`` raises
+``TypeError``, and every entry they return is a ``Fraction``, also where
+the input held ``int``s.
 """
 
 from __future__ import annotations
@@ -107,9 +108,9 @@ def _fractions(v: Iterable) -> list[Fraction]:
 
 def _nonzero(v: Sequence) -> list[tuple[int, Fraction]]:
     """The ``(index, entry)`` pairs of the nonzero entries of ``v``, each
-    entry a Fraction."""
-    return [(j, x if x.__class__ is Fraction else frac(x))
-            for j, x in enumerate(v) if x]
+    entry a Fraction; every entry, zero or not, is coerced as in
+    ``_fractions``."""
+    return [(j, x) for j, x in enumerate(_fractions(v)) if x]
 
 
 def vec(entries: Iterable[Scalar]) -> Vector:
@@ -118,10 +119,6 @@ def vec(entries: Iterable[Scalar]) -> Vector:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def vec_is_zero(u: Vector) -> bool:
@@ -215,7 +212,8 @@ class Matrix:
         if not cc:
             return Matrix.zero(self.rows, self.cols)
         return Matrix(self.rows, self.cols, tuple(
-            tuple(cc * x if x else _ZERO for x in row) for row in self.entries))
+            tuple([cc * x if x else _ZERO for x in _fractions(row)])
+            for row in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -226,7 +224,7 @@ class Matrix:
         out = []
         for row in self.entries:
             acc = [_ZERO] * other.cols
-            for a, terms in zip(row, right):
+            for a, terms in zip(_fractions(row), right):
                 if a:
                     for j, b in terms:
                         s = acc[j]
@@ -239,7 +237,7 @@ class Matrix:
             raise ValueError("vector length mismatch")
         terms = _nonzero(v)
         out = []
-        for row in self.entries:
+        for row in map(_fractions, self.entries):
             s = _ZERO
             for j, x in terms:
                 a = row[j]

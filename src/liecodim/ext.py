@@ -29,8 +29,10 @@ from .exactla import (
 from .deriv import NotADerivation, leibniz_residual
 from .liealg import (
     Ideal,
+    JacobiViolation,
     LieAlgebra,
     _bracket,
+    _normalize_table,
     adjoint_matrix,
     center,
     complement_coordinates,
@@ -39,6 +41,7 @@ from .liealg import (
     induced_operator_on_quotient,
     make_algebra,
     quotient_map_matrix,
+    validate_jacobi,
 )
 
 
@@ -71,14 +74,27 @@ def _require_derivation(alg: LieAlgebra, d: Matrix) -> None:
 
 def extend_by_derivation(K: LieAlgebra, d: Matrix,
                          name: Optional[str] = None) -> LieAlgebra:
-    """The (dim K + 1)-dimensional algebra with new generator y, [y, x] = d(x).
+    """The (dim K + 1)-dimensional algebra L = R*y + K with new generator y,
+    [y, x] = d(x).
 
-    Jacobi is re-validated on the result.  Every bracket lands in K, the
-    span of x_1..x_n, so [L, L] <= K and dim [L, L] <= dim L - 1 hold by
-    construction.
+    Jacobi holds on L if and only if it holds on K and d is a derivation,
+    and that is what is checked; L's triples are not re-run.  A triple of L
+    inside K is a triple of K with the same brackets.  A triple through y,
+    (x_i, x_j, y), has Jacobi sum [[x_i, x_j], y] + [[x_j, y], x_i] +
+    [[y, x_i], x_j] = -(d([x_i, x_j]) - [d(x_i), x_j] - [x_i, d(x_j)]), the
+    Leibniz residual of d on (i, j) negated, which ``_require_derivation``
+    has just found zero.  So the first failing triple of L is K's, with K's
+    residual and a zero in y's slot, and a non-derivation raises
+    :class:`NotADerivation` before K is looked at.  Every bracket lands in
+    K, the span of x_1..x_n, so [L, L] <= K and dim [L, L] <= dim L - 1
+    hold by construction.
     """
     n = K.dim
     _require_derivation(K, d)
+    try:
+        validate_jacobi(K)
+    except JacobiViolation as err:
+        raise JacobiViolation(err.triple, err.residual + (Fraction(0),)) from None
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), v in K.table:
         brackets[(i + 1, j + 1)] = {k + 1: c for k, c in enumerate(v) if c != 0}
@@ -87,7 +103,7 @@ def extend_by_derivation(K: LieAlgebra, d: Matrix,
         entry = {k + 1: -c for k, c in enumerate(col) if c != 0}
         if entry:
             brackets[(j + 1, n + 1)] = entry  # [x_j, y] = -d(x_j)
-    return make_algebra(n + 1, brackets, name)
+    return LieAlgebra(n + 1, _normalize_table(n + 1, brackets), name)
 
 
 @dataclass(frozen=True)
@@ -167,8 +183,8 @@ def build_double_extension(H: LieAlgebra, d_prime: Matrix, d_on_h: Matrix,
     """R*z extended over (R*y extended over H): a (dim H + 2)-dim algebra.
 
     d_prime is the action of y on H; d_on_h with bracket_zy gives the
-    action of z (z maps the intermediate algebra into H).  Jacobi is
-    re-validated on the assembled algebra.
+    action of z (z maps the intermediate algebra into H).  Both steps are
+    ``extend_by_derivation``, so Jacobi holds on the assembled algebra.
     """
     K = extend_by_derivation(H, d_prime)
     d_full = double_extension_matrix(H, d_on_h, bracket_zy)

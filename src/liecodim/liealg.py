@@ -1,20 +1,23 @@
 """Lie algebras over the rationals, given by structure constants.
 
 An algebra of dimension n stores brackets of basis pairs [x_i, x_j] for
-1 <= i < j <= n only; antisymmetry is implicit.  The Jacobi identity is
-validated on every basis triple at construction time (a triple through no
-table pair holds trivially and is skipped), which is the central safety
-net for everything built on top (wrong extension data typically fails
-exactly here).
+1 <= i < j <= n only; antisymmetry is implicit.  ``make_algebra`` validates
+the Jacobi identity on every basis triple through a table pair (a triple
+through none holds trivially), which is the central safety net for
+everything built on top (wrong extension data typically fails exactly
+here).  An extension R*y + K by a derivation is validated by parts instead
+(``ext.extend_by_derivation``): its triples inside K are K's own, and its
+triples through y are the Leibniz identities of the derivation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .exactla import (
+    _ZERO,
     Matrix,
     Scalar,
     Subspace,
@@ -24,7 +27,6 @@ from .exactla import (
     vec,
     vec_add,
     vec_is_zero,
-    vec_scale,
 )
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, Scalar]]
@@ -50,30 +52,43 @@ class LieAlgebra:
 
     ``table[(i, j)]`` (0-based, i < j) is the coordinate vector of
     [x_i, x_j] in the ambient basis.
+
+    The table is indexed once, at construction, in three private fields
+    that take no part in equality or hashing: ``_brackets`` maps both
+    (i, j) and (j, i) of every table pair to [x_i, x_j] and its negation,
+    ``_zero`` is the zero vector and ``_basis`` the tuple of basis vectors.
+    ``bracket_basis``, ``zero_vector`` and ``basis_vector`` return these
+    shared immutable tuples.
     """
 
     dim: int
     table: tuple[tuple[tuple[int, int], Vector], ...]
     name: Optional[str] = None
+    _brackets: dict = field(init=False, repr=False, compare=False)
+    _zero: Vector = field(init=False, repr=False, compare=False)
+    _basis: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        brackets = {}
+        for (i, j), v in self.table:
+            brackets[(i, j)] = v
+            brackets[(j, i)] = tuple([-x for x in v])
+        zero = (_ZERO,) * self.dim
+        one = Fraction(1)
+        object.__setattr__(self, "_brackets", brackets)
+        object.__setattr__(self, "_zero", zero)
+        object.__setattr__(self, "_basis", tuple(
+            zero[:i] + (one,) + zero[i + 1:] for i in range(self.dim)))
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[x_i, x_j] for 0-based indices, any order."""
-        if i == j:
-            return self.zero_vector()
-        sign = 1
-        if i > j:
-            i, j = j, i
-            sign = -1
-        for (a, b), v in self.table:
-            if (a, b) == (i, j):
-                return v if sign == 1 else vec_scale(Fraction(-1), v)
-        return self.zero_vector()
+        return self._brackets.get((i, j), self._zero)
 
     def zero_vector(self) -> Vector:
-        return tuple(Fraction(0) for _ in range(self.dim))
+        return self._zero
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
+        return self._basis[i]
 
 
 def _normalize_table(dim: int, brackets: BracketTable) -> tuple[tuple[tuple[int, int], Vector], ...]:

@@ -7,6 +7,7 @@ internals beyond plain data.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -141,6 +142,31 @@ def jacobi_residual(brackets, dim, i, j, k):
     return total
 
 
+def jacobi_first_violation(brackets, dim):
+    """The first violating triple over all dim^3 / 6 basis triples, in
+    lexicographic order, by ``jacobi_residual``, with its residual; None
+    when Jacobi holds."""
+    for i, j, k in itertools.combinations(range(1, dim + 1), 3):
+        residual = jacobi_residual(brackets, dim, i, j, k)
+        if any(residual):
+            return (i, j, k), residual
+    return None
+
+
+def bracket_basis_scan(table, dim, i, j):
+    """[x_i, x_j] (0-based, any order) by a linear scan of ``table``, a
+    sequence of ((a, b), coordinates) with a < b."""
+    if i == j:
+        return [Fraction(0)] * dim
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    for (a, b), v in table:
+        if (a, b) == (i, j):
+            return [sign * Fraction(x) for x in v]
+    return [Fraction(0)] * dim
+
+
 def dense_apply(rows, v):
     """Matrix times vector, every product formed, zeros included."""
     return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0))
@@ -237,3 +263,49 @@ def leibniz_first_violation(dim, table, d):
             if any(x != 0 for x in residual):
                 return (i + 1, j + 1), residual
     return None
+
+
+def structured_sweep_integer_points(templates, coeffs_of, conjugate, vals,
+                                    dim, grid, rng):
+    """The points of a structured sweep, built as rational points in the
+    sweep's order and then cleared of denominators.
+
+    Template samples, then ``grid.n_conjugates`` conjugates of each of
+    ``max(1, grid.n_conjugates)`` samples per template (a conjugate whose
+    ``coeffs_of`` raises ValueError is dropped), then every nonzero grid
+    value on each axis, then every pair of nonzero values on each pair of
+    axes i < j, then ``grid.n_random`` random grid points.  ``conjugate(m,
+    rng)`` and the random points draw from ``rng`` in that order.  Each
+    distinct rational point p is kept once, in order of first appearance,
+    as L*p with L the lcm of its denominators.
+    """
+    rational = []
+    for t in templates:
+        for params in t.sample(grid.n_template_samples):
+            rational.append(tuple(coeffs_of(t.build(params))))
+    for t in templates:
+        for params in t.sample(max(1, grid.n_conjugates)):
+            m = t.build(params)
+            for _ in range(grid.n_conjugates):
+                rep = conjugate(m, rng)
+                try:
+                    rational.append(tuple(coeffs_of(rep)))
+                except ValueError:
+                    continue
+    nonzero = [Fraction(v) for v in vals if v != 0]
+    for i in range(dim):
+        for v in nonzero:
+            rational.append(tuple(v if k == i else Fraction(0)
+                                  for k in range(dim)))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for v1, v2 in itertools.product(nonzero, repeat=2):
+                rational.append(tuple(v1 if k == i else v2 if k == j
+                                      else Fraction(0) for k in range(dim)))
+    for _ in range(grid.n_random):
+        rational.append(tuple(rng.choice(vals) for _ in range(dim)))
+    points = []
+    for p in dict.fromkeys(tuple(Fraction(x) for x in p) for p in rational):
+        scale = math.lcm(*(x.denominator for x in p))
+        points.append(tuple(int(x * scale) for x in p))
+    return points

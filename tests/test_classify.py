@@ -33,6 +33,8 @@ from liecodim.cli import canonical_json
 from liecodim.exactla import (Matrix, Subspace, UnsupportedSpectrumError,
                               _block_diag, char_poly)
 
+from oracles import structured_sweep_integer_points
+
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
 
@@ -241,32 +243,28 @@ def test_line_key_examples():
 
 
 @pytest.mark.parametrize("sweep", ("r3/ext1", "r3/ext2ad"))
-def test_structured_sweep_points_are_integer_points(sweep, monkeypatch):
+def test_structured_sweep_points_are_integer_points(sweep):
     # A structured sweep keeps each distinct rational point once, as its
     # integer point; distinct rational points may share an integer tuple,
-    # and each still counts.
+    # and each still counts.  The oracle builds the rational points in the
+    # sweep's order, from the same seeded draws, and clears them itself.
     base, mode = sweep.split("/")
-    pushed = []
-    integer_point = classify._integer_point
-
-    def recording(coeffs):
-        pushed.append(tuple(coeffs))
-        return integer_point(coeffs)
-
-    monkeypatch.setattr(classify, "_integer_point", recording)
     grid = GridSpec()
     points = classify.sweep_points(base, mode, grid)
-    monkeypatch.undo()
     assert all(type(v) is int for p in points for v in p)
-    distinct = dict.fromkeys(pushed)
-    assert points == [integer_point(p)[1] for p in distinct]
-    assert len(set(points)) < len(points)
     sweep_space = classify._sweep_space(base, mode)
+    templates = classify._templates(classify.catalog()[base], mode)
+    assert points == structured_sweep_integer_points(
+        templates, sweep_space.coeffs_of,
+        functools.partial(classify.conjugate_in_shape, base, mode),
+        grid.values(), sweep_space.dim, grid, random.Random(grid.seed))
+    assert len(set(points)) < len(points)
     members = set(points)
-    for t in classify._templates(classify.catalog()[base], mode):
+    for t in templates:
         for params in t.sample(grid.n_template_samples):
             coeffs = sweep_space.coeffs_of(t.build(params))
-            assert integer_point(coeffs)[1] in members, (t.name, params)
+            assert classify._integer_point(coeffs)[1] in members, \
+                (t.name, params)
 
 
 def _proportional(p, q):

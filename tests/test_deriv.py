@@ -1,5 +1,6 @@
 """Derivation spaces, inner derivations, and cohomology transversals."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from liecodim.deriv import (
     project_to_h1,
 )
 from liecodim.exactla import Matrix, Subspace
+from liecodim.ext import extend_by_derivation
 from liecodim.liealg import (
     Ideal,
     abelian,
@@ -177,36 +179,55 @@ class TestProjection:
 
 class TestLeibnizResidual:
     def test_first_violation_matches_dense_oracle(self):
-        """On seeded non-derivations of every catalog base K and of K + R,
-        the first violating pair and its residual are those of a dense
-        expansion visiting the pairs in the same order."""
+        """On seeded int and Fraction matrices, derivations and not, of every
+        catalog base K, of K + R and of extensions of K by seeded
+        derivations, the first violating pair and its residual are those of
+        a dense expansion visiting the pairs in the same order."""
         rng = random.Random(12)
+        seen = {"derivation": 0, "violation": 0}
+
+        def seeded(sp, integral, changes):
+            n = sp.algebra.dim
+            flat = [F(0)] * n * n
+            for b in sp.full.basis:
+                c = rng.randint(-2, 2)
+                flat = [x + c * y for x, y in zip(flat, b)]
+            if integral:
+                scale = math.lcm(*(x.denominator for x in flat))
+                flat = [int(x * scale) for x in flat]
+            for _ in range(changes):
+                step = rng.randint(1, 3)
+                flat[rng.randrange(n * n)] += \
+                    step if integral else F(step, rng.randint(1, 2))
+            return Matrix.unflatten(tuple(flat), n, n)
+
         for entry in catalog().values():
-            for alg in (entry.algebra, direct_sum(entry.algebra, abelian(1))):
+            base = entry.algebra
+            extensions = [extend_by_derivation(
+                base, seeded(derivation_space(base), False, 0)) for _ in range(2)]
+            for alg in [base, direct_sum(base, abelian(1))] + extensions:
                 sp = derivation_space(alg)
                 n = alg.dim
                 table = {ij: list(v) for ij, v in alg.table}
                 violations = 0
-                for _ in range(12):
-                    flat = [F(0)] * n * n
-                    for b in sp.full.basis:
-                        c = F(rng.randint(-2, 2))
-                        flat = [x + c * y for x, y in zip(flat, b)]
-                    for _ in range(rng.randint(1, 3)):
-                        flat[rng.randrange(n * n)] += F(rng.randint(1, 3),
-                                                        rng.randint(1, 2))
-                    d = sp.matrix_from_flat(tuple(flat))
+                for trial in range(12):
+                    d = seeded(sp, trial % 2, rng.choice((0, 1, 1, 2, 3)))
                     expected = leibniz_first_violation(
                         n, table, [list(row) for row in d.entries])
                     got = leibniz_residual(alg, d)
                     if expected is None:
                         assert got is None
+                        seen["derivation"] += 1
                         continue
                     violations += 1
+                    seen["violation"] += 1
                     assert got == (expected[0], tuple(expected[1]))
                     assert all(type(x) is Fraction for x in got[1])
                 if alg.table:
                     assert violations > 0, alg.name
+                with pytest.raises(ValueError):
+                    leibniz_residual(alg, Matrix.zero(n, n + 1))
+        assert min(seen.values()) >= 50, seen
 
 
 class TestOuter:

@@ -443,16 +443,22 @@ def test_eigen_structure_scales_with_positive_rationals():
 def test_spectral_kernels_return_fractions_and_reject_floats():
     """On raw Matrix grids of ints, det, char_poly, the eigenvalue data of
     eigen_structure, rref, nullspace, solve, inverse, Subspace.from_vectors,
-    trace, transpose, + and - give Fractions and rank is an int; a single
-    float entry, zero or not, makes each of them raise TypeError (trace
-    reads only the diagonal, so there the float is on it)."""
+    trace, transpose, +, -, scale, apply and @ (either factor) give
+    Fractions and rank is an int; a single float entry, zero or not, makes
+    each of them raise TypeError (trace reads only the diagonal, so there
+    the float is on it; apply also takes the float in its vector)."""
     rng = random.Random(31)
     kernels = (Matrix.det, Matrix.rank, char_poly, eigen_structure, rref,
                nullspace, Matrix.inverse, Matrix.transpose,
                lambda m: solve(m, (0,) * m.rows),
                lambda m: Subspace.from_vectors(m.cols, m.entries),
                lambda m: m + Matrix.zero(m.rows, m.cols),
-               lambda m: Matrix.zero(m.rows, m.cols) - m)
+               lambda m: Matrix.zero(m.rows, m.cols) - m,
+               lambda m: m.scale(3),
+               lambda m: m.apply((1,) * m.cols),
+               lambda m: Matrix.identity(m.rows * m.cols).apply(m.flatten()),
+               lambda m: m @ Matrix.identity(m.cols),
+               lambda m: Matrix.identity(m.rows) @ m)
     for _ in range(40):
         n = rng.randint(1, 4)
         rows = [[rng.randint(-3, 3) if rng.random() < 0.5 or i <= j else 0
@@ -470,6 +476,7 @@ def test_spectral_kernels_return_fractions_and_reject_floats():
         outputs += [x for v in nullspace(m).basis for x in v]
         outputs += [x for v in Subspace.from_vectors(n, rows).basis for x in v]
         outputs += (m + m).flatten() + (m - m).flatten()
+        outputs += m.scale(2).flatten() + m.apply(b) + (m @ m).flatten()
         assert all(type(x) is Fraction for x in outputs), (rows, outputs)
         assert type(m.rank()) is int
         i, j = rng.randrange(n), rng.randrange(n)

@@ -1,13 +1,15 @@
 """Extensions, membership conditions, decomposability, witnesses."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from liecodim.classify import catalog
-from liecodim.deriv import NotADerivation, derivation_space
-from liecodim.exactla import Matrix, NotInvertible, Subspace
+from liecodim.deriv import NotADerivation, derivation_space, leibniz_system
+from liecodim.exactla import Matrix, NotInvertible, Subspace, nullspace
 from liecodim import ext
 from liecodim.ext import (
     IdentityFails,
@@ -29,6 +31,8 @@ from liecodim.ext import (
     witness_from_triple,
 )
 from liecodim.liealg import (
+    JacobiViolation,
+    LieAlgebra,
     abelian,
     adjoint_matrix,
     bracket,
@@ -41,6 +45,9 @@ from liecodim.liealg import (
     product_space,
     r_plus_heisenberg,
 )
+
+from oracles import (bracket_basis_scan, jacobi_first_violation,
+                     leibniz_first_violation)
 
 F = Fraction
 
@@ -89,6 +96,86 @@ class TestExtendByDerivation:
             extend_by_derivation(
                 heisenberg3(),
                 Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+
+
+class TestAgainstOracles:
+    """The indexed table and the Jacobi check of an extension by parts,
+    each against a brute-force oracle."""
+
+    def test_bracket_basis_matches_linear_scan(self):
+        """On every catalog base K, K + R and extensions of K by seeded
+        derivations."""
+        rng = random.Random(41)
+        for entry in catalog().values():
+            base = entry.algebra
+            sp = derivation_space(base)
+            for alg in (base, direct_sum(base, abelian(1)),
+                        extend_by_derivation(base, random_derivation(rng, sp))):
+                n = alg.dim
+                for i, j in itertools.product(range(n), repeat=2):
+                    got = alg.bracket_basis(i, j)
+                    assert list(got) == bracket_basis_scan(alg.table, n, i, j)
+                    assert all(type(x) is Fraction for x in got)
+                assert alg.zero_vector() == (0,) * n
+                assert [alg.basis_vector(i) for i in range(n)] \
+                    == [tuple(int(k == i) for k in range(n)) for i in range(n)]
+                # The index takes no part in equality, hashing or repr.
+                twin = LieAlgebra(n, alg.table, alg.name)
+                assert twin == alg and hash(twin) == hash(alg)
+                assert "_brackets" not in repr(alg)
+
+    def test_extension_of_a_broken_base_fails_as_the_full_check_does(self):
+        """On seeded tables loaded with skip_jacobi and seeded int or
+        Fraction matrices, extending by a non-derivation raises the dense
+        oracle's first Leibniz failure, and extending by a derivation raises
+        the first failing triple of the whole extension, with its residual,
+        or builds the table that make_algebra validates on every triple."""
+        rng = random.Random(43)
+        seen = {"not_derivation": 0, "violation": 0, "holds": 0}
+        for _ in range(150):
+            n = rng.randint(3, 5)
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            brackets = {
+                pair: {t: rng.choice((-2, -1, 1, 3))
+                       for t in rng.sample(range(1, n + 1), rng.randint(1, 2))}
+                for pair in rng.sample(pairs, rng.randint(1, 3))}
+            K = make_algebra(n, brackets, skip_jacobi=True)
+            flat = [F(0)] * n * n
+            for b in nullspace(leibniz_system(K)).basis:
+                c = rng.randint(-2, 2)
+                flat = [x + c * y for x, y in zip(flat, b)]
+            if rng.random() < 0.5:
+                scale = math.lcm(*(x.denominator for x in flat))
+                flat = [int(x * scale) for x in flat]
+            if rng.random() < 0.3:
+                flat[rng.randrange(n * n)] += rng.randint(1, 3)
+            rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+            d = Matrix.unflatten(tuple(flat), n, n)
+            violation = leibniz_first_violation(
+                n, {ij: list(v) for ij, v in K.table}, rows)
+            if violation is not None:
+                with pytest.raises(NotADerivation) as err:
+                    extend_by_derivation(K, d)
+                assert (err.value.pair, list(err.value.residual)) == violation
+                seen["not_derivation"] += 1
+                continue
+            whole = dict(brackets)
+            for j in range(n):
+                column = {k + 1: -F(rows[k][j]) for k in range(n) if rows[k][j]}
+                if column:
+                    whole[(j + 1, n + 1)] = column
+            expected = jacobi_first_violation(whole, n + 1)
+            if expected is None:
+                assert extend_by_derivation(K, d) == make_algebra(n + 1, whole)
+                seen["holds"] += 1
+                continue
+            with pytest.raises(JacobiViolation) as err:
+                extend_by_derivation(K, d)
+            assert err.value.triple == expected[0]
+            assert list(err.value.residual) == expected[1]
+            assert all(type(x) is Fraction for x in err.value.residual)
+            seen["violation"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestCodimOneCondition:

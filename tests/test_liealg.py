@@ -1,5 +1,6 @@
 """Structure-constant algebras: construction, series, centers, quotients."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -30,9 +31,10 @@ from liecodim.liealg import (
     subalgebra,
     validate_jacobi,
 )
+from liecodim.deriv import derivation_space, leibniz_residual
 from liecodim.ext import extend_by_derivation
 
-from oracles import jacobi_residual
+from oracles import jacobi_first_violation, jacobi_residual
 
 F = Fraction
 
@@ -78,18 +80,6 @@ class TestConstruction:
             make_algebra(2, {(2, 1): {1: 1}})
 
 
-def _first_violation_full(brackets, dim):
-    """The first violating triple over all dim^3 / 6 basis triples, by the
-    oracle's direct expansion, with its residual; None when Jacobi holds."""
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            for k in range(j + 1, dim + 1):
-                residual = jacobi_residual(brackets, dim, i, j, k)
-                if any(residual):
-                    return (i, j, k), residual
-    return None
-
-
 class TestSparseJacobi:
     def test_empty_table_of_dimension_60_is_fast(self):
         start = time.perf_counter()
@@ -113,7 +103,7 @@ class TestSparseJacobi:
                 pair: {t: rng.choice((-2, -1, 1, 3)) for t in rng.sample(
                     targets, rng.randint(1, min(2, len(targets))))}
                 for pair in rng.sample(pairs, rng.randint(1, min(4, len(pairs))))}
-            expected = _first_violation_full(brackets, dim)
+            expected = jacobi_first_violation(brackets, dim)
             alg = make_algebra(dim, brackets, skip_jacobi=True)
             if expected is None:
                 validate_jacobi(alg)
@@ -156,6 +146,52 @@ class TestBracket:
             == adjoint_matrix(h3, h3.basis_vector(1))
         with pytest.raises(TypeError):
             adjoint_matrix(h3, (0, 0.5, 0))
+
+
+def test_lie_layer_returns_fractions_and_rejects_floats():
+    """On int vectors and raw int matrices, bracket, adjoint_matrix,
+    leibniz_residual and extend_by_derivation give Fractions; one float
+    entry, zero or not, makes each of them raise TypeError."""
+    rng = random.Random(37)
+    violations = 0
+    for alg in CATALOG:
+        n = alg.dim
+        derivations = derivation_space(alg).full.basis
+        for _ in range(6):
+            u = [rng.randint(-3, 3) for _ in range(n)]
+            v = [rng.randint(-3, 3) for _ in range(n)]
+            flat = [F(0)] * n * n
+            for b in derivations:
+                c = rng.randint(-2, 2)
+                flat = [x + c * y for x, y in zip(flat, b)]
+            scale = math.lcm(*(x.denominator for x in flat))
+            flat = [int(x * scale) for x in flat]
+            moved = list(flat)
+            moved[rng.randrange(n * n)] += 1
+            violation = leibniz_residual(alg, Matrix.unflatten(tuple(moved), n, n))
+            violations += violation is not None
+            L = extend_by_derivation(alg, Matrix.unflatten(tuple(flat), n, n))
+            outputs = [*bracket(alg, u, v), *adjoint_matrix(alg, u).flatten(),
+                       *(violation[1] if violation else ()),
+                       *(x for _, w in L.table for x in w)]
+            assert all(type(x) is Fraction for x in outputs)
+
+            def floated(entries):
+                out = list(entries)
+                k = rng.randrange(len(out))
+                out[k] = rng.choice((0.0, 0.5, float(out[k])))
+                return out
+
+            d = Matrix.unflatten(tuple(floated(flat)), n, n)
+            calls = (lambda: bracket(alg, floated(u), v),
+                     lambda: bracket(alg, u, floated(v)),
+                     lambda: adjoint_matrix(alg, floated(u)),
+                     lambda: leibniz_residual(alg, d),
+                     lambda: extend_by_derivation(alg, d))
+            for call in calls:
+                with pytest.raises(TypeError):
+                    call()
+    assert violations >= 10
 
 
 class TestSeries:
