@@ -90,17 +90,22 @@ class ExactScalar:
 
     @staticmethod
     def of(rat, rad=1) -> "ExactScalar":
-        r = Fraction(rat)
-        v = Fraction(rad)
-        if r == 0 or v == 0:
+        """rat * sqrt(rad) in canonical form, zero when either is zero.  A
+        ``Fraction`` rat and an ``int`` or ``Fraction`` rad are taken as
+        they are; a negative rad raises ValueError."""
+        r = rat if rat.__class__ is Fraction else Fraction(rat)
+        v = rad if rad.__class__ is int or rad.__class__ is Fraction \
+            else Fraction(rad)
+        if not r or not v:
             return ExactScalar(Fraction(0), 1)
         if v < 0:
             raise ValueError("radicand must be positive")
         # rat*sqrt(p/q) = (rat/q)*sqrt(p*q)
-        inner = v.numerator * v.denominator
-        r = r / v.denominator
-        s, f = _square_free_split(inner)
-        return ExactScalar(r * s, f)
+        q = v.denominator
+        if q != 1:
+            r = r / q
+        s, f = _square_free_split(v.numerator * q)
+        return ExactScalar(r if s == 1 else r * s, f)
 
     @staticmethod
     def sqrt(x) -> "ExactScalar":

@@ -24,12 +24,15 @@ c*D (c a nonzero rational) are proportionally similar and give isomorphic
 extensions, in codimension one and for the ad-pair extensions alike, so
 the two-step filters and the matcher run once per line, at its primitive
 integer vector in ``int`` arithmetic, and every point on it shares the
-outcome.  Every sweep point is an integer vector, a positive multiple L*p
-of the rational point p it stands for (L the lcm of p's denominators, or of
-the grid values' denominators on a Cartesian grid), so it lies on the same
-line with the same orientation, and its line key costs one ``gcd``.  The
-matchers are exact on ``int`` and ``Fraction`` entries alike, and every
-parameter they return is a ``Fraction`` or an ``ExactScalar``.
+outcome.  The sweep stage works on a table of lines with their point
+counts: a Cartesian grid mirrors itself through zero, so its lines are
+counted on its negative half.  Every sweep point is an integer vector, a
+positive multiple L*p of the rational point p it stands for (L the lcm of
+p's denominators, or of the grid values' denominators on a Cartesian grid),
+so it lies on the same line with the same orientation, and its line key
+costs one ``gcd``.  The matchers are exact on ``int`` and ``Fraction``
+entries alike, and every parameter they return is a ``Fraction`` or an
+``ExactScalar``.
 
 Every family is one table row: on an abelian base a block recipe of real
 Jordan and complex blocks (``_ABELIAN_FAMILIES``), on h3, r⊕h3 and g4 a
@@ -1006,6 +1009,12 @@ class GridSpec:
         return dataclasses.replace(spec, **kwargs)
 
 
+def _is_cartesian(grid: GridSpec, dim: int) -> bool:
+    """Whether a sweep of ``dim`` coordinates enumerates the full Cartesian
+    grid over the values: when it fits the budget."""
+    return len(grid.values()) ** dim <= grid.cartesian_budget
+
+
 def sweep_points(key: str, mode: str,
                  grid: GridSpec) -> list[tuple[int, ...]]:
     """The deterministic list of integer coefficient tuples for one sweep.
@@ -1013,17 +1022,21 @@ def sweep_points(key: str, mode: str,
     Each point is the integer point L*p of the rational point p it stands
     for, a positive multiple on the same line with the same orientation, so
     the sweep's outcomes and point count are those of the rational points.
-    When the Cartesian grid over the values fits the budget, the points are
-    the integer grid ``itertools.product`` of the values times L, the lcm of
-    their denominators.  Otherwise each distinct rational point of the
-    structured sweep is kept once, as its ``_integer_point``; the axis and
-    pair points, supported on one or two coordinates, are built as those
-    integer points directly from each grid value's integer ratio."""
+    When the grid is Cartesian (``_is_cartesian``), the points are the
+    integer grid ``itertools.product`` of the values times L, the lcm of
+    their denominators.  The values are sorted and symmetric about zero, so
+    the grid mirrors itself: its middle point is zero, point total-1-i is
+    the negative of point i, and every point before the middle has a
+    negative first nonzero entry; ``_sweep_lines`` counts the lines on that
+    half.  Otherwise each distinct rational point of the structured sweep
+    is kept once, as its ``_integer_point``; the axis and pair points,
+    supported on one or two coordinates, are built as those integer points
+    directly from each grid value's integer ratio."""
     entry = catalog()[key]
     sweep = _sweep_space(key, mode)
     dim = sweep.dim
     vals = grid.values()
-    if len(vals) ** dim <= grid.cartesian_budget:
+    if _is_cartesian(grid, dim):
         return list(itertools.product(_integer_point(vals)[1], repeat=dim))
 
     points: list[tuple[int, ...]] = []
@@ -1299,52 +1312,97 @@ def _classify_point(key: str, mode: str, sweep: SweepSpace,
     return ("match", name, tuple(param_str(p) for p in params))
 
 
+def _sweep_lines(points: Sequence[tuple[int, ...]],
+                 cartesian: bool) -> dict[tuple[int, ...], int]:
+    """The sweep's lines through the origin, in the order of their first
+    points: each line's primitive integer vector, oriented like its first
+    point, with the number of its points.
+
+    A Cartesian grid mirrors itself (see ``sweep_points``), so it is counted
+    on its negative half: there a point's primitive vector is the point
+    divided by the gcd of its entries, already oriented like the line's
+    first point, its lexicographic minimum; each such point has its mirror
+    image in the other half, so it counts twice, and the zero line, the
+    middle point, comes last.  A structured sweep keys each point by
+    ``_line_key`` and orients each line like its first point."""
+    if cartesian:
+        middle = len(points) // 2
+        half = points[:middle]
+        gcds = itertools.starmap(math.gcd, half)
+        counts = Counter(p if g <= 1 else tuple(map(g.__rfloordiv__, p))
+                         for p, g in zip(half, gcds))
+        lines = {v: 2 * n for v, n in counts.items()}
+        lines[points[middle]] = 1
+        return lines
+    zero = (0,) * len(points[0]) if points else ()
+    table: dict[tuple[int, ...], list] = {}
+    for p, line in zip(points, map(_line_key, points)):
+        entry = table.get(line)
+        if entry is None:
+            table[line] = [line if p > zero else tuple(-v for v in line), 1]
+        else:
+            entry[1] += 1
+    return dict(table.values())
+
+
 def _classify_chunk(key: str, mode: str,
-                    points: Sequence[tuple]) -> list[tuple]:
-    """Worker: classify a slice of the sweep points, returning per-point
-    results in order.  Every sweep point is an integer vector, so its line
-    key (``_line_key``) costs one ``gcd``.
-
-    Each line through the origin is classified once, at its primitive
-    integer vector (the key) oriented like the line's first point in the
-    slice, so the matchers run on ``int`` entries: a point c*D (c a nonzero
-    rational) is proportionally similar to D, so both give isomorphic
-    algebras with the same outcome, and every point of the line takes that
-    result.  One matcher defect makes the orientation a choice: when the
-    largest |eigenvalue| of an r3 or r4 diagonal point is tied between
-    signs, D and -D get different canonical parameters of the same family,
-    and the line takes those of its first point's side."""
-    entry = catalog()[key]
-    sweep = _sweep_space(key, mode)
-    classifier = _classifier(entry, mode)
-    zero = (0,) * sweep.dim
-    by_line: dict[tuple[int, ...], tuple] = {}
-    results = []
-    for coeffs, line in zip(points, map(_line_key, points)):
-        result = by_line.get(line)
-        if result is None:
-            vector = line if coeffs > zero else tuple(-v for v in line)
-            result = by_line[line] = _classify_point(key, mode, sweep,
-                                                     classifier, vector)
-        results.append(result)
-    return results
+                    vectors: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """Worker: the outcome of each line, classified at its oriented
+    primitive integer vector, so the matchers run on ``int`` entries."""
+    outcome_of = partial(_classify_point, key, mode, _sweep_space(key, mode),
+                         _classifier(catalog()[key], mode))
+    return list(map(outcome_of, vectors))
 
 
-def _run_sweep(key: str, mode: str, points: list[tuple],
-               jobs: int) -> list[tuple]:
-    """Classify every sweep point, in at most one worker per CPU."""
-    total = len(points)
+def _run_sweep(key: str, mode: str, grid: GridSpec, points: list[tuple],
+               jobs: int) -> dict[tuple[int, ...], tuple[int, tuple]]:
+    """Classify every line of the sweep once, in at most one worker per
+    CPU, each worker taking whole lines.
+
+    Returns the line table of ``_sweep_lines`` with each line's outcome:
+    its oriented vector maps to (number of points, outcome).  A point c*D
+    (c a nonzero rational) is proportionally similar to D, so both give
+    isomorphic algebras with the same outcome, and every point of a line
+    takes the outcome of its vector.  One matcher defect makes the
+    orientation a choice: when the largest |eigenvalue| of an r3 or r4
+    diagonal point is tied between signs, D and -D get different canonical
+    parameters of the same family, and the line takes those of the side of
+    its first point in the sweep."""
+    dim = _sweep_space(key, mode).dim
+    lines = _sweep_lines(points, _is_cartesian(grid, dim))
+    vectors = list(lines)
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or total < 2000:
-        return _classify_chunk(key, mode, points)
-    import multiprocessing as mp
+    if jobs <= 1 or len(vectors) < 2000:
+        outcomes = _classify_chunk(key, mode, vectors)
+    else:
+        import multiprocessing as mp
 
-    chunk = (total + jobs - 1) // jobs
-    args = [(key, mode, points[i:i + chunk])
-            for i in range(0, total, chunk)]
-    with mp.Pool(jobs) as pool:
-        parts = pool.starmap(_classify_chunk, args)
-    return [r for part in parts for r in part]
+        chunk = (len(vectors) + jobs - 1) // jobs
+        args = [(key, mode, vectors[i:i + chunk])
+                for i in range(0, len(vectors), chunk)]
+        with mp.Pool(jobs) as pool:
+            parts = pool.starmap(_classify_chunk, args)
+        outcomes = [r for part in parts for r in part]
+    return dict(zip(vectors, zip(lines.values(), outcomes)))
+
+
+def _tally_outcomes(lines: dict[tuple[int, ...], tuple[int, tuple]]
+                    ) -> Counter:
+    """The number of points of each outcome, in the order of the outcome's
+    first point: the lines are in the order of their first points."""
+    tally: Counter = Counter()
+    for n, outcome in lines.values():
+        tally[outcome] += n
+    return tally
+
+
+def _point_outcome(lines: dict[tuple[int, ...], tuple[int, tuple]],
+                   point: tuple[int, ...]) -> tuple:
+    """The outcome of a sweep point, read through its line in the table
+    ``_run_sweep`` returns."""
+    line = _line_key(point)
+    found = lines.get(line) or lines[tuple(-v for v in line)]
+    return found[1]
 
 
 def _is_member(entry: CatalogEntry, mode: str, m: Matrix) -> bool:
@@ -1439,17 +1497,19 @@ def _shuffled_indices(rng: random.Random, n: int) -> Iterator[int]:
 
 def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
                            points: list[tuple],
-                           results: list[tuple]) -> int:
+                           lines: dict[tuple[int, ...], tuple[int, tuple]]
+                           ) -> int:
     """Re-run the slow membership condition on a deterministic subsample of
-    swept points and insist it agrees with the recorded outcome (every
-    outcome but ``"nonmember"`` passed the fast membership test)."""
+    swept points and insist it agrees with the outcome recorded for the
+    point's line (every outcome but ``"nonmember"`` passed the fast
+    membership test)."""
     sweep = _sweep_space(entry.key, mode)
     rng = random.Random(grid.seed + 1)
     checked = 0
     for i in _shuffled_indices(rng, len(points)):
         if checked >= _CROSSCHECK_POINTS:
             break
-        kind = results[i][0]
+        kind = _point_outcome(lines, points[i])[0]
         if kind == "skip":
             continue
         m = sweep.to_matrix(points[i])
@@ -1464,9 +1524,12 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
                         jobs: int = 1) -> ClassificationReport:
     """Run one classification sweep and return the full report.
 
-    Raises :class:`GoldenMismatch` when the discovered family set differs
-    from the catalog's golden list, and ``ValueError`` when ``jobs`` is
-    below 1.
+    The sweep classifies each line through the origin once
+    (``_run_sweep``), in up to ``jobs`` worker processes that split the
+    lines; the report counts points, each point taking its line's outcome,
+    and samples parameters in the order of the points.  Raises
+    :class:`GoldenMismatch` when the discovered family set differs from the
+    catalog's golden list, and ``ValueError`` when ``jobs`` is below 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -1480,11 +1543,10 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
         raise ValueError(f"{key} has no ad-pair classification")
     templates = _templates(entry, mode)
     points = sweep_points(key, mode, grid)
-    results = _run_sweep(key, mode, points, jobs)
+    lines = _run_sweep(key, mode, grid, points, jobs)
 
-    # One entry per distinct outcome, in first-occurrence order; distinct
-    # outcomes of one family have distinct parameter texts.
-    tally = Counter(results)
+    # Distinct outcomes of one family have distinct parameter texts.
+    tally = _tally_outcomes(lines)
     counts: dict[str, int] = {}
     samples: dict[str, list[str]] = {}
     for r, n in tally.items():
@@ -1509,12 +1571,12 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
         rep.sample_params = samples.get(t.name, [])
         family_reports.append(rep)
 
-    crosschecked = _crosscheck_conditions(entry, mode, grid, points, results)
+    crosschecked = _crosscheck_conditions(entry, mode, grid, points, lines)
     evidence, prints = distinctness_evidence(entry, mode, templates)
 
     return ClassificationReport(
         base=key, mode=mode, grid=grid.describe(),
-        total_points=len(results), member_points=members,
+        total_points=len(points), member_points=members,
         skipped_out_of_field=skipped, filtered_points=filtered,
         families=family_reports, fingerprints=prints,
         distinctness=evidence, crosscheck_points=crosschecked,

@@ -78,18 +78,15 @@ def leibniz_residual(alg: LieAlgebra, d: Matrix) -> Optional[tuple[tuple[int, in
     Only the table's nonzero structure constants are read:
     d([x_i, x_j]) = sum_k c_ij^k d(x_k), [d(x_i), x_j] = sum_s d_si [x_s, x_j]
     over the table pairs through j, and [x_i, d(x_j)] = -sum_s d_sj [x_s, x_i]
-    over those through i.  A pair through no table index has residual 0, so
-    on an abelian algebra nothing is computed.
+    over those through i, as indexed once in ``LieAlgebra._through``.  A pair
+    through no table index has residual 0, so on an abelian algebra nothing
+    is computed.
     """
     n = alg.dim
     if d.rows != n or d.cols != n:
         raise ValueError("derivation matrix has wrong shape")
     rows = [_fractions(row) for row in d.entries]
-    # through[t]: the (s, nonzero terms of [x_s, x_t]) of the table pairs
-    # through t.
-    through: list[list] = [[] for _ in range(n)]
-    for (s, t), v in alg._brackets.items():
-        through[t].append((s, [(k, x) for k, x in enumerate(v) if x]))
+    through = alg._through
     for i in range(n):
         for j in range(i + 1, n):
             if not (through[i] or through[j]):

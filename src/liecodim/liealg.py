@@ -53,10 +53,12 @@ class LieAlgebra:
     ``table[(i, j)]`` (0-based, i < j) is the coordinate vector of
     [x_i, x_j] in the ambient basis.
 
-    The table is indexed once, at construction, in three private fields
+    The table is indexed once, at construction, in four private fields
     that take no part in equality or hashing: ``_brackets`` maps both
     (i, j) and (j, i) of every table pair to [x_i, x_j] and its negation,
-    ``_zero`` is the zero vector and ``_basis`` the tuple of basis vectors.
+    ``_zero`` is the zero vector, ``_basis`` the tuple of basis vectors, and
+    ``_through[t]`` lists, for each (s, t) among those keys, s with the
+    nonzero ``(k, c)`` terms of [x_s, x_t] (read by ``leibniz_residual``).
     ``bracket_basis``, ``zero_vector`` and ``basis_vector`` return these
     shared immutable tuples.
     """
@@ -67,12 +69,17 @@ class LieAlgebra:
     _brackets: dict = field(init=False, repr=False, compare=False)
     _zero: Vector = field(init=False, repr=False, compare=False)
     _basis: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
+    _through: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         brackets = {}
         for (i, j), v in self.table:
             brackets[(i, j)] = v
             brackets[(j, i)] = tuple([-x for x in v])
+        through: list[list] = [[] for _ in range(self.dim)]
+        for (s, t), v in brackets.items():
+            through[t].append((s, tuple((k, x) for k, x in enumerate(v) if x)))
+        object.__setattr__(self, "_through", tuple(map(tuple, through)))
         zero = (_ZERO,) * self.dim
         one = Fraction(1)
         object.__setattr__(self, "_brackets", brackets)

@@ -309,3 +309,37 @@ def structured_sweep_integer_points(templates, coeffs_of, conjugate, vals,
         scale = math.lcm(*(x.denominator for x in p))
         points.append(tuple(int(x * scale) for x in p))
     return points
+
+
+def per_point_outcomes(points, line_key, outcome_of):
+    """The outcome of every sweep point, by a per-point loop: each line is
+    classified once, by ``outcome_of`` at its ``line_key`` oriented like the
+    line's first point in ``points``, and every later point of the line
+    looks its outcome up again."""
+    by_line = {}
+    results = []
+    for coeffs in points:
+        line = line_key(coeffs)
+        result = by_line.get(line)
+        if result is None:
+            zero = tuple(0 for _ in coeffs)
+            vector = line if coeffs > zero else tuple(-v for v in line)
+            result = by_line[line] = outcome_of(vector)
+        results.append(result)
+    return results
+
+
+def exact_scalar_parts(rat, rad):
+    """The rational factor and squarefree radicand of rat * sqrt(rad), by
+    the plain formula: both as Fractions, zero when either is zero,
+    rat*sqrt(p/q) = (rat/q)*sqrt(p*q), and the largest square dividing p*q
+    found by trying every root from isqrt(p*q) down."""
+    r, v = Fraction(rat), Fraction(rad)
+    if r == 0 or v == 0:
+        return Fraction(0), 1
+    if v < 0:
+        raise ValueError("negative radicand")
+    inner = v.numerator * v.denominator
+    root = next(k for k in range(math.isqrt(inner), 0, -1)
+                if inner % (k * k) == 0)
+    return r / v.denominator * root, inner // (root * root)

@@ -9,6 +9,8 @@ import pytest
 from liecodim.canon import ExactScalar, proportional_normalize, proportional_similar
 from liecodim.exactla import Matrix, _block_diag, eigen_structure
 
+from oracles import exact_scalar_parts
+
 F = Fraction
 
 
@@ -37,6 +39,29 @@ class TestExactScalar:
             x, y = draw(), draw()
             assert (x < y) == (signed_square(x) < signed_square(y))
             assert (x <= y) == (signed_square(x) <= signed_square(y))
+
+    def test_of_agrees_with_the_plain_formula(self):
+        # Seeded int and Fraction rationals and radicands, zeros and
+        # perfect squares among them, against the formula of the oracle.
+        rng = random.Random(91)
+
+        def rational(bound):
+            if rng.randrange(2):
+                return rng.randint(-bound, bound)
+            return F(rng.randint(-bound, bound), rng.randint(1, 24))
+
+        for _ in range(4000):
+            rat = rational(40)
+            rad = abs(rational(200)) if rng.randrange(4) else \
+                rng.randint(0, 12) ** 2
+            got = ExactScalar.of(rat, rad)
+            assert (got.rat, got.rad) == exact_scalar_parts(rat, rad)
+            assert type(got.rat) is Fraction and type(got.rad) is int
+        assert ExactScalar.of(0, -3) == ExactScalar.of(F(2, 3), 0) \
+            == ExactScalar(F(0), 1)
+        for rad in (-3, F(-1, 2)):
+            with pytest.raises(ValueError, match="radicand"):
+                ExactScalar.of(1, rad)
 
     @pytest.mark.parametrize("rat, rad, text", [
         (3, 1, "3"),

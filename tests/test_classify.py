@@ -1,13 +1,15 @@
 """Classification sweeps: byte-identical default reports, one point list
-per sweep, the worker-pool size and a real worker pool, one classification
-per line through the origin at its integer vector, the integer grid of a
-Cartesian sweep, the integer points of a structured sweep and their line
-keys, and the scaling invariance that makes it sound, sweep-space
-coordinates, the per-point work of the sweep stage, the shared extension
-path of both sweep modes, the lazy cross-check draw, the abelian family
-table and its matcher, template sampling, the pinned samples of the shaped
-families, small-grid sweeps of the two slowest bases, the names the traced
-benchmark wraps, and the range of the grid fields."""
+per sweep, the worker-pool size and a real worker pool that splits lines,
+one classification per line through the origin at its integer vector, the
+line table against the per-point oracle, the integer grid of a Cartesian
+sweep and the mirror symmetry its line count rests on, the integer points
+of a structured sweep and their line keys, and the scaling invariance that
+makes it sound, sweep-space coordinates, the per-point work of the sweep
+stage, the shared extension path of both sweep modes, the lazy cross-check
+draw, the abelian family table and its matcher, template sampling, the
+pinned samples of the shaped families, small-grid sweeps of the two slowest
+bases, the names the traced benchmark wraps, and the range of the grid
+fields."""
 
 import dataclasses
 import functools
@@ -19,6 +21,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -33,7 +36,7 @@ from liecodim.cli import canonical_json
 from liecodim.exactla import (Matrix, Subspace, UnsupportedSpectrumError,
                               _block_diag, char_poly)
 
-from oracles import structured_sweep_integer_points
+from oracles import per_point_outcomes, structured_sweep_integer_points
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
@@ -75,10 +78,11 @@ def test_sweep_points_computed_once(monkeypatch):
 
 
 class _InlinePool:
-    """Stands in for multiprocessing.Pool: records its size and runs the
-    work in this process."""
+    """Stands in for multiprocessing.Pool: records its size and the
+    argument tuples of its work, and runs the work in this process."""
 
     sizes = []
+    args = []
 
     def __init__(self, size):
         self.sizes.append(size)
@@ -90,47 +94,78 @@ class _InlinePool:
         return False
 
     def starmap(self, fn, args):
+        self.args.extend(args)
         return [fn(*a) for a in args]
 
 
-def test_jobs_clamped_to_cpu_count(monkeypatch):
+def _inline_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     _InlinePool.sizes.clear()
-    points = [(i - 1000,) for i in range(2000)]
-    results = classify._run_sweep("r1", "ext1", points, jobs=64)
+    _InlinePool.args.clear()
+
+
+def _assert_chunks_split_lines(lines):
+    # The chunks hold the table's vectors in order, and no line (by its
+    # line key) reaches two chunks.
+    chunks = [a[2] for a in _InlinePool.args]
+    assert len(chunks) == 2
+    assert [v for chunk in chunks for v in chunk] == list(lines)
+    keys = [{classify._line_key(v) for v in chunk} for chunk in chunks]
+    assert not keys[0] & keys[1]
+
+
+# A grid no sweep enumerates as Cartesian, for hand-made point lists.
+_STRUCTURED = GridSpec(cartesian_budget=0)
+
+
+def _outcome_of(base, mode):
+    """The outcome of one sweep point, classified on its own."""
+    return functools.partial(
+        classify._classify_point, base, mode,
+        classify._sweep_space(base, mode),
+        classify._classifier(classify.catalog()[base], mode))
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    _inline_pool(monkeypatch)
+    # 2,000 points on 2,000 distinct lines: a pool starts from 2,000 lines.
+    points = [(i - 1000, 1, 0, 0) for i in range(2000)]
+    lines = classify._run_sweep("r2", "ext1", _STRUCTURED, points, jobs=64)
     assert _InlinePool.sizes == [2]
-    assert results == classify._classify_chunk("r1", "ext1", points)
+    assert lines == classify._run_sweep("r2", "ext1", _STRUCTURED, points,
+                                        jobs=1)
 
 
 def test_pool_chunks_sharing_a_line_agree_with_one_chunk(monkeypatch):
     # The second half of the points is the first half times -2, so every
-    # line of the first chunk shows up again in the second.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
-    _InlinePool.sizes.clear()
-    first = classify.sweep_points("r2", "ext1", GridSpec())[:1000]
+    # line has points in both halves of the list; the pool splits lines,
+    # not points, so no line reaches two chunks.
+    _inline_pool(monkeypatch)
+    first = classify.sweep_points("r2", "ext1", GridSpec())[:8000]
     points = first + [tuple(-2 * x for x in p) for p in first]
-    results = classify._run_sweep("r2", "ext1", points, jobs=2)
+    lines = classify._run_sweep("r2", "ext1", _STRUCTURED, points, jobs=2)
     assert _InlinePool.sizes == [2]
-    assert results == classify._run_sweep("r2", "ext1", points, jobs=1)
-    outcome_of = functools.partial(
-        classify._classify_point, "r2", "ext1",
-        classify._sweep_space("r2", "ext1"),
-        classify._classifier(classify.catalog()["r2"], "ext1"))
+    _assert_chunks_split_lines(lines)
+    assert lines == classify._run_sweep("r2", "ext1", _STRUCTURED, points,
+                                        jobs=1)
+    outcome_of = _outcome_of("r2", "ext1")
+    results = [classify._point_outcome(lines, p) for p in points]
     assert results == [outcome_of(p) for p in points]
     assert {r[0] for r in results} == {"match", "nonmember", "skip"}
 
     # A Cartesian sweep's points are the integer grid: p and -p sit in
-    # opposite halves, so every chunk meets lines of the other.
-    grid = GridSpec(num_max=2, den_max=2)
+    # opposite halves, and each line is classified once, in one chunk.
+    grid = GridSpec()
     points = classify.sweep_points("r2", "ext1", grid)
     assert len(points) == len(grid.values()) ** 4 >= 2000
-    _InlinePool.sizes.clear()
-    results = classify._run_sweep("r2", "ext1", points, 2)
+    _inline_pool(monkeypatch)
+    lines = classify._run_sweep("r2", "ext1", grid, points, 2)
     assert _InlinePool.sizes == [2]
-    assert results == classify._run_sweep("r2", "ext1", points, 1)
-    assert results == [outcome_of(p) for p in points]
+    _assert_chunks_split_lines(lines)
+    assert lines == classify._run_sweep("r2", "ext1", grid, points, 1)
+    assert [classify._point_outcome(lines, p) for p in points] \
+        == [outcome_of(p) for p in points]
 
 
 @pytest.mark.parametrize("sweep", ("r2/ext1", "r3/ext2ad"))
@@ -160,10 +195,7 @@ def test_a_line_takes_the_outcome_of_its_first_points_side():
     # at its integer vector pointing the way of its first point.
     d = (1, 0, 0, 0, 1, 0, 0, 0, -1)
     minus = tuple(-x for x in d)
-    outcome_of = functools.partial(
-        classify._classify_point, "r3", "ext1",
-        classify._sweep_space("r3", "ext1"),
-        classify._classifier(classify.catalog()["r3"], "ext1"))
+    outcome_of = _outcome_of("r3", "ext1")
     assert outcome_of(d)[:2] == outcome_of(minus)[:2]
     assert outcome_of(d) != outcome_of(minus)
     for first, second in ((d, minus), (minus, d)):
@@ -171,8 +203,63 @@ def test_a_line_takes_the_outcome_of_its_first_points_side():
                                           for x in second])[1]
         assert scaled == tuple(3 * x for x in second)
         points = [first, scaled]
-        assert classify._classify_chunk("r3", "ext1", points) \
+        lines = classify._run_sweep("r3", "ext1", _STRUCTURED, points, 1)
+        assert [classify._point_outcome(lines, p) for p in points] \
             == [outcome_of(first)] * 2
+
+
+# Cartesian sweeps, among them r2/ext1 at a small grid and r3/ext1 on the
+# 3^9 = 19,683 points of {-1, 0, 1}, whose lines include diag sign ties;
+# then structured sweeps.
+_LINE_TABLE_SWEEPS = (
+    ("r2/ext1", GridSpec(), True), ("h3/ext1", GridSpec(), True),
+    ("g4/ext1", GridSpec(), True),
+    ("r2/ext1", GridSpec(num_max=2, den_max=2), True),
+    ("r3/ext1", GridSpec(num_max=1, den_max=1), True),
+    ("r3/ext1", GridSpec(), False), ("r_plus_h3/ext1", GridSpec(), False),
+    ("r3/ext2ad", GridSpec(), False))
+
+
+@pytest.mark.parametrize("sweep, grid, cartesian", _LINE_TABLE_SWEEPS, ids=(
+    "r2/ext1", "h3/ext1", "g4/ext1", "r2/ext1-num2-den2", "r3/ext1-num1-den1",
+    "r3/ext1", "r_plus_h3/ext1", "r3/ext2ad"))
+def test_line_table_agrees_with_the_per_point_oracle(sweep, grid, cartesian):
+    # Every point's outcome read through its line, the points per outcome
+    # in first-occurrence order, and the point total are those of the
+    # per-point loop the line table replaced.
+    base, mode = sweep.split("/")
+    assert classify._is_cartesian(
+        grid, classify._sweep_space(base, mode).dim) == cartesian
+    points = classify.sweep_points(base, mode, grid)
+    lines = classify._run_sweep(base, mode, grid, points, 1)
+    expected = per_point_outcomes(points, classify._line_key,
+                                  _outcome_of(base, mode))
+    assert [classify._point_outcome(lines, p) for p in points] == expected
+    tally = classify._tally_outcomes(lines)
+    assert list(tally.items()) == list(Counter(expected).items())
+    assert sum(n for n, _ in lines.values()) == len(points)
+    assert len(lines) == len({classify._line_key(p) for p in points})
+    if grid == GridSpec(num_max=1, den_max=1):
+        # The tied line takes the side of its lexicographic minimum.
+        d = (1, 0, 0, 0, 1, 0, 0, 0, -1)
+        minus = tuple(-x for x in d)
+        assert minus in lines
+        assert classify._point_outcome(lines, d) \
+            == _outcome_of(base, mode)(minus) != _outcome_of(base, mode)(d)
+
+
+@pytest.mark.parametrize("num_max, den_max",
+                         itertools.product(range(1, 4), repeat=2))
+def test_cartesian_grid_mirrors_itself(num_max, den_max):
+    # The premise of counting a Cartesian sweep's lines on its negative
+    # half: the middle point is zero and point -1-i is minus point i.
+    grid = GridSpec(num_max=num_max, den_max=den_max)
+    assert classify._is_cartesian(grid, 4)
+    points = classify.sweep_points("r2", "ext1", grid)
+    assert len(points) % 2 == 1
+    assert points[len(points) // 2] == (0, 0, 0, 0)
+    assert all(points[i] == tuple(-x for x in points[-1 - i])
+               for i in range(len(points)))
 
 
 @pytest.mark.parametrize("grid, dim", [
@@ -322,10 +409,7 @@ def test_outcomes_are_invariant_under_scaling(sweep):
     # proportionally similar to D, so the per-point path should give p and
     # c*p the same outcome, canonical parameters included.
     base, mode = sweep.split("/")
-    entry = classify.catalog()[base]
-    outcome_of = functools.partial(
-        classify._classify_point, base, mode,
-        classify._sweep_space(base, mode), classify._classifier(entry, mode))
+    outcome_of = _outcome_of(base, mode)
     rng = random.Random(f"scale {sweep}")
     points = classify.sweep_points(base, mode, GridSpec())
     taken = _sample_by_outcome(outcome_of, points, rng)
@@ -458,7 +542,8 @@ def test_grid_spec_accepts_its_lower_bounds():
 
 
 def test_r2_ext1_sweep_takes_no_determinant(monkeypatch):
-    points = classify.sweep_points("r2", "ext1", GridSpec(num_max=2, den_max=2))
+    grid = GridSpec(num_max=2, den_max=2)
+    points = classify.sweep_points("r2", "ext1", grid)
     calls = []
     det = Matrix.det
 
@@ -467,9 +552,9 @@ def test_r2_ext1_sweep_takes_no_determinant(monkeypatch):
         return det(self)
 
     monkeypatch.setattr(Matrix, "det", counting)
-    results = classify._run_sweep("r2", "ext1", points, jobs=1)
+    lines = classify._run_sweep("r2", "ext1", grid, points, jobs=1)
     assert calls == []
-    assert {r[0] for r in results} == {"match", "nonmember", "skip"}
+    assert {r[0] for _, r in lines.values()} == {"match", "nonmember", "skip"}
 
 
 def test_ext2ad_filters_reject_a_zero_row_without_rank(monkeypatch):
@@ -495,7 +580,7 @@ def test_ext2ad_sweep_filters_each_line_once(monkeypatch):
         return filters(*args)
 
     monkeypatch.setattr(classify, "_ext2_filters", counting)
-    classify._run_sweep("r2", "ext2ad", points, jobs=1)
+    classify._run_sweep("r2", "ext2ad", GridSpec(), points, jobs=1)
     assert len(calls) == len({classify._line_key(p) for p in points})
     assert len(calls) < len(points)
 
@@ -556,18 +641,20 @@ def test_crosscheck_flags_a_flipped_outcome(sweep):
     entry = classify.catalog()[base]
     grid = GridSpec()
     points = classify.sweep_points(base, mode, grid)[:40]
-    results = classify._classify_chunk(base, mode, points)
-    kinds = {r[0] for r in results}
+    lines = classify._run_sweep(base, mode, _STRUCTURED, points, 1)
+    kinds = {r[0] for _, r in lines.values()}
     assert {"match", "nonmember"} <= kinds
-    for point, result in zip(points, results):
+    for point in points:
+        result = classify._point_outcome(lines, point)
         if result[0] == "skip":
             continue
+        line = classify._line_key(point)
         assert classify._crosscheck_conditions(
-            entry, mode, grid, [point], [result]) == 1
+            entry, mode, grid, [point], {line: (1, result)}) == 1
         flipped = (_FLIPPED[result[0]],)
         with pytest.raises(AssertionError, match="fast membership"):
             classify._crosscheck_conditions(
-                entry, mode, grid, [point], [flipped])
+                entry, mode, grid, [point], {line: (1, flipped)})
 
 
 def test_pencil_det_matches_char_poly():
