@@ -24,15 +24,21 @@ c*D (c a nonzero rational) are proportionally similar and give isomorphic
 extensions, in codimension one and for the ad-pair extensions alike, so
 the two-step filters and the matcher run once per line, at its primitive
 integer vector in ``int`` arithmetic, and every point on it shares the
-outcome.  The sweep stage works on a table of lines with their point
-counts: a Cartesian grid mirrors itself through zero, so its lines are
-counted on its negative half.  Every sweep point is an integer vector, a
-positive multiple L*p of the rational point p it stands for (L the lcm of
-p's denominators, or of the grid values' denominators on a Cartesian grid),
-so it lies on the same line with the same orientation, and its line key
-costs one ``gcd``.  The matchers are exact on ``int`` and ``Fraction``
-entries alike, and every parameter they return is a ``Fraction`` or an
-``ExactScalar``.
+outcome.  The sweep's points form a lazy sequence of blocks, indexed
+without being stored: on a Cartesian grid the integer grid itself, and
+otherwise the template and conjugate points, the block of points supported
+on one or two coordinates, and the random points.  The sweep stage works
+on a table of lines with their point counts, built block by block: a
+Cartesian grid mirrors itself through zero, so its lines are counted on
+its negative half; the axis-and-pair block's lines are one line per axis
+and one table of value-pair lines per pair of axes, in closed form; the
+explicit points are keyed one by one.  Every sweep point is an integer
+vector, a positive multiple L*p of the rational point p it stands for (L
+the lcm of p's denominators, or of the grid values' denominators on a
+Cartesian grid), so it lies on the same line with the same orientation,
+and its line key costs one ``gcd``.  The matchers are exact on ``int`` and
+``Fraction`` entries alike, and every parameter they return is a
+``Fraction`` or an ``ExactScalar``.
 
 Every family is one table row: on an abelian base a block recipe of real
 Jordan and complex blocks (``_ABELIAN_FAMILIES``), on h3, r⊕h3 and g4 a
@@ -59,7 +65,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .canon import (
     AmbiguousMatch,
@@ -955,10 +961,11 @@ def conjugate_in_shape(key: str, mode: str, m: Matrix,
 class GridSpec:
     """Deterministic sweep description.
 
-    When the full Cartesian grid over the value set fits the budget it is
-    enumerated exhaustively; otherwise the sweep takes a structured union of
-    template instantiations, random in-shape conjugates of them, all points
-    supported on at most two coordinates, and seeded random dense points.
+    When the full Cartesian grid over the value set fits the budget the
+    sweep is that grid, one block; otherwise it is three blocks of distinct
+    points: template instantiations with random in-shape conjugates of
+    them, the axis-and-pair block of all points supported on one or two
+    coordinates, and the seeded random points outside both.
     """
 
     num_max: int = 3
@@ -1015,80 +1022,212 @@ def _is_cartesian(grid: GridSpec, dim: int) -> bool:
     return len(grid.values()) ** dim <= grid.cartesian_budget
 
 
+class _LazyPoints(Sequence):
+    """A sequence of sweep points computed on demand: ``points[i]``, with a
+    negative ``i`` counting from the end, decodes index ``i`` (``_at``)."""
+
+    def __getitem__(self, index: int) -> tuple[int, ...]:
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError(f"sweep point index out of range: {index}")
+        return self._at(index)
+
+
+class _IntegerGrid(_LazyPoints):
+    """A Cartesian sweep: every ``dim``-tuple over the integer grid values
+    in ``itertools.product`` order, point i decoded in mixed radix."""
+
+    def __init__(self, values: Sequence[int], dim: int) -> None:
+        self.values = tuple(values)
+        self.dim = dim
+
+    def __len__(self) -> int:
+        return len(self.values) ** self.dim
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return itertools.product(self.values, repeat=self.dim)
+
+    def _at(self, index: int) -> tuple[int, ...]:
+        digits = []
+        for _ in range(self.dim):
+            index, digit = divmod(index, len(self.values))
+            digits.append(self.values[digit])
+        return tuple(reversed(digits))
+
+
+class _AxisPairBlock(_LazyPoints):
+    """The structured sweep's points supported on one or two coordinates,
+    as integer points: n/d on axis i becomes n*e_i, and (n1/d1, n2/d2) on
+    axes i < j becomes n1*l/d1*e_i + n2*l/d2*e_j with l = lcm(d1, d2).
+    The axes come first, then the pairs (i, j) in order, each over the
+    nonzero grid values in order.  Block indices of points already in
+    ``earlier`` (the ``_integer_point`` keys of the points before the
+    block) are skipped, so each rational point is kept once."""
+
+    def __init__(self, dim: int, vals: Sequence[Fraction],
+                 earlier: Iterable[tuple[int, tuple[int, ...]]]) -> None:
+        nonzero = [v for v in vals if v]
+        ratios = [v.as_integer_ratio() for v in nonzero]
+        self.dim = dim
+        self.numerators = [n for n, _ in ratios]
+        self.pairs = []
+        for n1, d1 in ratios:
+            for n2, d2 in ratios:
+                lcm = math.lcm(d1, d2)
+                self.pairs.append((n1 * (lcm // d1), n2 * (lcm // d2)))
+        self.axes = list(itertools.combinations(range(dim), 2))
+        m = len(nonzero)
+        self.size = dim * m + len(self.axes) * m * m
+        row = {v: r for r, v in enumerate(nonzero)}
+        skipped = []
+        for scale, coeffs in earlier:
+            support = [k for k, c in enumerate(coeffs) if c]
+            if not 1 <= len(support) <= 2:
+                continue
+            rows = [row.get(Fraction(coeffs[k], scale)) for k in support]
+            if None in rows:
+                continue
+            if len(support) == 1:
+                skipped.append(support[0] * m + rows[0])
+            else:
+                pair = self.axes.index(tuple(support))
+                skipped.append(dim * m + (pair * m + rows[0]) * m + rows[1])
+        self.skipped = sorted(skipped)
+
+    def __len__(self) -> int:
+        return self.size - len(self.skipped)
+
+    def _at(self, index: int) -> tuple[int, ...]:
+        for b in self.skipped:
+            if b > index:
+                break
+            index += 1
+        m = len(self.numerators)
+        if index < self.dim * m:
+            i, r = divmod(index, m)
+            return self._embed((i,), (self.numerators[r],))
+        pair, r = divmod(index - self.dim * m, m * m)
+        return self._embed(self.axes[pair], self.pairs[r])
+
+    def _embed(self, axes: Sequence[int], values: Sequence[int]
+               ) -> tuple[int, ...]:
+        coeffs = [0] * self.dim
+        for k, v in zip(axes, values):
+            coeffs[k] = v
+        return tuple(coeffs)
+
+    def add_lines(self, table: dict[tuple[int, ...], list]) -> None:
+        """Add the block's lines to a ``_sweep_lines`` table without
+        visiting the points: axis i is one line, and every pair of axes
+        holds the lines of one plane table over the value pairs, embedded at
+        (i, j).  A line not yet in the table takes its first point's
+        orientation; skipped points were counted where they came first."""
+        dim, m = self.dim, len(self.numerators)
+        plane: dict[tuple[int, ...], list] = {}
+        for point in self.pairs:
+            line = _line_key(point)
+            entry = plane.setdefault(
+                line, [line if point > (0, 0) else (-line[0], -line[1]), 0])
+            entry[1] += 1
+        counted: Counter = Counter()
+        for b in self.skipped:
+            if b < dim * m:
+                counted[(b // m,), (1,)] += 1
+            else:
+                pair, r = divmod(b - dim * m, m * m)
+                counted[self.axes[pair], _line_key(self.pairs[r])] += 1
+        first = (1 if self.numerators[0] > 0 else -1,)
+        lines = [((i,), (1,), first, m) for i in range(dim)]
+        lines += [(pair, line, oriented, n) for pair in self.axes
+                  for line, (oriented, n) in plane.items()]
+        for axes, line, oriented, n in lines:
+            key = self._embed(axes, line)
+            entry = table.get(key)
+            if entry is None:
+                table[key] = [self._embed(axes, oriented), n]
+            else:
+                entry[1] += n - counted[axes, line]
+
+
+class _SweepPoints(_LazyPoints):
+    """A structured sweep's points: the template and conjugate points, the
+    axis-and-pair block, then the random points, as one sequence."""
+
+    def __init__(self, blocks: Sequence[Sequence[tuple[int, ...]]]) -> None:
+        self.blocks = tuple(blocks)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.blocks))
+
+    def _at(self, index: int) -> tuple[int, ...]:
+        for block in self.blocks:
+            if index < len(block):
+                return block[index]
+            index -= len(block)
+
+
 def sweep_points(key: str, mode: str,
-                 grid: GridSpec) -> list[tuple[int, ...]]:
-    """The deterministic list of integer coefficient tuples for one sweep.
+                 grid: GridSpec) -> Sequence[tuple[int, ...]]:
+    """The deterministic sequence of integer coefficient tuples for one
+    sweep, built lazily block by block.
 
     Each point is the integer point L*p of the rational point p it stands
     for, a positive multiple on the same line with the same orientation, so
     the sweep's outcomes and point count are those of the rational points.
     When the grid is Cartesian (``_is_cartesian``), the points are the
-    integer grid ``itertools.product`` of the values times L, the lcm of
-    their denominators.  The values are sorted and symmetric about zero, so
-    the grid mirrors itself: its middle point is zero, point total-1-i is
-    the negative of point i, and every point before the middle has a
-    negative first nonzero entry; ``_sweep_lines`` counts the lines on that
-    half.  Otherwise each distinct rational point of the structured sweep
-    is kept once, as its ``_integer_point``; the axis and pair points,
-    supported on one or two coordinates, are built as those integer points
-    directly from each grid value's integer ratio."""
+    integer grid, ``itertools.product`` of the values times L, the lcm of
+    their denominators, indexed without being stored.  The values are
+    sorted and symmetric about zero, so the grid mirrors itself: its middle
+    point is zero, point total-1-i is the negative of point i, and every
+    point before the middle has a negative first nonzero entry;
+    ``_sweep_lines`` counts the lines on that half.  Otherwise the sweep
+    keeps each distinct rational point once, as its ``_integer_point``, in
+    three blocks: the template samples and their in-shape conjugates, the
+    ``_AxisPairBlock`` of every point supported on one or two coordinates
+    (less those the first block holds), and the seeded random points the
+    first two blocks do not hold."""
     entry = catalog()[key]
     sweep = _sweep_space(key, mode)
     dim = sweep.dim
     vals = grid.values()
     if _is_cartesian(grid, dim):
-        return list(itertools.product(_integer_point(vals)[1], repeat=dim))
+        return _IntegerGrid(_integer_point(vals)[1], dim)
 
-    points: list[tuple[int, ...]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
 
-    def add(exact: tuple[int, tuple[int, ...]]) -> None:
+    def push(coeffs: Sequence[Fraction], points: list) -> None:
         # One hash per point, of ints only: a tuple does not cache its hash.
+        exact = _integer_point(coeffs)
         size = len(seen)
         seen.add(exact)
         if len(seen) > size:
             points.append(exact[1])
 
-    def push(coeffs: Sequence[Fraction]) -> None:
-        add(_integer_point(coeffs))
-
+    explicit: list[tuple[int, ...]] = []
     templates = _templates(entry, mode)
     rng = random.Random(grid.seed)
     for t in templates:
         for params in t.sample(grid.n_template_samples):
-            push(sweep.coeffs_of(t.build(params)))
+            push(sweep.coeffs_of(t.build(params)), explicit)
     for t in templates:
         for params in t.sample(max(1, grid.n_conjugates)):
             m = t.build(params)
             for _ in range(grid.n_conjugates):
                 rep = conjugate_in_shape(key, mode, m, rng)
                 try:
-                    push(sweep.coeffs_of(rep))
+                    push(sweep.coeffs_of(rep), explicit)
                 except ValueError:
                     continue
-    # The integer point of n/d on axis i is (d, n*e_i); of (n1/d1, n2/d2) on
-    # axes i < j it is (l, n1*l/d1*e_i + n2*l/d2*e_j), l = lcm(d1, d2).
-    ratios = [v.as_integer_ratio() for v in vals if v]
-    pairs = []
-    for n1, d1 in ratios:
-        for n2, d2 in ratios:
-            lcm = math.lcm(d1, d2)
-            pairs.append((lcm, n1 * (lcm // d1), n2 * (lcm // d2)))
-    zeros = [0] * dim
-    for i in range(dim):
-        for n, d in ratios:
-            coeffs = zeros.copy()
-            coeffs[i] = n
-            add((d, tuple(coeffs)))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for lcm, a, b in pairs:
-                coeffs = zeros.copy()
-                coeffs[i], coeffs[j] = a, b
-                add((lcm, tuple(coeffs)))
+    block = _AxisPairBlock(dim, vals, seen)
+    randoms: list[tuple[int, ...]] = []
     for _ in range(grid.n_random):
-        push(tuple(rng.choice(vals) for _ in range(dim)))
-    return points
+        coeffs = tuple(rng.choice(vals) for _ in range(dim))
+        # A random point on one or two coordinates is in the block.
+        if not 1 <= dim - coeffs.count(0) <= 2:
+            push(coeffs, randoms)
+    return _SweepPoints((explicit, block, randoms))
 
 
 # ---------------------------------------------------------------------------
@@ -1312,41 +1451,50 @@ def _classify_point(key: str, mode: str, sweep: SweepSpace,
     return ("match", name, tuple(param_str(p) for p in params))
 
 
-def _sweep_lines(points: Sequence[tuple[int, ...]],
-                 cartesian: bool) -> dict[tuple[int, ...], int]:
+def _sweep_lines(points: Sequence[tuple[int, ...]]
+                 ) -> dict[tuple[int, ...], int]:
     """The sweep's lines through the origin, in the order of their first
     points: each line's primitive integer vector, oriented like its first
     point, with the number of its points.
 
-    A Cartesian grid mirrors itself (see ``sweep_points``), so it is counted
-    on its negative half: there a point's primitive vector is the point
-    divided by the gcd of its entries, already oriented like the line's
-    first point, its lexicographic minimum; each such point has its mirror
-    image in the other half, so it counts twice, and the zero line, the
-    middle point, comes last.  A structured sweep keys each point by
-    ``_line_key`` and orients each line like its first point."""
-    if cartesian:
+    An integer grid (a Cartesian sweep) mirrors itself (see
+    ``sweep_points``), so it is counted on its negative half: there a
+    point's primitive vector is the point divided by the gcd of its
+    entries, already oriented like the line's first point, its
+    lexicographic minimum; each such point has its mirror image in the
+    other half, so it counts twice, and the zero line, the middle point,
+    comes last.  A structured sweep keys each point of its explicit blocks
+    by ``_line_key`` and orients each line like its first point, and adds
+    the axis-and-pair block's lines in closed form.  Any other sequence is
+    one explicit block."""
+    if isinstance(points, _IntegerGrid):
         middle = len(points) // 2
-        half = points[:middle]
-        gcds = itertools.starmap(math.gcd, half)
-        counts = Counter(p if g <= 1 else tuple(map(g.__rfloordiv__, p))
-                         for p, g in zip(half, gcds))
-        lines = {v: 2 * n for v, n in counts.items()}
+        lines = Counter(p if (g := math.gcd(*p)) <= 1
+                        else tuple(map(g.__rfloordiv__, p))
+                        for p in itertools.islice(points, middle))
+        for line in lines:
+            lines[line] *= 2
         lines[points[middle]] = 1
         return lines
-    zero = (0,) * len(points[0]) if points else ()
     table: dict[tuple[int, ...], list] = {}
-    for p, line in zip(points, map(_line_key, points)):
-        entry = table.get(line)
-        if entry is None:
-            table[line] = [line if p > zero else tuple(-v for v in line), 1]
-        else:
-            entry[1] += 1
+    blocks = points.blocks if isinstance(points, _SweepPoints) else (points,)
+    for block in blocks:
+        if isinstance(block, _AxisPairBlock):
+            block.add_lines(table)
+            continue
+        for p, line in zip(block, map(_line_key, block)):
+            entry = table.get(line)
+            if entry is None:
+                zero = (0,) * len(p)
+                table[line] = [line if p > zero else tuple(-v for v in line),
+                               1]
+            else:
+                entry[1] += 1
     return dict(table.values())
 
 
 def _classify_chunk(key: str, mode: str,
-                    vectors: Sequence[tuple[int, ...]]) -> list[tuple]:
+                    vectors: Iterable[tuple[int, ...]]) -> list[tuple]:
     """Worker: the outcome of each line, classified at its oriented
     primitive integer vector, so the matchers run on ``int`` entries."""
     outcome_of = partial(_classify_point, key, mode, _sweep_space(key, mode),
@@ -1354,36 +1502,38 @@ def _classify_chunk(key: str, mode: str,
     return list(map(outcome_of, vectors))
 
 
-def _run_sweep(key: str, mode: str, grid: GridSpec, points: list[tuple],
+def _run_sweep(key: str, mode: str, points: Sequence[tuple[int, ...]],
                jobs: int) -> dict[tuple[int, ...], tuple[int, tuple]]:
     """Classify every line of the sweep once, in at most one worker per
     CPU, each worker taking whole lines.
 
-    Returns the line table of ``_sweep_lines`` with each line's outcome:
-    its oriented vector maps to (number of points, outcome).  A point c*D
-    (c a nonzero rational) is proportionally similar to D, so both give
-    isomorphic algebras with the same outcome, and every point of a line
-    takes the outcome of its vector.  One matcher defect makes the
-    orientation a choice: when the largest |eigenvalue| of an r3 or r4
-    diagonal point is tied between signs, D and -D get different canonical
-    parameters of the same family, and the line takes those of the side of
-    its first point in the sweep."""
-    dim = _sweep_space(key, mode).dim
-    lines = _sweep_lines(points, _is_cartesian(grid, dim))
-    vectors = list(lines)
+    Returns the line table of ``_sweep_lines`` with each line's outcome
+    written in place: its oriented vector maps to (number of points,
+    outcome).  A point c*D (c a nonzero rational) is proportionally similar
+    to D, so both give isomorphic algebras with the same outcome, and every
+    point of a line takes the outcome of its vector.  One matcher defect
+    makes the orientation a choice: when the largest |eigenvalue| of an r3
+    or r4 diagonal point is tied between signs, D and -D get different
+    canonical parameters of the same family, and the line takes those of
+    the side of its first point in the sweep."""
+    lines = _sweep_lines(points)
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(vectors) < 2000:
-        outcomes = _classify_chunk(key, mode, vectors)
+    if jobs <= 1 or len(lines) < 2000:
+        outcomes = _classify_chunk(key, mode, lines)
     else:
         import multiprocessing as mp
 
+        vectors = list(lines)
         chunk = (len(vectors) + jobs - 1) // jobs
         args = [(key, mode, vectors[i:i + chunk])
                 for i in range(0, len(vectors), chunk)]
         with mp.Pool(jobs) as pool:
             parts = pool.starmap(_classify_chunk, args)
         outcomes = [r for part in parts for r in part]
-    return dict(zip(vectors, zip(lines.values(), outcomes)))
+    # Replacing values, not keys, is safe while iterating the table.
+    for line, outcome in zip(lines, outcomes):
+        lines[line] = (lines[line], outcome)
+    return lines
 
 
 def _tally_outcomes(lines: dict[tuple[int, ...], tuple[int, tuple]]
@@ -1543,7 +1693,7 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
         raise ValueError(f"{key} has no ad-pair classification")
     templates = _templates(entry, mode)
     points = sweep_points(key, mode, grid)
-    lines = _run_sweep(key, mode, grid, points, jobs)
+    lines = _run_sweep(key, mode, points, jobs)
 
     # Distinct outcomes of one family have distinct parameter texts.
     tally = _tally_outcomes(lines)

@@ -1,9 +1,11 @@
-"""Classification sweeps: byte-identical default reports, one point list
+"""Classification sweeps: byte-identical default reports, one point sequence
 per sweep, the worker-pool size and a real worker pool that splits lines,
 one classification per line through the origin at its integer vector, the
 line table against the per-point oracle, the integer grid of a Cartesian
-sweep and the mirror symmetry its line count rests on, the integer points
-of a structured sweep and their line keys, and the scaling invariance that
+sweep and the mirror symmetry its line count rests on, the lazy blocks of
+a structured sweep against the explicit points and the line table built
+without keying the axis-and-pair block, the integer points of a
+structured sweep and their line keys, and the scaling invariance that
 makes it sound, sweep-space coordinates, the per-point work of the sweep
 stage, the shared extension path of both sweep modes, the lazy cross-check
 draw, the abelian family table and its matcher, template sampling, the
@@ -115,10 +117,6 @@ def _assert_chunks_split_lines(lines):
     assert not keys[0] & keys[1]
 
 
-# A grid no sweep enumerates as Cartesian, for hand-made point lists.
-_STRUCTURED = GridSpec(cartesian_budget=0)
-
-
 def _outcome_of(base, mode):
     """The outcome of one sweep point, classified on its own."""
     return functools.partial(
@@ -131,10 +129,9 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     _inline_pool(monkeypatch)
     # 2,000 points on 2,000 distinct lines: a pool starts from 2,000 lines.
     points = [(i - 1000, 1, 0, 0) for i in range(2000)]
-    lines = classify._run_sweep("r2", "ext1", _STRUCTURED, points, jobs=64)
+    lines = classify._run_sweep("r2", "ext1", points, jobs=64)
     assert _InlinePool.sizes == [2]
-    assert lines == classify._run_sweep("r2", "ext1", _STRUCTURED, points,
-                                        jobs=1)
+    assert lines == classify._run_sweep("r2", "ext1", points, jobs=1)
 
 
 def test_pool_chunks_sharing_a_line_agree_with_one_chunk(monkeypatch):
@@ -142,13 +139,13 @@ def test_pool_chunks_sharing_a_line_agree_with_one_chunk(monkeypatch):
     # line has points in both halves of the list; the pool splits lines,
     # not points, so no line reaches two chunks.
     _inline_pool(monkeypatch)
-    first = classify.sweep_points("r2", "ext1", GridSpec())[:8000]
+    first = list(itertools.islice(
+        classify.sweep_points("r2", "ext1", GridSpec()), 8000))
     points = first + [tuple(-2 * x for x in p) for p in first]
-    lines = classify._run_sweep("r2", "ext1", _STRUCTURED, points, jobs=2)
+    lines = classify._run_sweep("r2", "ext1", points, jobs=2)
     assert _InlinePool.sizes == [2]
     _assert_chunks_split_lines(lines)
-    assert lines == classify._run_sweep("r2", "ext1", _STRUCTURED, points,
-                                        jobs=1)
+    assert lines == classify._run_sweep("r2", "ext1", points, jobs=1)
     outcome_of = _outcome_of("r2", "ext1")
     results = [classify._point_outcome(lines, p) for p in points]
     assert results == [outcome_of(p) for p in points]
@@ -160,10 +157,10 @@ def test_pool_chunks_sharing_a_line_agree_with_one_chunk(monkeypatch):
     points = classify.sweep_points("r2", "ext1", grid)
     assert len(points) == len(grid.values()) ** 4 >= 2000
     _inline_pool(monkeypatch)
-    lines = classify._run_sweep("r2", "ext1", grid, points, 2)
+    lines = classify._run_sweep("r2", "ext1", points, 2)
     assert _InlinePool.sizes == [2]
     _assert_chunks_split_lines(lines)
-    assert lines == classify._run_sweep("r2", "ext1", grid, points, 1)
+    assert lines == classify._run_sweep("r2", "ext1", points, 1)
     assert [classify._point_outcome(lines, p) for p in points] \
         == [outcome_of(p) for p in points]
 
@@ -203,7 +200,7 @@ def test_a_line_takes_the_outcome_of_its_first_points_side():
                                           for x in second])[1]
         assert scaled == tuple(3 * x for x in second)
         points = [first, scaled]
-        lines = classify._run_sweep("r3", "ext1", _STRUCTURED, points, 1)
+        lines = classify._run_sweep("r3", "ext1", points, 1)
         assert [classify._point_outcome(lines, p) for p in points] \
             == [outcome_of(first)] * 2
 
@@ -231,7 +228,7 @@ def test_line_table_agrees_with_the_per_point_oracle(sweep, grid, cartesian):
     assert classify._is_cartesian(
         grid, classify._sweep_space(base, mode).dim) == cartesian
     points = classify.sweep_points(base, mode, grid)
-    lines = classify._run_sweep(base, mode, grid, points, 1)
+    lines = classify._run_sweep(base, mode, points, 1)
     expected = per_point_outcomes(points, classify._line_key,
                                   _outcome_of(base, mode))
     assert [classify._point_outcome(lines, p) for p in points] == expected
@@ -277,7 +274,8 @@ def test_grid_line_keys_match_line_key(grid, dim, monkeypatch):
     grid_points = list(itertools.product(values, repeat=dim))
     points = classify.sweep_points("r1", "ext1", grid)
     assert all((scale * v).denominator == 1 for v in values)
-    assert points == [tuple(int(scale * x) for x in p) for p in grid_points]
+    assert list(points) == [tuple(int(scale * x) for x in p)
+                            for p in grid_points]
     assert all(type(v) is int for p in points for v in p)
     keys = list(map(classify._line_key, points))
     assert keys == [classify._line_key(classify._integer_point(p)[1])
@@ -294,11 +292,11 @@ def test_grid_just_under_the_budget_is_cartesian():
     integer_grid = list(itertools.product(
         [int(60 * v) for v in grid.values()], repeat=4))
     assert len(integer_grid) == 83_521
-    assert classify.sweep_points("h3", "ext1", grid) == integer_grid
+    assert list(classify.sweep_points("h3", "ext1", grid)) == integer_grid
     small = dataclasses.replace(grid, n_template_samples=1, n_conjugates=0,
                                 n_random=0)
     at = dataclasses.replace(small, cartesian_budget=17 ** 4)
-    assert classify.sweep_points("h3", "ext1", at) == integer_grid
+    assert list(classify.sweep_points("h3", "ext1", at)) == integer_grid
     under = dataclasses.replace(small, cartesian_budget=17 ** 4 - 1)
     structured = classify.sweep_points("h3", "ext1", under)
     assert len(structured) < 17 ** 4
@@ -329,6 +327,86 @@ def test_line_key_examples():
     assert half != whole
 
 
+# Small structured grids: num and den from 1 to 3, random, conjugate and
+# template counts down to 0, and a zero budget on r1, r2, h3 and g4, whose
+# grids would be Cartesian, so that random draws land in the block; then
+# the default ext2ad sweeps, whose template points reach into the block.
+_LAZY_SWEEPS = (
+    ("r1/ext1", GridSpec(num_max=1, den_max=1, cartesian_budget=0,
+                         n_random=10, n_template_samples=0, n_conjugates=0,
+                         seed=1)),
+    ("r2/ext1", GridSpec(num_max=1, den_max=2, cartesian_budget=0,
+                         n_random=60, n_template_samples=3, n_conjugates=1,
+                         seed=2)),
+    ("h3/ext1", GridSpec(num_max=2, den_max=1, cartesian_budget=0,
+                         n_random=80, n_template_samples=0, n_conjugates=2,
+                         seed=3)),
+    ("g4/ext1", GridSpec(num_max=3, den_max=3, cartesian_budget=0,
+                         n_random=40, n_template_samples=2, n_conjugates=0,
+                         seed=4)),
+    ("r3/ext1", GridSpec(num_max=2, den_max=3, n_random=0,
+                         n_template_samples=4, n_conjugates=1, seed=5)),
+    ("r_plus_h3/ext1", GridSpec(num_max=1, den_max=3, cartesian_budget=0,
+                                n_random=30, n_template_samples=1,
+                                n_conjugates=0, seed=6)),
+    ("r3/ext2ad", GridSpec(num_max=3, den_max=1, n_random=30,
+                           n_template_samples=0, n_conjugates=2, seed=7)),
+    ("r2/ext2ad", GridSpec()), ("h3/ext2ad", GridSpec()))
+
+
+@pytest.mark.parametrize("sweep, grid", _LAZY_SWEEPS,
+                         ids=[f"{sweep}-{i}" for i, (sweep, _)
+                              in enumerate(_LAZY_SWEEPS)])
+def test_lazy_sweep_matches_the_explicit_points(sweep, grid, monkeypatch):
+    # The blocks hold the oracle's points in its order, point i and point
+    # -i decode to them, and the line table is that of the explicit list,
+    # built without keying a point of the axis-and-pair block.
+    base, mode = sweep.split("/")
+    space = classify._sweep_space(base, mode)
+    assert not classify._is_cartesian(grid, space.dim)
+    points = classify.sweep_points(base, mode, grid)
+    expected = structured_sweep_integer_points(
+        classify._templates(classify.catalog()[base], mode), space.coeffs_of,
+        functools.partial(classify.conjugate_in_shape, base, mode),
+        grid.values(), space.dim, grid, random.Random(grid.seed))
+    assert list(points) == expected
+    assert len(points) == len(expected)
+    assert [points[i] for i in range(len(expected))] == expected
+    assert [points[-i] for i in range(1, len(expected) + 1)] \
+        == expected[::-1]
+    for index in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            points[index]
+    explicit, block, randoms = points.blocks
+    assert len(block) > 0
+    keyed = []
+    line_key = classify._line_key
+
+    def counting(coeffs):
+        keyed.append(coeffs)
+        return line_key(coeffs)
+
+    monkeypatch.setattr(classify, "_line_key", counting)
+    lines = classify._sweep_lines(points)
+    assert [p for p in keyed if len(p) == space.dim] == explicit + randoms
+    monkeypatch.undo()
+    assert list(lines.items()) \
+        == list(classify._sweep_lines(list(points)).items())
+
+
+@pytest.mark.parametrize("base, inside", (("r2", 2), ("h3", 1)))
+def test_template_points_inside_the_block_are_skipped(base, inside):
+    # At the recorded seed some ext2ad template points lie on one or two
+    # coordinates at grid values: the block skips them, so each rational
+    # point is kept once (the points themselves are checked against the
+    # oracle by test_lazy_sweep_matches_the_explicit_points).
+    grid = GridSpec(seed=RECORDED["seed"])
+    assert grid == GridSpec()
+    block = classify.sweep_points(base, "ext2ad", grid).blocks[1]
+    assert len(block.skipped) == inside
+    assert len(block) == block.size - inside
+
+
 @pytest.mark.parametrize("sweep", ("r3/ext1", "r3/ext2ad"))
 def test_structured_sweep_points_are_integer_points(sweep):
     # A structured sweep keeps each distinct rational point once, as its
@@ -341,7 +419,7 @@ def test_structured_sweep_points_are_integer_points(sweep):
     assert all(type(v) is int for p in points for v in p)
     sweep_space = classify._sweep_space(base, mode)
     templates = classify._templates(classify.catalog()[base], mode)
-    assert points == structured_sweep_integer_points(
+    assert list(points) == structured_sweep_integer_points(
         templates, sweep_space.coeffs_of,
         functools.partial(classify.conjugate_in_shape, base, mode),
         grid.values(), sweep_space.dim, grid, random.Random(grid.seed))
@@ -552,7 +630,7 @@ def test_r2_ext1_sweep_takes_no_determinant(monkeypatch):
         return det(self)
 
     monkeypatch.setattr(Matrix, "det", counting)
-    lines = classify._run_sweep("r2", "ext1", grid, points, jobs=1)
+    lines = classify._run_sweep("r2", "ext1", points, jobs=1)
     assert calls == []
     assert {r[0] for _, r in lines.values()} == {"match", "nonmember", "skip"}
 
@@ -580,7 +658,7 @@ def test_ext2ad_sweep_filters_each_line_once(monkeypatch):
         return filters(*args)
 
     monkeypatch.setattr(classify, "_ext2_filters", counting)
-    classify._run_sweep("r2", "ext2ad", GridSpec(), points, jobs=1)
+    classify._run_sweep("r2", "ext2ad", points, jobs=1)
     assert len(calls) == len({classify._line_key(p) for p in points})
     assert len(calls) < len(points)
 
@@ -640,8 +718,9 @@ def test_crosscheck_flags_a_flipped_outcome(sweep):
     base, mode = sweep.split("/")
     entry = classify.catalog()[base]
     grid = GridSpec()
-    points = classify.sweep_points(base, mode, grid)[:40]
-    lines = classify._run_sweep(base, mode, _STRUCTURED, points, 1)
+    points = list(itertools.islice(classify.sweep_points(base, mode, grid),
+                                   40))
+    lines = classify._run_sweep(base, mode, points, 1)
     kinds = {r[0] for _, r in lines.values()}
     assert {"match", "nonmember"} <= kinds
     for point in points:

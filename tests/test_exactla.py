@@ -443,10 +443,12 @@ def test_eigen_structure_scales_with_positive_rationals():
 def test_spectral_kernels_return_fractions_and_reject_floats():
     """On raw Matrix grids of ints, det, char_poly, the eigenvalue data of
     eigen_structure, rref, nullspace, solve, inverse, Subspace.from_vectors,
-    trace, transpose, +, -, scale, apply and @ (either factor) give
-    Fractions and rank is an int; a single float entry, zero or not, makes
-    each of them raise TypeError (trace reads only the diagonal, so there
-    the float is on it; apply also takes the float in its vector)."""
+    Subspace.reduce, Subspace.coordinates, trace, transpose, +, -, scale,
+    apply and @ (either factor) give Fractions, rank is an int and
+    Subspace.contains a bool; a single float entry, zero or not, makes each
+    of them raise TypeError (trace reads only the diagonal, so there the
+    float is on it; apply and the Subspace methods also take the float in
+    their vector)."""
     rng = random.Random(31)
     kernels = (Matrix.det, Matrix.rank, char_poly, eigen_structure, rref,
                nullspace, Matrix.inverse, Matrix.transpose,
@@ -474,7 +476,10 @@ def test_spectral_kernels_return_fractions_and_reject_floats():
         b = tuple(sum(x for x in row) for row in rows)
         outputs += solve(m, b) + rref(m)[0].flatten() + m.transpose().flatten()
         outputs += [x for v in nullspace(m).basis for x in v]
-        outputs += [x for v in Subspace.from_vectors(n, rows).basis for x in v]
+        space = Subspace.from_vectors(n, rows)
+        outputs += [x for v in space.basis for x in v]
+        outputs += space.reduce(b) + space.coordinates(rows[0])
+        assert type(space.contains(b)) is bool
         outputs += (m + m).flatten() + (m - m).flatten()
         outputs += m.scale(2).flatten() + m.apply(b) + (m @ m).flatten()
         assert all(type(x) is Fraction for x in outputs), (rows, outputs)
@@ -486,6 +491,9 @@ def test_spectral_kernels_return_fractions_and_reject_floats():
         for kernel in kernels:
             with pytest.raises(TypeError):
                 kernel(floating)
+        for method in (space.contains, space.coordinates, space.reduce):
+            with pytest.raises(TypeError):
+                method(floating.entries[i])
         rows[i][j], rows[i][i] = 0, value
         with pytest.raises(TypeError):
             Matrix(n, n, tuple(map(tuple, rows))).trace()

@@ -21,6 +21,7 @@ from liecodim.liealg import (
     direct_sum,
     filiform4,
     heisenberg3,
+    induced_operator_on_quotient,
     is_nilpotent,
     is_solvable,
     lower_central_series,
@@ -150,8 +151,10 @@ class TestBracket:
 
 def test_lie_layer_returns_fractions_and_rejects_floats():
     """On int vectors and raw int matrices, bracket, adjoint_matrix,
-    leibniz_residual and extend_by_derivation give Fractions; one float
-    entry, zero or not, makes each of them raise TypeError."""
+    leibniz_residual, extend_by_derivation, restrict_operator and
+    induced_operator_on_quotient (of a derivation, on the derived algebra
+    and on the whole space) give Fractions; one float entry, zero or not,
+    makes each of them raise TypeError."""
     rng = random.Random(37)
     violations = 0
     for alg in CATALOG:
@@ -170,10 +173,15 @@ def test_lie_layer_returns_fractions_and_rejects_floats():
             moved[rng.randrange(n * n)] += 1
             violation = leibniz_residual(alg, Matrix.unflatten(tuple(moved), n, n))
             violations += violation is not None
-            L = extend_by_derivation(alg, Matrix.unflatten(tuple(flat), n, n))
+            D = Matrix.unflatten(tuple(flat), n, n)
+            L = extend_by_derivation(alg, D)
+            der = derived_subalgebra(alg)
             outputs = [*bracket(alg, u, v), *adjoint_matrix(alg, u).flatten(),
                        *(violation[1] if violation else ()),
-                       *(x for _, w in L.table for x in w)]
+                       *(x for _, w in L.table for x in w),
+                       *restrict_operator(D, der.space).flatten(),
+                       *restrict_operator(D, Subspace.full(n)).flatten(),
+                       *induced_operator_on_quotient(alg, D, der).flatten()]
             assert all(type(x) is Fraction for x in outputs)
 
             def floated(entries):
@@ -187,7 +195,9 @@ def test_lie_layer_returns_fractions_and_rejects_floats():
                      lambda: bracket(alg, u, floated(v)),
                      lambda: adjoint_matrix(alg, floated(u)),
                      lambda: leibniz_residual(alg, d),
-                     lambda: extend_by_derivation(alg, d))
+                     lambda: extend_by_derivation(alg, d),
+                     lambda: restrict_operator(d, Subspace.full(n)),
+                     lambda: induced_operator_on_quotient(alg, d, der))
             for call in calls:
                 with pytest.raises(TypeError):
                     call()
