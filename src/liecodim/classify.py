@@ -59,7 +59,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -1493,19 +1492,10 @@ def _sweep_lines(points: Sequence[tuple[int, ...]]
     return dict(table.values())
 
 
-def _classify_chunk(key: str, mode: str,
-                    vectors: Iterable[tuple[int, ...]]) -> list[tuple]:
-    """Worker: the outcome of each line, classified at its oriented
-    primitive integer vector, so the matchers run on ``int`` entries."""
-    outcome_of = partial(_classify_point, key, mode, _sweep_space(key, mode),
-                         _classifier(catalog()[key], mode))
-    return list(map(outcome_of, vectors))
-
-
-def _run_sweep(key: str, mode: str, points: Sequence[tuple[int, ...]],
-               jobs: int) -> dict[tuple[int, ...], tuple[int, tuple]]:
-    """Classify every line of the sweep once, in at most one worker per
-    CPU, each worker taking whole lines.
+def _run_sweep(key: str, mode: str, points: Sequence[tuple[int, ...]]
+               ) -> dict[tuple[int, ...], tuple[int, tuple]]:
+    """Classify every line of the sweep once, at its oriented primitive
+    integer vector, so the matchers run on ``int`` entries.
 
     Returns the line table of ``_sweep_lines`` with each line's outcome
     written in place: its oriented vector maps to (number of points,
@@ -1517,21 +1507,10 @@ def _run_sweep(key: str, mode: str, points: Sequence[tuple[int, ...]],
     canonical parameters of the same family, and the line takes those of
     the side of its first point in the sweep."""
     lines = _sweep_lines(points)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(lines) < 2000:
-        outcomes = _classify_chunk(key, mode, lines)
-    else:
-        import multiprocessing as mp
-
-        vectors = list(lines)
-        chunk = (len(vectors) + jobs - 1) // jobs
-        args = [(key, mode, vectors[i:i + chunk])
-                for i in range(0, len(vectors), chunk)]
-        with mp.Pool(jobs) as pool:
-            parts = pool.starmap(_classify_chunk, args)
-        outcomes = [r for part in parts for r in part]
+    outcome_of = partial(_classify_point, key, mode, _sweep_space(key, mode),
+                         _classifier(catalog()[key], mode))
     # Replacing values, not keys, is safe while iterating the table.
-    for line, outcome in zip(lines, outcomes):
+    for line, outcome in zip(lines, map(outcome_of, lines)):
         lines[line] = (lines[line], outcome)
     return lines
 
@@ -1675,14 +1654,18 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
     """Run one classification sweep and return the full report.
 
     The sweep classifies each line through the origin once
-    (``_run_sweep``), in up to ``jobs`` worker processes that split the
-    lines; the report counts points, each point taking its line's outcome,
-    and samples parameters in the order of the points.  Raises
-    :class:`GoldenMismatch` when the discovered family set differs from the
-    catalog's golden list, and ``ValueError`` when ``jobs`` is below 1.
+    (``_run_sweep``), in this process; the report counts points, each point
+    taking its line's outcome, and samples parameters in the order of the
+    points.  Raises :class:`GoldenMismatch` when the discovered family set
+    differs from the catalog's golden list.
+
+    ``jobs`` must be 1 (``ValueError`` otherwise).  The keyword exists only
+    because the benchmark harness passes ``jobs=1``; it goes when the
+    harness stops passing it.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1: sweeps run in one process, "
+                         f"got {jobs}")
     grid = grid or GridSpec()
     entry = catalog().get(key)
     if entry is None:
@@ -1693,7 +1676,7 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
         raise ValueError(f"{key} has no ad-pair classification")
     templates = _templates(entry, mode)
     points = sweep_points(key, mode, grid)
-    lines = _run_sweep(key, mode, points, jobs)
+    lines = _run_sweep(key, mode, points)
 
     # Distinct outcomes of one family have distinct parameter texts.
     tally = _tally_outcomes(lines)

@@ -264,8 +264,7 @@ def cmd_extend(args) -> int:
 def cmd_classify(args) -> int:
     grid = GridSpec.parse(args.grid) if args.grid else None
     try:
-        report = classify_extensions(args.base, args.mode, grid,
-                                     jobs=args.jobs)
+        report = classify_extensions(args.base, args.mode, grid)
     except GoldenMismatch as exc:
         print(f"golden mismatch: {exc}", file=sys.stderr)
         return EXIT_VERDICT
@@ -347,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True, choices=sorted(catalog().keys()))
     p.add_argument("--mode", choices=["ext1", "ext2ad"], default="ext1")
     p.add_argument("--grid", help="grid spec, e.g. num=3,den=3,random=200")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify-witness", help="verify an isomorphism witness")

@@ -93,6 +93,9 @@ def frac(x: Scalar) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+_RATIONAL_CLASSES = frozenset((int, Fraction))
+
+
 def format_frac(x: Fraction) -> str:
     """Render a rational as 'p' or 'p/q' (never as a float)."""
     if x.denominator == 1:
@@ -134,11 +137,16 @@ class Matrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        # Every entry is an int or a Fraction, so no constructor, not even
+        # the raw one, stores a float.
         if len(self.entries) != self.rows:
             raise ValueError("row count mismatch")
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("column count mismatch")
+            if not _RATIONAL_CLASSES.issuperset(map(type, row)):
+                bad = next(x for x in row if type(x) not in _RATIONAL_CLASSES)
+                raise TypeError(f"cannot interpret {bad!r} as a rational")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Matrix":

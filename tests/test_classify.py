@@ -1,24 +1,21 @@
 """Classification sweeps: byte-identical default reports, one point sequence
-per sweep, the worker-pool size and a real worker pool that splits lines,
-one classification per line through the origin at its integer vector, the
-line table against the per-point oracle, the integer grid of a Cartesian
-sweep and the mirror symmetry its line count rests on, the lazy blocks of
-a structured sweep against the explicit points and the line table built
-without keying the axis-and-pair block, the integer points of a
-structured sweep and their line keys, and the scaling invariance that
-makes it sound, sweep-space coordinates, the per-point work of the sweep
-stage, the shared extension path of both sweep modes, the lazy cross-check
-draw, the abelian family table and its matcher, template sampling, the
-pinned samples of the shaped families, small-grid sweeps of the two slowest
-bases, the names the traced benchmark wraps, and the range of the grid
-fields."""
+per sweep, the one process a sweep runs in, one classification per line through
+the origin at its integer vector, the line table against the per-point oracle,
+the integer grid of a Cartesian sweep and the mirror symmetry its line count
+rests on, the lazy blocks of a structured sweep against the explicit points and
+the line table built without keying the axis-and-pair block, the integer points
+of a structured sweep and their line keys, and the scaling invariance that
+makes it sound, sweep-space coordinates, the per-point work of the sweep stage,
+the shared extension path of both sweep modes, the lazy cross-check draw, the
+abelian family table and its matcher, template sampling, the pinned samples of
+the shaped families, small-grid sweeps of the two slowest bases, the names the
+traced benchmark wraps, and the range of the grid fields."""
 
 import dataclasses
 import functools
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import subprocess
@@ -43,8 +40,9 @@ from oracles import per_point_outcomes, structured_sweep_integer_points
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
 
-# Nine of the ten default sweeps (about 3.5 s together), every sweep of the
-# three benchmark workloads among them; r4/ext1 (about 6 s) is marked slow,
+# Nine of the ten default sweeps (about 1.5 s together in one fresh process
+# on a 2-core VM), every sweep of the three benchmark workloads among them;
+# r4/ext1 (3.2-3.9 s there, most of it template sampling) is marked slow,
 # which tier-1 deselects (run it with ``pytest -m slow``).  r3/ext2ad is the
 # ext2ad sweep with the most random conjugates (24).
 CHEAP_SWEEPS = ("r1/ext1", "r3/ext1", "r2/ext2ad", "h3/ext2ad", "r3/ext2ad",
@@ -79,44 +77,6 @@ def test_sweep_points_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
-class _InlinePool:
-    """Stands in for multiprocessing.Pool: records its size and the
-    argument tuples of its work, and runs the work in this process."""
-
-    sizes = []
-    args = []
-
-    def __init__(self, size):
-        self.sizes.append(size)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, args):
-        self.args.extend(args)
-        return [fn(*a) for a in args]
-
-
-def _inline_pool(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
-    _InlinePool.sizes.clear()
-    _InlinePool.args.clear()
-
-
-def _assert_chunks_split_lines(lines):
-    # The chunks hold the table's vectors in order, and no line (by its
-    # line key) reaches two chunks.
-    chunks = [a[2] for a in _InlinePool.args]
-    assert len(chunks) == 2
-    assert [v for chunk in chunks for v in chunk] == list(lines)
-    keys = [{classify._line_key(v) for v in chunk} for chunk in chunks]
-    assert not keys[0] & keys[1]
-
-
 def _outcome_of(base, mode):
     """The outcome of one sweep point, classified on its own."""
     return functools.partial(
@@ -125,65 +85,15 @@ def _outcome_of(base, mode):
         classify._classifier(classify.catalog()[base], mode))
 
 
-def test_jobs_clamped_to_cpu_count(monkeypatch):
-    _inline_pool(monkeypatch)
-    # 2,000 points on 2,000 distinct lines: a pool starts from 2,000 lines.
-    points = [(i - 1000, 1, 0, 0) for i in range(2000)]
-    lines = classify._run_sweep("r2", "ext1", points, jobs=64)
-    assert _InlinePool.sizes == [2]
-    assert lines == classify._run_sweep("r2", "ext1", points, jobs=1)
-
-
-def test_pool_chunks_sharing_a_line_agree_with_one_chunk(monkeypatch):
-    # The second half of the points is the first half times -2, so every
-    # line has points in both halves of the list; the pool splits lines,
-    # not points, so no line reaches two chunks.
-    _inline_pool(monkeypatch)
-    first = list(itertools.islice(
-        classify.sweep_points("r2", "ext1", GridSpec()), 8000))
-    points = first + [tuple(-2 * x for x in p) for p in first]
-    lines = classify._run_sweep("r2", "ext1", points, jobs=2)
-    assert _InlinePool.sizes == [2]
-    _assert_chunks_split_lines(lines)
-    assert lines == classify._run_sweep("r2", "ext1", points, jobs=1)
-    outcome_of = _outcome_of("r2", "ext1")
-    results = [classify._point_outcome(lines, p) for p in points]
-    assert results == [outcome_of(p) for p in points]
-    assert {r[0] for r in results} == {"match", "nonmember", "skip"}
-
-    # A Cartesian sweep's points are the integer grid: p and -p sit in
-    # opposite halves, and each line is classified once, in one chunk.
-    grid = GridSpec()
-    points = classify.sweep_points("r2", "ext1", grid)
-    assert len(points) == len(grid.values()) ** 4 >= 2000
-    _inline_pool(monkeypatch)
-    lines = classify._run_sweep("r2", "ext1", points, 2)
-    assert _InlinePool.sizes == [2]
-    _assert_chunks_split_lines(lines)
-    assert lines == classify._run_sweep("r2", "ext1", points, 1)
-    assert [classify._point_outcome(lines, p) for p in points] \
-        == [outcome_of(p) for p in points]
-
-
-@pytest.mark.parametrize("sweep", ("r2/ext1", "r3/ext2ad"))
-def test_process_pool_report_matches_recorded_hash(sweep, monkeypatch):
-    # A real two-worker pool: the points of a Cartesian (r2/ext1) and of a
-    # structured sweep (r3/ext2ad) pickle to the workers and back.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    sizes = []
-    pool = multiprocessing.Pool
-
-    def recording(size):
-        sizes.append(size)
-        return pool(size)
-
-    monkeypatch.setattr(multiprocessing, "Pool", recording)
-    base, mode = sweep.split("/")
-    report = classify_extensions(base, mode, GridSpec(seed=RECORDED["seed"]),
-                                 jobs=2)
-    assert sizes == [2]
+def test_classify_extensions_accepts_only_one_job():
+    grid = GridSpec(seed=RECORDED["seed"])
+    report = classify_extensions("r1", "ext1", grid, jobs=1)
     text = canonical_json(report.as_dict())
-    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED["sha256"][sweep]
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == RECORDED["sha256"]["r1/ext1"]
+    for jobs in (0, 2, -3):
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            classify_extensions("r1", "ext1", grid, jobs=jobs)
 
 
 def test_a_line_takes_the_outcome_of_its_first_points_side():
@@ -200,35 +110,42 @@ def test_a_line_takes_the_outcome_of_its_first_points_side():
                                           for x in second])[1]
         assert scaled == tuple(3 * x for x in second)
         points = [first, scaled]
-        lines = classify._run_sweep("r3", "ext1", points, 1)
+        lines = classify._run_sweep("r3", "ext1", points)
         assert [classify._point_outcome(lines, p) for p in points] \
             == [outcome_of(first)] * 2
 
 
 # Cartesian sweeps, among them r2/ext1 at a small grid and r3/ext1 on the
 # 3^9 = 19,683 points of {-1, 0, 1}, whose lines include diag sign ties;
-# then structured sweeps.
+# then structured sweeps; then a plain list (grid None): the first 8,000
+# default r2/ext1 points followed by each of them times -2, so every line
+# has points of both orientations.
 _LINE_TABLE_SWEEPS = (
     ("r2/ext1", GridSpec(), True), ("h3/ext1", GridSpec(), True),
     ("g4/ext1", GridSpec(), True),
     ("r2/ext1", GridSpec(num_max=2, den_max=2), True),
     ("r3/ext1", GridSpec(num_max=1, den_max=1), True),
     ("r3/ext1", GridSpec(), False), ("r_plus_h3/ext1", GridSpec(), False),
-    ("r3/ext2ad", GridSpec(), False))
+    ("r3/ext2ad", GridSpec(), False), ("r2/ext1", None, False))
 
 
 @pytest.mark.parametrize("sweep, grid, cartesian", _LINE_TABLE_SWEEPS, ids=(
     "r2/ext1", "h3/ext1", "g4/ext1", "r2/ext1-num2-den2", "r3/ext1-num1-den1",
-    "r3/ext1", "r_plus_h3/ext1", "r3/ext2ad"))
+    "r3/ext1", "r_plus_h3/ext1", "r3/ext2ad", "r2/ext1-list-times-minus-2"))
 def test_line_table_agrees_with_the_per_point_oracle(sweep, grid, cartesian):
     # Every point's outcome read through its line, the points per outcome
     # in first-occurrence order, and the point total are those of the
     # per-point loop the line table replaced.
     base, mode = sweep.split("/")
-    assert classify._is_cartesian(
-        grid, classify._sweep_space(base, mode).dim) == cartesian
-    points = classify.sweep_points(base, mode, grid)
-    lines = classify._run_sweep(base, mode, points, 1)
+    if grid is None:
+        first = list(itertools.islice(
+            classify.sweep_points(base, mode, GridSpec()), 8000))
+        points = first + [tuple(-2 * x for x in p) for p in first]
+    else:
+        assert classify._is_cartesian(
+            grid, classify._sweep_space(base, mode).dim) == cartesian
+        points = classify.sweep_points(base, mode, grid)
+    lines = classify._run_sweep(base, mode, points)
     expected = per_point_outcomes(points, classify._line_key,
                                   _outcome_of(base, mode))
     assert [classify._point_outcome(lines, p) for p in points] == expected
@@ -630,7 +547,7 @@ def test_r2_ext1_sweep_takes_no_determinant(monkeypatch):
         return det(self)
 
     monkeypatch.setattr(Matrix, "det", counting)
-    lines = classify._run_sweep("r2", "ext1", points, jobs=1)
+    lines = classify._run_sweep("r2", "ext1", points)
     assert calls == []
     assert {r[0] for _, r in lines.values()} == {"match", "nonmember", "skip"}
 
@@ -658,7 +575,7 @@ def test_ext2ad_sweep_filters_each_line_once(monkeypatch):
         return filters(*args)
 
     monkeypatch.setattr(classify, "_ext2_filters", counting)
-    classify._run_sweep("r2", "ext2ad", points, jobs=1)
+    classify._run_sweep("r2", "ext2ad", points)
     assert len(calls) == len({classify._line_key(p) for p in points})
     assert len(calls) < len(points)
 
@@ -720,7 +637,7 @@ def test_crosscheck_flags_a_flipped_outcome(sweep):
     grid = GridSpec()
     points = list(itertools.islice(classify.sweep_points(base, mode, grid),
                                    40))
-    lines = classify._run_sweep(base, mode, points, 1)
+    lines = classify._run_sweep(base, mode, points)
     kinds = {r[0] for _, r in lines.values()}
     assert {"match", "nonmember"} <= kinds
     for point in points:

@@ -1,8 +1,11 @@
-"""The CLI: verify-witness on pair-extension witnesses, and the exit-code
-contract on malformed documents."""
+"""The CLI: verify-witness on pair-extension witnesses, the exit-code
+contract on malformed documents, and ``classify`` reports against their
+recorded hashes."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,9 @@ from liecodim.cli import (
 from liecodim.exactla import Matrix, frac
 from liecodim.ext import build_double_extension
 from liecodim.liealg import abelian
+
+RECORDED = json.loads((Path(__file__).resolve().parent.parent / "bench"
+                       / "report_hashes.json").read_text())
 
 
 def _write(path, doc):
@@ -199,13 +205,22 @@ class TestExitCodes:
         assert out == ""
         assert f"grid field {field} must be at least 1" in err
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_classify_jobs_below_one(self, capsys, jobs):
+    @pytest.mark.parametrize("base, mode", [("r1", "ext1"),
+                                            ("r2", "ext2ad")])
+    def test_classify_writes_the_recorded_report(self, capsys, base, mode):
+        code, out, _ = self._run(
+            ["classify", "--base", base, "--mode", mode,
+             "--grid", f"seed={RECORDED['seed']}"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == RECORDED["sha256"][f"{base}/{mode}"]
+
+    def test_classify_has_no_jobs_option(self, capsys):
         code, out, err = self._run(
-            ["classify", "--base", "r1", "--jobs", jobs], capsys)
+            ["classify", "--base", "r1", "--jobs", "2"], capsys)
         assert code == EXIT_USAGE
         assert out == ""
-        assert f"jobs must be at least 1, got {jobs}" in err
+        assert "unrecognized arguments: --jobs 2" in err
 
     def _extend(self, tmp_path, capsys, derivation, *extra):
         alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))

@@ -440,15 +440,25 @@ def test_eigen_structure_scales_with_positive_rationals():
                 for kind, size, *vals in blocks)
 
 
+def _forged(m, rows):
+    """A copy of ``m`` whose entries are set to ``rows`` past the
+    constructor's check, so a kernel's own check of its input is tested."""
+    forged = Matrix(m.rows, m.cols, m.entries)
+    object.__setattr__(forged, "entries", tuple(map(tuple, rows)))
+    return forged
+
+
 def test_spectral_kernels_return_fractions_and_reject_floats():
     """On raw Matrix grids of ints, det, char_poly, the eigenvalue data of
     eigen_structure, rref, nullspace, solve, inverse, Subspace.from_vectors,
     Subspace.reduce, Subspace.coordinates, trace, transpose, +, -, scale,
     apply and @ (either factor) give Fractions, rank is an int and
-    Subspace.contains a bool; a single float entry, zero or not, makes each
-    of them raise TypeError (trace reads only the diagonal, so there the
-    float is on it; apply and the Subspace methods also take the float in
-    their vector)."""
+    Subspace.contains a bool.  A single float entry, zero or not, makes the
+    raw Matrix constructor, Matrix.unflatten and submatrix raise TypeError,
+    so no Matrix holds a float; each kernel still raises TypeError on a
+    matrix whose float was forged in past the constructor (trace reads only
+    the diagonal, so there the float is on it; apply and the Subspace
+    methods also take the float in their vector)."""
     rng = random.Random(31)
     kernels = (Matrix.det, Matrix.rank, char_poly, eigen_structure, rref,
                nullspace, Matrix.inverse, Matrix.transpose,
@@ -487,7 +497,7 @@ def test_spectral_kernels_return_fractions_and_reject_floats():
         i, j = rng.randrange(n), rng.randrange(n)
         value = rng.choice((0.0, 0.5, float(rows[i][j])))
         rows[i][j] = value
-        floating = Matrix(n, n, tuple(map(tuple, rows)))
+        floating = _forged(m, rows)
         for kernel in kernels:
             with pytest.raises(TypeError):
                 kernel(floating)
@@ -496,9 +506,16 @@ def test_spectral_kernels_return_fractions_and_reject_floats():
                 method(floating.entries[i])
         rows[i][j], rows[i][i] = 0, value
         with pytest.raises(TypeError):
-            Matrix(n, n, tuple(map(tuple, rows))).trace()
-    with pytest.raises(TypeError):
-        Matrix(2, 2, ((0.5, 1), (1, 1))).det()
+            _forged(m, rows).trace()
+        grid = tuple(map(tuple, rows))
+        with pytest.raises(TypeError, match="as a rational"):
+            Matrix(n, n, grid)
+        with pytest.raises(TypeError, match="as a rational"):
+            Matrix.unflatten(sum(grid, ()), n, n)
+        with pytest.raises(TypeError, match="as a rational"):
+            _forged(m, rows).submatrix(range(i + 1), range(n))
+    with pytest.raises(TypeError, match="cannot interpret 0.5 as a rational"):
+        Matrix(2, 2, ((0.5, 1), (1, 1)))
     with pytest.raises(TypeError):
         Subspace.from_vectors(2, [(0.0, 0.0), (1, 2)])
 

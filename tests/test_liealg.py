@@ -153,8 +153,10 @@ def test_lie_layer_returns_fractions_and_rejects_floats():
     """On int vectors and raw int matrices, bracket, adjoint_matrix,
     leibniz_residual, extend_by_derivation, restrict_operator and
     induced_operator_on_quotient (of a derivation, on the derived algebra
-    and on the whole space) give Fractions; one float entry, zero or not,
-    makes each of them raise TypeError."""
+    and on the whole space) give Fractions.  One float entry, zero or not,
+    makes Matrix.unflatten raise TypeError, and makes each of them raise
+    TypeError, in its vector or in a matrix whose float was forged in past
+    the constructor."""
     rng = random.Random(37)
     violations = 0
     for alg in CATALOG:
@@ -190,7 +192,12 @@ def test_lie_layer_returns_fractions_and_rejects_floats():
                 out[k] = rng.choice((0.0, 0.5, float(out[k])))
                 return out
 
-            d = Matrix.unflatten(tuple(floated(flat)), n, n)
+            floating = tuple(floated(flat))
+            with pytest.raises(TypeError, match="as a rational"):
+                Matrix.unflatten(floating, n, n)
+            d = Matrix.unflatten(tuple(flat), n, n)
+            object.__setattr__(d, "entries", tuple(
+                floating[i * n:(i + 1) * n] for i in range(n)))
             calls = (lambda: bracket(alg, floated(u), v),
                      lambda: bracket(alg, u, floated(v)),
                      lambda: adjoint_matrix(alg, floated(u)),
