@@ -17,9 +17,10 @@ Scalars produced by the complex normalization may be quadratic irrationals
 u*sqrt(v); they are carried exactly by :class:`ExactScalar`, never floats.
 
 Blocks keep the shape of :class:`~liecodim.exactla.EigenStructure` blocks:
-``("r", size, v)`` and ``("c", size, re, q)``.  After scaling every value is
-an :class:`ExactScalar` and a pair carries its imaginary part q itself, not
-q^2; ``exactla._block_key`` orders them, as it orders the unscaled blocks.
+``("r", size, v)`` and ``("c", size, re, q)``.  After scaling a value is a
+``Fraction`` when it is rational and an :class:`ExactScalar` otherwise, and a
+pair carries its imaginary part q itself, not q^2; ``exactla._block_key``
+orders them, as it orders the unscaled blocks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .exactla import (
     _block_key,
     _sqrt_fraction,
     eigen_structure,
-    format_frac,
+    frac,
     nullspace,
 )
 
@@ -77,27 +78,36 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, f
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True)
 class ExactScalar:
-    """An exact real scalar of the form rat * sqrt(rad).
+    """An exact irrational real scalar rat * sqrt(rad).
 
-    ``rad`` is a squarefree positive integer (1 for plain rationals), so
-    representations are canonical and equality is structural.
+    ``rat`` is a nonzero ``Fraction`` and ``rad`` a squarefree ``int`` above
+    1, so the representation is canonical and equality is structural.  A
+    rational value is always a ``Fraction``: :meth:`of`, :meth:`sqrt` and
+    ``*`` return one, and the constructor refuses rad <= 1 and rat == 0.
+    Both classes order by one key, the signed square (see
+    :func:`_signed_square`), so ``<`` works with a ``Fraction`` on either
+    side; a ``Fraction`` never equals an ``ExactScalar``.
     """
 
     rat: Fraction
-    rad: int = 1
+    rad: int
+
+    def __post_init__(self):
+        if self.rad <= 1 or self.rat == 0:
+            raise ValueError(f"not an irrational r*sqrt(k): {self.rat!r}, "
+                             f"{self.rad!r}")
 
     @staticmethod
-    def of(rat, rad=1) -> "ExactScalar":
-        """rat * sqrt(rad) in canonical form, zero when either is zero.  A
-        ``Fraction`` rat and an ``int`` or ``Fraction`` rad are taken as
-        they are; a negative rad raises ValueError."""
-        r = rat if rat.__class__ is Fraction else Fraction(rat)
-        v = rad if rad.__class__ is int or rad.__class__ is Fraction \
-            else Fraction(rad)
+    def of(rat, rad=1) -> "ParamValue":
+        """rat * sqrt(rad) in canonical form: a ``Fraction`` when it is
+        rational, zero included.  ``rat`` and ``rad`` are coerced through
+        ``frac``, so a float raises TypeError; a negative rad raises
+        ValueError."""
+        r, v = frac(rat), frac(rad)
         if not r or not v:
-            return ExactScalar(Fraction(0), 1)
+            return Fraction(0)
         if v < 0:
             raise ValueError("radicand must be positive")
         # rat*sqrt(p/q) = (rat/q)*sqrt(p*q)
@@ -105,19 +115,12 @@ class ExactScalar:
         if q != 1:
             r = r / q
         s, f = _square_free_split(v.numerator * q)
-        return ExactScalar(r if s == 1 else r * s, f)
+        r = r if s == 1 else r * s
+        return r if f == 1 else ExactScalar(r, f)
 
     @staticmethod
-    def sqrt(x) -> "ExactScalar":
+    def sqrt(x) -> "ParamValue":
         return ExactScalar.of(1, x)
-
-    def is_rational(self) -> bool:
-        return self.rad == 1 or self.rat == 0
-
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.rat if self.rad == 1 else Fraction(0)
 
     def __neg__(self) -> "ExactScalar":
         return ExactScalar(-self.rat, self.rad)
@@ -125,45 +128,44 @@ class ExactScalar:
     def __abs__(self) -> "ExactScalar":
         return ExactScalar(abs(self.rat), self.rad)
 
-    def times(self, other: "ExactScalar") -> "ExactScalar":
-        return ExactScalar.of(self.rat * other.rat, self.rad * other.rad)
+    def __mul__(self, other) -> "ParamValue":
+        if other.__class__ is ExactScalar:
+            return ExactScalar.of(self.rat * other.rat, self.rad * other.rad)
+        if other.__class__ is Fraction or other.__class__ is int:
+            return ExactScalar.of(self.rat * other, self.rad)
+        return NotImplemented
 
-    def square(self) -> Fraction:
-        return self.rat * self.rat * self.rad
+    __rmul__ = __mul__
 
-    def sign(self) -> int:
-        return (self.rat > 0) - (self.rat < 0)
+    def __lt__(self, other) -> bool:
+        return _signed_square(self) < _signed_square(other)
 
-    def _cmp_key(self) -> tuple[int, Fraction]:
-        return (self.sign(), self.square() * self.sign())
+    def __le__(self, other) -> bool:
+        return _signed_square(self) <= _signed_square(other)
 
-    def __lt__(self, other: "ExactScalar") -> bool:
-        return self._cmp_key() < other._cmp_key()
+    def __gt__(self, other) -> bool:
+        return _signed_square(self) > _signed_square(other)
 
-    def __le__(self, other: "ExactScalar") -> bool:
-        return self._cmp_key() <= other._cmp_key()
+    def __ge__(self, other) -> bool:
+        return _signed_square(self) >= _signed_square(other)
 
     def __str__(self) -> str:
-        if self.rad == 1 or self.rat == 0:
-            return format_frac(self.rat)
         if self.rat == 1:
             return f"sqrt({self.rad})"
         if self.rat == -1:
             return f"-sqrt({self.rad})"
-        return f"{format_frac(self.rat)}*sqrt({self.rad})"
+        return f"{self.rat}*sqrt({self.rad})"
 
 
 ParamValue = Union[Fraction, ExactScalar]
 
 
-def param_str(p: ParamValue) -> str:
-    if isinstance(p, Fraction):
-        return format_frac(p)
-    return str(p)
-
-
-def as_exact(p: ParamValue) -> ExactScalar:
-    return p if isinstance(p, ExactScalar) else ExactScalar.of(p)
+def _signed_square(x: ParamValue) -> Fraction:
+    """x * |x|, the order key of both scalar classes: it is strictly
+    increasing in x and rational for an ``ExactScalar``."""
+    if x.__class__ is ExactScalar:
+        return x.rat * abs(x.rat) * x.rad
+    return x * abs(x)
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ class CanonicalForm:
     """Scaling-normalized spectral data of a matrix: its blocks, scaled."""
 
     blocks: tuple[tuple, ...]
-    scaling_applied: ExactScalar
+    scaling_applied: ParamValue
 
     def describe(self) -> str:
         return " + ".join(f"[{vals[0]}]x{size}" if kind == "r" else
@@ -183,7 +185,7 @@ def _nonzero_rationals(st: EigenStructure) -> list[Fraction]:
     return [v for kind, _, v, *_ in st.blocks if kind == "r" and v != 0]
 
 
-def _candidate_scalings(st: EigenStructure) -> list[ExactScalar]:
+def _candidate_scalings(st: EigenStructure) -> list[ParamValue]:
     """Designated scaling candidates per the normalization conventions,
     with both sign choices when signs are free."""
     pairs = st.complex_pairs()
@@ -191,16 +193,16 @@ def _candidate_scalings(st: EigenStructure) -> list[ExactScalar]:
         base = ExactScalar.sqrt(Fraction(1) / max(q2 for _, q2 in pairs))
         return [base, -base]
     reals = [(v, size) for kind, size, v, *_ in st.blocks if kind == "r"]
-    return [ExactScalar.of(Fraction(1) / _pivot(reals))]
+    return [Fraction(1) / _pivot(reals)]
 
 
-def _scaled_blocks(st: EigenStructure, c: ExactScalar) -> tuple[tuple, ...]:
+def _scaled_blocks(st: EigenStructure, c: ParamValue) -> tuple[tuple, ...]:
     """The blocks of ``st`` with every eigenvalue times c, sorted by
     :func:`_block_key`."""
-    c2 = c.square()
+    c2 = c * c
     return tuple(sorted(
-        ((kind, size, ExactScalar.of(vals[0]).times(c)) if kind == "r" else
-         (kind, size, ExactScalar.of(vals[0]).times(c), ExactScalar.sqrt(vals[1] * c2))
+        ((kind, size, vals[0] * c) if kind == "r" else
+         (kind, size, vals[0] * c, ExactScalar.sqrt(vals[1] * c2))
          for kind, size, *vals in st.blocks), key=_block_key))
 
 
@@ -284,9 +286,9 @@ def proportional_similar(a: Matrix, b: Matrix
     if not candidates:
         # fully nilpotent spectra: any nonzero scalar preserves the form
         candidates = {Fraction(1)}
-    blocks_b = _scaled_blocks(st_b, ExactScalar.of(1))
+    blocks_b = _scaled_blocks(st_b, Fraction(1))
     for c in sorted(candidates):
-        if c == 0 or _scaled_blocks(st_a, ExactScalar.of(c)) != blocks_b:
+        if c == 0 or _scaled_blocks(st_a, c) != blocks_b:
             continue
         scaled = a.scale(c)
         witness = _intertwiner(scaled, b)

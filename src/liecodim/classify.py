@@ -37,8 +37,9 @@ vector, a positive multiple L*p of the rational point p it stands for (L
 the lcm of p's denominators, or of the grid values' denominators on a
 Cartesian grid), so it lies on the same line with the same orientation,
 and its line key costs one ``gcd``.  The matchers are exact on ``int`` and
-``Fraction`` entries alike, and every parameter they return is a
-``Fraction`` or an ``ExactScalar``.
+``Fraction`` entries alike, and every parameter they return has one form:
+a ``Fraction`` when it is rational, else an ``ExactScalar`` r*sqrt(k), so
+parameters compare with ``==`` and print with ``str``.
 
 Every family is one table row: on an abelian base a block recipe of real
 Jordan and complex blocks (``_ABELIAN_FAMILIES``), on h3, r⊕h3 and g4 a
@@ -73,8 +74,6 @@ from .canon import (
     ParamValue,
     _pivot,
     _pivot_sorted,
-    as_exact,
-    param_str,
     proportional_normalize,
     proportional_similar,
 )
@@ -136,27 +135,6 @@ class GoldenMismatch(Exception):
         self.expected = set(expected)
         super().__init__(f"found families {sorted(found)} but expected "
                          f"{sorted(expected)}{'; ' + detail if detail else ''}")
-
-
-def _rational_point(p: Sequence[ParamValue]) -> bool:
-    return all(isinstance(x, Fraction) or x.is_rational() for x in p)
-
-
-def _as_fraction(p: ParamValue) -> Fraction:
-    return p if isinstance(p, Fraction) else p.to_fraction()
-
-
-def _sgn(p: ParamValue) -> int:
-    if isinstance(p, Fraction):
-        return (p.numerator > 0) - (p.numerator < 0)
-    return p.sign()
-
-
-def _params_equal(a: Sequence[ParamValue], b: Sequence[ParamValue]) -> bool:
-    # Within one class values compare directly (ExactScalar is canonical).
-    return len(a) == len(b) and all(
-        x == y if x.__class__ is y.__class__ else as_exact(x) == as_exact(y)
-        for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -377,29 +355,30 @@ def _classify_h3_ext2(flat: Sequence[Fraction]) -> MatchResult:
 
 
 def _cc_canonical(pairs: Sequence[tuple[Fraction, Fraction]]
-                  ) -> tuple[ParamValue, ParamValue, ExactScalar]:
+                  ) -> tuple[ParamValue, ParamValue, ParamValue]:
     """Canonical parameters for two complex pair blocks.
 
     The pair with the larger imaginary part is scaled to unit imaginary
     part (so the other pair keeps q in (0, 1]); the free scalar sign and
-    any remaining tie are resolved by lexicographic minimum.
+    any remaining tie are resolved by lexicographic minimum.  Each value is
+    a ``Fraction`` when it is rational, so a recipe's constant 1 fits q.
     """
     c2 = Fraction(1) / max(q2 for _, q2 in pairs)
-    # Per pair: scaled q^2, then ExactScalar._cmp_key data of its real part.
-    rel = [(q2 * c2, _sgn(p), p * p * c2, p) for (p, q2) in pairs]
+    # Per pair: scaled q^2, then the order key of its scaled real part
+    # p*sqrt(c2), the signed square p*|p|*c2 (canon._signed_square).
+    rel = [(q2 * c2, p * abs(p) * c2, p) for (p, q2) in pairs]
     best = None
     for sgn in (1, -1):
         # normalized (largest) pair first, then smaller imaginary parts
-        scaled = sorted(((q, (sgn * s, sq if sgn * s >= 0 else -sq), sgn * p)
-                         for q, s, sq, p in rel), key=lambda t: (-t[0], t[1]))
+        scaled = sorted(((q, sgn * sq, sgn * p) for q, sq, p in rel),
+                        key=lambda t: (-t[0], t[1]))
         if best is None or [t[:2] for t in scaled] < [t[:2] for t in best]:
             best = scaled
     (q2_a, _, p_a), (q2_b, _, p_b) = best
     if q2_a != 1:
         raise AssertionError("internal: designated pair not normalized")
     inv = ExactScalar.sqrt(c2)
-    return (ExactScalar.of(p_a).times(inv), ExactScalar.of(p_b).times(inv),
-            ExactScalar.sqrt(q2_b))
+    return p_a * inv, p_b * inv, ExactScalar.sqrt(q2_b)
 
 
 def _classify_gl2_flat(flat: Sequence[Fraction]) -> MatchResult:
@@ -552,15 +531,13 @@ def _normal_blocks(spectrum) -> list[tuple]:
         inv = ExactScalar.sqrt(Fraction(1) / q2)
         lead = p or (_pivot_sorted([v for v, _ in reals]) or [1])[0]
         factor = 1 if lead > 0 else -1
-        head = [("c", size, ExactScalar.of(abs(p)).times(inv), Fraction(1))]
+        head = [("c", size, abs(p) * inv, Fraction(1))]
     else:
         factor = Fraction(1) / _pivot(reals)
         head = []
     scaled = _pivot_sorted([(v * factor, s) for v, s in reals],
                            lambda vs: vs[0])
-    # A zero stays a Fraction, equal to a recipe's constant 0.
-    return head + [("r", s, ExactScalar.of(v).times(inv) if pairs and v else v)
-                   for v, s in scaled]
+    return head + [("r", s, v * inv if pairs else v) for v, s in scaled]
 
 
 def _fit(recipe, blocks) -> Optional[dict[str, ParamValue]]:
@@ -576,7 +553,7 @@ def _fit(recipe, blocks) -> Optional[dict[str, ParamValue]]:
         if i is None:
             return None
         for w, x in zip(spec, rest.pop(i)[2:]):
-            if isinstance(w, str) and (kind == "r" and _sgn(x) == 0 or
+            if isinstance(w, str) and (kind == "r" and x == 0 or
                                        values.setdefault(w, x) != x):
                 return None
     return values
@@ -717,12 +694,8 @@ def _template(name, param_names, domain_desc, build, match) -> FamilyTemplate:
     accepted: list[tuple[Fraction, ...]] = []
 
     def in_domain(point) -> bool:
-        if not _rational_point(point):
-            return False
-        point = tuple(map(_as_fraction, point))
-        outcome = match(point)
-        return (outcome is not None and outcome[0] == name
-                and _params_equal(outcome[1], point))
+        return (all(x.__class__ is Fraction for x in point)
+                and match(point) == (name, point))
 
     def sample(count: int) -> list[tuple[Fraction, ...]]:
         """The first ``count`` (at least one) in-domain candidates."""
@@ -1432,7 +1405,7 @@ def _classify_point(key: str, mode: str, sweep: SweepSpace,
                     coeffs: Sequence[Fraction]) -> tuple:
     """The outcome of one sweep point: ``("nonmember",)``,
     ``("filtered",)``, ``("skip",)`` or ``("match", name, params)`` with
-    the parameters as ``param_str`` texts."""
+    the parameters as ``str`` texts."""
     flat = sweep.to_flat(coeffs)
     if mode == "ext2ad":
         filters = _ext2_filters(key, flat, sweep.n)
@@ -1447,7 +1420,7 @@ def _classify_point(key: str, mode: str, sweep: SweepSpace,
     if outcome is None:
         return ("nonmember",)
     name, params = outcome
-    return ("match", name, tuple(param_str(p) for p in params))
+    return ("match", name, tuple(map(str, params)))
 
 
 def _sweep_lines(points: Sequence[tuple[int, ...]]
@@ -1572,11 +1545,10 @@ def _verify_template(entry: CatalogEntry, mode: str,
         if outcome is None or outcome[0] != t.name:
             raise AmbiguousMatch(
                 f"template {t.name} instantiation matched {outcome}")
-        if not _params_equal(outcome[1], params):
+        if outcome[1] != params:
             raise AmbiguousMatch(
                 f"template {t.name} parameter round trip failed: "
-                f"{[param_str(p) for p in params]} -> "
-                f"{[param_str(p) for p in outcome[1]]}")
+                f"{list(map(str, params))} -> {list(map(str, outcome[1]))}")
         if not t.in_domain(outcome[1]):
             raise AmbiguousMatch(
                 f"template {t.name} produced out-of-domain parameters")

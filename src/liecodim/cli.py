@@ -29,7 +29,7 @@ from typing import Any, Callable, Optional
 from .canon import AmbiguousMatch
 from .classify import GoldenMismatch, GridSpec, catalog, classify_extensions
 from .deriv import NotADerivation, derivation_space
-from .exactla import Matrix, NotInvertible, format_frac, frac
+from .exactla import Matrix, NotInvertible, frac
 from .ext import (
     ConditionDisagreement,
     IdentityFails,
@@ -75,7 +75,7 @@ def _parse_rational(text: Any, where: str) -> Fraction:
 def algebra_to_document(alg: LieAlgebra) -> dict:
     brackets = []
     for (i, j), v in alg.table:
-        coeffs = {str(k + 1): format_frac(c) for k, c in enumerate(v) if c != 0}
+        coeffs = {str(k + 1): str(c) for k, c in enumerate(v) if c != 0}
         brackets.append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
     doc: dict[str, Any] = {"dim": alg.dim, "brackets": brackets}
     if alg.name:
@@ -123,7 +123,7 @@ def algebra_from_document(doc: Any, skip_jacobi: bool = False) -> LieAlgebra:
 
 def matrix_to_document(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
-            "entries": [format_frac(x) for row in m.entries for x in row]}
+            "entries": [str(x) for row in m.entries for x in row]}
 
 
 def matrix_from_document(doc: Any) -> Matrix:
@@ -194,7 +194,7 @@ def cmd_validate(args) -> int:
         alg = algebra_from_document(doc)
     except JacobiViolation as exc:
         print(f"Jacobi identity fails on basis triple {exc.triple}; "
-              f"residual {[format_frac(x) for x in exc.residual]}")
+              f"residual {list(map(str, exc.residual))}")
         return EXIT_VERDICT
     print(f"valid Lie algebra of dimension {alg.dim}"
           + (f" ({alg.name})" if alg.name else ""))

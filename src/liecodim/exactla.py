@@ -96,13 +96,6 @@ def frac(x: Scalar) -> Fraction:
 _RATIONAL_CLASSES = frozenset((int, Fraction))
 
 
-def format_frac(x: Fraction) -> str:
-    """Render a rational as 'p' or 'p/q' (never as a float)."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _fractions(v: Iterable) -> list[Fraction]:
     """The entries of ``v`` coerced through ``frac``; a ``Fraction`` is kept
     as it is."""
@@ -314,7 +307,7 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def __str__(self) -> str:
-        grid = [[format_frac(x) for x in row] for row in self.entries]
+        grid = [[str(x) for x in row] for row in self.entries]
         widths = [max(len(grid[i][j]) for i in range(self.rows)) for j in range(self.cols)] \
             if self.rows else []
         return "\n".join(

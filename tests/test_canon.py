@@ -2,6 +2,7 @@
 scaling conventions, and the similarity witness."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,31 +19,60 @@ def M(rows):
     return Matrix.from_rows(rows)
 
 
+def _sympy_value(sympy, x):
+    """The sympy number of a Fraction or an ExactScalar."""
+    if type(x) is Fraction:
+        return sympy.Rational(x.numerator, x.denominator)
+    return sympy.Rational(x.rat.numerator, x.rat.denominator) * sympy.sqrt(x.rad)
+
+
 class TestExactScalar:
+    """A rational value is a Fraction; an ExactScalar is irrational."""
+
     def test_radicand_is_canonical(self):
         assert ExactScalar.of(2, 8) == ExactScalar.of(4, 2)
         assert ExactScalar.of(1, F(1, 2)) == ExactScalar(F(1, 2), 2)
-        assert ExactScalar.of(3, 9) == ExactScalar(F(9), 1)
-        assert ExactScalar.of(0, 5) == ExactScalar(F(0), 1)
+        for rat, rad, value in ((3, 9, F(9)), (0, 5, F(0)), (1, 1, F(1)),
+                                (F(1, 2), F(4, 9), F(1, 3))):
+            got = ExactScalar.of(rat, rad)
+            assert type(got) is Fraction and got == value
+        assert ExactScalar.of(1) == F(1) and F(1) == ExactScalar.of(1)
+        assert ExactScalar.sqrt(F(9, 4)) == F(3, 2)
+        assert ExactScalar.sqrt(2) != F(1) and F(1) != ExactScalar.sqrt(2)
+        for rat, rad in ((F(9), 1), (F(0), 5), (F(1), 0), (F(2), -3)):
+            with pytest.raises(ValueError):
+                ExactScalar(rat, rad)
 
     def test_ordering_agrees_with_signed_squares(self):
+        # Seeded pairs of Fractions and ExactScalars, either class on either
+        # side, against sympy: the comparisons and the product.
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(20250801)
 
         def draw():
-            return ExactScalar.of(F(rng.randint(-9, 9), rng.randint(1, 4)),
-                                  rng.choice((1, 2, 3, 5, 6, F(1, 2), 12)))
+            return ExactScalar.of(F(rng.randint(-6, 6), rng.randint(1, 3)),
+                                  rng.choice((1, 2, 3, 4, 6, F(1, 2), 8, 12)))
 
-        def signed_square(x):
-            return x.sign() * x.square()
-
-        for _ in range(500):
+        kinds = Counter()
+        for _ in range(600):
             x, y = draw(), draw()
-            assert (x < y) == (signed_square(x) < signed_square(y))
-            assert (x <= y) == (signed_square(x) <= signed_square(y))
+            kinds[type(x).__name__, type(y).__name__] += 1
+            sx, sy = _sympy_value(sympy, x), _sympy_value(sympy, y)
+            assert (x == y) == bool(sympy.Eq(sx, sy)), (x, y)
+            assert (x < y) == bool(sx < sy), (x, y)
+            assert (x <= y) == bool(sx <= sy), (x, y)
+            assert (x > y) == bool(sx > sy), (x, y)
+            assert (x >= y) == bool(sx >= sy), (x, y)
+            product = x * y
+            assert _sympy_value(sympy, product) == sx * sy, (x, y)
+            assert type(product) is Fraction or product.rad > 1
+        assert len(kinds) == 4 and min(kinds.values()) > 50
 
     def test_of_agrees_with_the_plain_formula(self):
         # Seeded int and Fraction rationals and radicands, zeros and
-        # perfect squares among them, against the formula of the oracle.
+        # perfect squares among them: a Fraction exactly when sympy finds
+        # the value rational, else the parts of the oracle's formula.
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(91)
 
         def rational(bound):
@@ -55,13 +85,25 @@ class TestExactScalar:
             rad = abs(rational(200)) if rng.randrange(4) else \
                 rng.randint(0, 12) ** 2
             got = ExactScalar.of(rat, rad)
-            assert (got.rat, got.rad) == exact_scalar_parts(rat, rad)
-            assert type(got.rat) is Fraction and type(got.rad) is int
-        assert ExactScalar.of(0, -3) == ExactScalar.of(F(2, 3), 0) \
-            == ExactScalar(F(0), 1)
+            value = sympy.Rational(F(rat).numerator, F(rat).denominator) \
+                * sympy.sqrt(sympy.Rational(F(rad).numerator, F(rad).denominator))
+            if value.is_rational:
+                assert type(got) is Fraction
+                assert sympy.Rational(got.numerator, got.denominator) == value
+            else:
+                assert (got.rat, got.rad) == exact_scalar_parts(rat, rad)
+                assert type(got.rat) is Fraction and type(got.rad) is int
+        assert ExactScalar.of(0, -3) == ExactScalar.of(F(2, 3), 0) == F(0)
         for rad in (-3, F(-1, 2)):
             with pytest.raises(ValueError, match="radicand"):
                 ExactScalar.of(1, rad)
+
+    def test_of_rejects_floats(self):
+        for rat, rad in ((0.1, 1), (0.5, 1), (1, 2.0)):
+            with pytest.raises(TypeError, match="as a rational"):
+                ExactScalar.of(rat, rad)
+        with pytest.raises(TypeError, match="as a rational"):
+            ExactScalar.sqrt(2.0)
 
     @pytest.mark.parametrize("rat, rad, text", [
         (3, 1, "3"),

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import pytest
 
 from liecodim import classify, exactla
-from liecodim.canon import AmbiguousMatch, ExactScalar, param_str
+from liecodim.canon import AmbiguousMatch, ExactScalar
 from liecodim.classify import GridSpec, classify_extensions
 from liecodim.cli import canonical_json
 from liecodim.exactla import (Matrix, Subspace, UnsupportedSpectrumError,
@@ -695,7 +695,7 @@ def test_abelian_families_round_trip(sweep):
         for params in t.sample(3):
             outcome = classifier(t.build(params).flatten())
             assert outcome[0] == t.name
-            assert classify._params_equal(outcome[1], params)
+            assert outcome[1] == params
             assert t.in_domain(outcome[1])
 
 
@@ -710,6 +710,16 @@ def test_j2_with_negative_eigenvalue_lands_in_its_domain():
     assert not j2.in_domain((Fraction(-2), Fraction(2)))
 
 
+def test_fit_matches_a_recipe_constant_with_an_exact_scalar():
+    """A rational ExactScalar.of value is a Fraction, so it fits a recipe's
+    Fraction constant."""
+    assert classify._fit([("r", 1, Fraction(1))],
+                         [("r", 1, ExactScalar.of(1))]) == {}
+    assert classify._fit([("c", 1, "a", Fraction(1))],
+                         [("c", 1, ExactScalar.sqrt(2), ExactScalar.sqrt(1))]
+                         ) == {"a": ExactScalar.sqrt(2)}
+
+
 def _outcome(classifier, flat):
     try:
         outcome = classifier(flat)
@@ -717,7 +727,7 @@ def _outcome(classifier, flat):
         return "skip"
     if outcome is None:
         return None
-    return outcome[0], tuple(param_str(p) for p in outcome[1])
+    return outcome[0], tuple(map(str, outcome[1]))
 
 
 def test_gl2_fast_path_agrees_with_table_matcher():
@@ -790,7 +800,7 @@ def test_shaped_template_samples_are_pinned():
             for params in expected:
                 name, found = classifier(t.build(params).flatten())
                 assert name == t.name
-                assert classify._params_equal(found, params)
+                assert found == params
             total += len(expected)
     assert total == 165
 
