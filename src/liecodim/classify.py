@@ -36,10 +36,16 @@ explicit points are keyed one by one.  Every sweep point is an integer
 vector, a positive multiple L*p of the rational point p it stands for (L
 the lcm of p's denominators, or of the grid values' denominators on a
 Cartesian grid), so it lies on the same line with the same orientation,
-and its line key costs one ``gcd``.  The matchers are exact on ``int`` and
-``Fraction`` entries alike, and every parameter they return has one form:
-a ``Fraction`` when it is rational, else an ``ExactScalar`` r*sqrt(k), so
-parameters compare with ``==`` and print with ``str``.
+and its line key costs one ``gcd``.  Many lines share an outcome, so a
+(base, mode) may also key each line by the matcher's exact invariants
+(``_LINE_KEYS``), read off the line's ``int`` flat in integer arithmetic:
+lines with equal invariant keys have equal outcomes, so within one sweep
+call only the first line of each key meets the filters and the matcher.
+That memo lives for the one call; nothing is cached across calls.  The
+matchers are exact on ``int`` and ``Fraction`` entries alike, and every
+parameter they return has one form: a ``Fraction`` when it is rational,
+else an ``ExactScalar`` r*sqrt(k), so parameters compare with ``==`` and
+print with ``str``.
 
 Every family is one table row: on an abelian base a block recipe of real
 Jordan and complex blocks (``_ABELIAN_FAMILIES``), on h3, r⊕h3 and g4 a
@@ -431,6 +437,49 @@ def _ext2_filters(key: str, flat: Sequence[Fraction], size: int) -> dict[str, bo
         indecomposable = (a + b == 0 and h != 0)
         return {"member": member, "outer": outer, "indecomposable": indecomposable}
     raise ValueError(f"no ad-pair filters for base {key}")
+
+
+# Line keys (used by ``_run_sweep``): a key is built from a sweep line's
+# ``int`` flat in integer arithmetic, and two flats with equal keys have
+# equal ``_classify_point`` outcomes (a skip included); ``None`` means the
+# line is classified on its own.  A key names the invariants the matcher
+# reads: |trace| and the discriminant of an invertible 2x2 pair block
+# (which fix its spectrum up to sign), and whether a zero-discriminant
+# block is scalar; g4's two nonzero tail eigenvalues and whether its
+# coupling slot is nonzero.  A singular pair block or g4 tail is a
+# nonmember, one key.  On the abelian bases of dimension n >= 3 a flat with
+# fewer than n nonzero entries has rank below n, so it is a nonmember in
+# both modes, one key too.
+_SINGULAR = "singular"
+_RANK_DEFICIENT = "rank-deficient"
+
+
+def _gl2_key(a: int, b: int, c: int, d: int):
+    if a * d == b * c:
+        return _SINGULAR
+    disc = (a - d) ** 2 + 4 * b * c
+    return abs(a + d), disc, disc == 0 and b == c == 0
+
+
+def _g4_key(flat: Sequence[int]):
+    a, b = flat[10], flat[15]
+    if a * b == 0:
+        return _SINGULAR
+    return a, b, flat[11] != 0
+
+
+def _rank_key(n: int, flat: Sequence[int]) -> Optional[str]:
+    return _RANK_DEFICIENT if len(flat) - flat.count(0) < n else None
+
+
+_LINE_KEYS: dict[tuple[str, str], Callable[[Sequence[int]], object]] = {
+    ("r2", "ext1"): lambda f: _gl2_key(f[0], f[1], f[2], f[3]),
+    ("h3", "ext1"): lambda f: _gl2_key(f[4], f[5], f[7], f[8]),
+    ("g4", "ext1"): _g4_key,
+    ("r3", "ext1"): partial(_rank_key, 3),
+    ("r4", "ext1"): partial(_rank_key, 4),
+    ("r3", "ext2ad"): partial(_rank_key, 3),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1406,9 +1455,17 @@ def _classify_point(key: str, mode: str, sweep: SweepSpace,
     """The outcome of one sweep point: ``("nonmember",)``,
     ``("filtered",)``, ``("skip",)`` or ``("match", name, params)`` with
     the parameters as ``str`` texts."""
-    flat = sweep.to_flat(coeffs)
+    return _classify_flat(key, mode, sweep.n, classifier,
+                          sweep.to_flat(coeffs))
+
+
+def _classify_flat(key: str, mode: str, size: int,
+                   classifier: Callable[[Vector], MatchResult],
+                   flat: Vector) -> tuple:
+    """``_classify_point`` on the sweep point's flat ``size`` x ``size``
+    matrix."""
     if mode == "ext2ad":
-        filters = _ext2_filters(key, flat, sweep.n)
+        filters = _ext2_filters(key, flat, size)
         if not filters["member"]:
             return ("nonmember",)
         if not (filters["outer"] and filters["indecomposable"]):
@@ -1478,12 +1535,31 @@ def _run_sweep(key: str, mode: str, points: Sequence[tuple[int, ...]]
     makes the orientation a choice: when the largest |eigenvalue| of an r3
     or r4 diagonal point is tied between signs, D and -D get different
     canonical parameters of the same family, and the line takes those of
-    the side of its first point in the sweep."""
+    the side of its first point in the sweep.
+
+    Where the (base, mode) has a line key (``_LINE_KEYS``), lines with
+    equal keys have equal outcomes, so only the first line of each key is
+    classified and the others take its outcome from a memo; a line whose
+    key is ``None`` is classified on its own.  The memo lives for this one
+    call, and it is keyed by the (base, mode), not by the classifier, so a
+    classifier replaced on the catalog entry (wrapped for tracing, say) is
+    still called once per key."""
     lines = _sweep_lines(points)
-    outcome_of = partial(_classify_point, key, mode, _sweep_space(key, mode),
+    sweep = _sweep_space(key, mode)
+    outcome_of = partial(_classify_flat, key, mode, sweep.n,
                          _classifier(catalog()[key], mode))
+    line_key = _LINE_KEYS.get((key, mode), lambda flat: None)
+    memo: dict = {}
     # Replacing values, not keys, is safe while iterating the table.
-    for line, outcome in zip(lines, map(outcome_of, lines)):
+    for line in lines:
+        flat = sweep.to_flat(line)
+        k = line_key(flat)
+        if k is None:
+            outcome = outcome_of(flat)
+        else:
+            outcome = memo.get(k)
+            if outcome is None:
+                outcome = memo[k] = outcome_of(flat)
         lines[line] = (lines[line], outcome)
     return lines
 

@@ -40,9 +40,9 @@ from oracles import per_point_outcomes, structured_sweep_integer_points
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
 
-# Nine of the ten default sweeps (about 1.5 s together in one fresh process
+# Nine of the ten default sweeps (1.2-1.3 s together in one fresh process
 # on a 2-core VM), every sweep of the three benchmark workloads among them;
-# r4/ext1 (3.2-3.9 s there, most of it template sampling) is marked slow,
+# r4/ext1 (2.8-3.5 s there, most of it template sampling) is marked slow,
 # which tier-1 deselects (run it with ``pytest -m slow``).  r3/ext2ad is the
 # ext2ad sweep with the most random conjugates (24).
 CHEAP_SWEEPS = ("r1/ext1", "r3/ext1", "r2/ext2ad", "h3/ext2ad", "r3/ext2ad",
@@ -160,6 +160,113 @@ def test_line_table_agrees_with_the_per_point_oracle(sweep, grid, cartesian):
         assert minus in lines
         assert classify._point_outcome(lines, d) \
             == _outcome_of(base, mode)(minus) != _outcome_of(base, mode)(d)
+
+
+def _pair_blocks(rng):
+    """Seeded 2x2 blocks (a, b, c, d) with entries in -40..40: a random
+    block and, built from it, a singular one, a scalar one, a Jordan one
+    (zero discriminant, not scalar), one with a rational spectrum and one
+    with a complex spectrum."""
+    a, b, c, d = (rng.randint(-40, 40) for _ in range(4))
+    s, t, k = (rng.randint(-4, 4) for _ in range(3))
+    a = a // 2  # a +- s*t stays inside -40..40
+    return [(a, b, c, d), (a, b, k * a, k * b), (a, 0, 0, a),
+            (a + s * t, s * s, -t * t, a - s * t), (a, b, 0, d),
+            (a, -b, b, a)]
+
+
+def _tail_blocks(rng):
+    """Seeded g4 tails (a, b, c, e) with entries in -40..40: the tail
+    eigenvalues a and b, zero or equal, and the coupling slot c."""
+    a, b, c, e = (rng.randint(-40, 40) for _ in range(4))
+    return [(a, b, c, e), (a, a, c, e), (a, a, 0, e), (0, b, c, e),
+            (a, 0, c, e), (a, b, 0, 0)]
+
+
+def _sparse_point(rng, dim, n):
+    """A seeded point of ``dim`` coordinates in -40..40 with at most n
+    nonzero entries, fewer than n on most draws."""
+    point = [0] * dim
+    for i in rng.sample(range(dim), rng.randint(0, n)):
+        point[i] = rng.choice((1, -1)) * rng.randint(1, 40)
+    return tuple(point)
+
+
+# Points for each line-keyed (base, mode), from a seeded Random, as sweep
+# coordinates; the shaped bases build their template shape and read its
+# coordinates back.
+_KEYED_POINTS = {
+    ("r2", "ext1"): lambda rng, sweep: _pair_blocks(rng),
+    ("h3", "ext1"): lambda rng, sweep: [
+        sweep.coeffs_of(classify._shape_h3(a, d, b, c))
+        for a, b, c, d in _pair_blocks(rng)],
+    ("g4", "ext1"): lambda rng, sweep: [
+        sweep.coeffs_of(classify._shape_g4(*tail))
+        for tail in _tail_blocks(rng)],
+    ("r3", "ext1"): lambda rng, sweep: [_sparse_point(rng, 9, 3)],
+    ("r4", "ext1"): lambda rng, sweep: [_sparse_point(rng, 16, 4)],
+    ("r3", "ext2ad"): lambda rng, sweep: [_sparse_point(rng, 12, 3)],
+}
+
+
+@pytest.mark.parametrize("base, mode", sorted(classify._LINE_KEYS))
+def test_line_keys_are_exact(base, mode):
+    # Points with equal line keys have one outcome, so the sweep may give a
+    # line the outcome of an earlier line with its key.  Each point comes
+    # with its negative and two integer multiples.
+    assert set(_KEYED_POINTS) == set(classify._LINE_KEYS)
+    sweep = classify._sweep_space(base, mode)
+    line_key = classify._LINE_KEYS[base, mode]
+    outcome_of = _outcome_of(base, mode)
+    rng = random.Random(f"line keys {base}/{mode}")
+    groups = {}
+    for _ in range(60):
+        for point in _KEYED_POINTS[base, mode](rng, sweep):
+            point = tuple(map(int, point))
+            for c in (1, -1, 2, -3):
+                scaled = tuple(c * x for x in point)
+                key = line_key(sweep.to_flat(scaled))
+                if key is not None:
+                    groups.setdefault(key, set()).add(outcome_of(scaled))
+    assert all(len(outcomes) == 1 for outcomes in groups.values()), \
+        {k: v for k, v in groups.items() if len(v) > 1}
+    kinds = {outcome[0] for outcomes in groups.values()
+             for outcome in outcomes}
+    if base in ("r3", "r4"):
+        assert groups == {"rank-deficient": {("nonmember",)}}
+    else:
+        assert groups["singular"] == {("nonmember",)}
+        assert "match" in kinds and len(groups) > 20
+        if base != "g4":
+            assert "skip" in kinds
+
+
+@pytest.mark.parametrize("base", ("r2", "h3", "g4"))
+def test_line_memo_survives_a_replaced_classifier(monkeypatch, base):
+    # The benchmark's tracing replaces the catalog entry's classifier with a
+    # wrapper; the sweep still calls it once per distinct line key, and
+    # every point keeps the outcome of the per-point loop.
+    entry = classify.catalog()[base]
+    original = entry.ext1_classifier
+    calls = []
+
+    def counting(flat):
+        calls.append(flat)
+        return original(flat)
+
+    monkeypatch.setattr(entry, "ext1_classifier", counting)
+    points = classify.sweep_points(base, "ext1", GridSpec())
+    lines = classify._run_sweep(base, "ext1", points)
+    sweep = classify._sweep_space(base, "ext1")
+    line_key = classify._LINE_KEYS[base, "ext1"]
+    keys = {line_key(sweep.to_flat(line)) for line in lines}
+    assert None not in keys
+    assert len(calls) == len(keys) < len(lines) // 10
+    assert {line_key(flat) for flat in calls} == keys
+    monkeypatch.setattr(entry, "ext1_classifier", original)
+    expected = per_point_outcomes(points, classify._line_key,
+                                  _outcome_of(base, "ext1"))
+    assert [classify._point_outcome(lines, p) for p in points] == expected
 
 
 @pytest.mark.parametrize("num_max, den_max",
