@@ -19,29 +19,31 @@ automorphisms used for conjugation and in the membership condition
 Each sweep point travels as its flat row-major matrix (a ``Vector``): the
 sweep space maps coordinates to slots through a plan computed once, and a
 classifier builds a ``Matrix`` only where it needs a determinant, rank or
-spectrum.  The sweep classifies each line through the origin once: D and
-c*D (c a nonzero rational) are proportionally similar and give isomorphic
-extensions, in codimension one and for the ad-pair extensions alike, so
-the two-step filters and the matcher run once per line, at its primitive
-integer vector in ``int`` arithmetic, and every point on it shares the
-outcome.  The sweep's points form a lazy sequence of blocks, indexed
-without being stored: on a Cartesian grid the integer grid itself, and
-otherwise the template and conjugate points, the block of points supported
-on one or two coordinates, and the random points.  The sweep stage works
-on a table of lines with their point counts, built block by block: a
-Cartesian grid mirrors itself through zero, so its lines are counted on
-its negative half; the axis-and-pair block's lines are one line per axis
-and one table of value-pair lines per pair of axes, in closed form; the
-explicit points are keyed one by one.  Every sweep point is an integer
-vector, a positive multiple L*p of the rational point p it stands for (L
-the lcm of p's denominators, or of the grid values' denominators on a
-Cartesian grid), so it lies on the same line with the same orientation,
-and its line key costs one ``gcd``.  Many lines share an outcome, so a
-(base, mode) may also key each line by the matcher's exact invariants
-(``_LINE_KEYS``), read off the line's ``int`` flat in integer arithmetic:
-lines with equal invariant keys have equal outcomes, so within one sweep
-call only the first line of each key meets the filters and the matcher.
-That memo lives for the one call; nothing is cached across calls.  The
+spectrum.  The sweep classifies each class of points once: D and c*D (c a
+nonzero rational) are proportionally similar and give isomorphic
+extensions, in codimension one and for the ad-pair extensions alike, so a
+point's class can be read off the point at any nonzero multiple.  A
+(base, mode) may key its points by the matcher's exact invariants
+(``_LINE_KEYS``), read off a point's ``int`` coordinates and their gcd g in
+integer arithmetic: the key is projective, equal at every nonzero multiple
+of a point, and points with equal keys have equal outcomes.  Without a key
+a point's class is its line through the origin.  The two-step filters and
+the matcher run once per class, at the primitive integer vector of its
+first point's line in ``int`` arithmetic, and every point of the class
+shares the outcome.  The sweep's points form a lazy sequence of blocks,
+indexed without being stored: on a Cartesian grid the integer grid itself,
+and otherwise the template and conjugate points, the block of points
+supported on one or two coordinates, and the random points.  A Cartesian
+grid mirrors itself through zero, so its points are folded into classes on
+its negative half, with no line table.  A structured sweep first builds a
+table of lines with their point counts, block by block: the axis-and-pair
+block's lines are one line per axis and one table of value-pair lines per
+pair of axes, in closed form; the explicit points are keyed one by one.
+Every sweep point is an integer vector, a positive multiple L*p of the
+rational point p it stands for (L the lcm of p's denominators, or of the
+grid values' denominators on a Cartesian grid), so it lies on the same line
+with the same orientation, and its line costs one ``gcd``.  The class
+table lives for one sweep call; nothing is cached across calls.  The
 matchers are exact on ``int`` and ``Fraction`` entries alike, and every
 parameter they return has one form: a ``Fraction`` when it is rational,
 else an ``ExactScalar`` r*sqrt(k), so parameters compare with ``==`` and
@@ -439,42 +441,60 @@ def _ext2_filters(key: str, flat: Sequence[Fraction], size: int) -> dict[str, bo
     raise ValueError(f"no ad-pair filters for base {key}")
 
 
-# Line keys (used by ``_run_sweep``): a key is built from a sweep line's
-# ``int`` flat in integer arithmetic, and two flats with equal keys have
-# equal ``_classify_point`` outcomes (a skip included); ``None`` means the
-# line is classified on its own.  A key names the invariants the matcher
+# Class keys (used by ``_run_sweep``): a sweep point's class is read off its
+# ``int`` coordinates c and g = gcd(c) (1 for the zero point) in integer
+# arithmetic, and equals the key of the line's primitive vector c // g, so a
+# key is projective: equal at every nonzero multiple of a point, negatives
+# included.  Two points with equal keys have equal ``_classify_point``
+# outcomes (a skip included); ``None`` means the point's class is its line,
+# ``_line_key`` (``_point_class``).  A key names the invariants the matcher
 # reads: |trace| and the discriminant of an invertible 2x2 pair block
 # (which fix its spectrum up to sign), and whether a zero-discriminant
-# block is scalar; g4's two nonzero tail eigenvalues and whether its
-# coupling slot is nonzero.  A singular pair block or g4 tail is a
-# nonmember, one key.  On the abelian bases of dimension n >= 3 a flat with
-# fewer than n nonzero entries has rank below n, so it is a nonmember in
-# both modes, one key too.
+# block is scalar; g4's two nonzero tail eigenvalues up to a common sign and
+# whether its coupling slot is nonzero.  A singular pair block or g4 tail
+# is a nonmember, one key.  On the abelian bases of dimension n >= 3 a
+# point with fewer than n nonzero coordinates has fewer than n nonzero flat
+# entries (the slot plan copies each coordinate to one slot), so rank below
+# n: a nonmember in both modes, one key too.  Each coordinate reader is
+# written out by hand from the slot plan; a reader compiled from the plan
+# is several times slower.
 _SINGULAR = "singular"
 _RANK_DEFICIENT = "rank-deficient"
 
 
-def _gl2_key(a: int, b: int, c: int, d: int):
+def _h3_pair(c: Sequence[int]) -> tuple[int, int, int, int]:
+    return c[1], c[2], c[3], c[0] - c[1]  # h3/ext1 flat slots 4, 5, 7, 8
+
+
+def _g4_tail(c: Sequence[int]) -> tuple[int, int, int]:
+    return 2 * c[2] - c[0], c[0] - c[2], c[3]  # g4/ext1 slots 10, 15, 11
+
+
+def _gl2_key(block: Sequence[int], g: int):
+    """The key of a 2x2 pair block (a, b, c, d), row-major."""
+    a, b, c, d = block
     if a * d == b * c:
         return _SINGULAR
-    disc = (a - d) ** 2 + 4 * b * c
-    return abs(a + d), disc, disc == 0 and b == c == 0
+    disc = (a - d) * (a - d) + 4 * b * c
+    return abs(a + d) // g, disc // (g * g), disc == 0 and b == c == 0
 
 
-def _g4_key(flat: Sequence[int]):
-    a, b = flat[10], flat[15]
+def _g4_key(c: Sequence[int], g: int):
+    a, b, coupling = _g4_tail(c)
     if a * b == 0:
         return _SINGULAR
-    return a, b, flat[11] != 0
+    if a < 0:
+        g = -g
+    return a // g, b // g, coupling != 0
 
 
-def _rank_key(n: int, flat: Sequence[int]) -> Optional[str]:
-    return _RANK_DEFICIENT if len(flat) - flat.count(0) < n else None
+def _rank_key(n: int, c: Sequence[int], g: int) -> Optional[str]:
+    return _RANK_DEFICIENT if len(c) - c.count(0) < n else None
 
 
-_LINE_KEYS: dict[tuple[str, str], Callable[[Sequence[int]], object]] = {
-    ("r2", "ext1"): lambda f: _gl2_key(f[0], f[1], f[2], f[3]),
-    ("h3", "ext1"): lambda f: _gl2_key(f[4], f[5], f[7], f[8]),
+_LINE_KEYS: dict[tuple[str, str], Callable[[Sequence[int], int], object]] = {
+    ("r2", "ext1"): _gl2_key,  # the coordinates are flat slots 0, 1, 2, 3
+    ("h3", "ext1"): lambda c, g: _gl2_key(_h3_pair(c), g),
     ("g4", "ext1"): _g4_key,
     ("r3", "ext1"): partial(_rank_key, 3),
     ("r4", "ext1"): partial(_rank_key, 4),
@@ -1203,7 +1223,8 @@ def sweep_points(key: str, mode: str,
     sorted and symmetric about zero, so the grid mirrors itself: its middle
     point is zero, point total-1-i is the negative of point i, and every
     point before the middle has a negative first nonzero entry;
-    ``_sweep_lines`` counts the lines on that half.  Otherwise the sweep
+    ``_run_sweep`` folds that half into its projective classes for the
+    one call (``_point_class``).  Otherwise the sweep
     keeps each distinct rational point once, as its ``_integer_point``, in
     three blocks: the template samples and their in-shape conjugates, the
     ``_AxisPairBlock`` of every point supported on one or two coordinates
@@ -1481,30 +1502,15 @@ def _classify_flat(key: str, mode: str, size: int,
 
 
 def _sweep_lines(points: Sequence[tuple[int, ...]]
-                 ) -> dict[tuple[int, ...], int]:
-    """The sweep's lines through the origin, in the order of their first
-    points: each line's primitive integer vector, oriented like its first
-    point, with the number of its points.
+                 ) -> dict[tuple[int, ...], list]:
+    """A structured sweep's lines through the origin, in the order of their
+    first points: each line's ``_line_key`` mapped to [its primitive integer
+    vector oriented like its first point, the number of its points].
 
-    An integer grid (a Cartesian sweep) mirrors itself (see
-    ``sweep_points``), so it is counted on its negative half: there a
-    point's primitive vector is the point divided by the gcd of its
-    entries, already oriented like the line's first point, its
-    lexicographic minimum; each such point has its mirror image in the
-    other half, so it counts twice, and the zero line, the middle point,
-    comes last.  A structured sweep keys each point of its explicit blocks
-    by ``_line_key`` and orients each line like its first point, and adds
-    the axis-and-pair block's lines in closed form.  Any other sequence is
-    one explicit block."""
-    if isinstance(points, _IntegerGrid):
-        middle = len(points) // 2
-        lines = Counter(p if (g := math.gcd(*p)) <= 1
-                        else tuple(map(g.__rfloordiv__, p))
-                        for p in itertools.islice(points, middle))
-        for line in lines:
-            lines[line] *= 2
-        lines[points[middle]] = 1
-        return lines
+    Each point of the explicit blocks is keyed by ``_line_key``, and the
+    axis-and-pair block's lines are added in closed form.  Any other
+    sequence is one explicit block.  A Cartesian grid has no line table:
+    ``_run_sweep`` folds its points into classes directly."""
     table: dict[tuple[int, ...], list] = {}
     blocks = points.blocks if isinstance(points, _SweepPoints) else (points,)
     for block in blocks:
@@ -1519,68 +1525,91 @@ def _sweep_lines(points: Sequence[tuple[int, ...]]
                                1]
             else:
                 entry[1] += 1
-    return dict(table.values())
+    return table
+
+
+def _point_class(key: str, mode: str, point: Sequence[int]) -> object:
+    """The class of an integer sweep point: its (base, mode) key
+    (``_LINE_KEYS``) at the point's coordinates and the gcd g of them (1
+    for the zero point), or the point's line (``_line_key``) where there is
+    no key or the key is ``None``.  Every nonzero multiple of a point has
+    its class, and points of one class have one outcome."""
+    class_key = _LINE_KEYS.get((key, mode))
+    found = None if class_key is None else class_key(
+        point, math.gcd(*point) or 1)
+    return _line_key(point) if found is None else found
 
 
 def _run_sweep(key: str, mode: str, points: Sequence[tuple[int, ...]]
-               ) -> dict[tuple[int, ...], tuple[int, tuple]]:
-    """Classify every line of the sweep once, at its oriented primitive
-    integer vector, so the matchers run on ``int`` entries.
+               ) -> dict[object, tuple[int, tuple]]:
+    """Fold every sweep point into its class (``_point_class``) and
+    classify each class once, at the oriented primitive integer vector of
+    its first point's line, so the matchers run on ``int`` entries.
 
-    Returns the line table of ``_sweep_lines`` with each line's outcome
-    written in place: its oriented vector maps to (number of points,
-    outcome).  A point c*D (c a nonzero rational) is proportionally similar
-    to D, so both give isomorphic algebras with the same outcome, and every
-    point of a line takes the outcome of its vector.  One matcher defect
-    makes the orientation a choice: when the largest |eigenvalue| of an r3
-    or r4 diagonal point is tied between signs, D and -D get different
-    canonical parameters of the same family, and the line takes those of
-    the side of its first point in the sweep.
+    Returns the class table, each class mapped to (number of points,
+    outcome), in the order of the classes' first points.  A point c*D (c a
+    nonzero rational) is proportionally similar to D, so both give
+    isomorphic algebras with the same outcome, and a class key names the
+    matcher's invariants, so every point of a class takes the outcome of
+    its first line.  An integer grid (a Cartesian sweep) mirrors itself
+    (see ``sweep_points``), so it is folded on its negative half, where a
+    point p lies on the line p // gcd(p), oriented like the line's first
+    point; each counts twice, for its mirror image, and the zero point, the
+    middle one, once.  A structured sweep folds the oriented lines of
+    ``_sweep_lines`` with their point counts.  One matcher defect makes the
+    orientation a choice: when the largest |eigenvalue| of an r3 or r4
+    diagonal point is tied between signs, D and -D get different canonical
+    parameters of the same family, and such a point's class is its line (no
+    key), which takes those of the side of its first point in the sweep.
 
-    Where the (base, mode) has a line key (``_LINE_KEYS``), lines with
-    equal keys have equal outcomes, so only the first line of each key is
-    classified and the others take its outcome from a memo; a line whose
-    key is ``None`` is classified on its own.  The memo lives for this one
-    call, and it is keyed by the (base, mode), not by the classifier, so a
-    classifier replaced on the catalog entry (wrapped for tracing, say) is
-    still called once per key."""
-    lines = _sweep_lines(points)
+    The table lives for this one call; nothing is cached across calls.  It
+    is keyed by the (base, mode), not by the classifier, so a classifier
+    replaced on the catalog entry (wrapped for tracing, say) is still
+    called once per class."""
     sweep = _sweep_space(key, mode)
     outcome_of = partial(_classify_flat, key, mode, sweep.n,
                          _classifier(catalog()[key], mode))
-    line_key = _LINE_KEYS.get((key, mode), lambda flat: None)
-    memo: dict = {}
-    # Replacing values, not keys, is safe while iterating the table.
-    for line in lines:
-        flat = sweep.to_flat(line)
-        k = line_key(flat)
-        if k is None:
-            outcome = outcome_of(flat)
+    class_key = _LINE_KEYS.get((key, mode), lambda c, g: None)
+    # (point, gcd, number of points, its line's _line_key or None); the
+    # loop applies _point_class with the gcd and line key it already has.
+    if isinstance(points, _IntegerGrid):
+        middle = len(points) // 2
+        half = itertools.islice(points, middle)
+        gcds = itertools.starmap(math.gcd, itertools.islice(points, middle))
+        folded = itertools.chain(
+            zip(half, gcds, itertools.repeat(2), itertools.repeat(None)),
+            ((points[middle], 1, 1, None),))
+    else:
+        folded = ((p, 1, n, line)
+                  for line, (p, n) in _sweep_lines(points).items())
+    classes: dict[object, tuple[int, tuple]] = {}
+    for p, g, n, line in folded:
+        c = class_key(p, g)
+        if c is None:
+            c = _line_key(p) if line is None else line
+        entry = classes.get(c)
+        if entry is None:
+            primitive = p if g == 1 else tuple(v // g for v in p)
+            classes[c] = (n, outcome_of(sweep.to_flat(primitive)))
         else:
-            outcome = memo.get(k)
-            if outcome is None:
-                outcome = memo[k] = outcome_of(flat)
-        lines[line] = (lines[line], outcome)
-    return lines
+            classes[c] = (entry[0] + n, entry[1])
+    return classes
 
 
-def _tally_outcomes(lines: dict[tuple[int, ...], tuple[int, tuple]]
-                    ) -> Counter:
+def _tally_outcomes(classes: dict[object, tuple[int, tuple]]) -> Counter:
     """The number of points of each outcome, in the order of the outcome's
-    first point: the lines are in the order of their first points."""
+    first point: the classes are in the order of their first points."""
     tally: Counter = Counter()
-    for n, outcome in lines.values():
+    for n, outcome in classes.values():
         tally[outcome] += n
     return tally
 
 
-def _point_outcome(lines: dict[tuple[int, ...], tuple[int, tuple]],
+def _point_outcome(key: str, mode: str, classes: dict[object, tuple],
                    point: tuple[int, ...]) -> tuple:
-    """The outcome of a sweep point, read through its line in the table
+    """The outcome of a sweep point, read through its class in the table
     ``_run_sweep`` returns."""
-    line = _line_key(point)
-    found = lines.get(line) or lines[tuple(-v for v in line)]
-    return found[1]
+    return classes[_point_class(key, mode, point)][1]
 
 
 def _is_member(entry: CatalogEntry, mode: str, m: Matrix) -> bool:
@@ -1674,11 +1703,10 @@ def _shuffled_indices(rng: random.Random, n: int) -> Iterator[int]:
 
 def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
                            points: list[tuple],
-                           lines: dict[tuple[int, ...], tuple[int, tuple]]
-                           ) -> int:
+                           classes: dict[object, tuple[int, tuple]]) -> int:
     """Re-run the slow membership condition on a deterministic subsample of
     swept points and insist it agrees with the outcome recorded for the
-    point's line (every outcome but ``"nonmember"`` passed the fast
+    point's class (every outcome but ``"nonmember"`` passed the fast
     membership test)."""
     sweep = _sweep_space(entry.key, mode)
     rng = random.Random(grid.seed + 1)
@@ -1686,7 +1714,7 @@ def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
     for i in _shuffled_indices(rng, len(points)):
         if checked >= _CROSSCHECK_POINTS:
             break
-        kind = _point_outcome(lines, points[i])[0]
+        kind = _point_outcome(entry.key, mode, classes, points[i])[0]
         if kind == "skip":
             continue
         m = sweep.to_matrix(points[i])
@@ -1724,10 +1752,10 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
         raise ValueError(f"{key} has no ad-pair classification")
     templates = _templates(entry, mode)
     points = sweep_points(key, mode, grid)
-    lines = _run_sweep(key, mode, points)
+    classes = _run_sweep(key, mode, points)
 
     # Distinct outcomes of one family have distinct parameter texts.
-    tally = _tally_outcomes(lines)
+    tally = _tally_outcomes(classes)
     counts: dict[str, int] = {}
     samples: dict[str, list[str]] = {}
     for r, n in tally.items():
@@ -1752,7 +1780,7 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
         rep.sample_params = samples.get(t.name, [])
         family_reports.append(rep)
 
-    crosschecked = _crosscheck_conditions(entry, mode, grid, points, lines)
+    crosschecked = _crosscheck_conditions(entry, mode, grid, points, classes)
     evidence, prints = distinctness_evidence(entry, mode, templates)
 
     return ClassificationReport(

@@ -1,7 +1,7 @@
 """Classification sweeps: byte-identical default reports, one point sequence
-per sweep, the one process a sweep runs in, one classification per line through
-the origin at its integer vector, the line table against the per-point oracle,
-the integer grid of a Cartesian sweep and the mirror symmetry its line count
+per sweep, the one process a sweep runs in, one classification per class of
+points at its line's integer vector, the class table against the per-point
+oracle, the projective class keys and their coordinate readers, the integer grid of a Cartesian sweep and the mirror symmetry its line count
 rests on, the lazy blocks of a structured sweep against the explicit points and
 the line table built without keying the axis-and-pair block, the integer points
 of a structured sweep and their line keys, and the scaling invariance that
@@ -22,7 +22,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,9 +40,9 @@ from oracles import per_point_outcomes, structured_sweep_integer_points
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
 
-# Nine of the ten default sweeps (1.2-1.3 s together in one fresh process
+# Nine of the ten default sweeps (1.0-1.1 s together in one fresh process
 # on a 2-core VM), every sweep of the three benchmark workloads among them;
-# r4/ext1 (2.8-3.5 s there, most of it template sampling) is marked slow,
+# r4/ext1 (2.7 s there, most of it template sampling) is marked slow,
 # which tier-1 deselects (run it with ``pytest -m slow``).  r3/ext2ad is the
 # ext2ad sweep with the most random conjugates (24).
 CHEAP_SWEEPS = ("r1/ext1", "r3/ext1", "r2/ext2ad", "h3/ext2ad", "r3/ext2ad",
@@ -110,9 +110,9 @@ def test_a_line_takes_the_outcome_of_its_first_points_side():
                                           for x in second])[1]
         assert scaled == tuple(3 * x for x in second)
         points = [first, scaled]
-        lines = classify._run_sweep("r3", "ext1", points)
-        assert [classify._point_outcome(lines, p) for p in points] \
-            == [outcome_of(first)] * 2
+        classes = classify._run_sweep("r3", "ext1", points)
+        assert [classify._point_outcome("r3", "ext1", classes, p)
+                for p in points] == [outcome_of(first)] * 2
 
 
 # Cartesian sweeps, among them r2/ext1 at a small grid and r3/ext1 on the
@@ -133,9 +133,10 @@ _LINE_TABLE_SWEEPS = (
     "r2/ext1", "h3/ext1", "g4/ext1", "r2/ext1-num2-den2", "r3/ext1-num1-den1",
     "r3/ext1", "r_plus_h3/ext1", "r3/ext2ad", "r2/ext1-list-times-minus-2"))
 def test_line_table_agrees_with_the_per_point_oracle(sweep, grid, cartesian):
-    # Every point's outcome read through its line, the points per outcome
+    # Every point's outcome read through its class, the points per outcome
     # in first-occurrence order, and the point total are those of the
-    # per-point loop the line table replaced.
+    # per-point loop the class table replaced; the table holds one entry
+    # per class of the sweep's points.
     base, mode = sweep.split("/")
     if grid is None:
         first = list(itertools.islice(
@@ -145,20 +146,23 @@ def test_line_table_agrees_with_the_per_point_oracle(sweep, grid, cartesian):
         assert classify._is_cartesian(
             grid, classify._sweep_space(base, mode).dim) == cartesian
         points = classify.sweep_points(base, mode, grid)
-    lines = classify._run_sweep(base, mode, points)
+    classes = classify._run_sweep(base, mode, points)
     expected = per_point_outcomes(points, classify._line_key,
                                   _outcome_of(base, mode))
-    assert [classify._point_outcome(lines, p) for p in points] == expected
-    tally = classify._tally_outcomes(lines)
+    assert [classify._point_outcome(base, mode, classes, p)
+            for p in points] == expected
+    tally = classify._tally_outcomes(classes)
     assert list(tally.items()) == list(Counter(expected).items())
-    assert sum(n for n, _ in lines.values()) == len(points)
-    assert len(lines) == len({classify._line_key(p) for p in points})
+    assert sum(n for n, _ in classes.values()) == len(points)
+    assert len(classes) \
+        == len({classify._point_class(base, mode, p) for p in points})
     if grid == GridSpec(num_max=1, den_max=1):
-        # The tied line takes the side of its lexicographic minimum.
+        # The tied line is a class of its own and takes the side of its
+        # lexicographic minimum.
         d = (1, 0, 0, 0, 1, 0, 0, 0, -1)
         minus = tuple(-x for x in d)
-        assert minus in lines
-        assert classify._point_outcome(lines, d) \
+        assert classify._point_class(base, mode, minus) == d
+        assert classify._point_outcome(base, mode, classes, d) \
             == _outcome_of(base, mode)(minus) != _outcome_of(base, mode)(d)
 
 
@@ -192,7 +196,7 @@ def _sparse_point(rng, dim, n):
     return tuple(point)
 
 
-# Points for each line-keyed (base, mode), from a seeded Random, as sweep
+# Points for each keyed (base, mode), from a seeded Random, as sweep
 # coordinates; the shaped bases build their template shape and read its
 # coordinates back.
 _KEYED_POINTS = {
@@ -208,12 +212,22 @@ _KEYED_POINTS = {
     ("r3", "ext2ad"): lambda rng, sweep: [_sparse_point(rng, 12, 3)],
 }
 
+# Each hand-written coordinate reader of a class key and the flat slots it
+# reads; the rank keys read the count of nonzero coordinates.
+_READERS = {
+    ("r2", "ext1"): (tuple, (0, 1, 2, 3)),
+    ("h3", "ext1"): (classify._h3_pair, (4, 5, 7, 8)),
+    ("g4", "ext1"): (classify._g4_tail, (10, 15, 11)),
+}
+
 
 @pytest.mark.parametrize("base, mode", sorted(classify._LINE_KEYS))
 def test_line_keys_are_exact(base, mode):
-    # Points with equal line keys have one outcome, so the sweep may give a
-    # line the outcome of an earlier line with its key.  Each point comes
-    # with its negative and two integer multiples.
+    # A key is projective: every nonzero multiple k*p of a point, negatives
+    # included, has the key of p, read from k*p and gcd(k*p).  Points with
+    # equal keys have one outcome, so the sweep may give a point the
+    # outcome of an earlier point of its class.  Each reader returns the
+    # flat's slots.
     assert set(_KEYED_POINTS) == set(classify._LINE_KEYS)
     sweep = classify._sweep_space(base, mode)
     line_key = classify._LINE_KEYS[base, mode]
@@ -221,11 +235,21 @@ def test_line_keys_are_exact(base, mode):
     rng = random.Random(f"line keys {base}/{mode}")
     groups = {}
     for _ in range(60):
-        for point in _KEYED_POINTS[base, mode](rng, sweep):
+        points = _KEYED_POINTS[base, mode](rng, sweep)
+        points.append((0,) * sweep.dim)
+        for point in points:
             point = tuple(map(int, point))
-            for c in (1, -1, 2, -3):
-                scaled = tuple(c * x for x in point)
-                key = line_key(sweep.to_flat(scaled))
+            key = line_key(point, gcd(*point) or 1)
+            flat = sweep.to_flat(point)
+            if (base, mode) in _READERS:
+                reader, slots = _READERS[base, mode]
+                assert reader(point) == tuple(flat[i] for i in slots)
+            else:
+                assert sweep.dim - point.count(0) \
+                    == len(flat) - flat.count(0)
+            for k in (1, -1, 2, -3, 6):
+                scaled = tuple(k * x for x in point)
+                assert line_key(scaled, gcd(*scaled) or 1) == key
                 if key is not None:
                     groups.setdefault(key, set()).add(outcome_of(scaled))
     assert all(len(outcomes) == 1 for outcomes in groups.values()), \
@@ -241,11 +265,15 @@ def test_line_keys_are_exact(base, mode):
             assert "skip" in kinds
 
 
+# Classes of the default Cartesian grid of 15^4 points (17,873 lines).
+_DEFAULT_CLASSES = {"r2": 1418, "h3": 1641, "g4": 230}
+
+
 @pytest.mark.parametrize("base", ("r2", "h3", "g4"))
 def test_line_memo_survives_a_replaced_classifier(monkeypatch, base):
     # The benchmark's tracing replaces the catalog entry's classifier with a
-    # wrapper; the sweep still calls it once per distinct line key, and
-    # every point keeps the outcome of the per-point loop.
+    # wrapper; the sweep still calls it exactly once per class, and every
+    # point keeps the outcome of the per-point loop.
     entry = classify.catalog()[base]
     original = entry.ext1_classifier
     calls = []
@@ -256,17 +284,13 @@ def test_line_memo_survives_a_replaced_classifier(monkeypatch, base):
 
     monkeypatch.setattr(entry, "ext1_classifier", counting)
     points = classify.sweep_points(base, "ext1", GridSpec())
-    lines = classify._run_sweep(base, "ext1", points)
-    sweep = classify._sweep_space(base, "ext1")
-    line_key = classify._LINE_KEYS[base, "ext1"]
-    keys = {line_key(sweep.to_flat(line)) for line in lines}
-    assert None not in keys
-    assert len(calls) == len(keys) < len(lines) // 10
-    assert {line_key(flat) for flat in calls} == keys
+    classes = classify._run_sweep(base, "ext1", points)
+    assert len(calls) == len(classes) == _DEFAULT_CLASSES[base]
     monkeypatch.setattr(entry, "ext1_classifier", original)
     expected = per_point_outcomes(points, classify._line_key,
                                   _outcome_of(base, "ext1"))
-    assert [classify._point_outcome(lines, p) for p in points] == expected
+    assert [classify._point_outcome(base, "ext1", classes, p)
+            for p in points] == expected
 
 
 @pytest.mark.parametrize("num_max, den_max",
@@ -654,9 +678,28 @@ def test_r2_ext1_sweep_takes_no_determinant(monkeypatch):
         return det(self)
 
     monkeypatch.setattr(Matrix, "det", counting)
-    lines = classify._run_sweep("r2", "ext1", points)
+    classes = classify._run_sweep("r2", "ext1", points)
     assert calls == []
-    assert {r[0] for _, r in lines.values()} == {"match", "nonmember", "skip"}
+    assert {r[0] for _, r in classes.values()} == {"match", "nonmember", "skip"}
+
+
+@pytest.mark.parametrize("sweep", ("r2/ext1", "g4/ext1", "r3/ext2ad"))
+def test_sweep_builds_one_flat_per_class(sweep, monkeypatch):
+    # Classes are read off the points' coordinates: only the first point
+    # of each class has its flat built, on a Cartesian grid and on a
+    # structured sweep's line table alike.
+    base, mode = sweep.split("/")
+    points = classify.sweep_points(base, mode, GridSpec())
+    calls = []
+    to_flat = classify.SweepSpace.to_flat
+
+    def counting(self, coeffs):
+        calls.append(coeffs)
+        return to_flat(self, coeffs)
+
+    monkeypatch.setattr(classify.SweepSpace, "to_flat", counting)
+    classes = classify._run_sweep(base, mode, points)
+    assert len(calls) == len(classes) < len(points) // 10
 
 
 def test_ext2ad_filters_reject_a_zero_row_without_rank(monkeypatch):
@@ -744,20 +787,20 @@ def test_crosscheck_flags_a_flipped_outcome(sweep):
     grid = GridSpec()
     points = list(itertools.islice(classify.sweep_points(base, mode, grid),
                                    40))
-    lines = classify._run_sweep(base, mode, points)
-    kinds = {r[0] for _, r in lines.values()}
+    classes = classify._run_sweep(base, mode, points)
+    kinds = {r[0] for _, r in classes.values()}
     assert {"match", "nonmember"} <= kinds
     for point in points:
-        result = classify._point_outcome(lines, point)
+        result = classify._point_outcome(base, mode, classes, point)
         if result[0] == "skip":
             continue
-        line = classify._line_key(point)
+        point_class = classify._point_class(base, mode, point)
         assert classify._crosscheck_conditions(
-            entry, mode, grid, [point], {line: (1, result)}) == 1
+            entry, mode, grid, [point], {point_class: (1, result)}) == 1
         flipped = (_FLIPPED[result[0]],)
         with pytest.raises(AssertionError, match="fast membership"):
             classify._crosscheck_conditions(
-                entry, mode, grid, [point], {line: (1, flipped)})
+                entry, mode, grid, [point], {point_class: (1, flipped)})
 
 
 def test_pencil_det_matches_char_poly():
