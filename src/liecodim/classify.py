@@ -1702,7 +1702,7 @@ def _shuffled_indices(rng: random.Random, n: int) -> Iterator[int]:
 
 
 def _crosscheck_conditions(entry: CatalogEntry, mode: str, grid: GridSpec,
-                           points: list[tuple],
+                           points: Sequence[tuple[int, ...]],
                            classes: dict[object, tuple[int, tuple]]) -> int:
     """Re-run the slow membership condition on a deterministic subsample of
     swept points and insist it agrees with the outcome recorded for the
@@ -1729,10 +1729,10 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
                         jobs: int = 1) -> ClassificationReport:
     """Run one classification sweep and return the full report.
 
-    The sweep classifies each line through the origin once
-    (``_run_sweep``), in this process; the report counts points, each point
-    taking its line's outcome, and samples parameters in the order of the
-    points.  Raises :class:`GoldenMismatch` when the discovered family set
+    The sweep folds its points into outcome classes and classifies each
+    class once (``_run_sweep``), in this process; the report counts points,
+    each point taking its class's outcome, and samples parameters in the
+    order of the classes' first points.  Raises :class:`GoldenMismatch` when the discovered family set
     differs from the catalog's golden list.
 
     ``jobs`` must be 1 (``ValueError`` otherwise).  The keyword exists only

@@ -13,6 +13,10 @@ pair1 = (d1, d1'): sigma d1 sigma^-1 = alpha*d2 + beta*d2' and
 sigma d1' sigma^-1 = gamma*d2 + delta*d2', so identity coefficients mean
 the identity on y and z.
 
+An algebra document declares a dimension of at most ``MAX_ALGEBRA_DIM``
+(16); a larger one, or a JSON ``true`` where an integer belongs, is a usage
+error.
+
 All rationals in documents are strings "p/q" (or "p"); serialization is
 canonical (sorted keys, two-space indent), so re-serializing a parsed
 document reproduces it byte for byte.
@@ -54,6 +58,11 @@ EXIT_TRAP = 3
 
 _TRAP_ERRORS = (ConditionDisagreement, AmbiguousMatch, AssertionError)
 
+# The largest algebra dimension a document may declare.  A LieAlgebra of
+# dimension n holds n x n basis tuples, so memory grows with n^2; every
+# catalog sweep builds algebras of dimension 6 or less.
+MAX_ALGEBRA_DIM = 16
+
 
 class DocumentError(Exception):
     """A document failed to parse; message carries field context."""
@@ -72,6 +81,12 @@ def _parse_rational(text: Any, where: str) -> Fraction:
         raise DocumentError(f"{where}: bad rational {text!r} ({exc})") from exc
 
 
+def _is_integer(x: Any) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not, though ``bool`` is an
+    ``int`` in Python."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_to_document(alg: LieAlgebra) -> dict:
     brackets = []
     for (i, j), v in alg.table:
@@ -86,8 +101,10 @@ def algebra_to_document(alg: LieAlgebra) -> dict:
 def algebra_from_document(doc: Any, skip_jacobi: bool = False) -> LieAlgebra:
     if not isinstance(doc, dict):
         raise DocumentError("algebra document must be a JSON object")
-    if "dim" not in doc or not isinstance(doc["dim"], int) or doc["dim"] < 0:
+    if "dim" not in doc or not _is_integer(doc["dim"]) or doc["dim"] < 0:
         raise DocumentError("field 'dim' must be a non-negative integer")
+    if doc["dim"] > MAX_ALGEBRA_DIM:
+        raise DocumentError(f"field 'dim' must be at most {MAX_ALGEBRA_DIM}")
     dim = doc["dim"]
     brackets_doc = doc.get("brackets", [])
     if not isinstance(brackets_doc, list):
@@ -98,7 +115,7 @@ def algebra_from_document(doc: Any, skip_jacobi: bool = False) -> LieAlgebra:
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: must be an object")
         i, j = entry.get("i"), entry.get("j")
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim):
+        if not (_is_integer(i) and _is_integer(j) and 1 <= i < j <= dim):
             raise DocumentError(f"{where}: need integer indices 1 <= i < j <= dim")
         coeffs_doc = entry.get("coeffs", {})
         if not isinstance(coeffs_doc, dict):
@@ -130,7 +147,7 @@ def matrix_from_document(doc: Any) -> Matrix:
     if not isinstance(doc, dict):
         raise DocumentError("matrix document must be a JSON object")
     rows, cols = doc.get("rows"), doc.get("cols")
-    if not (isinstance(rows, int) and isinstance(cols, int)):
+    if not (_is_integer(rows) and _is_integer(cols)):
         raise DocumentError("matrix needs integer 'rows' and 'cols'")
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != rows * cols:

@@ -8,6 +8,15 @@ result in the class "derived algebra has full expected dimension" is
 decided by several independently implemented conditions whose agreement is
 asserted at runtime; a disagreement is an internal contradiction, never a
 user error.
+
+Both membership checks run in integer arithmetic.  What depends on the base
+alone (the echelon rows of its derived algebra, the adapted basis change,
+the quotient map) is built once per base as integer rows; a call clears the
+denominators of its matrix once (``_integer_rows``) and decides each
+condition by ``_bareiss`` ranks, integer products and a fraction-free
+reduction modulo the derived algebra.  The conditions are still computed
+separately, each from its own integer rows, and their agreement is still
+asserted.
 """
 
 from __future__ import annotations
@@ -15,14 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exactla import (
     Matrix,
     NotInvertible,
     Subspace,
     Vector,
+    _bareiss,
     _block_diag,
+    _int_matmul,
+    _integer_point,
+    _integer_rows,
     solve,
     vec_is_zero,
 )
@@ -31,6 +44,7 @@ from .liealg import (
     Ideal,
     JacobiViolation,
     LieAlgebra,
+    NotAnIdeal,
     _bracket,
     _normalize_table,
     adjoint_matrix,
@@ -38,7 +52,6 @@ from .liealg import (
     complement_coordinates,
     derived_subalgebra,
     direct_sum,
-    induced_operator_on_quotient,
     make_algebra,
     quotient_map_matrix,
     validate_jacobi,
@@ -118,16 +131,47 @@ class CodimOneVerdict:
     quotient_invertible: bool
 
 
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of integer rows; ``_bareiss`` eliminates a copy, so cached
+    rows are never written."""
+    return _bareiss([list(r) for r in rows])[0]
+
+
+def _reduce_modulo(w: list[int], rows: tuple[tuple[int, ...], ...],
+                   pivots: tuple[int, ...]) -> list[int]:
+    """``w`` reduced fraction-free against the integer echelon rows
+    ``rows`` of a subspace, each row the reduced-echelon basis row cleared
+    of its denominators, so pivot ``p > 0`` and zeros at the other pivots:
+    w -> p*w - w[c]*row at each pivot column c.  The result is a nonzero
+    multiple of the exact reduction, zero exactly when w lies in the
+    subspace."""
+    for row, c in zip(rows, pivots):
+        f = w[c]
+        if f:
+            p = row[c]
+            w = [p * x - f * y for x, y in zip(w, row)]
+    return w
+
+
+def _echelon_rows(space: Subspace) -> tuple[tuple[int, ...], ...]:
+    """The echelon basis of ``space`` as integer rows, each cleared of its
+    own denominators."""
+    return tuple(_integer_point(v)[1] for v in space.basis)
+
+
 @lru_cache(maxsize=32)
 def _codim1_base(K: LieAlgebra) -> tuple:
-    """What ``check_codim1_condition`` needs of K alone: [K, K], the
-    coordinates of its complement, and the basis change P putting [K, K]
-    on the leading coordinates, with its inverse."""
+    """What ``check_codim1_condition`` needs of K alone, as integer rows:
+    the echelon basis of [K, K] and its pivots, the coordinates of its
+    complement, and the rows of P^-1 below [K, K] with the rows of P, P the
+    basis change putting [K, K] on the leading coordinates (each scaled by
+    the lcm of its denominators)."""
     der = derived_subalgebra(K)
     comp = tuple(complement_coordinates(der.space))
     p = Matrix.from_columns(list(der.space.basis)
                             + [K.basis_vector(i) for i in comp])
-    return der, comp, p, p.inverse()
+    return (_echelon_rows(der.space), der.space.pivots, comp,
+            _integer_rows(p.inverse())[0][der.dim:], _integer_rows(p)[0])
 
 
 def check_codim1_condition(K: LieAlgebra, d: Matrix) -> CodimOneVerdict:
@@ -136,28 +180,38 @@ def check_codim1_condition(K: LieAlgebra, d: Matrix) -> CodimOneVerdict:
     Three conditions are evaluated independently (a span inclusion, the
     rank of the lower block of d in a basis adapted to [K, K], and the
     invertibility of the map induced on K/[K, K]); their agreement is
-    asserted before the verdict is returned.  What depends on K alone
-    comes from ``_codim1_base``.
+    asserted before the verdict is returned.  Each is decided in integer
+    arithmetic, by ``_bareiss`` ranks of the integer matrix s*d (s the lcm
+    of d's denominators, which changes no rank) against the integer rows
+    ``_codim1_base`` keeps of K alone.
     """
     _require_derivation(K, d)
     n = K.dim
-    der, comp, p, p_inv = _codim1_base(K)
-    m = der.dim
+    der_rows, pivots, comp, p_inv_lower, p = _codim1_base(K)
+    m = len(der_rows)
+    a, _ = _integer_rows(d)
 
-    # span inclusion: complement directions of [K,K] lie in d(K) + [K,K]
-    image_plus_derived = Subspace.from_vectors(
-        n, [d.column(j) for j in range(n)] + list(der.space.basis))
-    cond_span = all(image_plus_derived.contains(K.basis_vector(i)) for i in comp)
+    # span inclusion: complement directions of [K,K] lie in d(K) + [K,K].
+    # [K,K] and the complement directions span K, so adding them to
+    # d(K) + [K,K] gives rank n, and the inclusion holds exactly when
+    # d(K) + [K,K] already has rank n.
+    cond_span = _rank([*zip(*a), *der_rows]) == n
 
     # lower-block rank in an adapted basis (abelian case reads rank d = n)
-    d_adapted = p_inv @ d @ p
-    lower = d_adapted.submatrix(range(m, n), range(n))
-    rank = lower.rank()
+    rank = _rank(_int_matmul(_int_matmul(p_inv_lower, a), p))
     cond_rank = rank == n - m
 
-    # induced map on K/[K,K] is invertible
-    induced = induced_operator_on_quotient(K, d, der)
-    cond_quot = induced.rows == 0 or induced.det() != 0
+    # induced map on K/[K,K] is invertible: d preserves [K,K], and the
+    # images of the complement directions, reduced modulo [K,K], are
+    # independent at the complement coordinates
+    for b in der_rows:
+        image = [sum(x * y for x, y in zip(row, b)) for row in a]
+        if any(_reduce_modulo(image, der_rows, pivots)):
+            raise NotAnIdeal("operator does not preserve the ideal")
+    induced = [[w[i] for i in comp]
+               for w in (_reduce_modulo([row[j] for row in a], der_rows, pivots)
+                         for j in comp)]
+    cond_quot = _rank(induced) == n - m
 
     if not (cond_span == cond_rank == cond_quot):
         raise ConditionDisagreement(
@@ -200,26 +254,23 @@ class CodimTwoVerdict:
 
 @lru_cache(maxsize=32)
 def _codim2_base(H: LieAlgebra, d_prime: Matrix) -> tuple:
-    """What ``check_codim2_condition`` needs of (H, d') alone: the extension
-    K = R*y + H, built and Jacobi-validated once per pair, [H, H], the
-    coordinates of its complement, the quotient map q of K onto K/[H, H],
-    and the q-images of the action of y and of the basis of H.  A bad d'
-    raises ``NotADerivation`` on every call: ``lru_cache`` keeps no
-    exception."""
+    """What ``check_codim2_condition`` needs of (H, d') alone, as integer
+    rows: the extension K = R*y + H, built and Jacobi-validated once per
+    pair, the columns of d' with the echelon basis of [H, H], the quotient
+    map q of K onto K/[H, H], the q-images of the action of y (the columns
+    of q*d'), and the rank of the q-images of H.  A bad d' raises
+    ``NotADerivation`` on every call: ``lru_cache`` keeps no exception."""
     n = H.dim
     K = extend_by_derivation(H, d_prime)
     der_h = derived_subalgebra(H)
     der_h_in_k = Ideal(K, Subspace.from_vectors(
         n + 1, [v + (Fraction(0),) for v in der_h.space.basis]))
-    q_k = quotient_map_matrix(K, der_h_in_k)
-    dprime_ext = double_extension_matrix(H, d_prime, tuple(Fraction(0)
-                                                           for _ in range(n)))
-    dprime_tilde_image = tuple(q_k.apply(dprime_ext.column(j))
-                               for j in range(n + 1))
-    h_image = tuple(q_k.apply(H.basis_vector(i) + (Fraction(0),))
-                    for i in range(n))
-    return (K, der_h, tuple(complement_coordinates(der_h.space)), q_k,
-            dprime_tilde_image, h_image)
+    q_k, _ = _integer_rows(quotient_map_matrix(K, der_h_in_k))
+    dprime, _ = _integer_rows(d_prime)
+    dprime_ext = [row + [0] for row in dprime] + [[0] * (n + 1)]
+    span_rows = (*zip(*dprime), *_echelon_rows(der_h.space))
+    return (K, span_rows, q_k, _int_matmul(q_k, dprime_ext),
+            _rank([row[:n] for row in q_k]))
 
 
 def check_codim2_condition(H: LieAlgebra, d_prime: Matrix,
@@ -229,25 +280,27 @@ def check_codim2_condition(H: LieAlgebra, d_prime: Matrix,
     ``d_full`` is the (n+1)-square action of z on R*y + H with zero y-row.
     Two conditions are evaluated independently: a span inclusion inside H,
     and coverage of H/[H,H] by the images of the two induced quotient
-    maps.  Their agreement is asserted.  What depends on (H, d') alone
-    comes from ``_codim2_base``.
+    maps.  Their agreement is asserted.  Each is one comparison of
+    ``_bareiss`` ranks of integer rows: the integer matrix s*d_full (s the
+    lcm of its denominators) against what ``_codim2_base`` keeps of (H, d')
+    alone.
     """
     n = H.dim
-    K, der_h, comp, q_k, dprime_tilde_image, h_image = _codim2_base(H, d_prime)
+    K, span_rows, q_k, dprime_tilde, h_rank = _codim2_base(H, d_prime)
     _require_derivation(K, d_full)
-    if any(d_full.entries[n][j] != 0 for j in range(n + 1)):
+    a, _ = _integer_rows(d_full)
+    if any(a[n]):
         raise ValueError("the action of z must map everything into H")
 
-    # condition: complement of [H,H] inside d(K) + d'(H) + [H,H]
-    image_vectors = [d_full.column(j)[:n] for j in range(n + 1)]
-    image_vectors += [d_prime.column(j) for j in range(n)]
-    span = Subspace.from_vectors(n, image_vectors + list(der_h.space.basis))
-    cond_span = all(span.contains(H.basis_vector(i)) for i in comp)
+    # condition: complement of [H,H] inside d(K) + d'(H) + [H,H]; [H,H]
+    # and its complement directions span H, so this is rank n
+    cond_span = _rank([*zip(*a[:n]), *span_rows]) == n
 
-    # condition: images of the induced maps cover H/[H,H]
-    d_tilde_image = [q_k.apply(d_full.column(j)) for j in range(n + 1)]
-    covered = Subspace.from_vectors(q_k.rows, [*d_tilde_image, *dprime_tilde_image])
-    cond_quot = all(covered.contains(v) for v in h_image)
+    # condition: images of the induced maps cover H/[H,H].  Both maps send
+    # K into H, so their q-images lie in the span of H's, and they cover it
+    # exactly when they reach its rank
+    d_tilde = _int_matmul(q_k, a)
+    cond_quot = _rank([x + y for x, y in zip(d_tilde, dprime_tilde)]) == h_rank
 
     if cond_span != cond_quot:
         raise ConditionDisagreement(f"span={cond_span} quotient images={cond_quot}")

@@ -40,9 +40,9 @@ from oracles import per_point_outcomes, structured_sweep_integer_points
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
 
-# Nine of the ten default sweeps (1.0-1.1 s together in one fresh process
+# Nine of the ten default sweeps (0.5-0.8 s together in one fresh process
 # on a 2-core VM), every sweep of the three benchmark workloads among them;
-# r4/ext1 (2.7 s there, most of it template sampling) is marked slow,
+# r4/ext1 (1.8-3.0 s there, most of it template sampling) is marked slow,
 # which tier-1 deselects (run it with ``pytest -m slow``).  r3/ext2ad is the
 # ext2ad sweep with the most random conjugates (24).
 CHEAP_SWEEPS = ("r1/ext1", "r3/ext1", "r2/ext2ad", "h3/ext2ad", "r3/ext2ad",

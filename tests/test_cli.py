@@ -13,6 +13,7 @@ from liecodim.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERDICT,
+    MAX_ALGEBRA_DIM,
     algebra_to_document,
     main,
     matrix_to_document,
@@ -133,6 +134,34 @@ class TestMalformedDocuments:
             ["validate", _write(tmp_path / "alg.json", doc)], capsys)
         assert code == EXIT_USAGE
         assert message in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dim": True}, "'dim' must be a non-negative integer"),
+        ({"dim": MAX_ALGEBRA_DIM + 1}, f"'dim' must be at most {MAX_ALGEBRA_DIM}"),
+        ({"dim": 2, "brackets": [{"i": True, "j": 2, "coeffs": {"1": "1"}}]},
+         "need integer indices"),
+    ])
+    def test_validate_boolean_or_oversized_dim(self, tmp_path, capsys, doc,
+                                               message):
+        code, err = self._run(
+            ["validate", _write(tmp_path / "alg.json", doc)], capsys)
+        assert code == EXIT_USAGE
+        assert message in err
+
+    def test_validate_accepts_the_largest_dim(self, tmp_path, capsys):
+        code = main(["validate", _write(tmp_path / "alg.json",
+                                        {"dim": MAX_ALGEBRA_DIM})])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith(
+            f"valid Lie algebra of dimension {MAX_ALGEBRA_DIM}")
+
+    def test_extend_with_boolean_matrix_shape(self, tmp_path, capsys):
+        alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(1)))
+        d = _write(tmp_path / "d.json",
+                   {"rows": True, "cols": 1, "entries": ["1"]})
+        code, err = self._run(["extend", alg, "--derivation", d], capsys)
+        assert code == EXIT_USAGE
+        assert "matrix needs integer 'rows' and 'cols'" in err
 
     def test_extend_with_wrongly_shaped_derivation(self, tmp_path, capsys):
         alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))

@@ -46,8 +46,9 @@ from liecodim.liealg import (
     r_plus_heisenberg,
 )
 
-from oracles import (bracket_basis_scan, jacobi_first_violation,
-                     leibniz_first_violation)
+from oracles import (bracket_basis_scan, dense_matmul, dense_rref,
+                     jacobi_first_violation, leibniz_first_violation,
+                     rank_elimination)
 
 F = Fraction
 
@@ -62,14 +63,34 @@ def rp_shape(a, b, c, e, f, g, h, k):
         [a + b, z, z, k], [z, a, e, z], [z, f, b, z], [z, g, h, c]])
 
 
-def random_derivation(rng, sp):
-    """A combination of the derivation basis with coefficients in [-2, 2]."""
+def combined_derivation(sp, coeffs):
+    """The combination of the derivation basis with ``coeffs``."""
     flat = [F(0)] * sp.algebra.dim ** 2
-    for b in sp.full.basis:
-        c = F(rng.randint(-2, 2))
+    for b, c in zip(sp.full.basis, coeffs, strict=True):
         for i, x in enumerate(b):
             flat[i] += c * x
     return sp.matrix_from_flat(tuple(flat))
+
+
+def random_derivation(rng, sp):
+    """A combination of the derivation basis with coefficients in [-2, 2]."""
+    return combined_derivation(sp, [F(rng.randint(-2, 2))
+                                    for _ in sp.full.basis])
+
+
+def fraction_coefficient(rng):
+    """A rational in [-2, 2] with denominator 2, 3 or 5, mostly not an
+    integer."""
+    q = rng.choice((2, 3, 5))
+    return F(rng.randint(-2 * q, 2 * q), q)
+
+
+def fraction_derivation(rng, sp, zeros=0.0):
+    """A combination of the derivation basis with ``fraction_coefficient``
+    coefficients, each left out with probability ``zeros``."""
+    return combined_derivation(sp, [
+        F(0) if rng.random() < zeros else fraction_coefficient(rng)
+        for _ in sp.full.basis])
 
 
 class TestExtendByDerivation:
@@ -242,6 +263,63 @@ class TestCodimOneCondition:
                     assert derived_subalgebra(L).space \
                         == product_space(L, full, full)
 
+    def test_verdicts_match_independent_oracles(self):
+        """On every catalog base K, and K in a seeded basis where the echelon
+        basis of [K, K] has non-integer entries, with seeded derivations
+        with non-integer entries (dense, sparse and so often singular on
+        K/[K, K], and inner): ``member`` says whether the derived algebra
+        of the extension is K, and ``lower_block_rank`` is the rank, by
+        plain elimination, of the rows of P^-1 d P below [K, K], P the
+        basis [K, K] + complement units multiplied out densely."""
+        rng = random.Random(29)
+        bases = []
+        for entry in catalog().values():
+            K = entry.algebra
+            bases.append(K)
+            while K.table:  # [K, K] = 0 in every basis of an abelian K
+                q = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(K.dim)]
+                                      for _ in range(K.dim)])
+                if q.det() == 0:
+                    continue
+                moved = change_of_basis(K, q)
+                if any(x.denominator > 1 for v in
+                       derived_subalgebra(moved).space.basis for x in v):
+                    bases.append(moved)
+                    break
+        for K in bases:
+            n = K.dim
+            sp = derivation_space(K)
+            der = derived_subalgebra(K)
+            m = der.dim
+            cols = list(der.space.basis) + [
+                K.basis_vector(i) for i in range(n)
+                if i not in der.space.pivots]
+            p = [[c[i] for c in cols] for i in range(n)]
+            reduced, _ = dense_rref(
+                [row + [F(int(i == j)) for j in range(n)]
+                 for i, row in enumerate(p)])
+            p_inv = [row[n:] for row in reduced]
+            members = nonmembers = singular = 0
+            for k in range(60):
+                if k % 3 == 0:
+                    d = fraction_derivation(rng, sp)
+                elif k % 3 == 1:
+                    d = fraction_derivation(rng, sp, zeros=0.6)
+                else:
+                    u = tuple(fraction_coefficient(rng) for _ in range(n))
+                    d = adjoint_matrix(K, u)
+                verdict = check_codim1_condition(K, d)
+                L = extend_by_derivation(K, d)
+                assert verdict.member == (derived_subalgebra(L).dim == n)
+                adapted = dense_matmul(dense_matmul(p_inv, d.entries), p)
+                assert verdict.lower_block_rank == rank_elimination(adapted[m:])
+                assert verdict.lower_block_full == verdict.member
+                assert verdict.quotient_invertible == verdict.member
+                members += verdict.member
+                nonmembers += not verdict.member
+                singular += not verdict.member and k % 3 != 2
+            assert members >= 10 and nonmembers >= 10 and singular >= 1
+
     def test_member_extension_has_full_codim_one(self):
         d = Matrix.diagonal([2, 1, 1])
         ext = extend_by_derivation(heisenberg3(), d)
@@ -304,8 +382,10 @@ class TestDoubleExtension:
 
     def test_cached_verdicts_match_the_uncached_path(self):
         """Verdicts on a warm base cache equal those after clearing it, and
-        both say whether [L, L] of the double extension is all of H."""
+        both say whether [L, L] of the double extension is all of H, on
+        inputs with non-integer entries."""
         rng = random.Random(23)
+        verdicts = set()
         for h in (abelian(2), abelian(3), heisenberg3(), filiform4(),
                   r_plus_heisenberg()):
             n = h.dim
@@ -317,14 +397,15 @@ class TestDoubleExtension:
                     d_prime = Matrix.zero(n, n)
                     zy = [F(0)] * n
                     for b in center_basis:
-                        c = rng.randint(-2, 2)
+                        c = fraction_coefficient(rng)
                         zy = [x + c * y for x, y in zip(zy, b)]
                     d_full = double_extension_matrix(
-                        h, random_derivation(rng, sp), tuple(zy))
+                        h, fraction_derivation(rng, sp, zeros=0.3), tuple(zy))
                 else:
                     # z acts as ad_u, u in H, on K = R*y + H by d'
-                    d_prime = random_derivation(rng, sp)
-                    u = tuple(F(rng.randint(-2, 2)) for _ in range(n)) + (F(0),)
+                    d_prime = fraction_derivation(rng, sp, zeros=0.3)
+                    u = tuple(fraction_coefficient(rng)
+                              for _ in range(n)) + (F(0),)
                     d_full = adjoint_matrix(extend_by_derivation(h, d_prime), u)
                 warm = [check_codim2_condition(h, d_prime, d_full)
                         for _ in range(2)]
@@ -335,6 +416,32 @@ class TestDoubleExtension:
                                                d_full.column(n)[:n])
                 assert warm == [cold, cold]
                 assert cold.member == (derived_subalgebra(built).dim == n)
+                verdicts.add(cold.member)
+        assert verdicts == {True, False}
+
+    def test_membership_checks_reject_forged_floats(self):
+        """One float entry, zero or not, forged past the constructor into
+        the matrix makes both membership checks raise TypeError, on every
+        catalog base, the abelian ones included."""
+        rng = random.Random(31)
+        for entry in catalog().values():
+            h = entry.algebra
+            n = h.dim
+            sp = derivation_space(h)
+            for _ in range(4):
+                d = fraction_derivation(rng, sp)
+                d_full = double_extension_matrix(
+                    h, fraction_derivation(rng, sp), (F(0),) * n)
+                checks = ((d, lambda m: check_codim1_condition(h, m)),
+                          (d_full, lambda m: check_codim2_condition(
+                              h, Matrix.zero(n, n), m)))
+                for m, check in checks:
+                    rows = [list(row) for row in m.entries]
+                    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+                    rows[i][j] = rng.choice((0.0, 0.5, float(rows[i][j])))
+                    object.__setattr__(m, "entries", tuple(map(tuple, rows)))
+                    with pytest.raises(TypeError):
+                        check(m)
 
 
 class TestDecomposability:
