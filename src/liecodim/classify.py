@@ -2,11 +2,11 @@
 
 For each catalog base algebra the classification sweep enumerates rational
 points in cohomology coordinates, filters them by the membership (and, for
-the two-step drivers, indecomposability and outerness) conditions,
-canonicalizes the survivors into named family templates, and compares the
-discovered family set against the built-in golden list.  Points whose
-spectra leave the supported field (real irrational eigenvalues) are
-counted and skipped, never approximated.
+the ad-pair sweeps, indecomposability) conditions, canonicalizes the
+survivors into named family templates, and compares the discovered family
+set against the built-in golden list.  Points whose spectra leave the
+supported field (real irrational eigenvalues) are counted and skipped,
+never approximated.
 
 Both sweep modes extend one algebra by a single derivation, the sweep
 matrix.  An ext1 point is a derivation of the base.  An ext2ad point is a
@@ -27,13 +27,13 @@ point's class can be read off the point at any nonzero multiple.  A
 (``_LINE_KEYS``), read off a point's ``int`` coordinates and their gcd g in
 integer arithmetic: the key is projective, equal at every nonzero multiple
 of a point, and points with equal keys have equal outcomes.  Without a key
-a point's class is its line through the origin.  The two-step filters and
-the matcher run once per class, at the primitive integer vector of its
-first point's line in ``int`` arithmetic, and every point of the class
-shares the outcome.  The sweep's points form a lazy sequence of blocks,
-indexed without being stored: on a Cartesian grid the integer grid itself,
-and otherwise the template and conjugate points, the block of points
-supported on one or two coordinates, and the random points.  A Cartesian
+a point's class is its line through the origin.  The matcher runs once per
+class, at the primitive integer vector of its first point's line in ``int``
+arithmetic, and every point of the class shares the outcome.  The sweep's
+points form a lazy sequence of blocks, indexed without being stored: on a
+Cartesian grid the integer grid itself, and otherwise the template and
+conjugate points, the block of points supported on one or two coordinates,
+and the random points.  A Cartesian
 grid mirrors itself through zero, so its points are folded into classes on
 its negative half, with no line table.  A structured sweep first builds a
 table of lines with their point counts, block by block: the axis-and-pair
@@ -248,7 +248,10 @@ def _sweep_space_ext2(space: DerivationSpace) -> SweepSpace:
 # stratum classifiers (one per catalog base and mode)
 # ---------------------------------------------------------------------------
 
-MatchResult = Optional[tuple[str, tuple[ParamValue, ...]]]
+# A matcher's answer: None for a non-member, FILTERED for an ad-pair member
+# that splits as a direct sum, or the family name with canonical parameters.
+FILTERED = "filtered"
+MatchResult = Optional[tuple[str, tuple[ParamValue, ...]] | str]
 
 
 _H3_EXT1_NAMES = {"diag": "A", "j2": "B", "cplx": "C"}
@@ -349,12 +352,16 @@ def _classify_g4_ext1(flat: Sequence[Fraction]) -> MatchResult:
 
 
 def _classify_h3_ext2(flat: Sequence[Fraction]) -> MatchResult:
-    """Strata of [[a+b,0,0,h],[0,a,c,0],[0,e,b,0],[0,0,0,0]] after the
-    membership (invertible pair block), outerness and indecomposability
-    (a+b = 0, h != 0) filters."""
+    """Strata of [[a+b,0,0,h],[0,a,c,0],[0,e,b,0],[0,0,0,0]]: a member has
+    an invertible pair block, and an indecomposable member a+b = 0, h != 0."""
+    h = flat[3]
     a, c = flat[5], flat[6]
     e, b = flat[9], flat[10]
     det_m = a * b - c * e
+    if det_m == 0:
+        return None
+    if a + b != 0 or h == 0:
+        return FILTERED
     if det_m > 0:
         return "G", ()
     if _sqrt_fraction(-det_m) is None:
@@ -417,35 +424,11 @@ def _classify_gl2_flat(flat: Sequence[Fraction]) -> MatchResult:
     return "cplx", (ExactScalar.of(Fraction(t, -disc), -disc),)
 
 
-def _ext2_filters(key: str, flat: Sequence[Fraction], size: int) -> dict[str, bool]:
-    """Membership, outerness and indecomposability as fast exact tests."""
-    n = size - 1
-    if key in ("r2", "r3"):
-        rows = [flat[i * size:(i + 1) * size] for i in range(n)]
-        outer = any(x != 0 for row in rows for x in row[:n])
-        if not all(any(x != 0 for x in row) for row in rows):
-            # A zero row of [A, v] caps the rank below n and makes A singular.
-            return {"member": False, "outer": outer, "indecomposable": True}
-        m = Matrix.unflatten(tuple(flat), size, size)
-        member = m.rank() == n
-        indecomposable = m.submatrix(range(n), range(n)).det() == 0
-        return {"member": member, "outer": outer, "indecomposable": indecomposable}
-    if key == "h3":
-        a, c = flat[5], flat[6]
-        e, b = flat[9], flat[10]
-        h = flat[3]
-        member = a * b - c * e != 0
-        outer = not (a == 0 and b == 0 and c == 0 and e == 0)
-        indecomposable = (a + b == 0 and h != 0)
-        return {"member": member, "outer": outer, "indecomposable": indecomposable}
-    raise ValueError(f"no ad-pair filters for base {key}")
-
-
 # Class keys (used by ``_run_sweep``): a sweep point's class is read off its
 # ``int`` coordinates c and g = gcd(c) (1 for the zero point) in integer
 # arithmetic, and equals the key of the line's primitive vector c // g, so a
 # key is projective: equal at every nonzero multiple of a point, negatives
-# included.  Two points with equal keys have equal ``_classify_point``
+# included.  Two points with equal keys have equal ``_classify_flat``
 # outcomes (a skip included); ``None`` means the point's class is its line,
 # ``_line_key`` (``_point_class``).  A key names the invariants the matcher
 # reads: |trace| and the discriminant of an invertible 2x2 pair block
@@ -641,12 +624,22 @@ def _match_spectrum(key: str, mode: str, spectrum) -> MatchResult:
 
 
 def _classify_abelian(key: str, mode: str, flat: Vector) -> MatchResult:
-    """The table matcher on a sweep point of an abelian base: an ext1 point
-    must be invertible, an ext2ad point comes through the filters."""
+    """The table matcher on a sweep point of an abelian base R^n.  An ext1
+    point is a member when invertible.  An ext2ad point [[A, v], [0, 0]] is
+    a member when it has rank n, and indecomposable when A is singular."""
     size = math.isqrt(len(flat))
     m = Matrix.unflatten(flat, size, size)
-    if mode == "ext1" and m.det() == 0:
-        return None
+    if mode == "ext1":
+        if m.det() == 0:
+            return None
+    else:
+        n = size - 1
+        # A zero row of [A, v] caps the rank below n, with no elimination.
+        if not all(any(flat[i * size:(i + 1) * size]) for i in range(n)) \
+                or m.rank() != n:
+            return None
+        if m.submatrix(range(n), range(n)).det() != 0:
+            return FILTERED
     st = eigen_structure(m)
     outcome = _match_spectrum(key, mode, st.blocks)
     if outcome is None:
@@ -811,9 +804,11 @@ class CatalogEntry:
     A classifier receives a sweep point as its flat row-major matrix (a
     ``Vector`` of length n*n in the coordinate shape of the sweep space,
     with ``int`` entries in the sweep and ``Fraction`` entries elsewhere) and
-    returns the matched family name with canonical parameters, or ``None``
-    for a non-member.  The ext2ad classifier assumes the point has passed
-    the base's ``_ext2_filters``."""
+    decides membership itself: it returns ``None`` for a non-member,
+    ``FILTERED`` for an ad-pair member that is decomposable, and otherwise
+    the matched family name with canonical parameters.  No classifier
+    tests outerness: every ad-pair member is outer, as A = 0 caps the rank
+    of [A, v] at 1 on R^n and h3's invertible pair block is nonzero."""
 
     key: str
     algebra: LieAlgebra
@@ -1470,33 +1465,19 @@ def _line_key(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(g.__rfloordiv__, coeffs))
 
 
-def _classify_point(key: str, mode: str, sweep: SweepSpace,
-                    classifier: Callable[[Vector], MatchResult],
-                    coeffs: Sequence[Fraction]) -> tuple:
-    """The outcome of one sweep point: ``("nonmember",)``,
-    ``("filtered",)``, ``("skip",)`` or ``("match", name, params)`` with
-    the parameters as ``str`` texts."""
-    return _classify_flat(key, mode, sweep.n, classifier,
-                          sweep.to_flat(coeffs))
-
-
-def _classify_flat(key: str, mode: str, size: int,
-                   classifier: Callable[[Vector], MatchResult],
+def _classify_flat(classifier: Callable[[Vector], MatchResult],
                    flat: Vector) -> tuple:
-    """``_classify_point`` on the sweep point's flat ``size`` x ``size``
-    matrix."""
-    if mode == "ext2ad":
-        filters = _ext2_filters(key, flat, size)
-        if not filters["member"]:
-            return ("nonmember",)
-        if not (filters["outer"] and filters["indecomposable"]):
-            return ("filtered",)
+    """The outcome of one sweep point, given as its flat matrix:
+    ``("nonmember",)``, ``("filtered",)``, ``("skip",)`` or ``("match",
+    name, params)`` with the parameters as ``str`` texts."""
     try:
         outcome = classifier(flat)
     except UnsupportedSpectrumError:
         return ("skip",)
     if outcome is None:
         return ("nonmember",)
+    if outcome is FILTERED:
+        return ("filtered",)
     name, params = outcome
     return ("match", name, tuple(map(str, params)))
 
@@ -1567,8 +1548,7 @@ def _run_sweep(key: str, mode: str, points: Sequence[tuple[int, ...]]
     replaced on the catalog entry (wrapped for tracing, say) is still
     called once per class."""
     sweep = _sweep_space(key, mode)
-    outcome_of = partial(_classify_flat, key, mode, sweep.n,
-                         _classifier(catalog()[key], mode))
+    outcome_of = partial(_classify_flat, _classifier(catalog()[key], mode))
     class_key = _LINE_KEYS.get((key, mode), lambda c, g: None)
     # (point, gcd, number of points, its line's _line_key or None); the
     # loop applies _point_class with the gcd and line key it already has.
@@ -1634,19 +1614,15 @@ def _verify_template(entry: CatalogEntry, mode: str,
     space, _ = _mode_spaces(entry.key, mode)
     for params in samples:
         m = t.build(params)
-        flat = m.flatten()
         extend_by_derivation(space.algebra, m)  # raises on any Jacobi failure
         mem_ok = mem_ok and _is_member(entry, mode, m)
         if mode == "ext2ad":
             cert = is_decomposable_double(entry.algebra, m)
             indec_ok = indec_ok and not cert.decomposable
-            filters = _ext2_filters(entry.key, flat, m.rows)
-            failed = [name for name, ok in filters.items() if not ok]
-            if failed:
-                raise AmbiguousMatch(
-                    f"template {t.name} instantiation fails the filters "
-                    f"{failed}")
-        outcome = classifier(flat)
+        outcome = classifier(m.flatten())
+        if outcome is FILTERED:
+            raise AmbiguousMatch(
+                f"template {t.name} instantiation is not indecomposable")
         if outcome is None or outcome[0] != t.name:
             raise AmbiguousMatch(
                 f"template {t.name} instantiation matched {outcome}")

@@ -14,8 +14,9 @@ sigma d1' sigma^-1 = gamma*d2 + delta*d2', so identity coefficients mean
 the identity on y and z.
 
 An algebra document declares a dimension of at most ``MAX_ALGEBRA_DIM``
-(16); a larger one, or a JSON ``true`` where an integer belongs, is a usage
-error.
+(16), and a matrix document at most that many rows and columns; a larger
+one, a negative shape, or a JSON ``true`` where an integer belongs, is a
+usage error.
 
 All rationals in documents are strings "p/q" (or "p"); serialization is
 canonical (sorted keys, two-space indent), so re-serializing a parsed
@@ -149,6 +150,9 @@ def matrix_from_document(doc: Any) -> Matrix:
     rows, cols = doc.get("rows"), doc.get("cols")
     if not (_is_integer(rows) and _is_integer(cols)):
         raise DocumentError("matrix needs integer 'rows' and 'cols'")
+    if not (0 <= rows <= MAX_ALGEBRA_DIM and 0 <= cols <= MAX_ALGEBRA_DIM):
+        raise DocumentError(f"matrix 'rows' and 'cols' must be between 0 "
+                            f"and {MAX_ALGEBRA_DIM}")
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise DocumentError("matrix 'entries' must list rows*cols rationals")
@@ -239,6 +243,9 @@ def cmd_der(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    if args.zy is not None and args.second is None:
+        raise DocumentError("--zy needs --second: it is the [z,y] vector of "
+                            "a double extension")
     alg = algebra_from_document(_load_json(args.file))
     d = matrix_from_document(_load_json(args.derivation))
     if args.second is None:
@@ -257,7 +264,7 @@ def cmd_extend(args) -> int:
         sys.stdout.write(canonical_json(doc))
         return EXIT_OK if verdict.member else EXIT_VERDICT
     second = matrix_from_document(_load_json(args.second))
-    zy = vector_from_text(args.zy) if args.zy else \
+    zy = vector_from_text(args.zy) if args.zy is not None else \
         tuple(Fraction(0) for _ in range(alg.dim))
     if len(zy) != alg.dim:
         raise DocumentError("--zy length must equal the base dimension")

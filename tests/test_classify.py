@@ -6,10 +6,12 @@ rests on, the lazy blocks of a structured sweep against the explicit points and
 the line table built without keying the axis-and-pair block, the integer points
 of a structured sweep and their line keys, and the scaling invariance that
 makes it sound, sweep-space coordinates, the per-point work of the sweep stage,
-the shared extension path of both sweep modes, the lazy cross-check draw, the
-abelian family table and its matcher, template sampling, the pinned samples of
-the shaped families, small-grid sweeps of the two slowest bases, the names the
-traced benchmark wraps, and the range of the grid fields."""
+the shared extension path of both sweep modes, the ext2ad matchers' own
+membership and indecomposability tests against an oracle, the lazy
+cross-check draw, the abelian family table and its matcher, template
+sampling, the pinned samples of the shaped families, small-grid sweeps of the
+two slowest bases, the names the traced benchmark wraps, and the range of the
+grid fields."""
 
 import dataclasses
 import functools
@@ -35,7 +37,8 @@ from liecodim.cli import canonical_json
 from liecodim.exactla import (Matrix, Subspace, UnsupportedSpectrumError,
                               _block_diag, char_poly)
 
-from oracles import per_point_outcomes, structured_sweep_integer_points
+from oracles import (det_cofactor, per_point_outcomes, rank_elimination,
+                     structured_sweep_integer_points)
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
@@ -77,12 +80,14 @@ def test_sweep_points_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _outcome_of(base, mode):
-    """The outcome of one sweep point, classified on its own."""
-    return functools.partial(
-        classify._classify_point, base, mode,
-        classify._sweep_space(base, mode),
-        classify._classifier(classify.catalog()[base], mode))
+def _outcome_of(base, mode, classifier=None):
+    """The outcome of one sweep point, classified on its own (by the
+    catalog's classifier unless one is given)."""
+    space = classify._sweep_space(base, mode)
+    classifier = classifier or classify._classifier(classify.catalog()[base],
+                                                    mode)
+    return lambda coeffs: classify._classify_flat(classifier,
+                                                  space.to_flat(coeffs))
 
 
 def test_classify_extensions_accepts_only_one_job():
@@ -569,12 +574,11 @@ def test_int_vector_outcomes_are_invariant_under_positive_scaling(sweep):
 
     def recording(flat):
         outcome = classifier(flat)
-        if outcome is not None:
+        if outcome not in (None, classify.FILTERED):
             params.extend(outcome[1])
         return outcome
 
-    outcome_of = functools.partial(classify._classify_point, base, mode,
-                                   space, recording)
+    outcome_of = _outcome_of(base, mode, recording)
     zero = (0,) * space.dim
     vectors = sorted({
         key if p > zero else tuple(-v for v in key)
@@ -711,23 +715,94 @@ def test_ext2ad_filters_reject_a_zero_row_without_rank(monkeypatch):
     # second row caps the rank at 2 and makes A singular.
     flat = tuple(Fraction(x) for x in (1, 2, 0, 5, 0, 0, 0, 0,
                                        3, 0, 1, 0, 0, 0, 0, 0))
-    assert classify._ext2_filters("r3", flat, 4) == {
-        "member": False, "outer": True, "indecomposable": True}
+    assert classify.catalog()["r3"].ext2_classifier(flat) is None
 
 
 def test_ext2ad_sweep_filters_each_line_once(monkeypatch):
     points = classify.sweep_points("r2", "ext2ad", GridSpec())
+    entry = classify.catalog()["r2"]
     calls = []
-    filters = classify._ext2_filters
+    classifier = entry.ext2_classifier
 
-    def counting(*args):
-        calls.append(args)
-        return filters(*args)
+    def counting(flat):
+        calls.append(flat)
+        return classifier(flat)
 
-    monkeypatch.setattr(classify, "_ext2_filters", counting)
+    monkeypatch.setattr(entry, "ext2_classifier", counting)
     classify._run_sweep("r2", "ext2ad", points)
     assert len(calls) == len({classify._line_key(p) for p in points})
     assert len(calls) < len(points)
+
+
+def _random_ext2ad_flat(base, rng):
+    """A random integer ext2ad point of r2, r3 or h3 as its flat matrix,
+    drawn often at the edges of the filters: a zero row, A = 0, a singular
+    A, a trace-free pair block, h = 0."""
+    case = rng.randrange(5)
+    if base == "h3":
+        a, b, c, e, h = (rng.choice((0, rng.randint(-4, 4))) for _ in range(5))
+        if case == 0:
+            a = b = c = e = 0
+        elif case == 1:
+            h = 0
+        elif case in (2, 3):
+            b = -a
+            h = h or 1
+        return (a + b, 0, 0, h, 0, a, c, 0, 0, e, b, 0, 0, 0, 0, 0)
+    n = int(base[1:])
+    rows = [[rng.choice((0, rng.randint(-3, 3))) for _ in range(n + 1)]
+            for _ in range(n)]
+    if case == 0:
+        rows[rng.randrange(n)] = [0] * (n + 1)
+    elif case == 1:
+        for row in rows:
+            row[:n] = [0] * n
+    elif case in (2, 3):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-2, 2)
+        rows[i][:n] = [k * x for x in rows[j][:n]]
+    return tuple(x for row in rows for x in row) + (0,) * (n + 1)
+
+
+def _ext2ad_oracle(base, flat):
+    """(member, indecomposable, outer) of an ext2ad point: the rank of
+    [A, v] is n, A is singular, A is nonzero; on h3 the pair block M is
+    invertible, a + b = 0 with h != 0, M is nonzero."""
+    if base == "h3":
+        pair = [[flat[5], flat[6]], [flat[9], flat[10]]]
+        return (det_cofactor(pair) != 0, flat[5] + flat[10] == 0 != flat[3],
+                any(x for row in pair for x in row))
+    n = int(base[1:])
+    rows = [flat[i * (n + 1):(i + 1) * (n + 1)] for i in range(n)]
+    a = [row[:n] for row in rows]
+    return (rank_elimination(rows) == n, det_cofactor(a) == 0,
+            any(x for row in a for x in row))
+
+
+@pytest.mark.parametrize("base", ("r2", "r3", "h3"))
+def test_ext2ad_matcher_outcomes_agree_with_an_oracle(base):
+    # The matcher decides membership and indecomposability itself; every
+    # member is outer, so outerness never decides an outcome.
+    classifier = classify.catalog()[base].ext2_classifier
+    space = classify._sweep_space(base, "ext2ad")
+    rng = random.Random(f"ext2ad oracle {base}")
+    kinds = Counter()
+    for _ in range(400):
+        flat = _random_ext2ad_flat(base, rng)
+        exact = tuple(map(Fraction, flat))
+        space.coeffs_of(Matrix.unflatten(exact, space.n, space.n))
+        member, indecomposable, outer = _ext2ad_oracle(base, flat)
+        outcome = classify._classify_flat(classifier, flat)
+        assert classify._classify_flat(classifier, exact) == outcome
+        assert outer or not member, flat
+        if not member:
+            assert outcome == ("nonmember",), flat
+        elif not indecomposable:
+            assert outcome == ("filtered",), flat
+        else:
+            assert outcome[0] in ("match", "skip"), flat
+        kinds[outcome[0]] += 1
+    assert {"nonmember", "filtered", "match"} <= set(kinds)
 
 
 def test_ext2ad_template_failing_a_filter_is_rejected():

@@ -163,6 +163,23 @@ class TestMalformedDocuments:
         assert code == EXIT_USAGE
         assert "matrix needs integer 'rows' and 'cols'" in err
 
+    @pytest.mark.parametrize("rows", [10**6, -1])
+    def test_matrix_shape_out_of_range(self, tmp_path, capsys, rows):
+        # Checked before any entry is read: rows*cols = 0 matches the empty
+        # entry list, so only the bound keeps the shape from being built.
+        alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(1)))
+        m = _write(tmp_path / "m.json",
+                   {"rows": rows, "cols": 0, "entries": []})
+        bound = f"must be between 0 and {MAX_ALGEBRA_DIM}"
+        for argv in (["extend", alg, "--derivation", m],
+                     ["verify-witness", alg, alg, "--witness",
+                      _write(tmp_path / "witness.json",
+                             {"kind": "full", "matrix": {
+                                 "rows": rows, "cols": 0, "entries": []}})]):
+            code, err = self._run(argv, capsys)
+            assert code == EXIT_USAGE
+            assert bound in err
+
     def test_extend_with_wrongly_shaped_derivation(self, tmp_path, capsys):
         alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))
         d = _write(tmp_path / "d.json", matrix_to_document(Matrix.identity(3)))
@@ -278,3 +295,20 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(out)["verdicts"] == {
             "decomposable": decomposable, "member": True}
+
+    def test_extend_zy_without_second_is_a_usage_error(self, tmp_path,
+                                                       capsys):
+        code, out, err = self._extend(tmp_path, capsys, Matrix.identity(2),
+                                      "--zy", "5,7")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--zy needs --second" in err
+
+    def test_extend_empty_zy_is_a_usage_error(self, tmp_path, capsys):
+        second = _write(tmp_path / "second.json",
+                        matrix_to_document(Matrix.diagonal([1, 0])))
+        code, out, err = self._extend(tmp_path, capsys, Matrix.zero(2, 2),
+                                      "--second", second, "--zy", "")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "vector" in err
