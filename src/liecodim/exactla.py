@@ -17,7 +17,9 @@ these blocks and classify matches them as they are.
 Every elimination runs on one kernel, ``_bareiss``: Bareiss's
 fraction-free elimination of integer rows (Math. Comp. 22, 1968).
 ``Matrix.det``, ``Matrix.rank`` and the rank tests of ``eigen_structure``
-run it on d*M, d the lcm of M's denominators (1 for a sweep point); ``rref``
+run it on d*M, d the lcm of M's denominators (1 for a sweep point);
+``_rank``, the one rank of integer rows, runs it on a copy of the rows
+(``ext``'s membership conditions, ``classify.fingerprint``); ``rref``
 runs it on the rows of M, each cleared of its own denominators, and
 back-substitutes in integers.  ``char_poly`` is Berkowitz's division-free
 recurrence on d*M.  One helper, ``_integer_point``, clears denominators for
@@ -372,6 +374,12 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int, list[int]]:
         if r == nrows:
             break
     return r, sign * prev, pivots
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of integer rows; ``_bareiss`` eliminates a copy, so cached
+    rows are never written."""
+    return _bareiss([list(r) for r in rows])[0]
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -24,18 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exactla import (
     Matrix,
     NotInvertible,
     Subspace,
     Vector,
-    _bareiss,
     _block_diag,
     _int_matmul,
     _integer_point,
     _integer_rows,
+    _rank,
     solve,
     vec_is_zero,
 )
@@ -129,12 +129,6 @@ class CodimOneVerdict:
     lower_block_rank: int
     lower_block_full: bool
     quotient_invertible: bool
-
-
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """The rank of integer rows; ``_bareiss`` eliminates a copy, so cached
-    rows are never written."""
-    return _bareiss([list(r) for r in rows])[0]
 
 
 def _reduce_modulo(w: list[int], rows: tuple[tuple[int, ...], ...],

@@ -34,8 +34,12 @@ from liecodim import classify, exactla
 from liecodim.canon import AmbiguousMatch, ExactScalar
 from liecodim.classify import GridSpec, classify_extensions
 from liecodim.cli import canonical_json
+from liecodim.deriv import NotADerivation, derivation_space
 from liecodim.exactla import (Matrix, Subspace, UnsupportedSpectrumError,
                               _block_diag, char_poly)
+from liecodim.ext import extend_by_derivation
+from liecodim.liealg import (JacobiViolation, abelian, center, direct_sum,
+                             heisenberg3, make_algebra)
 
 from oracles import (det_cofactor, per_point_outcomes, rank_elimination,
                      structured_sweep_integer_points)
@@ -815,9 +819,9 @@ def test_ext2ad_template_failing_a_filter_is_rejected():
         classify._verify_template(entry, "ext2ad", decomposable)
 
 
-@pytest.mark.parametrize("key", ("r2", "r3", "h3"))
-def test_ext2ad_conjugation_reuses_cached_spaces(monkeypatch, key):
-    classify._entry_spaces(key)
+def _count_derivation_spaces(monkeypatch):
+    """The list of algebras ``classify`` builds a ``derivation_space`` for
+    from now on."""
     calls = []
     original = classify.derivation_space
 
@@ -826,6 +830,13 @@ def test_ext2ad_conjugation_reuses_cached_spaces(monkeypatch, key):
         return original(alg)
 
     monkeypatch.setattr(classify, "derivation_space", counting)
+    return calls
+
+
+@pytest.mark.parametrize("key", ("r2", "r3", "h3"))
+def test_ext2ad_conjugation_reuses_cached_spaces(monkeypatch, key):
+    classify._entry_spaces(key)
+    calls = _count_derivation_spaces(monkeypatch)
     template = classify.catalog()[key].ext2_templates[0]
     m = template.build(template.sample(1)[0])
     rng = random.Random(7)
@@ -891,6 +902,101 @@ def test_pencil_det_matches_char_poly():
     # det(I + t*diag(1, 0)) = 1 + t: degree 1 for a 2x2 pencil.
     assert classify._pencil_det(Matrix.diagonal([1, 0]), Matrix.identity(2)) \
         == (Fraction(1), Fraction(1))
+
+
+def _reference_extensions(sweep):
+    """The algebra each template of a sweep extends to at its first sample,
+    as ``distinctness_evidence`` builds it."""
+    base, mode = sweep.split("/")
+    space, _ = classify._mode_spaces(base, mode)
+    return [extend_by_derivation(space.algebra, t.build(t.sample(1)[0]))
+            for t in classify._templates(classify.catalog()[base], mode)]
+
+
+def _fingerprint_checked(L):
+    """``fingerprint(L)`` after checking its centre, Der and H^1 dimensions
+    against the subspaces ``center`` and ``derivation_space`` compute."""
+    fp = classify.fingerprint(L)
+    space = derivation_space(L)
+    assert (fp.center_dim, fp.der_dim, fp.h1_dim) \
+        == (center(L).dim, space.dim_full, space.dim_h1)
+    return fp
+
+
+@pytest.mark.parametrize("sweep", CHEAP_SWEEPS)
+def test_fingerprint_dimensions_on_reference_algebras(sweep):
+    for L in _reference_extensions(sweep):
+        _fingerprint_checked(L)
+
+
+def test_fingerprint_dimensions_on_seeded_extensions():
+    rng = random.Random(2027)
+    algebras = [
+        # [L, L] = span(x1, x2) in dimension 4: derived codimension two.
+        extend_by_derivation(direct_sum(abelian(2), abelian(1)),
+                             Matrix.from_rows([[1, 0, 1], [0, 2, 0],
+                                               [0, 0, 0]])),
+        # h3 + R, with centre span(x3, x4).
+        extend_by_derivation(heisenberg3(), Matrix.zero(3, 3)),
+    ]
+    for entry in classify.catalog().values():
+        for K in (entry.algebra, direct_sum(entry.algebra, abelian(1))):
+            sp = derivation_space(K)
+            for _ in range(3):
+                coeffs = [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                          for _ in sp.full.basis]
+                flat = tuple(sum((c * v[i] for c, v in zip(coeffs,
+                                                           sp.full.basis)),
+                                 Fraction(0)) for i in range(K.dim ** 2))
+                algebras.append(extend_by_derivation(
+                    K, sp.matrix_from_flat(flat)))
+    prints = [_fingerprint_checked(L) for L in algebras]
+    assert prints[0].derived_dims[:2] == (4, 2)
+    assert prints[1].center_dim == 2
+    assert max(L.dim for L in algebras) == 6
+
+
+def test_fingerprint_rejects_a_non_solvable_algebra():
+    sl2 = make_algebra(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
+    for L in (sl2, direct_sum(sl2, abelian(1))):
+        with pytest.raises(ValueError, match="solvable"):
+            classify.fingerprint(L)
+
+
+def test_verify_template_rejects_a_non_derivation(monkeypatch):
+    entry = classify.catalog()["h3"]
+    # The membership condition also rejects a non-derivation; with it
+    # stubbed out, only the Jacobi step of verification can raise.
+    monkeypatch.setattr(classify, "_is_member", lambda *args: True)
+    broken = dataclasses.replace(
+        entry.ext1_templates[0],
+        build=lambda p: Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+    with pytest.raises(NotADerivation):
+        classify._verify_template(entry, "ext1", broken)
+
+
+def test_verify_template_checks_jacobi_on_the_mode_algebra(monkeypatch):
+    entry = classify.catalog()["r3"]
+    space, sweep = classify._mode_spaces("r3", "ext1")
+    bad = make_algebra(3, {(1, 2): {3: 1}, (1, 3): {1: 1}, (2, 3): {2: 1}},
+                       skip_jacobi=True)
+    monkeypatch.setattr(classify, "_mode_spaces", lambda key, mode: (
+        dataclasses.replace(space, algebra=bad), sweep))
+    # The zero matrix is a derivation of any table, so only Jacobi fails.
+    template = dataclasses.replace(entry.ext1_templates[0],
+                                   build=lambda p: Matrix.zero(3, 3))
+    with pytest.raises(JacobiViolation):
+        classify._verify_template(entry, "ext1", template)
+
+
+def test_warm_sweep_builds_no_derivation_space(monkeypatch):
+    grid = GridSpec(seed=RECORDED["seed"])
+    classify_extensions("h3", "ext2ad", grid)
+    calls = _count_derivation_spaces(monkeypatch)
+    report = classify_extensions("h3", "ext2ad", grid)
+    assert calls == []
+    assert hashlib.sha256(canonical_json(report.as_dict()).encode()
+                          ).hexdigest() == RECORDED["sha256"]["h3/ext2ad"]
 
 
 def test_traced_benchmark_finds_its_targets():
