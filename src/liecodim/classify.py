@@ -87,8 +87,8 @@ from .canon import (
 )
 from .deriv import (
     DerivationSpace,
+    _leibniz_rows,
     derivation_space,
-    leibniz_system,
     project_to_h1,
 )
 from .exactla import (
@@ -97,6 +97,7 @@ from .exactla import (
     Subspace,
     UnsupportedSpectrumError,
     Vector,
+    _bareiss,
     _block_diag,
     _factor_over_rationals,
     _integer_point,
@@ -108,7 +109,6 @@ from .exactla import (
     solve,
 )
 from .ext import (
-    _require_derivation,
     check_codim1_condition,
     check_codim2_condition,
     extend_by_derivation,
@@ -628,21 +628,29 @@ def _match_spectrum(key: str, mode: str, spectrum) -> MatchResult:
 def _classify_abelian(key: str, mode: str, flat: Vector) -> MatchResult:
     """The table matcher on a sweep point of an abelian base R^n.  An ext1
     point is a member when invertible.  An ext2ad point [[A, v], [0, 0]] is
-    a member when it has rank n, and indecomposable when A is singular."""
+    a member when [A, v] has rank n, and indecomposable when A is singular.
+
+    Membership is decided by one ``_bareiss`` of the point's integer rows
+    (``_integer_point``; an ``int`` flat is used as it is).  For a member
+    [A, v], det A != 0 exactly when all n pivots lie left of column n.
+    Only a member is built as a ``Matrix``, for ``eigen_structure``."""
     size = math.isqrt(len(flat))
-    m = Matrix.unflatten(flat, size, size)
+    ints = _integer_point(flat)[1]
+    rows = [list(ints[i * size:(i + 1) * size]) for i in range(size)]
     if mode == "ext1":
-        if m.det() == 0:
+        if _bareiss(rows)[0] < size:
             return None
     else:
         n = size - 1
         # A zero row of [A, v] caps the rank below n, with no elimination.
-        if not all(any(flat[i * size:(i + 1) * size]) for i in range(n)) \
-                or m.rank() != n:
+        if not all(map(any, rows[:n])):
             return None
-        if m.submatrix(range(n), range(n)).det() != 0:
+        rank, _, pivots = _bareiss(rows[:n])
+        if rank != n:
+            return None
+        if pivots[-1] < n:
             return FILTERED
-    st = eigen_structure(m)
+    st = eigen_structure(Matrix.unflatten(flat, size, size))
     outcome = _match_spectrum(key, mode, st.blocks)
     if outcome is None:
         raise AssertionError(f"no {key}/{mode} family fits {st}")
@@ -1340,10 +1348,11 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
 
     - dim Z(L) = n - the rank of the rows ad(x_i), i = 1..n, each the
       brackets [x_i, x_1], ..., [x_i, x_n] laid end to end;
-    - dim Der(L) = n^2 - the rank of the Leibniz system's rows, each row
-      cleared of its own denominators, which changes no rank; its zero and
-      repeated rows are dropped first, as they change no rank either and
-      ``_bareiss`` would rewrite them at every pivot;
+    - dim Der(L) = n^2 - the rank of the Leibniz system's integer rows
+      (``_leibniz_rows``, the table scaled by the lcm of its denominators,
+      which changes no rank); its zero and repeated rows are dropped
+      first, as they change no rank either and ``_bareiss`` would rewrite
+      them at every pivot;
     - dim H^1 = dim Der(L) - (n - dim Z(L)), since the inner derivations
       ad(L) are isomorphic to L/Z(L).
 
@@ -1359,8 +1368,7 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
     zdim = n - _rank([_integer_point(itertools.chain.from_iterable(
         L.bracket_basis(i, j) for j in range(n)))[1] for i in range(n)])
     der_dim = n * n - _rank(list(dict.fromkeys(
-        _integer_point(row)[1] for row in leibniz_system(L).entries
-        if any(row))))
+        tuple(row) for row in _leibniz_rows(L) if any(row))))
     der = series[min(1, len(series) - 1)]  # [L, L]; L itself when L = 0
     codim = n - der.dim
     spectral = ""
@@ -1638,8 +1646,11 @@ def _verify_template(entry: CatalogEntry, mode: str,
     exact parameter round trip through the matcher.
 
     Jacobi is checked without building the extension of the mode algebra K
-    by each sample m: ``_require_derivation(K, m)`` on every sample and
-    ``validate_jacobi(K)`` once per template.  These are the two checks
+    by each sample m: ``validate_jacobi(K)`` once per template, and the
+    Leibniz identity of m on K once per sample, by the membership check
+    (``_is_member``), whose condition first runs ``_require_derivation``
+    on K: the base in ext1, and base ⊕ R with y last, K's own
+    coordinates, in ext2ad.  These are the two checks
     ``extend_by_derivation`` runs, and its docstring shows they are
     equivalent to Jacobi on the extension: a triple through the new
     generator has the Leibniz residual of m as its Jacobi sum, and every
@@ -1654,8 +1665,8 @@ def _verify_template(entry: CatalogEntry, mode: str,
     validate_jacobi(space.algebra)
     for params in samples:
         m = t.build(params)
-        _require_derivation(space.algebra, m)
-        mem_ok = mem_ok and _is_member(entry, mode, m)
+        # Not short-circuited: the check is the sample's Leibniz check.
+        mem_ok = _is_member(entry, mode, m) and mem_ok
         if mode == "ext2ad":
             cert = is_decomposable_double(entry.algebra, m)
             indec_ok = indec_ok and not cert.decomposable

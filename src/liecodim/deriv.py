@@ -12,10 +12,10 @@ matrix representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .exactla import _ZERO, Matrix, Subspace, Vector, _fractions, nullspace
+from .exactla import (_ZERO, Matrix, Subspace, Vector, _fractions,
+                      _integer_point, nullspace)
 from .liealg import (
     LieAlgebra,
     adjoint_matrix,
@@ -31,35 +31,42 @@ class NotADerivation(Exception):
             f"Leibniz identity fails on basis pair {pair}; residual {residual}")
 
 
-def leibniz_system(alg: LieAlgebra) -> Matrix:
-    """Linear system whose kernel (in row-major matrix coordinates) is the
-    space of derivations."""
+def _leibniz_rows(alg: LieAlgebra) -> list[list[int]]:
+    """The Leibniz system of ``alg`` as integer rows over the n^2 row-major
+    entries of d: for each pair i < j, the n coordinates of
+    s*(sum_k c_ij^k d(x_k) - [d(x_i), x_j] - [x_i, d(x_j)]) = 0, with s the
+    lcm of the table's denominators, which changes no kernel and no rank.
+    Only the nonzero terms ``LieAlgebra._through`` indexes are read."""
     n = alg.dim
-    rows: list[Vector] = []
+    s = _integer_point(x for _, v in alg.table for x in v)[0]
+    through = [[(t, [(k, int(x * s)) for k, x in terms]) for t, terms in at]
+               for at in alg._through]
+    rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            cij = alg.bracket_basis(i, j)
-            # rows for: sum_k c_ij^k d(x_k) - [d(x_i), x_j] - [x_i, d(x_j)] = 0
-            for r in range(n):
-                coeff = [Fraction(0)] * (n * n)
-                # d(x_k) contributes d_{r k}
-                for k in range(n):
-                    if cij[k] != 0:
-                        coeff[r * n + k] += cij[k]
-                # [d(x_i), x_j] = sum_s d_{s i} [x_s, x_j]
-                for s in range(n):
-                    w = alg.bracket_basis(s, j)
-                    if w[r] != 0:
-                        coeff[s * n + i] -= w[r]
-                # [x_i, d(x_j)] = sum_s d_{s j} [x_i, x_s]
-                for s in range(n):
-                    w = alg.bracket_basis(i, s)
-                    if w[r] != 0:
-                        coeff[s * n + j] -= w[r]
-                rows.append(tuple(coeff))
-    if not rows:
-        rows = [tuple(Fraction(0) for _ in range(n * n))]
-    return Matrix(len(rows), n * n, tuple(rows))
+            block = [[0] * (n * n) for _ in range(n)]
+            for k, c in enumerate(alg.bracket_basis(i, j)):
+                if c:
+                    c = int(c * s)
+                    for r in range(n):
+                        block[r][r * n + k] += c
+            # [d(x_i), x_j] = sum_t d_ti [x_t, x_j]
+            for t, terms in through[j]:
+                for r, x in terms:
+                    block[r][t * n + i] -= x
+            # [x_i, d(x_j)] = -sum_t d_tj [x_t, x_i]
+            for t, terms in through[i]:
+                for r, x in terms:
+                    block[r][t * n + j] += x
+            rows += block
+    return rows or [[0] * (n * n)]
+
+
+def leibniz_system(alg: LieAlgebra) -> Matrix:
+    """Linear system whose kernel (in row-major matrix coordinates) is the
+    space of derivations: ``_leibniz_rows`` as a ``Matrix`` of ints."""
+    rows = _leibniz_rows(alg)
+    return Matrix(len(rows), alg.dim ** 2, tuple(map(tuple, rows)))
 
 
 def is_derivation(alg: LieAlgebra, d: Matrix) -> bool:

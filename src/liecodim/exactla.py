@@ -96,6 +96,7 @@ def frac(x: Scalar) -> Fraction:
 
 
 _RATIONAL_CLASSES = frozenset((int, Fraction))
+_INT_ONLY = frozenset((int,))
 
 
 def _fractions(v: Iterable) -> list[Fraction]:
@@ -322,8 +323,12 @@ def _integer_point(v: Iterable) -> tuple[int, tuple[int, ...]]:
 
     L*v is the integer vector on v's line with v's orientation; the pair
     identifies v exactly, where L*v alone does not: (1/2, 1) and (1, 2)
-    share L*v = (1, 2).  Entries are coerced through ``frac``, so a
-    ``float`` raises ``TypeError``."""
+    share L*v = (1, 2).  An all-``int`` v is its own integer point, with
+    L = 1; any other entries are coerced through ``frac``, so a ``float``
+    raises ``TypeError``."""
+    v = v if v.__class__ is tuple else tuple(v)
+    if _INT_ONLY.issuperset(map(type, v)):
+        return 1, v
     pairs = [(x if x.__class__ in _INT_OR_FRACTION else frac(x)).as_integer_ratio()
              for x in v]
     scale = math.lcm(*[d for _, d in pairs])

@@ -307,6 +307,13 @@ class DecomposabilityCertificate:
     center_preimage: Optional[Vector]  # x' in Z(H) with d(x') = [z, y]
 
 
+@lru_cache(maxsize=32)
+def _decomposable_base(H: LieAlgebra) -> tuple[Vector, ...]:
+    """What ``is_decomposable_double`` needs of H alone: the echelon basis
+    of the centre Z(H)."""
+    return center(H).space.basis
+
+
 def is_decomposable_double(H: LieAlgebra, d_full: Matrix) -> DecomposabilityCertificate:
     """Decide decomposability of a double extension in normalized form.
 
@@ -315,7 +322,9 @@ def is_decomposable_double(H: LieAlgebra, d_full: Matrix) -> DecomposabilityCert
     acts on H and its last column is [z, y].  The criterion is membership
     of [z, y] in the image of the center of H under the z-action; for
     abelian H the result is cross-checked against invertibility of that
-    action.
+    action.  The basis of Z(H) is built once per base
+    (``_decomposable_base``); the solve, the certificate and the
+    cross-check run on every call.
     """
     n = H.dim
     if d_full.rows != n + 1 or d_full.cols != n + 1:
@@ -324,8 +333,8 @@ def is_decomposable_double(H: LieAlgebra, d_full: Matrix) -> DecomposabilityCert
         raise ValueError("the action of z must map everything into H")
     d_on_h = d_full.submatrix(range(n), range(n))
     zy = d_full.column(n)[:n]
-    z_h = center(H)
-    cols = [d_on_h.apply(b) for b in z_h.space.basis]
+    z_basis = _decomposable_base(H)
+    cols = [d_on_h.apply(b) for b in z_basis]
     preimage_coords = None
     if cols:
         system = Matrix.from_columns(cols)
@@ -335,7 +344,7 @@ def is_decomposable_double(H: LieAlgebra, d_full: Matrix) -> DecomposabilityCert
     certificate = None
     if decomposable and preimage_coords:
         certificate = tuple(
-            sum(preimage_coords[k] * z_h.space.basis[k][i]
+            sum(preimage_coords[k] * z_basis[k][i]
                 for k in range(len(preimage_coords)))
             for i in range(n))
     elif decomposable:

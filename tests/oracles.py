@@ -225,6 +225,33 @@ def dense_reduce(basis, v):
     return w
 
 
+def leibniz_rows_dense(dim, table):
+    """The Leibniz system as dense Fraction rows over the dim^2 row-major
+    entries of d: for each pair i < j (i outer) and each coordinate r, the
+    coordinate r of d([xi, xj]) - [d(xi), xj] - [xi, d(xj)], every term
+    expanded over every basis index.  ``table`` is as in
+    ``leibniz_first_violation``."""
+    def bb(a, b):
+        if a == b:
+            return [Fraction(0)] * dim
+        if a > b:
+            return [-x for x in bb(b, a)]
+        return [Fraction(x) for x in table.get((a, b), [0] * dim)]
+
+    rows = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for r in range(dim):
+                row = [Fraction(0)] * (dim * dim)
+                for k in range(dim):
+                    row[r * dim + k] += bb(i, j)[k]
+                for t in range(dim):
+                    row[t * dim + i] -= bb(t, j)[r]
+                    row[t * dim + j] -= bb(i, t)[r]
+                rows.append(row)
+    return rows
+
+
 def leibniz_first_violation(dim, table, d):
     """First basis pair i < j (1-based, i outer) where
     d([xi, xj]) - [d(xi), xj] - [xi, d(xj)] is nonzero, with that residual,

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from liecodim import classify, exactla
+from liecodim import classify, exactla, ext
 from liecodim.canon import AmbiguousMatch, ExactScalar
 from liecodim.classify import GridSpec, classify_extensions
 from liecodim.cli import canonical_json
@@ -382,6 +382,17 @@ def test_line_key_examples():
     whole = classify._integer_point((1, 2))
     assert half[1] == whole[1] == (1, 2)
     assert half != whole
+    # An all-int point is its own integer point, from any iterable; a bool
+    # is read as 0 or 1 and a float is refused.
+    assert classify._integer_point((3, -1, 0)) == (1, (3, -1, 0))
+    assert classify._integer_point(iter([4, 0, -6])) == (1, (4, 0, -6))
+    assert classify._integer_point((2, F(4, 2), -F(0))) == (1, (2, 2, 0))
+    flags = classify._integer_point((True, False, 3))
+    assert flags == (1, (1, 0, 3))
+    assert [type(v) for v in flags[1]] == [int] * 3
+    for bad in ((1, 0.5), (0.0,), (F(1, 2), 2.0)):
+        with pytest.raises(TypeError):
+            classify._integer_point(bad)
 
 
 # Small structured grids: num and den from 1 to 3, random, conjugate and
@@ -741,8 +752,11 @@ def test_ext2ad_sweep_filters_each_line_once(monkeypatch):
 def _random_ext2ad_flat(base, rng):
     """A random integer ext2ad point of r2, r3 or h3 as its flat matrix,
     drawn often at the edges of the filters: a zero row, A = 0, a singular
-    A, a trace-free pair block, h = 0."""
-    case = rng.randrange(5)
+    A, a trace-free pair block, h = 0; on r2 and r3 also [A, v] of full
+    rank only through v's column (A strictly upper triangular with a
+    nonzero superdiagonal, v ending in a nonzero entry) and an invertible
+    A (upper triangular with a nonzero diagonal), rows shuffled."""
+    case = rng.randrange(7)
     if base == "h3":
         a, b, c, e, h = (rng.choice((0, rng.randint(-4, 4))) for _ in range(5))
         if case == 0:
@@ -765,6 +779,14 @@ def _random_ext2ad_flat(base, rng):
         i, j = rng.sample(range(n), 2)
         k = rng.randint(-2, 2)
         rows[i][:n] = [k * x for x in rows[j][:n]]
+    elif case in (5, 6):
+        shift = 6 - case
+        rows = [[0 if c < r + shift else
+                 rng.choice((-2, -1, 1, 2)) if c == r + shift else
+                 rng.randint(-3, 3) for c in range(n)] + [rng.randint(-3, 3)]
+                for r in range(n)]
+        rows[-1][n] = rows[-1][n] or 1
+        rng.shuffle(rows)
     return tuple(x for row in rows for x in row) + (0,) * (n + 1)
 
 
@@ -786,7 +808,9 @@ def _ext2ad_oracle(base, flat):
 @pytest.mark.parametrize("base", ("r2", "r3", "h3"))
 def test_ext2ad_matcher_outcomes_agree_with_an_oracle(base):
     # The matcher decides membership and indecomposability itself; every
-    # member is outer, so outerness never decides an outcome.
+    # member is outer, so outerness never decides an outcome.  An int flat,
+    # the same flat as Fractions and a positive non-integer multiple of it
+    # get one outcome.
     classifier = classify.catalog()[base].ext2_classifier
     space = classify._sweep_space(base, "ext2ad")
     rng = random.Random(f"ext2ad oracle {base}")
@@ -794,11 +818,15 @@ def test_ext2ad_matcher_outcomes_agree_with_an_oracle(base):
     for _ in range(400):
         flat = _random_ext2ad_flat(base, rng)
         exact = tuple(map(Fraction, flat))
+        c = Fraction(rng.randint(1, 5), rng.randint(6, 9))
+        scaled = tuple(c * x for x in flat)
         space.coeffs_of(Matrix.unflatten(exact, space.n, space.n))
         member, indecomposable, outer = _ext2ad_oracle(base, flat)
         outcome = classify._classify_flat(classifier, flat)
         assert classify._classify_flat(classifier, exact) == outcome
+        assert classify._classify_flat(classifier, scaled) == outcome
         assert outer or not member, flat
+        kinds[member, indecomposable] += 1
         if not member:
             assert outcome == ("nonmember",), flat
         elif not indecomposable:
@@ -807,6 +835,34 @@ def test_ext2ad_matcher_outcomes_agree_with_an_oracle(base):
             assert outcome[0] in ("match", "skip"), flat
         kinds[outcome[0]] += 1
     assert {"nonmember", "filtered", "match"} <= set(kinds)
+    # Members with a singular A reach rank n through v's column.
+    assert min(kinds[True, True], kinds[True, False]) >= 40, kinds
+
+
+@pytest.mark.parametrize("base, dropped, total",
+                         (("r2", 6, 6), ("r3", 24, 24), ("h3", 0, 6)))
+def test_ext2ad_conjugates_dropped_at_the_default_grid(base, dropped, total):
+    # A characterisation of a known defect, not a property: the conjugate
+    # loop of sweep_points, replayed with its draws at the default grid,
+    # loses every r2 and r3 conjugate, because _random_block_triangular's
+    # [[A, 0], [v, f]] does not preserve the base, and coeffs_of raises.
+    grid = GridSpec()
+    space = classify._sweep_space(base, "ext2ad")
+    rng = random.Random(grid.seed)
+    lost = made = 0
+    for t in classify._templates(classify.catalog()[base], "ext2ad"):
+        for params in t.sample(max(1, grid.n_conjugates)):
+            m = t.build(params)
+            for _ in range(grid.n_conjugates):
+                rep = classify.conjugate_in_shape(base, "ext2ad", m, rng)
+                made += 1
+                try:
+                    space.coeffs_of(rep)
+                except ValueError:
+                    lost += 1
+    assert (lost, made) == (dropped, total), (
+        "ROADMAP item 2 (dropped ext2ad conjugates): the fix that keeps "
+        "these conjugates must update this test, and the recorded hashes")
 
 
 def test_ext2ad_template_failing_a_filter_is_rejected():
@@ -964,15 +1020,35 @@ def test_fingerprint_rejects_a_non_solvable_algebra():
 
 
 def test_verify_template_rejects_a_non_derivation(monkeypatch):
+    # The Leibniz identity of each sample is checked once, by the
+    # membership condition, on the mode algebra's coordinates: the base in
+    # ext1, base + R with y last in ext2ad.  After at most two verified
+    # samples comes a non-derivation of h3, padded with a zero y-row and
+    # y-column in ext2ad.
     entry = classify.catalog()["h3"]
-    # The membership condition also rejects a non-derivation; with it
-    # stubbed out, only the Jacobi step of verification can raise.
-    monkeypatch.setattr(classify, "_is_member", lambda *args: True)
-    broken = dataclasses.replace(
-        entry.ext1_templates[0],
-        build=lambda p: Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
-    with pytest.raises(NotADerivation):
-        classify._verify_template(entry, "ext1", broken)
+    broken = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
+    for mode, size in (("ext1", 3), ("ext2ad", 4)):
+        calls = []
+        original = ext.leibniz_residual
+
+        def counting(alg, d):
+            if d.rows == size:
+                calls.append(d)
+            return original(alg, d)
+
+        monkeypatch.setattr(ext, "leibniz_residual", counting)
+        template = classify._templates(entry, mode)[-1]
+        samples = template.sample(2) + [("not a derivation",)]
+        build = {p: template.build(p) for p in samples[:-1]}
+        build[samples[-1]] = Matrix.from_rows(
+            [row + [0] * (size - 3) for row in broken]
+            + [[0] * size] * (size - 3))
+        with pytest.raises(NotADerivation):
+            classify._verify_template(entry, mode, dataclasses.replace(
+                template, build=build.__getitem__,
+                sample=lambda count: samples))
+        assert calls == [build[p] for p in samples], mode
+        monkeypatch.undo()
 
 
 def test_verify_template_checks_jacobi_on_the_mode_algebra(monkeypatch):
@@ -1028,6 +1104,35 @@ def test_abelian_families_round_trip(sweep):
             assert outcome[0] == t.name
             assert outcome[1] == params
             assert t.in_domain(outcome[1])
+
+
+@pytest.mark.parametrize("base", ("r3", "r4"))
+def test_abelian_ext1_outcome_is_the_same_on_int_and_fraction_flats(base):
+    # The matcher reads an int flat as its own integer rows and clears a
+    # Fraction flat first.  Seeded points get one outcome either way, and
+    # the singular ones exactly are nonmembers: a third are singular (one
+    # row a multiple of another), a third dense, and a third invertible
+    # upper triangular, so with rational spectra.
+    classifier = classify.catalog()[base].ext1_classifier
+    n = int(base[1:])
+    rng = random.Random(f"ext1 int flats {base}")
+    kinds = Counter()
+    for trial in range(120):
+        rows = [[rng.choice((0, rng.randint(-3, 3))) for _ in range(n)]
+                for _ in range(n)]
+        if trial % 3 == 0:
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [rng.randint(-2, 2) * x for x in rows[j]]
+        elif trial % 3 == 1:
+            rows = [[0] * r + [rng.choice((-2, -1, 1, 2))] + row[r + 1:]
+                    for r, row in enumerate(rows)]
+        flat = tuple(x for row in rows for x in row)
+        outcome = classify._classify_flat(classifier, flat)
+        assert classify._classify_flat(
+            classifier, tuple(map(Fraction, flat))) == outcome, rows
+        assert (outcome == ("nonmember",)) == (det_cofactor(rows) == 0), rows
+        kinds[outcome[0]] += 1
+    assert kinds["nonmember"] >= 40 and kinds["match"] >= 40, kinds
 
 
 def test_j2_with_negative_eigenvalue_lands_in_its_domain():

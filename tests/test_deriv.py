@@ -14,10 +14,11 @@ from liecodim.deriv import (
     is_derivation,
     is_outer,
     leibniz_residual,
+    leibniz_system,
     project_to_h1,
 )
-from liecodim.exactla import Matrix, Subspace
-from liecodim.ext import extend_by_derivation
+from liecodim.exactla import Matrix, Subspace, nullspace
+from liecodim.ext import change_of_basis, extend_by_derivation
 from liecodim.liealg import (
     Ideal,
     abelian,
@@ -31,7 +32,7 @@ from liecodim.liealg import (
     direct_sum,
 )
 
-from oracles import leibniz_first_violation
+from oracles import leibniz_first_violation, leibniz_rows_dense
 
 F = Fraction
 
@@ -228,6 +229,48 @@ class TestLeibnizResidual:
                 with pytest.raises(ValueError):
                     leibniz_residual(alg, Matrix.zero(n, n + 1))
         assert min(seen.values()) >= 50, seen
+
+
+    def test_integer_leibniz_rows_keep_the_derivation_spaces(self):
+        """For every catalog base K, K + R and K in a seeded rational basis
+        (non-integer structure constants on the non-abelian bases), the
+        Leibniz system is s times the dense Fraction system, s the lcm of
+        the table's denominators, so it keeps its kernel, and the full,
+        inner and complement bases of ``derivation_space`` are the ones
+        that kernel gives."""
+        rng = random.Random(28)
+        algebras = []
+        for entry in catalog().values():
+            base = entry.algebra
+            n = base.dim
+            # lower triangular with a nonzero diagonal: invertible
+            p = Matrix.from_rows([[
+                F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)) if i == j
+                else F(rng.randint(-2, 2), 3) if i > j else 0
+                for j in range(n)] for i in range(n)])
+            algebras += [base, direct_sum(base, abelian(1)),
+                         change_of_basis(base, p)]
+        fractional = 0
+        for alg in algebras:
+            n = alg.dim
+            s = math.lcm(*(F(x).denominator for _, v in alg.table for x in v))
+            fractional += s > 1
+            dense = leibniz_rows_dense(n, dict(alg.table)) \
+                or [[F(0)] * (n * n)]
+            system = leibniz_system(alg)
+            assert system.entries == tuple(tuple(s * x for x in row)
+                                           for row in dense)
+            assert all(type(x) is int for row in system.entries for x in row)
+            full = nullspace(Matrix.from_rows(dense))
+            inner = Subspace.from_vectors(n * n, [
+                adjoint_matrix(alg, alg.basis_vector(i)).flatten()
+                for i in range(n)])
+            sp = derivation_space(alg)
+            assert sp.full.basis == full.basis
+            assert sp.inner.basis == inner.basis
+            assert sp.complement.basis == Subspace.from_vectors(
+                n * n, [inner.reduce(v) for v in full.basis]).basis
+        assert fractional >= 3
 
 
 class TestOuter:

@@ -479,6 +479,29 @@ class TestDecomposability:
                 if d_full.rank() == n:
                     assert cert.decomposable == (d_on_h.det() != 0)
 
+    def test_cached_centre_gives_the_certificates_of_a_fresh_one(
+            self, monkeypatch):
+        """Bases of one dimension with different centres (R^3, h3 and h3
+        in a seeded basis), called in alternation with the centre cached,
+        get the certificates of a centre recomputed on every call."""
+        rng = random.Random(28)
+        p = Matrix.from_rows([[2, F(1, 2), 0], [0, 1, F(-1, 3)], [1, 0, 1]])
+        bases = [abelian(3), heisenberg3(), change_of_basis(heisenberg3(), p)]
+        assert len({center(h).space for h in bases}) == 3
+        calls = [(bases[k % 3], double_extension_matrix(
+            bases[k % 3],
+            Matrix.from_rows([[F(rng.randint(-2, 2), rng.randint(1, 2))
+                               for _ in range(3)] for _ in range(3)]),
+            tuple(F(rng.choice((0, rng.randint(-2, 2)))) for _ in range(3))))
+            for k in range(90)]
+        cached = [is_decomposable_double(h, d) for h, d in calls]
+        monkeypatch.setattr(ext, "_decomposable_base",
+                            lambda h: center(h).space.basis)
+        assert cached == [is_decomposable_double(h, d) for h, d in calls]
+        assert {c.decomposable for c in cached} == {True, False}
+        assert any(c.center_preimage is not None and any(c.center_preimage)
+                   for c in cached)
+
     def test_nonzero_y_row_rejected(self):
         h = abelian(2)
         d_full = Matrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 0]])
