@@ -18,7 +18,6 @@ from .exactla import (
     solve,
 )
 from .liealg import (
-    Ideal,
     JacobiViolation,
     LieAlgebra,
     abelian,
@@ -34,7 +33,6 @@ from .liealg import (
     is_solvable,
     lower_central_series,
     make_algebra,
-    quotient,
     r_plus_heisenberg,
 )
 from .deriv import (

@@ -116,14 +116,12 @@ from .ext import (
     verify_iso_witness_full,
 )
 from .liealg import (
-    Ideal,
     LieAlgebra,
     abelian,
     adjoint_matrix,
     bracket,
     complement_coordinates,
     derived_series,
-    derived_subalgebra,
     direct_sum,
     filiform4,
     heisenberg3,
@@ -132,7 +130,6 @@ from .liealg import (
     lower_central_series,
     r_plus_heisenberg,
     restrict_operator,
-    subalgebra,
     validate_jacobi,
 )
 
@@ -1326,16 +1323,17 @@ def _pencil_det(a: Matrix, b: Matrix) -> Poly:
     return coeffs
 
 
-def _abelianized_actions(L: LieAlgebra, der: Ideal,
+def _abelianized_actions(L: LieAlgebra, series: Sequence[Subspace],
                          vectors: Sequence[Vector]) -> list[Matrix]:
-    """The actions induced by ad_v on der/[der, der], der the derived
-    algebra, for each v in ``vectors``; der is built as an algebra once."""
-    sub = subalgebra(L, der.space)
-    der2 = derived_subalgebra(sub)
-    ops = [restrict_operator(adjoint_matrix(L, v), der.space) for v in vectors]
-    if der2.dim == 0:
-        return ops
-    return [induced_operator_on_quotient(sub, op, der2) for op in ops]
+    """The actions induced by ad_v on D/[D, D], D = [L, L], for each v in
+    ``vectors``, read from L's ``derived_series``: ad_v restricted to
+    ``series[1]`` = D, in D's echelon coordinates, and then induced modulo
+    ``series[2]`` = [D, D], written in the same coordinates."""
+    der = series[1]
+    der2 = Subspace.from_vectors(
+        der.dim, [der.coordinates(w) for w in series[2].basis])
+    return [induced_operator_on_quotient(
+        restrict_operator(adjoint_matrix(L, v), der), der2) for v in vectors]
 
 
 def fingerprint(L: LieAlgebra) -> Fingerprint:
@@ -1343,8 +1341,9 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
     dimension n; raises ``ValueError`` when L is not solvable.
 
     One ``derived_series`` call gives solvability (the series ends at 0),
-    the derived dimensions and [L, L].  The other dimensions are ranks of
-    integer rows (``_rank``), not bases of subspaces:
+    the derived dimensions, [L, L] and [[L, L], [L, L]].  The other
+    dimensions are ranks of integer rows (``_rank``), not bases of
+    subspaces:
 
     - dim Z(L) = n - the rank of the rows ad(x_i), i = 1..n, each the
       brackets [x_i, x_1], ..., [x_i, x_n] laid end to end;
@@ -1357,7 +1356,9 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
       ad(L) are isomorphic to L/Z(L).
 
     The spectral and pencil components read the action of the complement
-    of [L, L] on [L, L] modulo its own derived algebra.
+    of [L, L] on D/[D, D], D = [L, L]: both D and [D, D] are terms of the
+    same derived series (``_abelianized_actions``), so no algebra is built
+    on D.
     """
     series = derived_series(L)
     if series[-1].dim:
@@ -1373,18 +1374,18 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
     codim = n - der.dim
     spectral = ""
     pencil: tuple = ()
-    comp = complement_coordinates(der.space)
+    comp = complement_coordinates(der)
     if codim == 1 and der.dim > 0:
         y = L.basis_vector(comp[0])
         try:
             spectral = proportional_normalize(
-                _abelianized_actions(L, der, [y])[0]).describe()
+                _abelianized_actions(L, series, [y])[0]).describe()
         except UnsupportedSpectrumError:
             spectral = "outside supported spectrum"
     elif codim == 2 and der.dim > 0:
         z = L.basis_vector(comp[0])
         y = L.basis_vector(comp[1])
-        a, b = _abelianized_actions(L, der, [z, y])
+        a, b = _abelianized_actions(L, series, [z, y])
         det_poly = _pencil_det(a, b)
         m = a.rows
         shape: list[tuple] = []
@@ -1645,6 +1646,11 @@ def _verify_template(entry: CatalogEntry, mode: str,
     Jacobi, the full membership condition, indecomposability, and the
     exact parameter round trip through the matcher.
 
+    The round trip takes one matcher call per sample.  ``sample`` keeps
+    only in-domain points, and the domain is the matcher's fixed points, so
+    returned parameters equal to the sample are in the domain exactly when
+    each is a ``Fraction``: an equal ``int`` is not a domain point.
+
     Jacobi is checked without building the extension of the mode algebra K
     by each sample m: ``validate_jacobi(K)`` once per template, and the
     Leibniz identity of m on K once per sample, by the membership check
@@ -1681,7 +1687,7 @@ def _verify_template(entry: CatalogEntry, mode: str,
             raise AmbiguousMatch(
                 f"template {t.name} parameter round trip failed: "
                 f"{list(map(str, params))} -> {list(map(str, outcome[1]))}")
-        if not t.in_domain(outcome[1]):
+        if not all(x.__class__ is Fraction for x in outcome[1]):
             raise AmbiguousMatch(
                 f"template {t.name} produced out-of-domain parameters")
         verified += 1
@@ -1759,8 +1765,8 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
     The sweep folds its points into outcome classes and classifies each
     class once (``_run_sweep``), in this process; the report counts points,
     each point taking its class's outcome, and samples parameters in the
-    order of the classes' first points.  Raises :class:`GoldenMismatch` when the discovered family set
-    differs from the catalog's golden list.
+    order of the classes' first points.  Raises :class:`GoldenMismatch`
+    when the discovered family set differs from the catalog's golden list.
 
     ``jobs`` must be 1 (``ValueError`` otherwise).  The keyword exists only
     because the benchmark harness passes ``jobs=1``; it goes when the

@@ -16,11 +16,7 @@ from typing import Optional
 
 from .exactla import (_ZERO, Matrix, Subspace, Vector, _fractions,
                       _integer_point, nullspace)
-from .liealg import (
-    LieAlgebra,
-    adjoint_matrix,
-    derived_subalgebra,
-)
+from .liealg import LieAlgebra, adjoint_matrix
 
 
 class NotADerivation(Exception):
@@ -67,10 +63,6 @@ def leibniz_system(alg: LieAlgebra) -> Matrix:
     space of derivations: ``_leibniz_rows`` as a ``Matrix`` of ints."""
     rows = _leibniz_rows(alg)
     return Matrix(len(rows), alg.dim ** 2, tuple(map(tuple, rows)))
-
-
-def is_derivation(alg: LieAlgebra, d: Matrix) -> bool:
-    return leibniz_residual(alg, d) is None
 
 
 def leibniz_residual(alg: LieAlgebra, d: Matrix) -> Optional[tuple[tuple[int, int], Vector]]:
@@ -203,9 +195,3 @@ def project_to_h1(space: DerivationSpace, d: Matrix) -> CohomologyClass:
 def is_outer(space: DerivationSpace, d: Matrix) -> bool:
     """True iff d is a derivation whose class modulo ad is nonzero."""
     return not project_to_h1(space, d).is_zero()
-
-
-def derived_invariance_holds(alg: LieAlgebra, d: Matrix) -> bool:
-    """d([L,L]) <= [L,L]; a Leibniz consequence, kept re-checkable."""
-    der = derived_subalgebra(alg)
-    return all(der.space.contains(d.apply(b)) for b in der.space.basis)

@@ -504,9 +504,6 @@ class Subspace:
             return None
         return tuple(Fraction(v[p]) for p in self.pivots)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented

@@ -41,7 +41,6 @@ from .exactla import (
 )
 from .deriv import NotADerivation, leibniz_residual
 from .liealg import (
-    Ideal,
     JacobiViolation,
     LieAlgebra,
     NotAnIdeal,
@@ -161,10 +160,10 @@ def _codim1_base(K: LieAlgebra) -> tuple:
     basis change putting [K, K] on the leading coordinates (each scaled by
     the lcm of its denominators)."""
     der = derived_subalgebra(K)
-    comp = tuple(complement_coordinates(der.space))
-    p = Matrix.from_columns(list(der.space.basis)
+    comp = tuple(complement_coordinates(der))
+    p = Matrix.from_columns(list(der.basis)
                             + [K.basis_vector(i) for i in comp])
-    return (_echelon_rows(der.space), der.space.pivots, comp,
+    return (_echelon_rows(der), der.pivots, comp,
             _integer_rows(p.inverse())[0][der.dim:], _integer_rows(p)[0])
 
 
@@ -257,12 +256,11 @@ def _codim2_base(H: LieAlgebra, d_prime: Matrix) -> tuple:
     n = H.dim
     K = extend_by_derivation(H, d_prime)
     der_h = derived_subalgebra(H)
-    der_h_in_k = Ideal(K, Subspace.from_vectors(
-        n + 1, [v + (Fraction(0),) for v in der_h.space.basis]))
-    q_k, _ = _integer_rows(quotient_map_matrix(K, der_h_in_k))
+    q_k, _ = _integer_rows(quotient_map_matrix(Subspace.from_vectors(
+        n + 1, [v + (Fraction(0),) for v in der_h.basis])))
     dprime, _ = _integer_rows(d_prime)
     dprime_ext = [row + [0] for row in dprime] + [[0] * (n + 1)]
-    span_rows = (*zip(*dprime), *_echelon_rows(der_h.space))
+    span_rows = (*zip(*dprime), *_echelon_rows(der_h))
     return (K, span_rows, q_k, _int_matmul(q_k, dprime_ext),
             _rank([row[:n] for row in q_k]))
 
@@ -311,7 +309,7 @@ class DecomposabilityCertificate:
 def _decomposable_base(H: LieAlgebra) -> tuple[Vector, ...]:
     """What ``is_decomposable_double`` needs of H alone: the echelon basis
     of the centre Z(H)."""
-    return center(H).space.basis
+    return center(H).basis
 
 
 def is_decomposable_double(H: LieAlgebra, d_full: Matrix) -> DecomposabilityCertificate:

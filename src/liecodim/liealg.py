@@ -43,7 +43,7 @@ class JacobiViolation(Exception):
 
 
 class NotAnIdeal(Exception):
-    """A subspace passed where an ideal is required is not bracket-closed."""
+    """An operator does not preserve the ideal it must induce a map on."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ class LieAlgebra:
     (i, j) and (j, i) of every table pair to [x_i, x_j] and its negation,
     ``_zero`` is the zero vector, ``_basis`` the tuple of basis vectors, and
     ``_through[t]`` lists, for each (s, t) among those keys, s with the
-    nonzero ``(k, c)`` terms of [x_s, x_t] (read by ``leibniz_residual``).
+    nonzero ``(k, c)`` terms of [x_s, x_t] (read by ``leibniz_residual``
+    and ``deriv._leibniz_rows``).
     ``bracket_basis``, ``zero_vector`` and ``basis_vector`` return these
     shared immutable tuples.
     """
@@ -175,63 +176,42 @@ def _bracket(alg: LieAlgebra, u: Vector, v: Vector) -> Vector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """An ideal of ``parent``: a subspace closed under bracketing."""
-
-    parent: LieAlgebra
-    space: Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def contains(self, v: Vector) -> bool:
-        return self.space.contains(v)
-
-
-def _span_closure_is_ideal(alg: LieAlgebra, space: Subspace) -> bool:
-    return all(space.contains(_bracket(alg, alg.basis_vector(i), w))
-               for i in range(alg.dim) for w in space.basis)
-
-
 def product_space(alg: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """span{[u, v] : u in a, v in b}."""
     vectors = [_bracket(alg, u, v) for u in a.basis for v in b.basis]
     return Subspace.from_vectors(alg.dim, vectors)
 
 
-def derived_subalgebra(alg: LieAlgebra) -> Ideal:
+def derived_subalgebra(alg: LieAlgebra) -> Subspace:
     """[L, L], returned with its canonical reduced basis: the span of the
     table's brackets [x_i, x_j], since every other bracket of basis
     vectors is zero or the negative of one of them."""
-    return Ideal(alg, Subspace.from_vectors(alg.dim,
-                                            [v for _, v in alg.table]))
+    return Subspace.from_vectors(alg.dim, [v for _, v in alg.table])
 
 
-def derived_series(alg: LieAlgebra) -> list[Ideal]:
+def derived_series(alg: LieAlgebra) -> list[Subspace]:
     """L >= [L,L] >= [[L,L],[L,L]] >= ..., down to stabilization; [L, L]
     is ``derived_subalgebra``, the span of the table's brackets."""
-    series = [Ideal(alg, Subspace.full(alg.dim))]
-    nxt = derived_subalgebra(alg).space
-    while nxt.dim < series[-1].space.dim:
-        series.append(Ideal(alg, nxt))
+    series = [Subspace.full(alg.dim)]
+    nxt = derived_subalgebra(alg)
+    while nxt.dim < series[-1].dim:
+        series.append(nxt)
         if nxt.dim == 0:
             break
         nxt = product_space(alg, nxt, nxt)
     return series
 
 
-def lower_central_series(alg: LieAlgebra) -> list[Ideal]:
+def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
     """L >= [L,L] >= [L,[L,L]] >= ..., down to stabilization."""
     full = Subspace.full(alg.dim)
-    series = [Ideal(alg, full)]
+    series = [full]
     while True:
-        prev = series[-1].space
+        prev = series[-1]
         nxt = product_space(alg, full, prev)
         if nxt.dim == prev.dim:
             break
-        series.append(Ideal(alg, nxt))
+        series.append(nxt)
         if nxt.dim == 0:
             break
     return series
@@ -245,15 +225,15 @@ def is_nilpotent(alg: LieAlgebra) -> bool:
     return lower_central_series(alg)[-1].dim == 0
 
 
-def center(alg: LieAlgebra) -> Ideal:
+def center(alg: LieAlgebra) -> Subspace:
     """{v : [v, x_i] = 0 for all i}, via the stacked adjoint system."""
     if alg.dim == 0:
-        return Ideal(alg, Subspace.zero(0))
+        return Subspace.zero(0)
     stacked = adjoint_matrix(alg, alg.basis_vector(0))
     for i in range(1, alg.dim):
         stacked = stacked.vstack(adjoint_matrix(alg, alg.basis_vector(i)))
     # rows express [x_i, v]; the kernel over v is the center
-    return Ideal(alg, nullspace(stacked))
+    return nullspace(stacked)
 
 
 def adjoint_matrix(alg: LieAlgebra, v: Vector) -> Matrix:
@@ -295,67 +275,26 @@ def complement_coordinates(space: Subspace) -> list[int]:
     return [i for i in range(space.ambient_dim) if i not in space.pivots]
 
 
-def quotient(alg: LieAlgebra, ideal: Ideal, name: Optional[str] = None) -> LieAlgebra:
-    """Quotient algebra on the complement coordinates of the ideal."""
-    if not _span_closure_is_ideal(alg, ideal.space):
-        raise NotAnIdeal("quotient requires an ideal")
-    comp = complement_coordinates(ideal.space)
-    proj = _projection_to_complement(ideal.space, comp)
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a_idx, i in enumerate(comp):
-        for b_idx, j in enumerate(comp[a_idx + 1:], start=a_idx + 1):
-            w = _bracket(alg, alg.basis_vector(i), alg.basis_vector(j))
-            coords = proj(w)
-            entry = {k + 1: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                brackets[(a_idx + 1, b_idx + 1)] = entry
-    return make_algebra(len(comp), brackets, name)
+def quotient_map_matrix(space: Subspace) -> Matrix:
+    """Matrix of the projection V -> V/S, S = ``space``, in the complement
+    coordinates: column j is the unit vector e_j reduced against the
+    echelon basis of S, read off at the coordinates no pivot uses."""
+    comp = complement_coordinates(space)
+    units = Matrix.identity(space.ambient_dim).entries
+    return Matrix.from_columns([[w[i] for i in comp]
+                                for w in map(space.reduce, units)])
 
 
-def _projection_to_complement(space: Subspace, comp: list[int]):
-    """Project ambient vectors onto the complement coordinates modulo the
-    subspace (reduce against the echelon basis, read off free slots)."""
-
-    def project(v: Vector) -> Vector:
-        w = space.reduce(v)
-        return tuple(w[i] for i in comp)
-
-    return project
-
-
-def subalgebra(alg: LieAlgebra, space: Subspace, name: Optional[str] = None) -> LieAlgebra:
-    """The algebra structure induced on a bracket-closed subspace, expressed
-    in the subspace's canonical echelon basis."""
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, u in enumerate(space.basis):
-        for j in range(i + 1, space.dim):
-            w = _bracket(alg, u, space.basis[j])
-            coords = space.coordinates(w)
-            if coords is None:
-                raise NotAnIdeal("subspace is not closed under bracketing")
-            entry = {k + 1: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                brackets[(i + 1, j + 1)] = entry
-    return make_algebra(space.dim, brackets, name)
-
-
-def quotient_map_matrix(alg: LieAlgebra, ideal: Ideal) -> Matrix:
-    """Matrix of the projection L -> L/I in the complement coordinates."""
-    comp = complement_coordinates(ideal.space)
-    proj = _projection_to_complement(ideal.space, comp)
-    cols = [proj(alg.basis_vector(j)) for j in range(alg.dim)]
-    return Matrix.from_columns(cols)
-
-
-def induced_operator_on_quotient(alg: LieAlgebra, op: Matrix, ideal: Ideal) -> Matrix:
-    """Matrix of the operator induced on L/I; requires op(I) <= I."""
-    for b in ideal.space.basis:
-        if not ideal.space.contains(op.apply(b)):
+def induced_operator_on_quotient(op: Matrix, space: Subspace) -> Matrix:
+    """Matrix of the operator induced on V/S, S = ``space``, in the
+    complement coordinates: the quotient map times ``op``, at the
+    complement columns.  Requires op(S) <= S."""
+    for b in space.basis:
+        if not space.contains(op.apply(b)):
             raise NotAnIdeal("operator does not preserve the ideal")
-    comp = complement_coordinates(ideal.space)
-    proj = _projection_to_complement(ideal.space, comp)
-    cols = [proj(op.apply(alg.basis_vector(j))) for j in comp]
-    return Matrix.from_columns(cols) if cols else Matrix.zero(0, 0)
+    comp = complement_coordinates(space)
+    image = quotient_map_matrix(space) @ op
+    return image.submatrix(range(image.rows), comp)
 
 
 # ---------------------------------------------------------------------------

@@ -370,3 +370,66 @@ def exact_scalar_parts(rat, rad):
     root = next(k for k in range(math.isqrt(inner), 0, -1)
                 if inner % (k * k) == 0)
     return r / v.denominator * root, inner // (root * root)
+
+
+def _dense_bracket(dim, table, u, v):
+    """[u, v] expanded over every pair of basis indices; ``table`` maps
+    0-based (i, j), i < j, to the coordinates of [xi, xj]."""
+    out = [Fraction(0)] * dim
+    for (i, j), w in table.items():
+        c = Fraction(u[i]) * Fraction(v[j]) - Fraction(u[j]) * Fraction(v[i])
+        for k in range(dim):
+            out[k] += c * Fraction(w[k])
+    return out
+
+
+def _echelon(vectors, width):
+    """The nonzero rows of the RREF of ``vectors`` with their pivots."""
+    rows, pivots = dense_rref(list(vectors) or [[0] * width])
+    return rows[:len(pivots)], pivots
+
+
+def _echelon_coordinates(rows, pivots, w):
+    """The coefficients of ``w`` in the echelon rows, read at the pivots
+    and checked by multiplying back out."""
+    coords = [Fraction(w[p]) for p in pivots]
+    back = [sum((c * Fraction(row[k]) for c, row in zip(coords, rows)),
+                Fraction(0)) for k in range(len(w))]
+    assert back == [Fraction(x) for x in w], "vector outside the span"
+    return coords
+
+
+def induced_operator_dense(op_rows, subspace_rows):
+    """The map ``op_rows`` induces on V/S, S the span of ``subspace_rows``
+    (an operator preserving S), as rows: column j, for each coordinate j
+    the echelon basis of S does not lead with, is op(e_j) reduced modulo S
+    and read at those coordinates."""
+    width = len(op_rows)
+    rows, pivots = _echelon(subspace_rows, width)
+    comp = [j for j in range(width) if j not in pivots]
+    cols = [dense_reduce(rows, [op_rows[i][j] for i in range(width)])
+            for j in comp]
+    return [[col[i] for col in cols] for i in comp]
+
+
+def abelianized_actions_subalgebra_route(dim, table, vectors):
+    """The map ad_v induces on D/[D, D], D = [L, L], for each v in
+    ``vectors``, with D built as an algebra of its own: D's structure
+    constants in its reduced echelon basis, [D, D] as their span, and
+    ad_v restricted to D in that basis, then induced modulo [D, D] by
+    ``induced_operator_dense``.  ``table`` is as in ``_dense_bracket``;
+    each result is a list of rows."""
+    rows, pivots = _echelon(table.values(), dim)
+    sub_table = {}
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            sub_table[(a, b)] = _echelon_coordinates(
+                rows, pivots, _dense_bracket(dim, table, rows[a], rows[b]))
+    actions = []
+    for v in vectors:
+        cols = [_echelon_coordinates(rows, pivots,
+                                     _dense_bracket(dim, table, v, b))
+                for b in rows]
+        op = [[col[i] for col in cols] for i in range(len(rows))]
+        actions.append(induced_operator_dense(op, list(sub_table.values())))
+    return actions

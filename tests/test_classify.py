@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from liecodim import classify, exactla, ext
+from liecodim import classify, exactla, ext, liealg
 from liecodim.canon import AmbiguousMatch, ExactScalar
 from liecodim.classify import GridSpec, classify_extensions
 from liecodim.cli import canonical_json
@@ -38,11 +38,14 @@ from liecodim.deriv import NotADerivation, derivation_space
 from liecodim.exactla import (Matrix, Subspace, UnsupportedSpectrumError,
                               _block_diag, char_poly)
 from liecodim.ext import extend_by_derivation
-from liecodim.liealg import (JacobiViolation, abelian, center, direct_sum,
-                             heisenberg3, make_algebra)
+from liecodim.liealg import (JacobiViolation, abelian, adjoint_matrix,
+                             center, complement_coordinates, derived_series,
+                             direct_sum, heisenberg3,
+                             induced_operator_on_quotient, make_algebra)
 
-from oracles import (det_cofactor, per_point_outcomes, rank_elimination,
-                     structured_sweep_integer_points)
+from oracles import (abelianized_actions_subalgebra_route, det_cofactor,
+                     induced_operator_dense, per_point_outcomes,
+                     rank_elimination, structured_sweep_integer_points)
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = json.loads((ROOT / "bench" / "report_hashes.json").read_text())
@@ -1012,6 +1015,54 @@ def test_fingerprint_dimensions_on_seeded_extensions():
     assert max(L.dim for L in algebras) == 6
 
 
+def _seeded_derivation(rng, K):
+    """A derivation of K with small integer coefficients on the basis of
+    Der(K)."""
+    sp = derivation_space(K)
+    flat = [Fraction(0)] * K.dim ** 2
+    for v in sp.full.basis:
+        c = rng.randint(-2, 2)
+        flat = [x + c * y for x, y in zip(flat, v)]
+    return sp.matrix_from_flat(tuple(flat))
+
+
+@pytest.mark.parametrize("key", sorted(classify.catalog()))
+def test_abelianized_actions_match_the_subalgebra_route(key):
+    """On seeded one- and two-step extensions L of the base and of
+    base + R: ``_abelianized_actions``, which reads D = [L, L] and [D, D]
+    off L's derived series, equals the oracle that builds D as an algebra
+    and takes its derived algebra; and ``induced_operator_on_quotient`` of
+    each ad_v modulo each term of the series equals the dense reduction.
+    On g4, h3 and r+h3 some L has [D, D] != 0."""
+    rng = random.Random(f"abelianized actions {key}")
+    base = classify.catalog()[key].algebra
+    algebras = []
+    for K in (base, direct_sum(base, abelian(1))):
+        for _ in range(3):
+            L = extend_by_derivation(K, _seeded_derivation(rng, K))
+            algebras += [L, extend_by_derivation(L, _seeded_derivation(rng, L))]
+    nonabelian_d = 0
+    for L in algebras:
+        series = derived_series(L)
+        vectors = [L.basis_vector(i) for i in complement_coordinates(series[1])]
+        vectors.append(tuple(Fraction(rng.randint(-2, 2)) for _ in range(L.dim)))
+        table = {ij: w for ij, w in L.table}
+        for v in vectors:
+            ad = adjoint_matrix(L, v)
+            for term in series:
+                assert [list(row) for row in induced_operator_on_quotient(
+                    ad, term).entries] == induced_operator_dense(
+                        [list(row) for row in ad.entries], term.basis)
+        if series[1].dim == 0:
+            continue
+        nonabelian_d += series[2].dim > 0
+        actions = classify._abelianized_actions(L, series, vectors)
+        assert [[list(row) for row in m.entries] for m in actions] \
+            == abelianized_actions_subalgebra_route(L.dim, table, vectors)
+    if key in ("g4", "h3", "r_plus_h3"):
+        assert nonabelian_d > 0
+
+
 def test_fingerprint_rejects_a_non_solvable_algebra():
     sl2 = make_algebra(3, {(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
     for L in (sl2, direct_sum(sl2, abelian(1))):
@@ -1051,6 +1102,46 @@ def test_verify_template_rejects_a_non_derivation(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("key", ("h3", "r_plus_h3", "g4"))
+def test_verify_template_calls_the_classifier_once_per_sample(monkeypatch,
+                                                              key):
+    # A shaped family's domain is its classifier's fixed points, so
+    # sampling calls the classifier; once sampled, the round trip of each
+    # verified sample is its one classifier call.
+    entry = classify.catalog()[key]
+    original = entry.ext1_classifier
+    calls = []
+
+    def counting(flat):
+        calls.append(flat)
+        return original(flat)
+
+    monkeypatch.setattr(entry, "ext1_classifier", counting)
+    for t in classify._family_templates(key, "ext1", counting):
+        samples = t.sample(classify._VERIFY_SAMPLES)
+        calls.clear()
+        report = classify._verify_template(entry, "ext1", t)
+        assert report.verified_points == len(samples)
+        assert calls == [t.build(p).flatten() for p in samples], t.name
+
+
+def test_verify_template_rejects_int_parameters(monkeypatch):
+    # An int equals the Fraction sampled, so only the form check sees that
+    # the returned parameters are not a domain point.
+    entry = classify.catalog()["h3"]
+    original = entry.ext1_classifier
+
+    def as_ints(flat):
+        name, params = original(flat)
+        return name, tuple(int(x) for x in params)
+
+    monkeypatch.setattr(entry, "ext1_classifier", as_ints)
+    for t in entry.ext1_templates:
+        if t.param_names:
+            with pytest.raises(AmbiguousMatch, match="out-of-domain"):
+                classify._verify_template(entry, "ext1", t)
+
+
 def test_verify_template_checks_jacobi_on_the_mode_algebra(monkeypatch):
     entry = classify.catalog()["r3"]
     space, sweep = classify._mode_spaces("r3", "ext1")
@@ -1073,6 +1164,37 @@ def test_warm_sweep_builds_no_derivation_space(monkeypatch):
     assert calls == []
     assert hashlib.sha256(canonical_json(report.as_dict()).encode()
                           ).hexdigest() == RECORDED["sha256"]["h3/ext2ad"]
+
+
+# The sweeps of the three benchmark workloads (``WORKLOADS`` in
+# bench/run.py).
+BENCH_WORKLOADS = {
+    "structured-ext1": ("r3/ext1", "r_plus_h3/ext1"),
+    "cartesian-ext1": ("r1/ext1", "r2/ext1", "h3/ext1", "g4/ext1"),
+    "ext2ad": ("r2/ext2ad", "r3/ext2ad", "h3/ext2ad"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS))
+def test_warm_workload_builds_no_algebra(monkeypatch, workload):
+    # The fingerprint reads [L, L] and [[L, L], [L, L]] off one derived
+    # series, so a warm pass builds no algebra through make_algebra.
+    grid = GridSpec(seed=RECORDED["seed"])
+    sweeps = [sweep.split("/") for sweep in BENCH_WORKLOADS[workload]]
+    for base, mode in sweeps:
+        classify_extensions(base, mode, grid)
+    calls = []
+    original = liealg.make_algebra
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (liealg, ext):
+        monkeypatch.setattr(module, "make_algebra", counting)
+    for base, mode in sweeps:
+        classify_extensions(base, mode, grid)
+    assert calls == []
 
 
 def test_traced_benchmark_finds_its_targets():
