@@ -891,7 +891,7 @@ def _templates(entry: CatalogEntry, mode: str) -> tuple[FamilyTemplate, ...]:
 
 
 # ---------------------------------------------------------------------------
-# random automorphisms (for conjugation sampling and stability tests)
+# random automorphisms (for conjugation sampling)
 # ---------------------------------------------------------------------------
 
 def _random_fraction(rng: random.Random, allow_zero=True) -> Fraction:
@@ -919,46 +919,34 @@ def _random_block_triangular(rng: random.Random, n: int) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def random_automorphism(key: str, rng: random.Random,
-                        preserve_base: bool = False) -> Matrix:
-    """A random automorphism of the catalog algebra.
+def _random_h3_rows(rng: random.Random) -> list[list[Fraction]]:
+    """The rows of a random automorphism of h3 ([x2, x3] = x1): an
+    invertible [[a, b], [c, d]] on x2, x3, drawn until invertible, then
+    x2, x3 shifted by p*x1, q*x1, and x1 scaled by ad - bc."""
+    while True:
+        a, b, c, d = (_random_fraction(rng) for _ in range(4))
+        if a * d - b * c != 0:
+            break
+    p, q = _random_fraction(rng), _random_fraction(rng)
+    return [[a * d - b * c, p, q], [0, a, b], [0, c, d]]
 
-    ``preserve_base`` applies to ``r_plus_h3`` (that is, h3 ⊕ R): the
-    subalgebra spanned by all but the last coordinate stays invariant, so
-    conjugation preserves the coordinate shape of the h3 two-step sweep.
-    """
+
+def random_automorphism(key: str, rng: random.Random) -> Matrix:
+    """A random automorphism of the catalog algebra, checked by
+    ``verify_iso_witness_full``."""
     entry = catalog()[key]
     alg = entry.algebra
     n = alg.dim
     if key in ("r1", "r2", "r3", "r4"):
         sigma = _random_invertible(rng, n)
     elif key == "h3":
-        while True:
-            a, b, c, d = (_random_fraction(rng) for _ in range(4))
-            if a * d - b * c != 0:
-                break
-        det = a * d - b * c
-        p, q = _random_fraction(rng), _random_fraction(rng)
-        sigma = Matrix.from_rows([
-            [det, p, q],
-            [0, a, b],
-            [0, c, d]])
+        sigma = Matrix.from_rows(_random_h3_rows(rng))
     elif key == "r_plus_h3":
-        while True:
-            a, b, c, d = (_random_fraction(rng) for _ in range(4))
-            if a * d - b * c != 0:
-                break
-        det = a * d - b * c
-        p, q = _random_fraction(rng), _random_fraction(rng)
-        s1, s2 = (Fraction(0), Fraction(0)) if preserve_base else (
-            _random_fraction(rng), _random_fraction(rng))
-        e = _random_fraction(rng)
+        top, mid, low = _random_h3_rows(rng)
+        s1, s2, e = (_random_fraction(rng) for _ in range(3))
         f = _random_fraction(rng, allow_zero=False)
-        sigma = Matrix.from_rows([
-            [det, p, q, e],
-            [0, a, b, 0],
-            [0, c, d, 0],
-            [0, s1, s2, f]])
+        sigma = Matrix.from_rows(
+            [top + [e], mid + [0], low + [0], [0, s1, s2, f]])
     elif key == "g4":
         a4 = _random_fraction(rng, allow_zero=False)
         e3 = _random_fraction(rng, allow_zero=False)
@@ -980,13 +968,20 @@ def conjugate_in_shape(key: str, mode: str, m: Matrix,
     """A random same-class representative: conjugate by an automorphism of
     the mode's algebra, add an inner derivation, rescale, and project back
     to the transversal.  For ext2ad the automorphism keeps the base
-    invariant (h3 ⊕ R is the catalog's r_plus_h3)."""
+    invariant; on h3 ⊕ R it is checked by ``verify_iso_witness_full``."""
     space, _ = _mode_spaces(key, mode)
     alg = space.algebra
     if mode == "ext1":
         sigma = random_automorphism(key, rng)
     elif key == "h3":
-        sigma = random_automorphism("r_plus_h3", rng, preserve_base=True)
+        # the r_plus_h3 automorphism with x2, x3 kept off the line
+        top, mid, low = _random_h3_rows(rng)
+        e, f = _random_fraction(rng), _random_fraction(rng, allow_zero=False)
+        sigma = Matrix.from_rows(
+            [top + [e], mid + [0], low + [0], [0, 0, 0, f]])
+        if not verify_iso_witness_full(alg, alg, sigma):
+            raise AssertionError(
+                "internal: generated map is not an automorphism")
     else:
         sigma = _random_block_triangular(rng, alg.dim)
     conj = sigma @ m @ sigma.inverse()
@@ -1654,9 +1649,9 @@ def _verify_template(entry: CatalogEntry, mode: str,
     Jacobi is checked without building the extension of the mode algebra K
     by each sample m: ``validate_jacobi(K)`` once per template, and the
     Leibniz identity of m on K once per sample, by the membership check
-    (``_is_member``), whose condition first runs ``_require_derivation``
-    on K: the base in ext1, and base ⊕ R with y last, K's own
-    coordinates, in ext2ad.  These are the two checks
+    (``_is_member``), whose condition first runs
+    ``deriv._require_derivation`` on K: the base in ext1, and base ⊕ R
+    with y last, K's own coordinates, in ext2ad.  These are the two checks
     ``extend_by_derivation`` runs, and its docstring shows they are
     equivalent to Jacobi on the extension: a triple through the new
     generator has the Leibniz residual of m as its Jacobi sum, and every

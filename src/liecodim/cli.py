@@ -125,8 +125,12 @@ def algebra_from_document(doc: Any, skip_jacobi: bool = False) -> LieAlgebra:
         for k, val in coeffs_doc.items():
             try:
                 k_int = int(k)
-            except ValueError as exc:
-                raise DocumentError(f"{where}: bad target index {k!r}") from exc
+            except ValueError:
+                k_int = None
+            # only the canonical decimal key: int() also reads "01", "1_0"
+            # and " 1", which would not survive a round trip
+            if k_int is None or str(k_int) != k:
+                raise DocumentError(f"{where}: bad target index {k!r}")
             if not 1 <= k_int <= dim:
                 raise DocumentError(f"{where}: target index {k_int} out of range")
             coeffs[k_int] = _parse_rational(val, where)
@@ -189,10 +193,24 @@ def _witness_field(wdoc: dict, name: str,
         raise DocumentError(f"witness field {name!r}: {exc}") from exc
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object from its ``(key, value)`` pairs; a repeated key, of
+    which ``json`` would silently keep the last value, raises
+    :class:`DocumentError` naming it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except DocumentError as exc:
+        raise DocumentError(f"{path}: {exc}") from None
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

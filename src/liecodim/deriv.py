@@ -1,21 +1,23 @@
 """Derivation algebras, inner derivations, and first cohomology.
 
 A derivation of L is a linear map d with d([x,y]) = [d(x),y] + [x,d(y)].
-The full derivation space is the kernel of one linear system (one block of
-n equations per basis pair i < j, n^2 unknowns); inner derivations are the
-span of the adjoint matrices.  First cohomology is realized as a concrete
-transversal of the inner derivations inside the full space, chosen
-deterministically from echelon data, so every class has one distinguished
-matrix representative.
+The full derivation space is the kernel of one integer linear system (one
+block of n equations per basis pair i < j, n^2 unknowns), and the Leibniz
+residual of a matrix, which decides whether it is a derivation, is read off
+the same system; inner derivations are the span of the adjoint matrices.
+First cohomology is realized as a concrete transversal of the inner
+derivations inside the full space, chosen deterministically from echelon
+data, so every class has one distinguished matrix representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
-from .exactla import (_ZERO, Matrix, Subspace, Vector, _fractions,
-                      _integer_point, nullspace)
+from .exactla import Matrix, Subspace, Vector, _integer_point, nullspace
 from .liealg import LieAlgebra, adjoint_matrix
 
 
@@ -29,14 +31,17 @@ class NotADerivation(Exception):
 
 def _leibniz_rows(alg: LieAlgebra) -> list[list[int]]:
     """The Leibniz system of ``alg`` as integer rows over the n^2 row-major
-    entries of d: for each pair i < j, the n coordinates of
-    s*(sum_k c_ij^k d(x_k) - [d(x_i), x_j] - [x_i, d(x_j)]) = 0, with s the
+    entries of d: for each pair i < j (i outer), the n coordinates of
+    s*(sum_k c_ij^k d(x_k) - [d(x_i), x_j] - [x_i, d(x_j)]), with s the
     lcm of the table's denominators, which changes no kernel and no rank.
-    Only the nonzero terms ``LieAlgebra._through`` indexes are read."""
+    Only the nonzero terms of the table are read: ``through[t]`` lists,
+    for each (u, t) that ``LieAlgebra._brackets`` holds, u with the
+    nonzero ``(k, s*c)`` terms of [x_u, x_t]."""
     n = alg.dim
     s = _integer_point(x for _, v in alg.table for x in v)[0]
-    through = [[(t, [(k, int(x * s)) for k, x in terms]) for t, terms in at]
-               for at in alg._through]
+    through: list[list] = [[] for _ in range(n)]
+    for (u, t), v in alg._brackets.items():
+        through[t].append((u, [(k, int(x * s)) for k, x in enumerate(v) if x]))
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -58,6 +63,22 @@ def _leibniz_rows(alg: LieAlgebra) -> list[list[int]]:
     return rows or [[0] * (n * n)]
 
 
+@lru_cache(maxsize=32)
+def _leibniz_blocks(alg: LieAlgebra) -> tuple[int, tuple]:
+    """``(s, blocks)``: s as in ``_leibniz_rows``, and its rows as one
+    block of n rows per basis pair, in the same order, each with its
+    1-based pair and each row as its nonzero ``(column, entry)`` terms;
+    all-zero blocks are dropped."""
+    n = alg.dim
+    rows = _leibniz_rows(alg)
+    s = _integer_point(x for _, v in alg.table for x in v)[0]
+    pairs = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)]
+    blocks = ((pair, tuple(tuple((c, x) for c, x in enumerate(row) if x)
+                           for row in rows[p * n:p * n + n]))
+              for p, pair in enumerate(pairs))
+    return s, tuple(b for b in blocks if any(b[1]))
+
+
 def leibniz_system(alg: LieAlgebra) -> Matrix:
     """Linear system whose kernel (in row-major matrix coordinates) is the
     space of derivations: ``_leibniz_rows`` as a ``Matrix`` of ints."""
@@ -74,41 +95,27 @@ def leibniz_residual(alg: LieAlgebra, d: Matrix) -> Optional[tuple[tuple[int, in
     column i of d.  Raises ValueError unless d is dim x dim; the entries of
     d are coerced through ``frac``, so a ``float`` raises ``TypeError``.
 
-    Only the table's nonzero structure constants are read:
-    d([x_i, x_j]) = sum_k c_ij^k d(x_k), [d(x_i), x_j] = sum_s d_si [x_s, x_j]
-    over the table pairs through j, and [x_i, d(x_j)] = -sum_s d_sj [x_s, x_i]
-    over those through i, as indexed once in ``LieAlgebra._through``.  A pair
-    through no table index has residual 0, so on an abelian algebra nothing
-    is computed.
+    d is cleared of its denominators once, L*d with L their lcm, and a
+    pair's residual is its cached integer block (``_leibniz_blocks``)
+    times L*d, over s*L; a pair with no block has residual 0.
     """
     n = alg.dim
     if d.rows != n or d.cols != n:
         raise ValueError("derivation matrix has wrong shape")
-    rows = [_fractions(row) for row in d.entries]
-    through = alg._through
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (through[i] or through[j]):
-                continue
-            acc = [_ZERO] * n
-            for k, c in enumerate(alg.bracket_basis(i, j)):
-                if c:
-                    for r in range(n):
-                        if rows[r][k]:
-                            acc[r] += c * rows[r][k]
-            for s, terms in through[j]:
-                a = rows[s][i]
-                if a:
-                    for k, x in terms:
-                        acc[k] -= a * x
-            for s, terms in through[i]:
-                a = rows[s][j]
-                if a:
-                    for k, x in terms:
-                        acc[k] += a * x
-            if any(acc):
-                return (i + 1, j + 1), tuple(acc)
+    scale, flat = _integer_point(d.flatten())
+    s, blocks = _leibniz_blocks(alg)
+    for pair, block in blocks:
+        acc = [sum([x * flat[c] for c, x in row]) for row in block]
+        if any(acc):
+            return pair, tuple([Fraction(a, s * scale) for a in acc])
     return None
+
+
+def _require_derivation(alg: LieAlgebra, d: Matrix) -> None:
+    """Raise :class:`NotADerivation` on ``leibniz_residual``'s violation."""
+    violation = leibniz_residual(alg, d)
+    if violation is not None:
+        raise NotADerivation(*violation)
 
 
 @dataclass(frozen=True)
@@ -182,9 +189,7 @@ def project_to_h1(space: DerivationSpace, d: Matrix) -> CohomologyClass:
 
     Requires d to be a derivation; raises :class:`NotADerivation` otherwise.
     """
-    violation = leibniz_residual(space.algebra, d)
-    if violation is not None:
-        raise NotADerivation(*violation)
+    _require_derivation(space.algebra, d)
     reduced = space.inner.reduce(d.flatten())
     rep = space.matrix_from_flat(reduced)
     if not space.complement.contains(reduced):

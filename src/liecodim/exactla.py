@@ -285,11 +285,6 @@ class Matrix:
         return Matrix(self.rows, self.cols + other.cols, tuple(
             r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix(len(row_idx), len(col_idx), tuple(
             tuple(self.entries[i][j] for j in col_idx) for i in row_idx))

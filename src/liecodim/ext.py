@@ -39,7 +39,7 @@ from .exactla import (
     solve,
     vec_is_zero,
 )
-from .deriv import NotADerivation, leibniz_residual
+from .deriv import _require_derivation
 from .liealg import (
     JacobiViolation,
     LieAlgebra,
@@ -78,12 +78,6 @@ class PreconditionViolated(Exception):
     pass
 
 
-def _require_derivation(alg: LieAlgebra, d: Matrix) -> None:
-    violation = leibniz_residual(alg, d)
-    if violation is not None:
-        raise NotADerivation(*violation)
-
-
 def extend_by_derivation(K: LieAlgebra, d: Matrix,
                          name: Optional[str] = None) -> LieAlgebra:
     """The (dim K + 1)-dimensional algebra L = R*y + K with new generator y,
@@ -94,10 +88,11 @@ def extend_by_derivation(K: LieAlgebra, d: Matrix,
     inside K is a triple of K with the same brackets.  A triple through y,
     (x_i, x_j, y), has Jacobi sum [[x_i, x_j], y] + [[x_j, y], x_i] +
     [[y, x_i], x_j] = -(d([x_i, x_j]) - [d(x_i), x_j] - [x_i, d(x_j)]), the
-    Leibniz residual of d on (i, j) negated, which ``_require_derivation``
-    has just found zero.  So the first failing triple of L is K's, with K's
-    residual and a zero in y's slot, and a non-derivation raises
-    :class:`NotADerivation` before K is looked at.  Every bracket lands in
+    Leibniz residual of d on (i, j) negated, which
+    ``deriv._require_derivation`` has just found zero.  So the first
+    failing triple of L is K's, with K's residual and a zero in y's slot,
+    and a non-derivation raises :class:`NotADerivation` before K is looked
+    at.  Every bracket lands in
     K, the span of x_1..x_n, so [L, L] <= K and dim [L, L] <= dim L - 1
     hold by construction.
     """

@@ -53,13 +53,10 @@ class LieAlgebra:
     ``table[(i, j)]`` (0-based, i < j) is the coordinate vector of
     [x_i, x_j] in the ambient basis.
 
-    The table is indexed once, at construction, in four private fields
+    The table is indexed once, at construction, in three private fields
     that take no part in equality or hashing: ``_brackets`` maps both
     (i, j) and (j, i) of every table pair to [x_i, x_j] and its negation,
-    ``_zero`` is the zero vector, ``_basis`` the tuple of basis vectors, and
-    ``_through[t]`` lists, for each (s, t) among those keys, s with the
-    nonzero ``(k, c)`` terms of [x_s, x_t] (read by ``leibniz_residual``
-    and ``deriv._leibniz_rows``).
+    ``_zero`` is the zero vector and ``_basis`` the tuple of basis vectors.
     ``bracket_basis``, ``zero_vector`` and ``basis_vector`` return these
     shared immutable tuples.
     """
@@ -70,17 +67,12 @@ class LieAlgebra:
     _brackets: dict = field(init=False, repr=False, compare=False)
     _zero: Vector = field(init=False, repr=False, compare=False)
     _basis: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
-    _through: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         brackets = {}
         for (i, j), v in self.table:
             brackets[(i, j)] = v
             brackets[(j, i)] = tuple([-x for x in v])
-        through: list[list] = [[] for _ in range(self.dim)]
-        for (s, t), v in brackets.items():
-            through[t].append((s, tuple((k, x) for k, x in enumerate(v) if x)))
-        object.__setattr__(self, "_through", tuple(map(tuple, through)))
         zero = (_ZERO,) * self.dim
         one = Fraction(1)
         object.__setattr__(self, "_brackets", brackets)
@@ -226,14 +218,11 @@ def is_nilpotent(alg: LieAlgebra) -> bool:
 
 
 def center(alg: LieAlgebra) -> Subspace:
-    """{v : [v, x_i] = 0 for all i}, via the stacked adjoint system."""
-    if alg.dim == 0:
-        return Subspace.zero(0)
-    stacked = adjoint_matrix(alg, alg.basis_vector(0))
-    for i in range(1, alg.dim):
-        stacked = stacked.vstack(adjoint_matrix(alg, alg.basis_vector(i)))
-    # rows express [x_i, v]; the kernel over v is the center
-    return nullspace(stacked)
+    """{v : [v, x_i] = 0 for all i}: the kernel of the adjoint matrices of
+    the x_i stacked, whose rows express [x_i, v]."""
+    rows = tuple(row for i in range(alg.dim)
+                 for row in adjoint_matrix(alg, alg.basis_vector(i)).entries)
+    return nullspace(Matrix(len(rows), alg.dim, rows))
 
 
 def adjoint_matrix(alg: LieAlgebra, v: Vector) -> Matrix:

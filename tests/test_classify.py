@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from liecodim import classify, exactla, ext, liealg
+from liecodim import classify, deriv, exactla, ext, liealg
 from liecodim.canon import AmbiguousMatch, ExactScalar
 from liecodim.classify import GridSpec, classify_extensions
 from liecodim.cli import canonical_json
@@ -1080,14 +1080,14 @@ def test_verify_template_rejects_a_non_derivation(monkeypatch):
     broken = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
     for mode, size in (("ext1", 3), ("ext2ad", 4)):
         calls = []
-        original = ext.leibniz_residual
+        original = deriv.leibniz_residual
 
         def counting(alg, d):
             if d.rows == size:
                 calls.append(d)
             return original(alg, d)
 
-        monkeypatch.setattr(ext, "leibniz_residual", counting)
+        monkeypatch.setattr(deriv, "leibniz_residual", counting)
         template = classify._templates(entry, mode)[-1]
         samples = template.sample(2) + [("not a derivation",)]
         build = {p: template.build(p) for p in samples[:-1]}

@@ -20,7 +20,7 @@ from liecodim.cli import (
 )
 from liecodim.exactla import Matrix, frac
 from liecodim.ext import build_double_extension
-from liecodim.liealg import abelian
+from liecodim.liealg import abelian, heisenberg3
 
 RECORDED = json.loads((Path(__file__).resolve().parent.parent / "bench"
                        / "report_hashes.json").read_text())
@@ -145,6 +145,33 @@ class TestMalformedDocuments:
                                                message):
         code, err = self._run(
             ["validate", _write(tmp_path / "alg.json", doc)], capsys)
+        assert code == EXIT_USAGE
+        assert message in err
+
+    @pytest.mark.parametrize("key", ["01", "1_0", " 1"])
+    def test_validate_rejects_a_non_canonical_target_index(self, tmp_path,
+                                                           capsys, key):
+        # int() reads each of these keys as a valid index of a 10-dim
+        # algebra; only the canonical decimal key "1" or "10" is accepted.
+        doc = {"dim": 10, "brackets": [{"i": 2, "j": 3, "coeffs": {key: "1"}}]}
+        code, err = self._run(
+            ["validate", _write(tmp_path / "alg.json", doc)], capsys)
+        assert code == EXIT_USAGE
+        assert f"bad target index {key!r}" in err
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ('{"1": "1", "1": "5"}', "repeated key '1'"),
+        ('{"1": "1", "01": "5"}', "bad target index '01'"),
+    ])
+    def test_validate_rejects_a_coefficient_given_twice(self, tmp_path,
+                                                        capsys, coeffs,
+                                                        message):
+        # json keeps the last of two equal keys, and "01" read as 1, so
+        # either document kept only the coefficient 5.
+        path = tmp_path / "alg.json"
+        path.write_text('{"dim": 3, "brackets": [{"i": 2, "j": 3, '
+                        f'"coeffs": {coeffs}}}]}}')
+        code, err = self._run(["validate", str(path)], capsys)
         assert code == EXIT_USAGE
         assert message in err
 
@@ -295,6 +322,18 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(out)["verdicts"] == {
             "decomposable": decomposable, "member": True}
+
+    def test_extend_by_a_non_derivation_names_the_failing_pair(self, tmp_path,
+                                                               capsys):
+        alg = _write(tmp_path / "alg.json", algebra_to_document(heisenberg3()))
+        d = _write(tmp_path / "d.json", matrix_to_document(
+            Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 0]])))
+        code, out, err = self._run(["extend", alg, "--derivation", d], capsys)
+        assert code == EXIT_VERDICT
+        assert out == ""
+        assert err == ("error: NotADerivation: Leibniz identity fails on "
+                       "basis pair (1, 3); residual (Fraction(-1, 1), "
+                       "Fraction(0, 1), Fraction(0, 1))\n")
 
     def test_extend_zy_without_second_is_a_usage_error(self, tmp_path,
                                                        capsys):

@@ -34,6 +34,23 @@ from oracles import leibniz_first_violation, leibniz_rows_dense
 F = Fraction
 
 
+def rational_basis(rng, alg):
+    """``alg`` in a seeded basis: the columns of a lower triangular matrix
+    with a nonzero diagonal and entries in thirds, so invertible and, on a
+    non-abelian algebra, typically giving non-integer structure constants."""
+    n = alg.dim
+    p = Matrix.from_rows([[
+        F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)) if i == j
+        else F(rng.randint(-2, 2), 3) if i > j else 0
+        for j in range(n)] for i in range(n)])
+    return change_of_basis(alg, p)
+
+
+def table_scale(alg):
+    """The lcm of the denominators of ``alg``'s structure constants."""
+    return math.lcm(*(F(x).denominator for _, v in alg.table for x in v))
+
+
 def h3_general_derivation(a, b, c, e, f, g) -> Matrix:
     return Matrix.from_rows([[a + b, f, g], [0, a, c], [0, e, b]])
 
@@ -178,10 +195,13 @@ class TestProjection:
 class TestLeibnizResidual:
     def test_first_violation_matches_dense_oracle(self):
         """On seeded int and Fraction matrices, derivations and not, of every
-        catalog base K, of K + R and of extensions of K by seeded
-        derivations, the first violating pair and its residual are those of
+        catalog base K, of K + R, of extensions of K by seeded derivations
+        and, for a non-abelian K, of K in a seeded rational basis (so the
+        table's denominators matter, and K's own blocks would give other
+        residuals), the first violating pair and its residual are those of
         a dense expansion visiting the pairs in the same order."""
         rng = random.Random(12)
+        basis_rng = random.Random(30)
         seen = {"derivation": 0, "violation": 0}
 
         def seeded(sp, integral, changes):
@@ -203,7 +223,10 @@ class TestLeibnizResidual:
             base = entry.algebra
             extensions = [extend_by_derivation(
                 base, seeded(derivation_space(base), False, 0)) for _ in range(2)]
-            for alg in [base, direct_sum(base, abelian(1))] + extensions:
+            moved = [rational_basis(basis_rng, base)] if base.table else []
+            assert all(table_scale(alg) > 1 for alg in moved), base.name
+            for alg in ([base, direct_sum(base, abelian(1))] + extensions
+                        + moved):
                 sp = derivation_space(alg)
                 n = alg.dim
                 table = {ij: list(v) for ij, v in alg.table}
@@ -239,18 +262,12 @@ class TestLeibnizResidual:
         algebras = []
         for entry in catalog().values():
             base = entry.algebra
-            n = base.dim
-            # lower triangular with a nonzero diagonal: invertible
-            p = Matrix.from_rows([[
-                F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)) if i == j
-                else F(rng.randint(-2, 2), 3) if i > j else 0
-                for j in range(n)] for i in range(n)])
             algebras += [base, direct_sum(base, abelian(1)),
-                         change_of_basis(base, p)]
+                         rational_basis(rng, base)]
         fractional = 0
         for alg in algebras:
             n = alg.dim
-            s = math.lcm(*(F(x).denominator for _, v in alg.table for x in v))
+            s = table_scale(alg)
             fractional += s > 1
             dense = leibniz_rows_dense(n, dict(alg.table)) \
                 or [[F(0)] * (n * n)]
