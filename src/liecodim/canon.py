@@ -173,7 +173,6 @@ class CanonicalForm:
     """Scaling-normalized spectral data of a matrix: its blocks, scaled."""
 
     blocks: tuple[tuple, ...]
-    scaling_applied: ParamValue
 
     def describe(self) -> str:
         return " + ".join(f"[{vals[0]}]x{size}" if kind == "r" else
@@ -213,9 +212,9 @@ def proportional_normalize(m: Matrix) -> CanonicalForm:
     block tuple wins, so the output is deterministic.
     """
     st = eigen_structure(m)
-    scaled = [(_scaled_blocks(st, c), c) for c in _candidate_scalings(st)]
-    blocks, c = min(scaled, key=lambda bc: [_block_key(b) for b in bc[0]])
-    return CanonicalForm(blocks, c)
+    return CanonicalForm(min(
+        (_scaled_blocks(st, c) for c in _candidate_scalings(st)),
+        key=lambda blocks: [_block_key(b) for b in blocks]))
 
 
 def _intertwiner(x: Matrix, y: Matrix) -> Matrix:

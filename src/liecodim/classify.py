@@ -137,11 +137,11 @@ from .liealg import (
 class GoldenMismatch(Exception):
     """The classification sweep disagrees with the built-in golden list."""
 
-    def __init__(self, found, expected, detail=""):
+    def __init__(self, found, expected):
         self.found = set(found)
         self.expected = set(expected)
         super().__init__(f"found families {sorted(found)} but expected "
-                         f"{sorted(expected)}{'; ' + detail if detail else ''}")
+                         f"{sorted(expected)}")
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1037,9 @@ class GridSpec:
 
     @staticmethod
     def parse(text: str) -> "GridSpec":
+        """A grid from ``name=value`` parts joined by commas, each field at
+        most once; a ``ValueError`` names the field that is unknown,
+        repeated or not given an integer."""
         spec = GridSpec()
         if not text:
             return spec
@@ -1050,7 +1053,13 @@ class GridSpec:
                 "seed": "seed"}.get(name.strip())
             if field_name is None:
                 raise ValueError(f"unknown grid field {name!r}")
-            kwargs[field_name] = int(value)
+            if field_name in kwargs:
+                raise ValueError(f"grid field {name.strip()!r} given twice")
+            try:
+                kwargs[field_name] = int(value)
+            except ValueError:
+                raise ValueError(f"grid field {name.strip()!r} needs an "
+                                 f"integer value, got {value!r}") from None
         return dataclasses.replace(spec, **kwargs)
 
 
@@ -1292,17 +1301,6 @@ class Fingerprint:
     spectral: str
     pencil_shape: tuple = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "derived_dims": list(self.derived_dims),
-            "lower_central_dims": list(self.lower_central_dims),
-            "center_dim": self.center_dim,
-            "der_dim": self.der_dim,
-            "h1_dim": self.h1_dim,
-            "spectral": self.spectral,
-            "pencil_shape": [list(x) for x in self.pencil_shape],
-        }
-
 
 def _pencil_det(a: Matrix, b: Matrix) -> Poly:
     """det(b + t*a) as ascending coefficients without trailing zeros (the
@@ -1409,12 +1407,28 @@ _VERIFY_SAMPLES = 20
 _CROSSCHECK_POINTS = 60
 
 
+def _json_data(value):
+    """The JSON data of a report value: a dataclass is an object with a key
+    per field, its name, leaving out each field whose value is None; lists,
+    tuples and dicts are serialised item by item; anything else is
+    returned as it is."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json_data(v) for f in dataclasses.fields(value)
+                if (v := getattr(value, f.name)) is not None}
+    if isinstance(value, (list, tuple)):
+        return [_json_data(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_data(v) for k, v in value.items()}
+    return value
+
+
 @dataclass
 class FamilyReport:
     """What ``_verify_template`` checked of one family.  ``jacobi_ok`` is
     always true in a returned report: a Jacobi failure raises
     ``NotADerivation`` or ``JacobiViolation`` instead, and the field stays
-    so the report JSON keeps its key."""
+    so the report JSON keeps its key.  ``indecomposable_ok`` is None, so
+    no key, in ext1, which checks no decomposability."""
 
     name: str
     domain: str
@@ -1426,59 +1440,28 @@ class FamilyReport:
     membership_ok: bool
     indecomposable_ok: Optional[bool]
 
-    def as_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "domain": self.domain,
-            "param_names": list(self.param_names),
-            "matched_points": self.matched_points,
-            "sample_params": self.sample_params,
-            "verified_points": self.verified_points,
-            "jacobi_ok": self.jacobi_ok,
-            "membership_ok": self.membership_ok,
-        }
-        if self.indecomposable_ok is not None:
-            d["indecomposable_ok"] = self.indecomposable_ok
-        return d
-
 
 @dataclass
 class ClassificationReport:
+    """One sweep's outcome, shaped as its JSON.  ``as_dict`` applies the one
+    rule of ``_json_data``: each field is a key of its name, a nested
+    report (family, fingerprint) an object of its fields, and a field whose
+    value is None is left out.  So an opt-in section, such as sweep
+    statistics or per-family isomorphism witnesses, is a field that
+    defaults to None, and the default report's bytes do not change."""
+
     base: str
     mode: str
     grid: str
-    total_points: int
-    member_points: int
-    skipped_out_of_field: int
-    filtered_points: int
+    totals: dict[str, int]  # points, members, skipped_out_of_field, filtered
     families: list[FamilyReport]
-    fingerprints: dict[str, dict]
+    fingerprints: dict[str, Fingerprint]
     distinctness: list[dict]
     crosscheck_points: int
-    golden_expected: list[str]
-    golden_found: list[str]
+    golden: dict  # expected and found family names, sorted, and ok
 
     def as_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "mode": self.mode,
-            "grid": self.grid,
-            "totals": {
-                "points": self.total_points,
-                "members": self.member_points,
-                "skipped_out_of_field": self.skipped_out_of_field,
-                "filtered": self.filtered_points,
-            },
-            "families": [f.as_dict() for f in self.families],
-            "fingerprints": self.fingerprints,
-            "distinctness": self.distinctness,
-            "crosscheck_points": self.crosscheck_points,
-            "golden": {
-                "expected": sorted(self.golden_expected),
-                "found": sorted(self.golden_found),
-                "ok": sorted(self.golden_expected) == sorted(self.golden_found),
-            },
-        }
+        return _json_data(self)
 
 
 def _line_key(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -1692,7 +1675,7 @@ def _verify_template(entry: CatalogEntry, mode: str,
 
 def distinctness_evidence(entry: CatalogEntry, mode: str,
                           templates: Sequence[FamilyTemplate]
-                          ) -> tuple[list[dict], dict[str, dict]]:
+                          ) -> tuple[list[dict], dict[str, Fingerprint]]:
     """Pairwise evidence that distinct templates give non-isomorphic
     algebras at reference parameters: a fingerprint difference, or a failed
     proportional-similarity search on the representatives.  Pairs with
@@ -1716,7 +1699,7 @@ def distinctness_evidence(entry: CatalogEntry, mode: str,
                                  "evidence": "representatives-not-similar"})
             else:
                 evidence.append({"pair": [a, b], "evidence": "UNRESOLVED"})
-    return evidence, {n: prints[n].as_dict() for n in names}
+    return evidence, prints
 
 
 def _shuffled_indices(rng: random.Random, n: int) -> Iterator[int]:
@@ -1792,30 +1775,25 @@ def classify_extensions(key: str, mode: str, grid: Optional[GridSpec] = None,
             bucket = samples.setdefault(r[1], [])
             if len(bucket) < 5:
                 bucket.append("(" + ", ".join(r[2]) + ")")
-    skipped = tally[("skip",)]
-    filtered = tally[("filtered",)]
-    members = sum(counts.values())
 
     found = set(counts)
     expected = {t.name for t in templates}
     if found != expected:
         raise GoldenMismatch(found, expected)
 
-    family_reports = []
-    for t in templates:
-        rep = _verify_template(entry, mode, t)
-        rep.matched_points = counts[t.name]
-        rep.sample_params = samples.get(t.name, [])
-        family_reports.append(rep)
-
+    family_reports = [dataclasses.replace(
+        _verify_template(entry, mode, t), matched_points=counts[t.name],
+        sample_params=samples[t.name]) for t in templates]
     crosschecked = _crosscheck_conditions(entry, mode, grid, points, classes)
     evidence, prints = distinctness_evidence(entry, mode, templates)
 
     return ClassificationReport(
         base=key, mode=mode, grid=grid.describe(),
-        total_points=len(points), member_points=members,
-        skipped_out_of_field=skipped, filtered_points=filtered,
+        totals={"points": len(points), "members": sum(counts.values()),
+                "skipped_out_of_field": tally[("skip",)],
+                "filtered": tally[("filtered",)]},
         families=family_reports, fingerprints=prints,
         distinctness=evidence, crosscheck_points=crosschecked,
-        golden_expected=sorted(expected), golden_found=sorted(found))
+        golden={"expected": sorted(expected), "found": sorted(found),
+                "ok": found == expected})
 

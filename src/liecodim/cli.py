@@ -5,9 +5,21 @@ Exit codes: 0 success, 1 usage or parse error, 2 negative mathematical
 verdict, 3 internal consistency trap (an invariant the library asserts at
 runtime failed, which indicates a bug, not bad input).
 
-A ``verify-witness`` document of ``"kind": "pair"`` holds ``sigma``,
-``coeffs``, ``pair1`` and ``pair2``; each pair is [z-action, y-action] on an
-abelian base.  ``coeffs = [[alpha, beta], [gamma, delta]]`` gives, row by
+Each kind of document has these keys, and no others:
+
+- algebra: ``dim``, ``brackets`` (each ``i``, ``j``, ``coeffs``), ``name``;
+- matrix: ``rows``, ``cols``, ``entries``;
+- ``verify-witness`` of ``"kind": "full"``: ``kind``, ``matrix``;
+- of ``"kind": "triple"``: ``kind``, ``base``, ``d1``, ``d2``, ``sigma``,
+  ``alpha``, ``u``;
+- of ``"kind": "pair"``: ``kind``, ``sigma``, ``coeffs``, ``pair1``,
+  ``pair2``.
+
+A key outside its object's list, like a key repeated within one object, is
+a usage error (exit 1), as is a ``classify --grid`` field given twice.
+
+In a ``"pair"`` witness each pair is [z-action, y-action] on an abelian
+base.  ``coeffs = [[alpha, beta], [gamma, delta]]`` gives, row by
 row, the combination of pair2 = (d2, d2') for each member of
 pair1 = (d1, d1'): sigma d1 sigma^-1 = alpha*d2 + beta*d2' and
 sigma d1' sigma^-1 = gamma*d2 + delta*d2', so identity coefficients mean
@@ -64,6 +76,13 @@ _TRAP_ERRORS = (ConditionDisagreement, AmbiguousMatch, AssertionError)
 # catalog sweep builds algebras of dimension 6 or less.
 MAX_ALGEBRA_DIM = 16
 
+# The keys of each kind of witness document.
+_WITNESS_KEYS = {
+    "full": ("kind", "matrix"),
+    "triple": ("kind", "base", "d1", "d2", "sigma", "alpha", "u"),
+    "pair": ("kind", "sigma", "coeffs", "pair1", "pair2"),
+}
+
 
 class DocumentError(Exception):
     """A document failed to parse; message carries field context."""
@@ -88,6 +107,15 @@ def _is_integer(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Raise :class:`DocumentError` naming the first key of ``doc`` outside
+    ``allowed``, and ``where`` it sits: a misspelt key is an error, not a
+    field left at its default."""
+    for key in doc:
+        if key not in allowed:
+            raise DocumentError(f"{where}: unknown key {key!r}")
+
+
 def algebra_to_document(alg: LieAlgebra) -> dict:
     brackets = []
     for (i, j), v in alg.table:
@@ -102,6 +130,7 @@ def algebra_to_document(alg: LieAlgebra) -> dict:
 def algebra_from_document(doc: Any, skip_jacobi: bool = False) -> LieAlgebra:
     if not isinstance(doc, dict):
         raise DocumentError("algebra document must be a JSON object")
+    _check_keys(doc, ("dim", "brackets", "name"), "algebra document")
     if "dim" not in doc or not _is_integer(doc["dim"]) or doc["dim"] < 0:
         raise DocumentError("field 'dim' must be a non-negative integer")
     if doc["dim"] > MAX_ALGEBRA_DIM:
@@ -115,6 +144,7 @@ def algebra_from_document(doc: Any, skip_jacobi: bool = False) -> LieAlgebra:
         where = f"brackets[{pos}]"
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: must be an object")
+        _check_keys(entry, ("i", "j", "coeffs"), where)
         i, j = entry.get("i"), entry.get("j")
         if not (_is_integer(i) and _is_integer(j) and 1 <= i < j <= dim):
             raise DocumentError(f"{where}: need integer indices 1 <= i < j <= dim")
@@ -151,6 +181,7 @@ def matrix_to_document(m: Matrix) -> dict:
 def matrix_from_document(doc: Any) -> Matrix:
     if not isinstance(doc, dict):
         raise DocumentError("matrix document must be a JSON object")
+    _check_keys(doc, ("rows", "cols", "entries"), "matrix document")
     rows, cols = doc.get("rows"), doc.get("cols")
     if not (_is_integer(rows) and _is_integer(cols)):
         raise DocumentError("matrix needs integer 'rows' and 'cols'")
@@ -323,6 +354,9 @@ def cmd_verify_witness(args) -> int:
     if not isinstance(wdoc, dict):
         raise DocumentError("witness document must be a JSON object")
     kind = wdoc.get("kind")
+    if not isinstance(kind, str) or kind not in _WITNESS_KEYS:
+        raise DocumentError(f"unknown witness kind {kind!r}")
+    _check_keys(wdoc, _WITNESS_KEYS[kind], f"{kind} witness document")
     if kind == "full":
         ok = verify_iso_witness_full(l1, l2, _witness_field(wdoc, "matrix"))
     elif kind == "triple":
@@ -341,7 +375,7 @@ def cmd_verify_witness(args) -> int:
             _, ok = witness_from_triple(base, d1, d2, sigma, alpha, u)
         except IdentityFails:
             ok = False
-    elif kind == "pair":
+    else:
         sigma = _witness_field(wdoc, "sigma")
         coeffs = _witness_field(wdoc, "coeffs")
         spec1 = LieCSpec(sigma.rows, *_witness_field(wdoc, "pair1", _matrix_pair))
@@ -350,8 +384,6 @@ def cmd_verify_witness(args) -> int:
             raise DocumentError(
                 "documents do not match the pair extensions in the witness")
         ok = lie_c_iso_check(spec1, spec2, sigma, coeffs)
-    else:
-        raise DocumentError(f"unknown witness kind {kind!r}")
     print("witness verifies" if ok else "witness fails")
     return EXIT_OK if ok else EXIT_VERDICT
 

@@ -465,10 +465,6 @@ class Subspace:
         return Subspace(ambient_dim, tuple(red.entries[:rank]))
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
-
-    @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, Matrix.identity(ambient_dim).entries)
 
@@ -498,11 +494,6 @@ class Subspace:
         if not vec_is_zero(self.reduce(v)):
             return None
         return tuple(Fraction(v[p]) for p in self.pivots)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
 
 
 def nullspace(m: Matrix) -> Subspace:

@@ -10,8 +10,8 @@ the shared extension path of both sweep modes, the ext2ad matchers' own
 membership and indecomposability tests against an oracle, the lazy
 cross-check draw, the abelian family table and its matcher, template
 sampling, the pinned samples of the shaped families, small-grid sweeps of the
-two slowest bases, the names the traced benchmark wraps, and the range of the
-grid fields."""
+two slowest bases, the names the traced benchmark wraps, the range of the
+grid fields, and the one rule that serialises a report."""
 
 import dataclasses
 import functools
@@ -72,6 +72,45 @@ def test_default_report_matches_recorded_hash(sweep):
     report = classify_extensions(base, mode, GridSpec(seed=RECORDED["seed"]))
     text = canonical_json(report.as_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == RECORDED["sha256"][sweep]
+
+
+def test_report_serialiser_keys_fields_and_leaves_out_none():
+    @dataclasses.dataclass
+    class Inner:
+        values: tuple
+        note: object = None
+
+    @dataclasses.dataclass
+    class Outer:
+        name: str
+        inner: Inner
+        items: list
+        table: dict
+        absent: object = None
+
+    data = classify._json_data(Outer(
+        "o", Inner((1, (2, "a"))), [Inner((), False)], {"k": Inner((0,))}))
+    assert data == {"name": "o", "inner": {"values": [1, [2, "a"]]},
+                    "items": [{"values": [], "note": False}],
+                    "table": {"k": {"values": [0]}}}
+    assert json.loads(json.dumps(data)) == data
+
+    assert not hasattr(classify.Fingerprint, "as_dict")
+    assert not hasattr(classify.FamilyReport, "as_dict")
+    grid = GridSpec(seed=RECORDED["seed"])
+    ext1 = classify_extensions("r1", "ext1", grid)
+    assert all(f.indecomposable_ok is None for f in ext1.families)
+    assert all(isinstance(p, classify.Fingerprint)
+               for p in ext1.fingerprints.values())
+    report = ext1.as_dict()
+    assert all("indecomposable_ok" not in f for f in report["families"])
+    assert all(isinstance(p["derived_dims"], list)
+               for p in report["fingerprints"].values())
+    assert json.loads(json.dumps(report)) == report
+    ext2ad = classify_extensions("r2", "ext2ad", grid).as_dict()
+    assert all(f["indecomposable_ok"] is True for f in ext2ad["families"])
+    # A tuple of tuples in the fingerprint, an array of arrays in the JSON.
+    assert ext2ad["fingerprints"]["A"]["pencil_shape"] == [["zero", 2]]
 
 
 def test_sweep_points_computed_once(monkeypatch):

@@ -1,6 +1,7 @@
 """The CLI: verify-witness on pair-extension witnesses, the exit-code
-contract on malformed documents, and ``classify`` reports against their
-recorded hashes."""
+contract on malformed documents, closed documents (an unknown key is a
+usage error), each command and exit code, and ``classify`` reports against
+their recorded hashes."""
 
 import hashlib
 import json
@@ -9,17 +10,21 @@ from pathlib import Path
 
 import pytest
 
+from liecodim import cli
 from liecodim.cli import (
     EXIT_OK,
+    EXIT_TRAP,
     EXIT_USAGE,
     EXIT_VERDICT,
     MAX_ALGEBRA_DIM,
     algebra_to_document,
+    canonical_json,
     main,
     matrix_to_document,
 )
 from liecodim.exactla import Matrix, frac
-from liecodim.ext import build_double_extension
+from liecodim.ext import (ConditionDisagreement, build_double_extension,
+                          extend_by_derivation)
 from liecodim.liealg import abelian, heisenberg3
 
 RECORDED = json.loads((Path(__file__).resolve().parent.parent / "bench"
@@ -278,6 +283,26 @@ class TestExitCodes:
         assert out == ""
         assert f"grid field {field} must be at least 1" in err
 
+    def test_classify_grid_field_given_twice(self, capsys):
+        # The second value used to replace the first: the report read
+        # "|p|<=2".
+        code, out, err = self._run(
+            ["classify", "--base", "r1", "--grid", "num=1,num=2"], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: grid field 'num' given twice\n"
+
+    @pytest.mark.parametrize("grid, value", [("num", "''"),
+                                             ("seed=x", "'x'")])
+    def test_classify_grid_value_names_its_field(self, capsys, grid, value):
+        code, out, err = self._run(
+            ["classify", "--base", "r1", "--grid", grid], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        field = grid.partition("=")[0]
+        assert err == (f"error: grid field {field!r} needs an integer value, "
+                       f"got {value}\n")
+
     @pytest.mark.parametrize("base, mode", [("r1", "ext1"),
                                             ("r2", "ext2ad")])
     def test_classify_writes_the_recorded_report(self, capsys, base, mode):
@@ -351,3 +376,174 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
         assert "vector" in err
+
+
+def _run(argv, capsys):
+    """Run the CLI; return its exit code, stdout and stderr, and insist no
+    traceback reached stderr."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+IDENTITY2 = matrix_to_document(Matrix.identity(2))
+
+
+def _triple_argv(tmp_path, d2_entries, **extra):
+    """``verify-witness`` arguments for a triple witness over the abelian
+    base of dimension 2, relating d1 = diag(1, 2) to d2 = diag(d2_entries)
+    by sigma = 1, alpha = 1/2, u = 0, with ``extra`` keys laid over it, and
+    the two extensions as the algebra documents."""
+    d1, d2 = Matrix.diagonal([1, 2]), Matrix.diagonal(d2_entries)
+    docs = [_write(tmp_path / f"l{k}.json", algebra_to_document(
+        extend_by_derivation(abelian(2), d))) for k, d in ((1, d1), (2, d2))]
+    witness = {"kind": "triple", "base": algebra_to_document(abelian(2)),
+               "d1": matrix_to_document(d1), "d2": matrix_to_document(d2),
+               "sigma": IDENTITY2, "alpha": "1/2", "u": ["0", "0"], **extra}
+    return ["verify-witness", *docs,
+            "--witness", _write(tmp_path / "witness.json", witness)]
+
+
+class TestClosedDocuments:
+    """A key outside its object's list exits 1 with one stderr line naming
+    the key and where it sits; each of these documents used to be read
+    with the key ignored."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dim": 3, "brackets": [{"i": 2, "j": 3, "coef": {"1": "1"}}]},
+         "brackets[0]: unknown key 'coef'"),
+        ({"dim": 3, "bracket": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]},
+         "algebra document: unknown key 'bracket'"),
+        ({"dim": 3, "nmae": "h3"}, "algebra document: unknown key 'nmae'"),
+    ], ids=["bracket-coef", "top-level-bracket", "nmae"])
+    def test_validate_rejects_a_misspelt_key(self, tmp_path, capsys, doc,
+                                             message):
+        code, out, err = _run(
+            ["validate", _write(tmp_path / "alg.json", doc)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_extend_rejects_a_matrix_with_an_extra_key(self, tmp_path,
+                                                       capsys):
+        alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))
+        d = _write(tmp_path / "d.json", {**IDENTITY2, "note": "identity"})
+        code, out, err = _run(["extend", alg, "--derivation", d], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: matrix document: unknown key 'note'\n"
+
+    def test_full_witness_with_an_extra_key(self, tmp_path, capsys):
+        alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))
+        witness = _write(tmp_path / "witness.json", {
+            "kind": "full", "matrix": IDENTITY2, "sigma": IDENTITY2})
+        code, out, err = _run(
+            ["verify-witness", alg, alg, "--witness", witness], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: full witness document: unknown key 'sigma'\n"
+
+    def test_triple_witness_with_an_extra_key(self, tmp_path, capsys):
+        argv = _triple_argv(tmp_path, [2, 4], matrix=IDENTITY2)
+        code, out, err = _run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: triple witness document: unknown key 'matrix'\n"
+
+    def test_pair_witness_with_an_extra_key(self, tmp_path, capsys):
+        argv = _pair_witness(tmp_path, D, D_PRIME, [[1, 0], [0, 1]])
+        path = Path(argv[-1])
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "alpha": "1"}))
+        code, out, err = _run(argv, capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: pair witness document: unknown key 'alpha'\n"
+
+    def test_a_key_inside_a_witness_field_is_named_with_the_field(
+            self, tmp_path, capsys):
+        base = {**algebra_to_document(abelian(2)), "nmae": "r2"}
+        code, _, err = _run(_triple_argv(tmp_path, [2, 4], base=base), capsys)
+        assert code == EXIT_USAGE
+        assert err == ("error: witness field 'base': algebra document: "
+                       "unknown key 'nmae'\n")
+
+
+class TestEveryCommand:
+    """Each command and exit code of the CLI: the exit code, the shape of
+    the output, and no traceback."""
+
+    H3 = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}],
+          "name": "h3"}
+    # [e1, e2] = e2, [e2, e3] = e1: the Jacobi sum of (e1, e2, e3) is -e1.
+    NOT_JACOBI = {"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "coeffs": {"2": "1"}},
+        {"i": 2, "j": 3, "coeffs": {"1": "1"}}]}
+
+    @pytest.mark.parametrize("h1", [False, True])
+    def test_der_reports_the_derivations_of_h3(self, tmp_path, capsys, h1):
+        argv = ["der", _write(tmp_path / "h3.json", self.H3)]
+        code, out, err = _run(argv + ["--h1"] * h1, capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        doc = json.loads(out)
+        assert out == canonical_json(doc)
+        assert doc["kind"] == "derivations"
+        assert doc["algebra"] == self.H3
+        assert doc["dims"] == {"der": 6, "inner": 2, "h1": 4}
+        assert [len(doc[k]) for k in ("der_basis", "inner_basis")] == [6, 2]
+        assert len(doc.get("h1_basis", ())) == (4 if h1 else 0)
+        assert all(m["rows"] == m["cols"] == 3 and len(m["entries"]) == 9
+                   for m in doc["der_basis"])
+
+    def test_validate_skip_jacobi_parses_a_failing_table(self, tmp_path,
+                                                         capsys):
+        code, out, err = _run(["validate", "--skip-jacobi", _write(
+            tmp_path / "alg.json", self.NOT_JACOBI)], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        assert out == "parsed dimension-3 table without validation\n"
+
+    def test_validate_reports_a_jacobi_failure(self, tmp_path, capsys):
+        code, out, err = _run(["validate", _write(
+            tmp_path / "alg.json", self.NOT_JACOBI)], capsys)
+        assert code == EXIT_VERDICT
+        assert err == ""
+        assert out == ("Jacobi identity fails on basis triple (1, 2, 3); "
+                       "residual ['1', '0', '0']\n")
+
+    @pytest.mark.parametrize("d2, code, verdict", [
+        ([2, 4], EXIT_OK, "witness verifies"),
+        ([2, 3], EXIT_VERDICT, "witness fails"),
+    ])
+    def test_triple_witness_is_checked(self, tmp_path, capsys, d2, code,
+                                       verdict):
+        got, out, err = _run(_triple_argv(tmp_path, d2), capsys)
+        assert got == code
+        assert err == ""
+        assert out == verdict + "\n"
+
+    @pytest.mark.parametrize("kind", ["bogus", ["full"], None])
+    def test_unknown_witness_kind(self, tmp_path, capsys, kind):
+        alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))
+        witness = _write(tmp_path / "witness.json",
+                         {"kind": kind, "matrix": IDENTITY2})
+        code, out, err = _run(
+            ["verify-witness", alg, alg, "--witness", witness], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: unknown witness kind {kind!r}\n"
+
+    def test_a_consistency_trap_exits_3(self, tmp_path, capsys, monkeypatch):
+        def disagree(*args):
+            raise ConditionDisagreement("the two conditions disagree")
+
+        monkeypatch.setattr(cli, "check_codim1_condition", disagree)
+        alg = _write(tmp_path / "alg.json", algebra_to_document(abelian(2)))
+        d = _write(tmp_path / "d.json", IDENTITY2)
+        code, out, err = _run(["extend", alg, "--derivation", d], capsys)
+        assert code == EXIT_TRAP
+        assert out == ""
+        assert err == ("internal consistency trap: "
+                       "the two conditions disagree\n")
