@@ -5,8 +5,12 @@ points in cohomology coordinates, filters them by the membership (and, for
 the ad-pair sweeps, indecomposability) conditions, canonicalizes the
 survivors into named family templates, and compares the discovered family
 set against the built-in golden list.  Points whose spectra leave the
-supported field (real irrational eigenvalues) are counted and skipped,
-never approximated.
+supported field are counted and skipped, never approximated.  The
+classifier raises the cause as a typed ``UnsupportedSpectrumError``:
+``RealIrrationalEigenvalues`` for a real irrational eigenvalue pair, from
+``eigen_structure`` or from the hand matchers' one root helper
+(``_real_root``), and ``IrreducibleFactorDegreeTooHigh`` for an
+irreducible factor of degree 3 or more.
 
 Both sweep modes extend one algebra by a single derivation, the sweep
 matrix.  An ext1 point is a derivation of the base.  An ext2ad point is a
@@ -57,8 +61,10 @@ and picks the fitting recipe with the fewest parameters; r2/ext1 and h3's
 pair block take a 2x2 fast path with the same answers.  The matchers of h3,
 r⊕h3 and g4 read exact invariants off their coordinate shapes: discriminant
 signs, Jordan chain ranks, and the coupling slots that survive the
-basis-change rewrites.  One constructor turns each row into a template
-whose domain is the rational points its matcher maps back to themselves.
+basis-change rewrites.  Each reads a 2x2 pair block's determinant, trace
+and discriminant from one helper (``_spectrum2``).  One constructor turns
+each row into a template whose domain is the rational points its matcher
+maps back to themselves.
 Every matched point carries canonical parameter values, rational or exact
 quadratic irrationals.
 """
@@ -94,6 +100,7 @@ from .deriv import (
 from .exactla import (
     Matrix,
     Poly,
+    RealIrrationalEigenvalues,
     Subspace,
     UnsupportedSpectrumError,
     Vector,
@@ -253,6 +260,24 @@ FILTERED = "filtered"
 MatchResult = Optional[tuple[str, tuple[ParamValue, ...]] | str]
 
 
+def _spectrum2(a, b, c, d) -> tuple:
+    """Determinant, trace and discriminant of the 2x2 block [[a, b], [c, d]],
+    in the arithmetic of its entries: its eigenvalues are
+    (trace +- sqrt(disc))/2."""
+    return a * d - b * c, a + d, (a - d) * (a - d) + 4 * b * c
+
+
+def _real_root(disc):
+    """The exact square root of a non-negative discriminant, in the
+    arithmetic of ``disc`` (``_sqrt_fraction``); raises
+    :class:`RealIrrationalEigenvalues` when the root is irrational, the one
+    spectrum the hand matchers skip."""
+    r = _sqrt_fraction(disc)
+    if r is None:
+        raise RealIrrationalEigenvalues("real irrational eigenvalue pair")
+    return r
+
+
 _H3_EXT1_NAMES = {"diag": "A", "j2": "B", "cplx": "C"}
 
 
@@ -280,10 +305,9 @@ def _classify_rp_ext1(flat: Sequence[Fraction]) -> MatchResult:
     a, e = flat[5], flat[6]
     f, b = flat[9], flat[10]
     g, h, c = flat[13], flat[14], flat[15]
-    if c == 0 or a * b == e * f:
+    det_m, s, disc = _spectrum2(a, e, f, b)
+    if c == 0 or det_m == 0:
         return None
-    s = a + b
-    disc = (a - b) ** 2 + 4 * e * f
     k_active = (k != 0 and c == s)
 
     if disc < 0:
@@ -296,34 +320,23 @@ def _classify_rp_ext1(flat: Sequence[Fraction]) -> MatchResult:
         sgn = 1 if (s > 0 or (s == 0 and c > 0)) else -1
         return "G", (lam, ExactScalar.of(Fraction(2 * sgn * c, q), q))
 
-    if disc == 0 and not (e == 0 and f == 0):
-        lam = Fraction(s, 2)
-        if c == lam:
-            d_shift = Matrix.from_rows([
-                [a - lam, e, 0], [f, b - lam, 0], [g, h, 0]])
-            if d_shift.rank() > 1:  # M - lam has rank 1 for a Jordan pair
-                return "F", ()
-            return "D", (Fraction(1),)
-        if k != 0 and c == s:
+    r = _real_root(disc)
+    lam1, lam2 = _pivot_sorted([Fraction(s + r, 2), Fraction(s - r, 2)])
+    coupled = c in (lam1, lam2) and (
+        Matrix.from_rows([[a - c, e, 0], [f, b - c, 0], [g, h, 0]]).rank()
+        > Matrix.from_rows([[a - c, e], [f, b - c]]).rank())
+    if disc == 0 and not (e == 0 and f == 0):  # a Jordan pair
+        if c == lam1:
+            return ("F", ()) if coupled else ("D", (Fraction(1),))
+        if k_active:
             return "E", ()
-        return "D", (c / lam,)
-
-    if disc == 0:
-        lam1 = lam2 = Fraction(s, 2)
-    else:
-        r = _sqrt_fraction(disc)
-        if r is None:
-            raise UnsupportedSpectrumError("real irrational eigenvalue pair")
-        lam1, lam2 = _pivot_sorted([Fraction(s + r, 2), Fraction(s - r, 2)])
-    if c in (lam1, lam2):
-        m_shift = Matrix.from_rows([[a - c, e], [f, b - c]])
-        d_shift = Matrix.from_rows([[a - c, e, 0], [f, b - c, 0], [g, h, 0]])
-        if d_shift.rank() > m_shift.rank():
-            if lam1 == lam2 == c:
-                alpha = Fraction(1)
-            else:
-                alpha = (lam1 if lam2 == c else lam2) / c
-            return "C", (alpha,)
+        return "D", (c / lam1,)
+    if coupled:
+        if lam1 == lam2:
+            alpha = Fraction(1)
+        else:
+            alpha = (lam1 if lam2 == c else lam2) / c
+        return "C", (alpha,)
     if k_active:
         return "B", (lam2 / lam1,)
     alpha = lam2 / lam1
@@ -356,15 +369,14 @@ def _classify_h3_ext2(flat: Sequence[Fraction]) -> MatchResult:
     h = flat[3]
     a, c = flat[5], flat[6]
     e, b = flat[9], flat[10]
-    det_m = a * b - c * e
+    det_m, trace, disc = _spectrum2(a, c, e, b)
     if det_m == 0:
         return None
-    if a + b != 0 or h == 0:
+    if trace != 0 or h == 0:
         return FILTERED
     if det_m > 0:
         return "G", ()
-    if _sqrt_fraction(-det_m) is None:
-        raise UnsupportedSpectrumError("real irrational opposite pair")
+    _real_root(disc)  # the opposite pair +-sqrt(disc)/2
     return "F", ()
 
 
@@ -405,16 +417,13 @@ def _classify_gl2_flat(flat: Sequence[Fraction]) -> MatchResult:
     divided by its pivot, the one of larger modulus, has ratio
     (t - r)/(t + r), and a complex pair scaled to unit imaginary part has
     real part t/sqrt(-disc)."""
-    a, b = flat[0], flat[1]
-    c, d = flat[2], flat[3]
-    if a * d == b * c:
+    a, b, c, d = flat[:4]
+    det_m, trace, disc = _spectrum2(a, b, c, d)
+    if det_m == 0:
         return None
-    t = abs(a + d)
-    disc = (a - d) ** 2 + 4 * b * c
+    t = abs(trace)
     if disc > 0:
-        r = _sqrt_fraction(disc)
-        if r is None:
-            raise UnsupportedSpectrumError("real irrational eigenvalue pair")
+        r = _real_root(disc)
         return "diag", (Fraction(t - r, t + r),)
     if disc == 0:
         if b == 0 and c == 0:
@@ -966,9 +975,14 @@ def random_automorphism(key: str, rng: random.Random) -> Matrix:
 def conjugate_in_shape(key: str, mode: str, m: Matrix,
                        rng: random.Random) -> Matrix:
     """A random same-class representative: conjugate by an automorphism of
-    the mode's algebra, add an inner derivation, rescale, and project back
-    to the transversal.  For ext2ad the automorphism keeps the base
-    invariant; on h3 ⊕ R it is checked by ``verify_iso_witness_full``."""
+    the mode's algebra, rescale, and project back to the transversal.  For
+    ext2ad the automorphism keeps the base invariant; on h3 ⊕ R it is
+    checked by ``verify_iso_witness_full``.
+
+    The projection reduces modulo the inner derivations, a linear map that
+    is zero on them, so an inner shift ad_u would not reach the point, and
+    none is added.  The n rationals of u are still drawn from ``rng``, so
+    every seeded sweep keeps its points."""
     space, _ = _mode_spaces(key, mode)
     alg = space.algebra
     if mode == "ext1":
@@ -985,15 +999,26 @@ def conjugate_in_shape(key: str, mode: str, m: Matrix,
     else:
         sigma = _random_block_triangular(rng, alg.dim)
     conj = sigma @ m @ sigma.inverse()
-    u = tuple(_random_fraction(rng) for _ in range(alg.dim))
-    shifted = conj + adjoint_matrix(alg, u)
+    for _ in range(alg.dim):  # u, drawn to keep the seeded points
+        _random_fraction(rng)
     c = _random_fraction(rng, allow_zero=False)
-    return project_to_h1(space, shifted.scale(c)).representative
+    return project_to_h1(space, conj.scale(c)).representative
 
 
 # ---------------------------------------------------------------------------
 # grids and sweeps
 # ---------------------------------------------------------------------------
+
+# The range of each grid field but the seed, checked when a grid is built,
+# before ``GridSpec.values`` or a sweep can run.  The upper bounds keep the
+# largest sweep near two million points: at |p|, q <= 10 the grid has 127
+# values, and r4/ext1's 120 coordinate pairs hold 1,905,120 points on two
+# coordinates; a Cartesian sweep is at most the budget.
+_GRID_RANGES = {
+    "num_max": (1, 10), "den_max": (1, 10),
+    "cartesian_budget": (0, 1_000_000), "n_random": (0, 10_000),
+    "n_template_samples": (0, 240), "n_conjugates": (0, 30)}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -1015,13 +1040,14 @@ class GridSpec:
     seed: int = 20250801
 
     def __post_init__(self) -> None:
-        for name, low in (("num_max", 1), ("den_max", 1),
-                          ("cartesian_budget", 0), ("n_random", 0),
-                          ("n_template_samples", 0), ("n_conjugates", 0)):
+        for name, (low, high) in _GRID_RANGES.items():
             value = getattr(self, name)
             if value < low:
                 raise ValueError(
                     f"grid field {name} must be at least {low}, got {value}")
+            if value > high:
+                raise ValueError(
+                    f"grid field {name} must be at most {high}, got {value}")
 
     def values(self) -> list[Fraction]:
         return sorted({Fraction(p, q)

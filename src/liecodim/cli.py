@@ -16,7 +16,9 @@ Each kind of document has these keys, and no others:
   ``pair2``.
 
 A key outside its object's list, like a key repeated within one object, is
-a usage error (exit 1), as is a ``classify --grid`` field given twice.
+a usage error (exit 1), as is a ``classify --grid`` field given twice or
+outside its range (``classify._GRID_RANGES``), which is checked before any
+sweep starts.
 
 In a ``"pair"`` witness each pair is [z-action, y-action] on an abelian
 base.  ``coeffs = [[alpha, beta], [gamma, delta]]`` gives, row by

@@ -65,8 +65,11 @@ class IrreducibleFactorDegreeTooHigh(UnsupportedSpectrumError):
 
 
 class RealIrrationalEigenvalues(UnsupportedSpectrumError):
-    """An irreducible quadratic factor has positive discriminant (real
-    irrational roots), which the exact engine does not represent."""
+    """A real irrational eigenvalue pair, which the exact engine does not
+    represent: raised by ``eigen_structure`` for an irreducible quadratic
+    factor with positive discriminant, and by the hand matchers of
+    ``classify`` for a 2x2 block whose discriminant is not a rational
+    square."""
 
 
 class NotInvertible(ExactLAError):

@@ -195,17 +195,18 @@ def derived_series(alg: LieAlgebra) -> list[Subspace]:
 
 
 def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
-    """L >= [L,L] >= [L,[L,L]] >= ..., down to stabilization."""
+    """L >= [L,L] >= [L,[L,L]] >= ..., down to stabilization; [L, L] is
+    ``derived_subalgebra``, the span of the table's brackets, as in
+    ``derived_series``, and each later term is the ``product_space`` of L
+    with the one before."""
     full = Subspace.full(alg.dim)
     series = [full]
-    while True:
-        prev = series[-1]
-        nxt = product_space(alg, full, prev)
-        if nxt.dim == prev.dim:
-            break
+    nxt = derived_subalgebra(alg)
+    while nxt.dim < series[-1].dim:
         series.append(nxt)
         if nxt.dim == 0:
             break
+        nxt = product_space(alg, full, nxt)
     return series
 
 

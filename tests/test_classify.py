@@ -716,10 +716,24 @@ def test_slot_plan_scales_non_unit_entries():
 
 @pytest.mark.parametrize("field, value", [
     ("num_max", 0), ("den_max", 0), ("num_max", -1), ("cartesian_budget", -1),
-    ("n_random", -1), ("n_template_samples", -1), ("n_conjugates", -1)])
+    ("n_random", -1), ("n_template_samples", -1), ("n_conjugates", -1),
+    ("num_max", 11), ("den_max", 11), ("cartesian_budget", 1_000_001),
+    ("n_random", 10_001), ("n_template_samples", 241), ("n_conjugates", 31)])
 def test_grid_spec_rejects_out_of_range_fields(field, value):
     with pytest.raises(ValueError, match=f"grid field {field} "):
         dataclasses.replace(GridSpec(), **{field: value})
+
+
+def test_grid_spec_bounds_stay_above_the_grids_in_use():
+    # The default grid and the 17-value grid of the budget tests, whose
+    # Cartesian sweep on h3 has 17^4 = 83,521 points, fit inside the bounds
+    # with room to spare; at the bounds the grid has 127 values.
+    top = GridSpec(**{f: high for f, (_, high) in classify._GRID_RANGES.items()})
+    assert len(top.values()) == 127
+    for grid in (GridSpec(), GridSpec(num_max=2, den_max=5,
+                                      cartesian_budget=17 ** 4)):
+        for f, (_, high) in classify._GRID_RANGES.items():
+            assert getattr(grid, f) * 2 <= high
 
 
 def test_grid_spec_accepts_its_lower_bounds():
@@ -941,6 +955,60 @@ def test_ext2ad_conjugation_reuses_cached_spaces(monkeypatch, key):
     for _ in range(3):
         classify.conjugate_in_shape(key, "ext2ad", m, rng)
     assert calls == []
+
+
+def test_conjugates_build_no_inner_derivation(monkeypatch):
+    # The projection to the transversal is zero on the inner derivations,
+    # so conjugate_in_shape adds none: sweep_points on r_plus_h3/ext1 builds
+    # no adjoint matrix once the catalog and its spaces exist.
+    classify._entry_spaces("r_plus_h3")
+    calls = []
+    for module in (liealg, classify, deriv, ext):
+        original = getattr(module, "adjoint_matrix")
+
+        def counting(alg, v, original=original):
+            calls.append(v)
+            return original(alg, v)
+
+        monkeypatch.setattr(module, "adjoint_matrix", counting)
+    made = []
+    conjugate = classify.conjugate_in_shape
+
+    def counting_conjugates(*args):
+        made.append(args)
+        return conjugate(*args)
+
+    monkeypatch.setattr(classify, "conjugate_in_shape", counting_conjugates)
+    classify.sweep_points("r_plus_h3", "ext1", GridSpec())
+    assert len(made) > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("sweep", CHEAP_SWEEPS)
+def test_every_skip_names_its_cause(monkeypatch, sweep):
+    # A point is skipped for its spectrum alone, and the error a classifier
+    # raises names the cause: a real irrational eigenvalue pair or an
+    # irreducible factor of degree >= 3, never the bare base class.
+    base, mode = sweep.split("/")
+    entry = classify.catalog()[base]
+    name = "ext1_classifier" if mode == "ext1" else "ext2_classifier"
+    original = getattr(entry, name)
+    causes = []
+
+    def recording(flat):
+        try:
+            return original(flat)
+        except UnsupportedSpectrumError as exc:
+            causes.append(type(exc))
+            raise
+
+    monkeypatch.setattr(entry, name, recording)
+    classes = classify._run_sweep(base, mode, classify.sweep_points(
+        base, mode, GridSpec(seed=RECORDED["seed"])))
+    assert len(causes) == sum(outcome == ("skip",)
+                              for _, outcome in classes.values())
+    assert set(causes) <= {exactla.RealIrrationalEigenvalues,
+                           exactla.IrreducibleFactorDegreeTooHigh}
 
 
 _FLIPPED = {"match": "nonmember", "filtered": "nonmember",

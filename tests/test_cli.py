@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from liecodim import cli
+from liecodim import classify, cli
 from liecodim.cli import (
     EXIT_OK,
     EXIT_TRAP,
@@ -282,6 +282,29 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"grid field {field} must be at least 1" in err
+
+    @pytest.mark.parametrize("short, field", [
+        ("num", "num_max"), ("den", "den_max"), ("budget", "cartesian_budget"),
+        ("random", "n_random"), ("samples", "n_template_samples"),
+        ("conj", "n_conjugates")])
+    def test_classify_grid_field_over_its_bound(self, capsys, monkeypatch,
+                                                short, field):
+        # The bound is checked when the grid is built: no value set is
+        # enumerated and no sweep starts.
+        started = []
+        monkeypatch.setattr(classify, "sweep_points",
+                            lambda *args: started.append(args))
+        monkeypatch.setattr(classify.GridSpec, "values",
+                            lambda self: started.append(self))
+        high = classify._GRID_RANGES[field][1]
+        code, out, err = self._run(
+            ["classify", "--base", "r1", "--grid", f"{short}={high + 1}"],
+            capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"error: grid field {field} must be at most {high}, "
+                       f"got {high + 1}\n")
+        assert started == []
 
     def test_classify_grid_field_given_twice(self, capsys):
         # The second value used to replace the first: the report read

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from liecodim import liealg
 from liecodim.exactla import Matrix, Subspace
 from liecodim.liealg import (
     JacobiViolation,
@@ -237,6 +238,45 @@ class TestSeries:
         assert is_solvable(ext)
         assert not is_nilpotent(ext)
         assert lower_central_series(ext)[-1].dim == 3
+
+    def test_lower_central_series_reads_the_first_term_off_the_table(
+            self, monkeypatch):
+        """[L, L] is ``derived_subalgebra``, the span of the table: no
+        ``product_space`` of L with itself is formed, and the series is
+        the one built by bracketing with L from the first term on."""
+        rng = random.Random(3)
+        algebras = list(CATALOG)
+        for base in CATALOG:
+            space = derivation_space(base)
+            for _ in range(3):
+                coeffs = [rng.randint(-2, 2) for _ in space.full.basis]
+                flat = tuple(sum(c * v[k] for c, v in zip(coeffs,
+                                                          space.full.basis))
+                             for k in range(base.dim ** 2))
+                algebras.append(extend_by_derivation(
+                    base, space.matrix_from_flat(flat)))
+        product_space = liealg.product_space
+        for alg in algebras:
+            full = Subspace.full(alg.dim)
+            expected = [full]
+            while len(expected) == 1 or 0 < expected[-1].dim:
+                nxt = product_space(alg, full, expected[-1])
+                if nxt.dim == expected[-1].dim:
+                    break
+                expected.append(nxt)
+            calls = []
+
+            def counting(alg, a, b):
+                calls.append(b.dim)
+                return product_space(alg, a, b)
+
+            monkeypatch.setattr(liealg, "product_space", counting)
+            assert lower_central_series(alg) == expected
+            monkeypatch.undo()
+            assert alg.dim not in calls
+            # one call per term after [L, L], and one that finds the end
+            # unless the series reached 0
+            assert len(calls) == len(expected) - 2 + (expected[-1].dim > 0)
 
 
 class TestCenter:
